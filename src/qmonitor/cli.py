@@ -362,7 +362,7 @@ def cmd_analyze(cfg: RunConfig) -> dict:
     for tau in cfg.tau_grid():
         tau = float(tau)
         l = markov.build_transition_matrix(m, tau)
-        spec = markov.spectrum(l)
+        spec = l.chain_spectrum
         report = markov.classify(l, h_blocks)
         stationary = markov.stationary_limit(l, p0)
         per_tau.append(

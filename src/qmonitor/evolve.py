@@ -83,7 +83,7 @@ def cycle(rho: np.ndarray, m: Model, tau: float, gamma: float = 0.0) -> np.ndarr
     if rho.shape[0] != m.dim:
         raise ValueError(f"dimension mismatch: state {rho.shape[0]}, model {m.dim}")
     gamma = _check_gamma(gamma)
-    u = linalg.unitary_from_hamiltonian(m.hamiltonian, tau)
+    u = linalg.unitary_from_eig(m.hamiltonian_eig, tau)
     out, _ = _cycle_with_unitary(rho, u, m.basis, gamma)
     return out
 
@@ -97,7 +97,7 @@ def run_exact(m: Model, tau: float, n_max: int, gamma: float = 0.0) -> Probabili
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     gamma = _check_gamma(gamma)
-    u = linalg.unitary_from_hamiltonian(m.hamiltonian, tau)
+    u = linalg.unitary_from_eig(m.hamiltonian_eig, tau)
     rows = np.empty((n_max + 1, m.dim), dtype=float)
     rows[0] = born_probabilities(m.initial_state, m.basis)
     rho = initial_density(m)

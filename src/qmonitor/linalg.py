@@ -182,12 +182,16 @@ def eig_hermitian(a: np.ndarray, max_sweeps: int = 100) -> HermitianEig:
     return _canonicalize(np.real(np.diag(work)).copy(), vecs)
 
 
-def unitary_from_hamiltonian(h: np.ndarray, tau: float) -> np.ndarray:
-    """Propagator exp(-i h tau) (hbar = 1), built from the eigenbasis of h."""
-    dec = eig_hermitian(h)
+def unitary_from_eig(dec: HermitianEig, tau: float) -> np.ndarray:
+    """Propagator exp(-i h tau) (hbar = 1) from a precomputed decomposition of h."""
     phases = np.exp(-1j * dec.eigenvalues * float(tau))
     v = dec.eigenvectors
     return (v * phases) @ adjoint(v)
+
+
+def unitary_from_hamiltonian(h: np.ndarray, tau: float) -> np.ndarray:
+    """Propagator exp(-i h tau) (hbar = 1), built from the eigenbasis of h."""
+    return unitary_from_eig(eig_hermitian(h), tau)
 
 
 def rotate_matrix(a: np.ndarray, v: np.ndarray) -> np.ndarray:

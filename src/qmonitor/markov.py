@@ -13,6 +13,7 @@ weights, and an eigenvalue -1 makes the distribution oscillate forever.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,12 @@ KIND_PARTIAL = "partial"
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Symmetric doubly stochastic jump kernel for one evolution period tau."""
+    """Symmetric doubly stochastic jump kernel for one evolution period tau.
+
+    Its spectrum is computed on first use and cached on the instance, so
+    classify, stationary_limit and power share one decomposition. Changing
+    ``l`` in place after first use is unsupported.
+    """
 
     l: np.ndarray
     tau: float
@@ -53,6 +59,11 @@ class TransitionMatrix:
     @property
     def dim(self) -> int:
         return self.l.shape[0]
+
+    @cached_property
+    def chain_spectrum(self) -> ChainSpectrum:
+        """The kernel's spectrum, as returned by ``spectrum``."""
+        return spectrum(self)
 
 
 @dataclass(frozen=True)
@@ -85,19 +96,27 @@ class RegimeReport:
 def propagator_in_measurement_basis(m: Model, tau: float) -> np.ndarray:
     """U(tau) expressed in measurement coordinates.
 
-    Computed by diagonalizing V^dag H V directly instead of conjugating the
+    Computed from the decomposition of V^dag H V instead of conjugating the
     computational-basis propagator: exact zero rows/columns of the rotated
     Hamiltonian (dark states) then survive in the propagator to the last bit,
-    because the Jacobi sweep never rotates on a zero pivot.
+    because the Jacobi sweep never rotates on a zero pivot. The decomposition
+    is cached on the model (``Model.measurement_eig``), so a tau sweep
+    diagonalizes once.
     """
-    h_meas = linalg.rotate_matrix(m.hamiltonian, m.basis.v)
-    return linalg.unitary_from_hamiltonian(h_meas, tau)
+    return linalg.unitary_from_eig(m.measurement_eig, tau)
 
 
 def build_transition_matrix(m: Model, tau: float) -> TransitionMatrix:
-    """Jump kernel L[k, k'] = |<phi_k'| U(tau) |phi_k>|^2 of a model."""
+    """Jump kernel L[k, k'] = |<phi_k'| U(tau) |phi_k>|^2 of a model.
+
+    Each column is divided by its sum. Rounding leaves the sums a few ulp
+    off 1, and propagate would compound that over n steps into a visible
+    drift of the total probability. Dark columns are exact unit vectors and
+    divide by exactly 1.0, so dark populations stay pinned.
+    """
     u_meas = propagator_in_measurement_basis(m, tau)
     mat = np.abs(u_meas.T) ** 2  # [k, k'] = |u_meas[k', k]|^2
+    mat = mat / mat.sum(axis=0)
     return TransitionMatrix(l=mat, tau=float(tau))
 
 
@@ -118,7 +137,7 @@ def power(l: TransitionMatrix, n: int) -> np.ndarray:
         raise ValueError("n must be >= 0")
     if n == 0:
         return np.eye(l.dim)
-    spec = spectrum(l)
+    spec = l.chain_spectrum
     return (spec.eigenvectors * spec.eigenvalues**n) @ spec.eigenvectors.T
 
 
@@ -151,8 +170,7 @@ def classify(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    spec = spectrum(l)
-    lam = spec.eigenvalues
+    lam = l.chain_spectrum.eigenvalues
     mult_one = int(np.sum(lam >= 1.0 - tol))
     has_minus_one = bool(np.any(lam <= -1.0 + tol))
 
@@ -203,7 +221,7 @@ def stationary_limit(
     p = np.asarray(p0, dtype=float).reshape(-1)
     if p.shape[0] != l.dim:
         raise ValueError("p0 has wrong length")
-    spec = spectrum(l)
+    spec = l.chain_spectrum
     if bool(np.any(spec.eigenvalues <= -1.0 + tol)):
         return None
     keep = spec.eigenvalues >= 1.0 - tol

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -66,7 +67,13 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class Model:
-    """A Hamiltonian, a measurement basis, and an initial pure state."""
+    """A Hamiltonian, a measurement basis, and an initial pure state.
+
+    The spectral decompositions of H and of V^dag H V are computed on first
+    use and cached on the instance, so every tau of a sweep shares them.
+    Changing ``hamiltonian`` or ``basis.v`` in place after first use is
+    unsupported: the cached decompositions would go stale.
+    """
 
     dim: int
     hamiltonian: np.ndarray
@@ -85,6 +92,16 @@ class Model:
             raise ValueError(f"initial state is not normalized (norm {norm})")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "initial_state", psi)
+
+    @cached_property
+    def hamiltonian_eig(self) -> linalg.HermitianEig:
+        """Decomposition of H in computational coordinates."""
+        return linalg.eig_hermitian(self.hamiltonian)
+
+    @cached_property
+    def measurement_eig(self) -> linalg.HermitianEig:
+        """Decomposition of V^dag H V, the Hamiltonian in measurement coordinates."""
+        return linalg.eig_hermitian(hamiltonian_in_basis(self))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,14 @@ import csv
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
+
+import pytest
 
 from qmonitor import cli
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(args):
@@ -445,3 +451,25 @@ def test_nan_probabilities_rejected_by_parser(tmp_path):
     bad.write_text("tau,n,0,1\n0.0,0,2.0,-1.0\n")
     # rows that are not probability vectors are a data error
     assert run(["fit-noise", bad, "--model", "single_qubit", "--out", tmp_path]) == 3
+
+
+class TestMarkovRowSums:
+    """Block-diagonal real H (blocks 5,2,1 and 13,2,1, last state dark) in a
+    random orthogonal basis. Without normalized kernel columns, rounding in
+    the column sums compounded over 256 steps to a total-probability drift
+    above 1e-12 on both models, and the markov engine exited with code 4.
+    """
+
+    @pytest.mark.parametrize("name", ["chain_dim8_seed67", "chain_dim16_seed0"])
+    def test_long_chain_keeps_unit_row_sums(self, tmp_path, name):
+        args = [
+            "simulate",
+            "--model", DATA / f"{name}.json",
+            "--engine", "markov",
+            "--tau-count", 129,
+            "--n-max", 256,
+            "--out", tmp_path,
+        ]
+        assert run(args) == 0
+        _, rows = read_csv(tmp_path / f"{name}_markov.csv")
+        assert len(rows) == 129 * 257

@@ -1,0 +1,67 @@
+"""Each model and each jump kernel is diagonalized once, and reuse is exact."""
+
+import numpy as np
+import pytest
+
+from qmonitor import cli, linalg, markov, model
+
+from conftest import ALL_MODEL_NAMES
+
+TAUS = [0.0, 0.3, 1.234, np.pi / 2, np.pi, 5.9]
+
+
+def three_level_model():
+    """A complex 3-level Hamiltonian measured in a rotated basis."""
+    h = np.array(
+        [[0.4, 0.3 - 0.2j, 0.0], [0.3 + 0.2j, -0.1, 0.25j], [0.0, -0.25j, 0.7]]
+    )
+    c, s = np.cos(0.6), np.sin(0.6)
+    v = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    basis = model.MeasurementBasis(dim=3, v=v, labels=("a", "b", "c"))
+    return model.Model(dim=3, hamiltonian=h, basis=basis, initial_state=v[:, 0])
+
+
+MODELS = [model.build_model(name) for name in ALL_MODEL_NAMES] + [three_level_model()]
+
+
+@pytest.mark.parametrize("m", MODELS, ids=[*ALL_MODEL_NAMES, "three_level"])
+class TestCachedPropagators:
+    def test_computational_basis_is_bitwise_the_reference(self, m):
+        for tau in TAUS:
+            cached = linalg.unitary_from_eig(m.hamiltonian_eig, tau)
+            assert np.array_equal(cached, linalg.unitary_from_hamiltonian(m.hamiltonian, tau))
+
+    def test_measurement_basis_is_bitwise_the_reference(self, m):
+        h_meas = model.hamiltonian_in_basis(m)
+        for tau in TAUS:
+            cached = markov.propagator_in_measurement_basis(m, tau)
+            assert np.array_equal(cached, linalg.unitary_from_hamiltonian(h_meas, tau))
+
+
+def count_calls(monkeypatch, module, name, argv):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    assert cli.main([str(a) for a in argv]) == 0
+    return len(calls)
+
+
+class TestDiagonalizeOnce:
+    def test_analyze_diagonalizes_the_model_once_and_each_kernel_once(
+        self, tmp_path, monkeypatch
+    ):
+        argv = ["analyze", "--model", "two_qubit_bell", "--tau-count", 17, "--out", tmp_path]
+        assert count_calls(monkeypatch, linalg, "eig_hermitian", argv) == 1 + 17
+
+    def test_analyze_computes_each_kernel_spectrum_once(self, tmp_path, monkeypatch):
+        argv = ["analyze", "--model", "two_qubit_bell", "--tau-count", 17, "--out", tmp_path]
+        assert count_calls(monkeypatch, markov, "spectrum", argv) == 17
+
+    def test_exact_sweep_diagonalizes_once(self, tmp_path, monkeypatch):
+        argv = ["simulate", "--engine", "exact", "--tau-count", 17, "--out", tmp_path]
+        assert count_calls(monkeypatch, linalg, "eig_hermitian", argv) == 1
