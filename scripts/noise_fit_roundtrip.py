@@ -34,7 +34,8 @@ def main() -> int:
         for i, tau in enumerate(taus):
             cfg = sample.ShotConfig(
                 n_shots=args.shots,
-                seed=args.seed + i,
+                seed=args.seed,
+                stream=i,
                 n_max=args.n_max,
                 tau=tau,
                 gamma=gamma_true,

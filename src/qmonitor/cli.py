@@ -77,6 +77,8 @@ class RunConfig:
             raise ConfigError("gamma must lie in [0, 1]")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must lie in [0, 2**64)")
 
     def tau_grid(self) -> np.ndarray:
         if self.tau_count == 1:
@@ -286,8 +288,11 @@ def _trace_for(cfg: RunConfig, m: model_mod.Model, tau: float, tau_index: int):
         return evolve.run_exact(m, tau, cfg.n_max, cfg.gamma), None
     if cfg.engine == "markov":
         l = markov.build_transition_matrix(m, tau)
-        p0 = evolve.born_probabilities(m.initial_state, m.basis)
-        trace = markov.propagate(l, p0, cfg.n_max)
+        rows = evolve.born_probabilities(m.initial_state, m.basis)[None, :]
+        if cfg.n_max > 0:
+            chain = markov.propagate(l, markov.first_cycle_distribution(m, tau), cfg.n_max - 1)
+            rows = np.vstack([rows, chain.values])
+        trace = ProbabilityTrace(values=rows)
         if cfg.gamma > 0.0:
             trace = evolve.noisy_closed_form(trace, cfg.gamma, m.dim)
         return trace, None
@@ -304,7 +309,8 @@ def _trace_for(cfg: RunConfig, m: model_mod.Model, tau: float, tau_index: int):
     if cfg.engine == "sample":
         shot_cfg = sample.ShotConfig(
             n_shots=cfg.shots,
-            seed=cfg.seed + tau_index,
+            seed=cfg.seed,
+            stream=tau_index,
             n_max=cfg.n_max,
             tau=tau,
             gamma=cfg.gamma,

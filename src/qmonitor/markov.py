@@ -106,6 +106,18 @@ def propagator_in_measurement_basis(m: Model, tau: float) -> np.ndarray:
     return linalg.unitary_from_eig(m.measurement_eig, tau)
 
 
+def first_cycle_distribution(m: Model, tau: float) -> np.ndarray:
+    """Outcome distribution p1 = |U_meas V^dag psi|^2 after the first cycle.
+
+    The first evolution acts on the initial state itself, so p1 keeps the
+    coherences that the Born distribution p0 drops. The chain only takes over
+    after the first measurement: row n >= 1 of a trace is L^(n-1) p1.
+    """
+    u_meas = propagator_in_measurement_basis(m, tau)
+    psi_meas = linalg.adjoint(m.basis.v) @ m.initial_state
+    return np.abs(u_meas @ psi_meas) ** 2
+
+
 def build_transition_matrix(m: Model, tau: float) -> TransitionMatrix:
     """Jump kernel L[k, k'] = |<phi_k'| U(tau) |phi_k>|^2 of a model.
 

@@ -1,16 +1,20 @@
 """Seeded Monte Carlo sampling of single measurement trajectories.
 
-Randomness comes from numpy's counter-based Philox generator. Every
-trajectory owns the substream Philox(key = seed * 2^64 + shot), a pure
-function of the 64-bit run seed and the shot index, so results are exactly
-reproducible and shots can be distributed across workers without any
-sequence coupling.
+Randomness comes from numpy's counter-based Philox generator. A run at one
+grid point is keyed by (seed, stream), where stream is the tau index: its
+generator is Philox(key = seed * 2^64 + stream), so different grid points of
+one run and different seeds never share a stream. Within that stream every
+shot owns B = ceil(n_draws / 4) consecutive counter blocks of four 64-bit
+words (one double each): shot i reads blocks [i*B, (i+1)*B). run_shots
+draws all n_shots * 4B uniforms in one call; Philox.advance(i * B) jumps
+straight to shot i, so shots can be regenerated one at a time or split
+across workers.
 
 Per trajectory the draw order is fixed: one uniform for the cycle-0 outcome
 (drawn by run_shots), then per cycle a depolarizing coin followed by the
-outcome uniform. The vectorized path in run_shots consumes the identical
-stream, so aggregating sample_trajectory by hand reproduces run_shots bit
-for bit.
+outcome uniform; the rest of the shot's last block is unused. The vectorized
+path in run_shots consumes the identical stream, so aggregating
+sample_trajectory by hand reproduces run_shots bit for bit.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import evolve, linalg, markov
+from . import evolve, markov
 from .model import Model
 from .traces import ProbabilityTrace
 
-_MASK64 = (1 << 64) - 1
+_WORD = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -35,8 +39,13 @@ class ShotConfig:
     n_max: int
     tau: float
     gamma: float = 0.0
+    stream: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.seed < _WORD:
+            raise ValueError("seed must lie in [0, 2**64)")
+        if not 0 <= self.stream < _WORD:
+            raise ValueError("stream must lie in [0, 2**64)")
         if self.n_shots < 1:
             raise ValueError("n_shots must be >= 1")
         if self.n_max < 0:
@@ -71,46 +80,37 @@ class EmpiricalTrace:
         return ProbabilityTrace(values=self.probabilities)
 
 
-def trajectory_rng(seed: int, shot: int) -> np.random.Generator:
-    """The dedicated Philox substream of one (seed, shot index) pair."""
-    key = ((int(seed) & _MASK64) << 64) | (int(shot) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _blocks_per_shot(n_max: int) -> int:
+    """Philox counter blocks one shot owns: ceil((1 + 2 n_max) / 4)."""
+    return -(-(1 + 2 * n_max) // 4)
 
 
-def _substream_uniforms(seed: int, n_shots: int, n_draws: int) -> np.ndarray:
-    """Leading uniforms of every shot's substream, as an (n_shots, n_draws) block.
+def _philox(cfg: ShotConfig) -> np.random.Philox:
+    """The bit generator of key (seed, stream), at counter 0."""
+    return np.random.Philox(key=int(cfg.seed) * _WORD + int(cfg.stream))
 
-    Row i is bitwise identical to trajectory_rng(seed, i).random(n_draws);
-    re-keying a single Philox through its state is just much cheaper than
-    constructing one bit generator per shot.
+
+def trajectory_rng(cfg: ShotConfig, shot: int) -> np.random.Generator:
+    """The (seed, stream) generator advanced to the first counter block of ``shot``."""
+    bg = _philox(cfg)
+    bg.advance(int(shot) * _blocks_per_shot(cfg.n_max))
+    return np.random.Generator(bg)
+
+
+def _substream_uniforms(cfg: ShotConfig) -> np.ndarray:
+    """Every shot's uniforms, as an (n_shots, 1 + 2 n_max) view of one draw.
+
+    Row i is bitwise identical to trajectory_rng(cfg, i).random(1 + 2 n_max).
     """
-    seed_word = int(seed) & _MASK64
-    bg = np.random.Philox(key=0)
-    template = bg.state
-    gen = np.random.Generator(bg)
-    zeros = np.zeros(4, dtype=np.uint64)
-    out = np.empty((n_shots, n_draws), dtype=float)
-    for i in range(n_shots):
-        state = dict(template)
-        state["state"] = {
-            "counter": zeros,
-            "key": np.array([i & _MASK64, seed_word], dtype=np.uint64),
-        }
-        state["buffer"] = zeros
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        bg.state = state
-        out[i] = gen.random(n_draws)
-    return out
+    width = 4 * _blocks_per_shot(cfg.n_max)
+    block = np.random.Generator(_philox(cfg)).random(cfg.n_shots * width)
+    return block.reshape(cfg.n_shots, width)[:, : 1 + 2 * cfg.n_max]
 
 
 def _kernel_tables(m: Model, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cumulative distributions: initial Born, first cycle, and kernel rows."""
     p0 = evolve.born_probabilities(m.initial_state, m.basis)
-    u_meas = markov.propagator_in_measurement_basis(m, tau)
-    psi_meas = linalg.adjoint(m.basis.v) @ m.initial_state
-    first = np.abs(u_meas @ psi_meas) ** 2
+    first = markov.first_cycle_distribution(m, tau)
     l = markov.build_transition_matrix(m, tau).l
     return np.cumsum(p0), np.cumsum(first), np.cumsum(l, axis=1)
 
@@ -153,16 +153,15 @@ def sample_trajectory(m: Model, cfg: ShotConfig, rng: np.random.Generator) -> Tr
 def run_shots(m: Model, cfg: ShotConfig) -> EmpiricalTrace:
     """Aggregate cfg.n_shots independent trajectories into an EmpiricalTrace.
 
-    Deterministic given cfg.seed: shot i consumes exactly the substream
-    trajectory_rng(seed, i), with one extra leading uniform for the cycle-0
-    measurement of the initial state.
+    Deterministic given (cfg.seed, cfg.stream): shot i consumes exactly the
+    counter blocks of trajectory_rng(cfg, i), with one extra leading uniform
+    for the cycle-0 measurement of the initial state.
     """
     dim = m.dim
     n_max = cfg.n_max
     cum_p0, cum_first, cum_rows = _kernel_tables(m, cfg.tau)
 
-    n_draws = 1 + 2 * n_max
-    uniforms = _substream_uniforms(cfg.seed, cfg.n_shots, n_draws)
+    uniforms = _substream_uniforms(cfg)
 
     counts = np.zeros((n_max + 1, dim), dtype=np.int64)
     k0 = np.minimum(

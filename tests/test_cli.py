@@ -4,9 +4,10 @@ import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qmonitor import cli
+from qmonitor import cli, sample
 
 
 DATA = Path(__file__).parent / "data"
@@ -473,3 +474,85 @@ class TestMarkovRowSums:
         assert run(args) == 0
         _, rows = read_csv(tmp_path / f"{name}_markov.csv")
         assert len(rows) == 129 * 257
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_validate_rejects(self, seed):
+        with pytest.raises(cli.ConfigError):
+            cli.RunConfig(seed=seed).validate()
+
+    def test_validate_accepts_largest(self):
+        cli.RunConfig(seed=2**64 - 1).validate()
+
+    def test_cli_exit_code(self, tmp_path):
+        args = ["simulate", "--engine", "sample", "--seed", -1, "--out", tmp_path]
+        assert run(args) == 2
+
+
+class TestSampleStreams:
+    """Grid point i of a run with seed s samples the stream (s, i)."""
+
+    def test_seed_and_tau_index_pairs(self, tmp_path, monkeypatch):
+        seen = {}
+        real = sample._substream_uniforms
+
+        def record(cfg):
+            uniforms = real(cfg)
+            seen[(cfg.seed, cfg.stream)] = uniforms.copy()
+            return uniforms
+
+        monkeypatch.setattr(sample, "_substream_uniforms", record)
+        for seed in (7, 8):
+            args = [
+                "simulate",
+                "--engine", "sample",
+                "--tau-count", 3,
+                "--n-max", 4,
+                "--shots", 64,
+                "--seed", seed,
+                "--out", tmp_path,
+            ]
+            assert run(args) == 0
+        assert list(seen) == [(7, 0), (7, 1), (7, 2), (8, 0), (8, 1), (8, 2)]
+        assert not np.array_equal(seen[(7, 1)], seen[(8, 0)])
+
+
+class TestMarkovStartsFromFirstCycle:
+    """V = I and psi = (1, 1, 0)/sqrt 2 carries coherence inside the coupled
+    block {0, 1}. A chain started from p0 drops it and missed the exact
+    engine by 0.40; started from the coherent first cycle p1 it agrees.
+    """
+
+    def test_markov_matches_exact(self, tmp_path):
+        model_file = tmp_path / "three_level.json"
+        model_file.write_text(
+            json.dumps(
+                {
+                    "hamiltonian": {"re": [[0.7, 1.0, 0.0], [1.0, -0.3, 0.0], [0.0, 0.0, 0.5]]},
+                    "initial_state": {"re": [math.sqrt(0.5), math.sqrt(0.5), 0.0]},
+                }
+            )
+        )
+        values = {}
+        for engine in ("exact", "markov"):
+            args = [
+                "simulate",
+                "--model", model_file,
+                "--engine", engine,
+                "--tau-count", 33,
+                "--n-max", 8,
+                "--out", tmp_path,
+            ]
+            assert run(args) == 0
+            _, rows = read_csv(tmp_path / f"three_level_{engine}.csv")
+            values[engine] = np.array(rows, dtype=float)
+        assert values["exact"].shape == (33 * 9, 5)
+        assert np.max(np.abs(values["exact"] - values["markov"])) <= 1e-12
+
+    def test_n_max_zero_is_the_born_row(self, tmp_path):
+        args = ["simulate", "--engine", "markov", "--tau-count", 2, "--n-max", 0,
+                "--out", tmp_path]
+        assert run(args) == 0
+        _, rows = read_csv(tmp_path / "single_qubit_markov.csv")
+        assert [[float(x) for x in row[1:]] for row in rows] == [[0, 1, 0], [0, 1, 0]]

@@ -21,27 +21,34 @@ class TestShotConfig:
         with pytest.raises(ValueError):
             cfg(gamma=1.5)
 
+    @pytest.mark.parametrize("field", ["seed", "stream"])
+    def test_key_words_must_fit_64_bits(self, field):
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError):
+                cfg(**{field: bad})
+        cfg(**{field: 2**64 - 1})
+
 
 class TestSampleTrajectory:
     def test_zeno_frozen(self, single_qubit):
-        rec = sample.sample_trajectory(single_qubit, cfg(tau=0.0), sample.trajectory_rng(1, 0))
+        c = cfg(tau=0.0, seed=1)
+        rec = sample.sample_trajectory(single_qubit, c, sample.trajectory_rng(c, 0))
         assert np.array_equal(rec.outcomes, np.zeros(16))
 
     def test_resonance_alternates(self, single_qubit):
-        rec = sample.sample_trajectory(
-            single_qubit, cfg(tau=np.pi), sample.trajectory_rng(1, 0)
-        )
+        c = cfg(tau=np.pi, seed=1)
+        rec = sample.sample_trajectory(single_qubit, c, sample.trajectory_rng(c, 0))
         assert np.array_equal(rec.outcomes, np.tile([1, 0], 8))
 
     def test_singlet_never_sampled(self, singlet_triplet):
+        c = cfg(tau=0.9, n_max=24, seed=5)
         for shot in range(64):
-            rec = sample.sample_trajectory(
-                singlet_triplet, cfg(tau=0.9, n_max=24), sample.trajectory_rng(5, shot)
-            )
+            rec = sample.sample_trajectory(singlet_triplet, c, sample.trajectory_rng(c, shot))
             assert 2 not in rec.outcomes
 
     def test_outcomes_in_range(self, bell):
-        rec = sample.sample_trajectory(bell, cfg(gamma=0.4), sample.trajectory_rng(9, 3))
+        c = cfg(gamma=0.4, seed=9)
+        rec = sample.sample_trajectory(bell, c, sample.trajectory_rng(c, 3))
         assert rec.outcomes.min() >= 0 and rec.outcomes.max() < 4
 
 
@@ -63,13 +70,17 @@ class TestRunShots:
         assert np.all(emp.counts.sum(axis=1) == 2048)
 
     def test_matches_per_trajectory_aggregation(self, bell):
-        """run_shots is bitwise the aggregation of sample_trajectory substreams."""
-        c = cfg(n_shots=64, n_max=12, tau=1.1, gamma=0.25, seed=123)
+        """run_shots is bitwise the aggregation of sample_trajectory per shot.
+
+        n_max 12 gives 25 draws per shot, so each shot leaves three words of
+        its last counter block unused and a layout off by one block shows.
+        """
+        c = cfg(n_shots=64, n_max=12, tau=1.1, gamma=0.25, seed=123, stream=5)
         emp = sample.run_shots(bell, c)
         counts = np.zeros((13, 4), dtype=np.int64)
         cum_p0 = np.cumsum(evolve.born_probabilities(bell.initial_state, bell.basis))
         for shot in range(c.n_shots):
-            rng = sample.trajectory_rng(c.seed, shot)
+            rng = sample.trajectory_rng(c, shot)
             u0 = rng.random(1)[0]
             k0 = min(int(np.searchsorted(cum_p0, u0, side="right")), 3)
             counts[0, k0] += 1
@@ -148,11 +159,11 @@ class TestMarginalCorrectness:
 
     def test_transition_frequencies_match_kernel(self, single_qubit):
         tau = 0.6
-        c = cfg(n_shots=1, n_max=8, tau=tau)
+        c = cfg(n_shots=1, n_max=8, tau=tau, seed=53)
         l = markov.build_transition_matrix(single_qubit, tau).l
         counts = np.zeros((2, 2))
         for shot in range(3000):
-            rec = sample.sample_trajectory(single_qubit, c, sample.trajectory_rng(53, shot))
+            rec = sample.sample_trajectory(single_qubit, c, sample.trajectory_rng(c, shot))
             for a, b in zip(rec.outcomes[:-1], rec.outcomes[1:]):
                 counts[a, b] += 1
         freq = counts / counts.sum(axis=1, keepdims=True)
@@ -162,11 +173,31 @@ class TestMarginalCorrectness:
             assert np.all(np.abs(freq[i] - l[i]) < 5 * np.maximum(se, 1e-12))
 
 
+# Shot i of key (seed, stream) owns Philox counter blocks [i*B, (i+1)*B).
+# n_max 12 gives 25 draws per shot: B = 7 blocks and 3 unused words per shot.
+
+
 def test_trajectory_rng_streams_are_distinct():
-    a = sample.trajectory_rng(7, 0).random(8)
-    b = sample.trajectory_rng(7, 1).random(8)
-    c = sample.trajectory_rng(8, 0).random(8)
-    assert not np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    def draws(seed, stream, shot):
+        return sample.trajectory_rng(cfg(seed=seed, stream=stream, n_max=12), shot).random(8)
+
+    a = draws(7, 0, 0)
+    assert not np.array_equal(a, draws(7, 0, 1))
+    assert not np.array_equal(a, draws(8, 0, 0))
+    assert not np.array_equal(a, draws(7, 1, 0))
+    # the old seed + tau_index scheme made these two the same stream
+    assert not np.array_equal(draws(7, 1, 0), draws(8, 0, 0))
     # reproducible
-    assert np.array_equal(a, sample.trajectory_rng(7, 0).random(8))
+    assert np.array_equal(a, draws(7, 0, 0))
+
+
+def test_advance_regenerates_each_row():
+    c = cfg(n_shots=300, seed=2**64 - 1, stream=3, n_max=12)
+    block = sample._substream_uniforms(c)
+    assert block.shape == (300, 25)
+    assert not block.flags.owndata  # a view of the single draw, never a copy
+    for shot in (0, 1, 2, 17, 299):
+        bg = np.random.Philox(key=(2**64 - 1) * 2**64 + 3)
+        bg.advance(shot * 7)
+        assert np.array_equal(np.random.Generator(bg).random(25), block[shot])
+        assert np.array_equal(sample.trajectory_rng(c, shot).random(25), block[shot])
