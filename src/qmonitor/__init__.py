@@ -21,9 +21,7 @@ from .linalg import (
     HermitianEig,
     adjoint,
     eig_hermitian,
-    frobenius_distance,
     kron,
-    matmul,
     unitary_from_hamiltonian,
 )
 from .markov import (

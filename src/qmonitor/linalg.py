@@ -1,9 +1,10 @@
 """Dense complex linear algebra for small Hilbert spaces (dimension <= 16).
 
 Everything here operates on plain complex128 numpy arrays. The Hermitian
-eigensolver is a cyclic Jacobi iteration: at these sizes it is fast, its
-convergence is unconditional, and its output is bit-deterministic, which
-golden tests rely on.
+eigensolver is LAPACK's, through ``np.linalg.eigh``; it guarantees no exact
+zeros. Structural zeros that the physics needs (dark states) come from
+diagonalizing the coupled blocks of a Hamiltonian one at a time
+(``Model.measurement_eig``), never from the solver.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-12
 
-# Phase/tie detection threshold when canonicalizing eigenvectors.
-_LEAD_TOL = 1e-9
-
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square, finite complex128 matrix."""
@@ -30,15 +28,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two same-dimension square matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conj(np.asarray(a, dtype=complex)).T
@@ -47,15 +36,6 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; output dimension is the product of the inputs'."""
     return np.kron(as_matrix(a), as_matrix(b))
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of a - b."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.linalg.norm(a - b))
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -82,104 +62,25 @@ def is_unitary(a: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
 class HermitianEig:
     """Spectral decomposition of a Hermitian matrix.
 
-    eigenvalues are ascending; column k of ``eigenvectors`` is the
-    (unit-norm) eigenvector of eigenvalue k.
+    Column k of ``eigenvectors`` is the (unit-norm) eigenvector of
+    eigenvalue k. Eigenvalues are ascending as returned by ``eig_hermitian``;
+    a decomposition assembled block by block (``Model.measurement_eig``) is
+    ordered by block instead.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def _canonicalize(eigenvalues: np.ndarray, vectors: np.ndarray) -> HermitianEig:
-    """Sort ascending and fix a deterministic order/phase for degenerate pairs.
+def eig_hermitian(a: np.ndarray) -> HermitianEig:
+    """Full eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
 
-    Each vector's phase is chosen so its leading entry (first with magnitude
-    above _LEAD_TOL) is real and positive. Within an eigenvalue tie, vectors
-    with larger leading-entry magnitude come first; the leading index breaks
-    remaining ties.
+    Eigenvalues come out ascending; the eigenvector matrix is unitary to
+    ~1e-15. Eigenvector phases, and the basis chosen within a degenerate
+    eigenspace, are whatever LAPACK returns.
     """
-    n = len(eigenvalues)
-    cols = []
-    for j in range(n):
-        v = vectors[:, j].copy()
-        lead = 0
-        for i in range(n):
-            if abs(v[i]) > _LEAD_TOL:
-                lead = i
-                break
-        if abs(v[lead]) > 0:
-            v *= np.conj(v[lead]) / abs(v[lead])
-            v[lead] = v[lead].real  # kill residual imaginary dust
-        cols.append((eigenvalues[j], lead, abs(v[lead]), v))
-
-    def key(entry):
-        lam, lead, mag, _ = entry
-        return (lam, -round(mag, 12), lead)
-
-    cols.sort(key=key)
-    # stable-regroup: within clusters of equal eigenvalue (1e-9) the sort key
-    # above already orders by descending leading magnitude
-    lam_sorted = np.array([e[0] for e in cols])
-    v_sorted = np.column_stack([e[3] for e in cols])
-    return HermitianEig(eigenvalues=lam_sorted, eigenvectors=v_sorted)
-
-
-def eig_hermitian(a: np.ndarray, max_sweeps: int = 100) -> HermitianEig:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius mass drops below
-    1e-14 * ||a||_F. Degenerate eigenvalues are fine; the returned
-    eigenvector matrix is unitary to ~1e-14.
-    """
-    a = require_hermitian(a)
-    n = a.shape[0]
-    work = (a + adjoint(a)) / 2.0  # exact Hermitian part
-    vecs = np.eye(n, dtype=complex)
-    norm = float(np.linalg.norm(work))
-    if norm == 0.0 or n == 1:
-        return _canonicalize(np.real(np.diag(work)).copy(), vecs)
-
-    target = 1e-14 * norm
-    for _ in range(max_sweeps):
-        off = float(np.sqrt(np.sum(np.abs(work - np.diag(np.diag(work))) ** 2)))
-        if off < target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                phase = apq / r
-                diff = (work[q, q].real - work[p, p].real) / (2.0 * r)
-                if diff == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(diff) / (abs(diff) + float(np.hypot(1.0, diff)))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * np.conj(phase) * col_q
-                work[:, q] = s * col_p + c * np.conj(phase) * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * phase * row_q
-                work[q, :] = s * row_p + c * phase * row_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-
-                v_p = vecs[:, p].copy()
-                v_q = vecs[:, q].copy()
-                vecs[:, p] = c * v_p - s * np.conj(phase) * v_q
-                vecs[:, q] = s * v_p + c * np.conj(phase) * v_q
-    else:
-        raise RuntimeError("Jacobi eigensolver failed to converge")
-
-    return _canonicalize(np.real(np.diag(work)).copy(), vecs)
+    eigenvalues, eigenvectors = np.linalg.eigh(require_hermitian(a))
+    return HermitianEig(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def unitary_from_eig(dec: HermitianEig, tau: float) -> np.ndarray:

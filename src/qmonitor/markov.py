@@ -96,12 +96,11 @@ class RegimeReport:
 def propagator_in_measurement_basis(m: Model, tau: float) -> np.ndarray:
     """U(tau) expressed in measurement coordinates.
 
-    Computed from the decomposition of V^dag H V instead of conjugating the
-    computational-basis propagator: exact zero rows/columns of the rotated
-    Hamiltonian (dark states) then survive in the propagator to the last bit,
-    because the Jacobi sweep never rotates on a zero pivot. The decomposition
-    is cached on the model (``Model.measurement_eig``), so a tau sweep
-    diagonalizes once.
+    Computed from the block-by-block decomposition of V^dag H V
+    (``Model.measurement_eig``, cached on the model, so a tau sweep
+    diagonalizes once). Every entry of U that couples two blocks is a sum of
+    products with an exact zero factor, so it is exactly zero, and a dark
+    state's column is a pure phase on the diagonal.
     """
     return linalg.unitary_from_eig(m.measurement_eig, tau)
 

@@ -95,13 +95,36 @@ class Model:
 
     @cached_property
     def hamiltonian_eig(self) -> linalg.HermitianEig:
-        """Decomposition of H in computational coordinates."""
-        return linalg.eig_hermitian(self.hamiltonian)
+        """Decomposition of H in computational coordinates: the pair (lambda, V W).
+
+        Derived from ``measurement_eig`` (lambda, W), since H = V W diag(lambda)
+        W^dag V^dag; H itself is never diagonalized.
+        """
+        dec = self.measurement_eig
+        return linalg.HermitianEig(
+            eigenvalues=dec.eigenvalues, eigenvectors=self.basis.v @ dec.eigenvectors
+        )
 
     @cached_property
     def measurement_eig(self) -> linalg.HermitianEig:
-        """Decomposition of V^dag H V, the Hamiltonian in measurement coordinates."""
-        return linalg.eig_hermitian(hamiltonian_in_basis(self))
+        """Decomposition of V^dag H V, the Hamiltonian in measurement coordinates.
+
+        Assembled block by block over ``detect_blocks`` at its default
+        threshold, so couplings of at most 1e-10 are treated as zero. The
+        eigenpairs come grouped by block: column k is supported on the block
+        that contains outcome k, and every entry outside that block is an
+        exact zero. A 1x1 block is its own eigenpair; only larger blocks reach
+        ``linalg.eig_hermitian``.
+        """
+        h = hamiltonian_in_basis(self)
+        eigenvalues = np.real(np.diag(h)).copy()
+        eigenvectors = np.eye(self.dim, dtype=complex)
+        for block in detect_blocks(h).blocks:
+            if len(block) > 1:
+                dec = linalg.eig_hermitian(h[np.ix_(block, block)])
+                eigenvalues[list(block)] = dec.eigenvalues
+                eigenvectors[np.ix_(block, block)] = dec.eigenvectors
+        return linalg.HermitianEig(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 @dataclass(frozen=True)
@@ -240,17 +263,21 @@ def model_from_dict(spec: dict) -> Model:
 
     Expected keys: ``hamiltonian`` and ``basis`` as {"re": [[..]], "im": [[..]]}
     (im optional), ``initial_state`` as {"re": [..], "im": [..]}, and an
-    optional ``labels`` list.
+    optional ``labels`` list of one string per basis state.
     """
     h = _complex_array(spec["hamiltonian"], "hamiltonian")
+    if h.ndim != 2:
+        raise ValueError(f"'hamiltonian' must be a 2-D matrix, got shape {h.shape}")
     dim = h.shape[0]
     if "basis" in spec:
         v = _complex_array(spec["basis"], "basis")
     else:
         v = np.eye(dim, dtype=complex)
-    labels = tuple(spec.get("labels", computational_basis(dim).labels))
+    labels = spec.get("labels", list(computational_basis(dim).labels))
+    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+        raise ValueError(f"'labels' must be a list of {dim} strings")
     psi = _complex_array(spec["initial_state"], "initial_state").reshape(-1)
-    basis = MeasurementBasis(dim=dim, v=v, labels=labels)
+    basis = MeasurementBasis(dim=dim, v=v, labels=tuple(labels))
     return Model(dim=dim, hamiltonian=h, basis=basis, initial_state=psi)
 
 

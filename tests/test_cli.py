@@ -150,6 +150,23 @@ class TestSimulate:
         header, rows = read_csv(tmp_path / "m_exact.csv")
         assert header == ["tau", "n", "g", "e"]
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"hamiltonian": {"re": 1.0}, "initial_state": {"re": [1.0]}},
+            {
+                "hamiltonian": {"re": [[0.0, 0.5], [0.5, 0.0]]},
+                "initial_state": {"re": [1.0, 0.0]},
+                "labels": 5,
+            },
+        ],
+        ids=["hamiltonian_not_2d", "labels_not_a_list"],
+    )
+    def test_malformed_model_file_is_config_error(self, tmp_path, spec):
+        model_file = tmp_path / "m.json"
+        model_file.write_text(json.dumps(spec))
+        assert run(["simulate", "--model", model_file, "--out", tmp_path]) == 2
+
     def test_bad_tau_grid(self, tmp_path):
         assert run(["simulate", "--tau-stop", 9.0, "--out", tmp_path]) == 2
 

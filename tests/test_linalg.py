@@ -13,29 +13,6 @@ SZ = pauli("z")
 I2 = np.eye(2, dtype=complex)
 
 
-class TestMatmul:
-    def test_identity_is_neutral(self):
-        assert np.allclose(linalg.matmul(I2, SX), SX)
-
-    def test_pauli_involution(self):
-        assert np.allclose(linalg.matmul(SX, SX), I2)
-
-    def test_sx_times_sz(self):
-        # hand multiplication: sigma_x sigma_z = [[0, -1], [1, 0]] = -i sigma_y
-        expected = np.array([[0, -1], [1, 0]], dtype=complex)
-        assert np.allclose(linalg.matmul(SX, SZ), expected)
-        assert np.allclose(expected, -1j * SY)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            linalg.matmul(I2, np.eye(3))
-
-    def test_rejects_non_finite(self):
-        bad = np.array([[np.nan, 0], [0, 1]])
-        with pytest.raises(ValueError, match="finite"):
-            linalg.matmul(bad, I2)
-
-
 class TestAdjoint:
     def test_hermitian_fixed_point(self):
         assert np.array_equal(linalg.adjoint(SY), SY)
@@ -76,9 +53,12 @@ class TestEigHermitian:
         dec = linalg.eig_hermitian(SX)
         assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
         s = 1.0 / np.sqrt(2.0)
-        # phase convention: leading entry real positive
-        assert np.allclose(dec.eigenvectors[:, 0], [s, -s], atol=1e-14)
-        assert np.allclose(dec.eigenvectors[:, 1], [s, s], atol=1e-14)
+        # eigenvectors are fixed up to a global phase each
+        for k, expected in enumerate(([s, -s], [s, s])):
+            v = dec.eigenvectors[:, k]
+            phase = np.vdot(expected, v)
+            assert abs(abs(phase) - 1.0) < 1e-14
+            assert np.allclose(v, phase * np.array(expected), atol=1e-14)
 
     def test_degenerate_two_qubit(self):
         h = 0.5 * (linalg.kron(SX, I2) + linalg.kron(I2, SX))
@@ -87,6 +67,11 @@ class TestEigHermitian:
         # orthonormality survives the degeneracy
         v = dec.eigenvectors
         assert np.max(np.abs(linalg.adjoint(v) @ v - np.eye(4))) < 1e-12
+
+    def test_rejects_non_finite(self):
+        bad = np.array([[np.nan, 0], [0, 1]])
+        with pytest.raises(ValueError, match="finite"):
+            linalg.eig_hermitian(bad)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -158,22 +143,6 @@ class TestUnitaryFromHamiltonian:
     def test_unitarity(self, h, tau):
         u = linalg.unitary_from_hamiltonian(h, tau)
         assert linalg.is_unitary(u, tol=1e-12)
-
-
-class TestFrobeniusDistance:
-    def test_equal(self):
-        assert linalg.frobenius_distance(SX, SX) == 0.0
-
-    def test_identity_vs_zero(self):
-        assert abs(linalg.frobenius_distance(I2, np.zeros((2, 2))) - np.sqrt(2)) < 1e-15
-
-    def test_sx_vs_sz(self):
-        # entrywise: |0-1|^2 + |1-0|^2 + |1-0|^2 + |-1-0|^2 = 4
-        assert abs(linalg.frobenius_distance(SX, SZ) - 2.0) < 1e-15
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            linalg.frobenius_distance(I2, np.eye(3))
 
 
 @given(hermitian_matrices(max_dim=3), taus)
