@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmonitor import markov, model
+from qmonitor import linalg, markov, model
 
 from conftest import taus
 
@@ -75,3 +75,28 @@ def test_block_decomposition_reconstructs_and_zeroes_cross_block_propagator(case
 
     u = markov.propagator_in_measurement_basis(m, tau)
     assert np.all(u[ids[:, None] != ids[None, :]] == 0.0)
+
+
+def test_uncoupled_model_never_reaches_the_solver(monkeypatch):
+    def fail(_):
+        raise AssertionError("a 1x1 block reached linalg.eig_hermitian")
+
+    v = linalg.unitary_from_hamiltonian(model.pauli("y"), 0.4)
+    monkeypatch.setattr(linalg, "eig_hermitian", fail)
+    d = np.diag([0.5, -0.25])
+    basis = model.MeasurementBasis(dim=2, v=v, labels=("a", "b"))
+    m = model.Model(dim=2, hamiltonian=v @ d @ v.conj().T, basis=basis, initial_state=v[:, 0])
+    dec = m.measurement_eig
+    assert np.array_equal(dec.eigenvalues, np.real(np.diag(model.hamiltonian_in_basis(m))))
+    assert np.array_equal(dec.eigenvectors, np.eye(2))
+    assert np.array_equal(m.hamiltonian_eig.eigenvectors, v)
+
+
+@given(block_models())
+@settings(max_examples=40, deadline=None)
+def test_derived_hamiltonian_eig_reconstructs_h(case):
+    m, _ = case
+    dec = m.hamiltonian_eig
+    w = dec.eigenvectors
+    assert np.max(np.abs((w * dec.eigenvalues) @ w.conj().T - m.hamiltonian)) < 1e-12
+    assert np.max(np.abs(w.conj().T @ w - np.eye(m.dim))) < 1e-12

@@ -159,8 +159,18 @@ class TestSimulate:
                 "initial_state": {"re": [1.0, 0.0]},
                 "labels": 5,
             },
+            {
+                "hamiltonian": {"re": [[0.0, 0.5], [0.5, 0.0]]},
+                "initial_state": {"re": [1.0, 0.0]},
+                "labels": [0, 1],
+            },
+            {
+                "hamiltonian": {"re": [[0.0, 0.5], [0.5, 0.0]]},
+                "initial_state": {"re": [1.0, 0.0]},
+                "labels": ["g"],
+            },
         ],
-        ids=["hamiltonian_not_2d", "labels_not_a_list"],
+        ids=["hamiltonian_not_2d", "labels_not_a_list", "labels_not_strings", "labels_wrong_length"],
     )
     def test_malformed_model_file_is_config_error(self, tmp_path, spec):
         model_file = tmp_path / "m.json"

@@ -73,6 +73,10 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="finite"):
             linalg.eig_hermitian(bad)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            linalg.eig_hermitian(np.zeros((2, 3)))
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             linalg.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
