@@ -42,7 +42,7 @@ def main() -> int:
             )
             measured[tau] = sample.run_shots(m, cfg).trace()
         reference = noisefit.tau_average(
-            {tau: evolve.run_exact(m, tau, args.n_max, 0.0) for tau in taus}
+            dict(zip(taus, evolve.run_exact(m, taus, args.n_max, 0.0)))
         )
         fit = noisefit.fit_gamma(
             noisefit.tau_average(measured), reference, m.dim, (1, args.n_max)

@@ -148,10 +148,6 @@ def _model_key(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in stem) or "model"
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _parse_n_range(text: str, n_max: int) -> tuple[int, int]:
     if not text:
         return (min(1, n_max), n_max)
@@ -205,27 +201,32 @@ def _summary(command: str, config_echo: dict, files: list[str], results: dict) -
 
 
 def _write_trace_csv(path, labels, taus, traces, stderrs=None) -> None:
-    n_states = len(labels)
+    """Write one block of rows per grid point; traces and stderrs align with taus.
+
+    Each block is formatted by one %-format over a repeated row template;
+    '%.17g' % x and format(x, '.17g') give the same digits, so every float
+    round-trips exactly.
+    """
     header = ["tau", "n", *labels]
     if stderrs is not None:
-        header += [f"stderr_{k}" for k in range(n_states)]
+        header += [f"stderr_{k}" for k in range(len(labels))]
+    row = "%.17g,%d" + ",%.17g" * (len(header) - 2) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for tau in taus:
-            values = traces[tau].values
-            for n in range(values.shape[0]):
-                row = [_fmt_float(tau), str(n)]
-                row += [_fmt_float(x) for x in values[n]]
-                if stderrs is not None:
-                    row += [_fmt_float(x) for x in stderrs[tau][n]]
-                writer.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for i, (tau, trace) in enumerate(zip(taus, traces, strict=True)):
+            values = trace.values
+            n_rows = values.shape[0]
+            columns = [np.full(n_rows, tau), np.arange(n_rows), values]
+            if stderrs is not None:
+                columns.append(stderrs[i])
+            fh.write((row * n_rows) % tuple(np.column_stack(columns).ravel().tolist()))
 
 
 def read_trace_csv(path):
     """Parse a simulate CSV back into (labels, taus, {tau: ProbabilityTrace}).
 
-    stderr columns, when present, are ignored. Raises DataError on any
+    stderr columns, when present, must be stderr_0..stderr_{N-1} after the
+    outcome columns; their values are ignored. Raises DataError on any
     structural problem.
     """
     try:
@@ -237,14 +238,19 @@ def read_trace_csv(path):
                 raise DataError(f"{path}: empty CSV") from None
             if header[:2] != ["tau", "n"]:
                 raise DataError(f"{path}: header must start with tau,n")
-            labels = []
-            for col in header[2:]:
-                if col.startswith("stderr_"):
-                    break
-                labels.append(col)
+            columns = header[2:]
+            n_states = next(
+                (k for k, col in enumerate(columns) if col.startswith("stderr_")), len(columns)
+            )
+            labels = columns[:n_states]
             if not labels:
                 raise DataError(f"{path}: no outcome columns")
-            n_states = len(labels)
+            if columns[n_states:] not in ([], [f"stderr_{k}" for k in range(n_states)]):
+                raise DataError(f"{path}: stderr columns must be stderr_0..stderr_{n_states - 1}")
+            try:
+                model_mod.check_labels(tuple(labels))
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc}") from exc
             per_tau: dict[float, list[list[float]]] = {}
             order: list[float] = []
             for lineno, row in enumerate(reader, start=2):
@@ -283,15 +289,12 @@ def read_trace_csv(path):
 
 
 def _trace_for(cfg: RunConfig, m: model_mod.Model, tau: float, tau_index: int):
-    """One (trace, stderr-or-None) pair for a grid point."""
-    if cfg.engine == "exact":
-        return evolve.run_exact(m, tau, cfg.n_max, cfg.gamma), None
+    """One (trace, stderr-or-None) pair for a grid point of a per-point engine."""
     if cfg.engine == "markov":
-        l = markov.build_transition_matrix(m, tau)
+        p1, l = markov.first_cycle(m, tau)
         rows = evolve.born_probabilities(m.initial_state, m.basis)[None, :]
         if cfg.n_max > 0:
-            chain = markov.propagate(l, markov.first_cycle_distribution(m, tau), cfg.n_max - 1)
-            rows = np.vstack([rows, chain.values])
+            rows = np.vstack([rows, markov.propagate(l, p1, cfg.n_max - 1).values])
         trace = ProbabilityTrace(values=rows)
         if cfg.gamma > 0.0:
             trace = evolve.noisy_closed_form(trace, cfg.gamma, m.dim)
@@ -323,32 +326,24 @@ def _trace_for(cfg: RunConfig, m: model_mod.Model, tau: float, tau_index: int):
 def cmd_simulate(cfg: RunConfig) -> dict:
     m = _build_model(cfg.model)
     taus = cfg.tau_grid()
-    traces, stderrs = {}, {}
-    for i, tau in enumerate(taus):
-        tau = float(tau)
-        trace, err = _trace_for(cfg, m, tau, i)
-        traces[tau] = trace
-        if err is not None:
-            stderrs[tau] = err
+    if cfg.engine == "exact":
+        traces, stderrs = evolve.run_exact(m, taus, cfg.n_max, cfg.gamma), None
+    else:
+        pairs = [_trace_for(cfg, m, float(tau), i) for i, tau in enumerate(taus)]
+        traces = [trace for trace, _ in pairs]
+        stderrs = [err for _, err in pairs] if cfg.engine == "sample" else None
 
     os.makedirs(cfg.out, exist_ok=True)
     key = f"{_model_key(cfg.model)}_{cfg.engine}"
     csv_path = os.path.join(cfg.out, f"{key}.csv")
-    _write_trace_csv(
-        csv_path,
-        m.basis.labels,
-        [float(t) for t in taus],
-        traces,
-        stderrs if cfg.engine == "sample" else None,
-    )
+    _write_trace_csv(csv_path, m.basis.labels, taus, traces, stderrs)
 
     results: dict = {"rows": int(len(taus) * (cfg.n_max + 1)), "labels": list(m.basis.labels)}
     if cfg.engine == "sample":
-        dev = 0.0
-        for tau, trace in traces.items():
-            reference = evolve.run_exact(m, tau, cfg.n_max, cfg.gamma)
-            dev = max(dev, float(np.max(np.abs(trace.values - reference.values))))
-        results["max_abs_dev_from_exact"] = dev
+        reference = evolve.run_exact(m, taus, cfg.n_max, cfg.gamma)
+        results["max_abs_dev_from_exact"] = max(
+            float(np.max(np.abs(t.values - r.values))) for t, r in zip(traces, reference)
+        )
         results["five_sigma_bound"] = 5.0 / math.sqrt(cfg.shots)
 
     summary = _summary("simulate", asdict(cfg), [csv_path], results)
@@ -410,9 +405,7 @@ def cmd_fit_noise(args: argparse.Namespace) -> dict:
 
     try:
         measured = noisefit.tau_average(traces)
-        reference = noisefit.tau_average(
-            {tau: evolve.run_exact(m, tau, n_max, 0.0) for tau in taus}
-        )
+        reference = noisefit.tau_average(dict(zip(taus, evolve.run_exact(m, taus, n_max, 0.0))))
         fit = noisefit.fit_gamma(measured, reference, m.dim, n_range)
     except noisefit.UnidentifiableDataError as exc:
         raise DataError(str(exc)) from exc

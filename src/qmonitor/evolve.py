@@ -4,6 +4,12 @@ One protocol cycle is: unitary evolution for a time tau, projective
 dephasing onto the measurement basis, and (optionally) a depolarizing
 admixture of the completely mixed state with weight gamma. All states are
 plain complex128 density matrices in computational coordinates.
+
+run_exact propagates a whole tau grid at once: it builds every U(tau) in one
+batched step and carries a (T, dim, dim) stack of density matrices through
+the cycles, so each cycle is a few batched matrix products over the grid.
+It is a genuine density-matrix propagation, independent of the Markov
+reduction, and the tests use it as the oracle for the other engines.
 """
 
 from __future__ import annotations
@@ -52,21 +58,21 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def _dephase(rho: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Project onto the measurement basis; returns (dephased rho, populations)."""
-    v = basis.v
-    w = linalg.adjoint(v) @ rho @ v
-    pops = np.real(np.diag(w)).copy()
-    dephased = (v * pops) @ linalg.adjoint(v)
-    return dephased, pops
-
-
-def _cycle_with_unitary(
+def _step(
     rho: np.ndarray, u: np.ndarray, basis: MeasurementBasis, gamma: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    evolved = u @ rho @ linalg.adjoint(u)
-    dephased, pops = _dephase(evolved, basis)
-    dim = rho.shape[0]
+    """One protocol cycle applied to a stack of density matrices.
+
+    ``rho`` and ``u`` are (T, dim, dim) stacks (``rho`` may also be one
+    matrix shared by every propagator). Returns the (T, dim, dim) states after
+    the cycle and their (T, dim) outcome populations.
+    """
+    v = basis.v
+    dim = v.shape[0]
+    evolved = u @ rho @ np.conj(np.swapaxes(u, -1, -2))
+    # diag(V^dag evolved V)
+    pops = np.real(np.sum(np.conj(v) * (evolved @ v), axis=-2))
+    dephased = (v * pops[:, None, :]) @ linalg.adjoint(v)
     if gamma != 0.0:
         dephased = (1.0 - gamma) * dephased + gamma * np.eye(dim, dtype=complex) / dim
         pops = (1.0 - gamma) * pops + gamma / dim
@@ -84,27 +90,31 @@ def cycle(rho: np.ndarray, m: Model, tau: float, gamma: float = 0.0) -> np.ndarr
         raise ValueError(f"dimension mismatch: state {rho.shape[0]}, model {m.dim}")
     gamma = _check_gamma(gamma)
     u = linalg.unitary_from_eig(m.hamiltonian_eig, tau)
-    out, _ = _cycle_with_unitary(rho, u, m.basis, gamma)
-    return out
+    out, _ = _step(rho, u[None], m.basis, gamma)
+    return out[0]
 
 
-def run_exact(m: Model, tau: float, n_max: int, gamma: float = 0.0) -> ProbabilityTrace:
-    """Propagate the initial state for n_max cycles, recording outcome probabilities.
+def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> list[ProbabilityTrace]:
+    """Propagate the initial state over a tau grid for n_max cycles each.
 
-    Row 0 is the Born distribution of the bare initial state (no evolution);
-    row n >= 1 is the distribution after n cycles.
+    Returns one trace per grid point, in grid order. Row 0 is the Born
+    distribution of the bare initial state (no evolution); row n >= 1 is the
+    distribution after n cycles. Every grid point advances together: each
+    cycle is one batched step over the (T, dim, dim) stack of states.
     """
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1:
+        raise ValueError(f"taus must be a 1-D grid, got shape {taus.shape}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     gamma = _check_gamma(gamma)
-    u = linalg.unitary_from_eig(m.hamiltonian_eig, tau)
-    rows = np.empty((n_max + 1, m.dim), dtype=float)
-    rows[0] = born_probabilities(m.initial_state, m.basis)
+    u = linalg.unitary_from_eig(m.hamiltonian_eig, taus)
+    rows = np.empty((len(taus), n_max + 1, m.dim), dtype=float)
+    rows[:, 0] = born_probabilities(m.initial_state, m.basis)
     rho = initial_density(m)
     for n in range(1, n_max + 1):
-        rho, pops = _cycle_with_unitary(rho, u, m.basis, gamma)
-        rows[n] = pops
-    return ProbabilityTrace(values=rows)
+        rho, rows[:, n] = _step(rho, u, m.basis, gamma)
+    return [ProbabilityTrace(values=block) for block in rows]
 
 
 def noisy_closed_form(p_noiseless: ProbabilityTrace, gamma: float, dim: int) -> ProbabilityTrace:

@@ -83,11 +83,19 @@ def eig_hermitian(a: np.ndarray) -> HermitianEig:
     return HermitianEig(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def unitary_from_eig(dec: HermitianEig, tau: float) -> np.ndarray:
-    """Propagator exp(-i h tau) (hbar = 1) from a precomputed decomposition of h."""
-    phases = np.exp(-1j * dec.eigenvalues * float(tau))
+def unitary_from_eig(dec: HermitianEig, tau) -> np.ndarray:
+    """Propagator exp(-i h tau) (hbar = 1) from a precomputed decomposition of h.
+
+    ``tau`` is a scalar, giving one (dim, dim) matrix, or a 1-D grid, giving a
+    (T, dim, dim) stack. Where tau == 0 the result is exactly the identity,
+    not the rounded product W W^dag.
+    """
+    tau = np.asarray(tau, dtype=float)
     v = dec.eigenvectors
-    return (v * phases) @ adjoint(v)
+    phases = np.exp(-1j * np.multiply.outer(tau, dec.eigenvalues))
+    u = (v * phases[..., None, :]) @ adjoint(v)
+    u[tau == 0.0] = np.eye(v.shape[0])
+    return u
 
 
 def unitary_from_hamiltonian(h: np.ndarray, tau: float) -> np.ndarray:

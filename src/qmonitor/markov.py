@@ -105,16 +105,10 @@ def propagator_in_measurement_basis(m: Model, tau: float) -> np.ndarray:
     return linalg.unitary_from_eig(m.measurement_eig, tau)
 
 
-def first_cycle_distribution(m: Model, tau: float) -> np.ndarray:
-    """Outcome distribution p1 = |U_meas V^dag psi|^2 after the first cycle.
-
-    The first evolution acts on the initial state itself, so p1 keeps the
-    coherences that the Born distribution p0 drops. The chain only takes over
-    after the first measurement: row n >= 1 of a trace is L^(n-1) p1.
-    """
-    u_meas = propagator_in_measurement_basis(m, tau)
-    psi_meas = linalg.adjoint(m.basis.v) @ m.initial_state
-    return np.abs(u_meas @ psi_meas) ** 2
+def _kernel(u_meas: np.ndarray, tau: float) -> TransitionMatrix:
+    mat = np.abs(u_meas.T) ** 2  # [k, k'] = |u_meas[k', k]|^2
+    mat = mat / mat.sum(axis=0)
+    return TransitionMatrix(l=mat, tau=float(tau))
 
 
 def build_transition_matrix(m: Model, tau: float) -> TransitionMatrix:
@@ -125,10 +119,20 @@ def build_transition_matrix(m: Model, tau: float) -> TransitionMatrix:
     drift of the total probability. Dark columns are exact unit vectors and
     divide by exactly 1.0, so dark populations stay pinned.
     """
+    return _kernel(propagator_in_measurement_basis(m, tau), tau)
+
+
+def first_cycle(m: Model, tau: float) -> tuple[np.ndarray, TransitionMatrix]:
+    """The first-cycle distribution p1 and the kernel L(tau), from one U(tau).
+
+    p1 = |U_meas V^dag psi|^2: the first evolution acts on the initial state
+    itself, so p1 keeps the coherences that the Born distribution p0 drops.
+    The chain only takes over after the first measurement: row n >= 1 of a
+    trace is L^(n-1) p1.
+    """
     u_meas = propagator_in_measurement_basis(m, tau)
-    mat = np.abs(u_meas.T) ** 2  # [k, k'] = |u_meas[k', k]|^2
-    mat = mat / mat.sum(axis=0)
-    return TransitionMatrix(l=mat, tau=float(tau))
+    psi_meas = linalg.adjoint(m.basis.v) @ m.initial_state
+    return np.abs(u_meas @ psi_meas) ** 2, _kernel(u_meas, tau)
 
 
 def spectrum(l: TransitionMatrix) -> ChainSpectrum:

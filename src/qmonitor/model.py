@@ -40,6 +40,21 @@ def pauli(which: str) -> np.ndarray:
     raise ValueError(f"unknown Pauli axis {which!r}")
 
 
+def check_labels(labels: tuple[str, ...]) -> tuple[str, ...]:
+    """Validate outcome labels as trace CSV column names and return them.
+
+    A trace CSV has the columns tau, n, one per label and optionally
+    stderr_0..stderr_{N-1}, so a label must be unique, must not be tau or n,
+    and must not start with stderr_.
+    """
+    for label in labels:
+        if label in ("tau", "n") or label.startswith("stderr_"):
+            raise ValueError(f"outcome label {label!r} is reserved for a CSV column")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"outcome labels must be distinct, got {list(labels)}")
+    return labels
+
+
 @dataclass(frozen=True)
 class MeasurementBasis:
     """An orthonormal measurement basis with human-readable outcome labels."""
@@ -57,7 +72,7 @@ class MeasurementBasis:
         if not linalg.is_unitary(v):
             raise ValueError("basis matrix is not unitary")
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        object.__setattr__(self, "labels", check_labels(tuple(str(s) for s in self.labels)))
 
     def projector(self, k: int) -> np.ndarray:
         """Rank-one projector onto outcome k, in computational coordinates."""

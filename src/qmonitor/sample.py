@@ -110,9 +110,8 @@ def _substream_uniforms(cfg: ShotConfig) -> np.ndarray:
 def _kernel_tables(m: Model, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cumulative distributions: initial Born, first cycle, and kernel rows."""
     p0 = evolve.born_probabilities(m.initial_state, m.basis)
-    first = markov.first_cycle_distribution(m, tau)
-    l = markov.build_transition_matrix(m, tau).l
-    return np.cumsum(p0), np.cumsum(first), np.cumsum(l, axis=1)
+    first, l = markov.first_cycle(m, tau)
+    return np.cumsum(p0), np.cumsum(first), np.cumsum(l.l, axis=1)
 
 
 def _pick(cum: np.ndarray, u: float) -> int:

@@ -27,6 +27,17 @@ def all_models():
     return [model.build_model(name) for name in ALL_MODEL_NAMES]
 
 
+def three_level_model():
+    """A complex 3-level Hamiltonian measured in a rotated basis."""
+    h = np.array(
+        [[0.4, 0.3 - 0.2j, 0.0], [0.3 + 0.2j, -0.1, 0.25j], [0.0, -0.25j, 0.7]]
+    )
+    c, s = np.cos(0.6), np.sin(0.6)
+    v = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    basis = model.MeasurementBasis(dim=3, v=v, labels=("a", "b", "c"))
+    return model.Model(dim=3, hamiltonian=h, basis=basis, initial_state=v[:, 0])
+
+
 _entries = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 
 

@@ -28,7 +28,7 @@ def _expect(failures: list, ok: bool, message: str) -> None:
 
 
 def _engines(m, tau: float, n_max: int):
-    exact = evolve.run_exact(m, tau, n_max).values
+    exact = evolve.run_exact(m, [tau], n_max)[0].values
     l = markov.build_transition_matrix(m, tau)
     p0 = evolve.born_probabilities(m.initial_state, m.basis)
     chain = markov.propagate(l, p0, n_max).values
@@ -192,9 +192,9 @@ def test_criterion_5_noise_model():
         m = model.build_model(name)
         for gamma in (0.033, 0.12):
             for tau in tau_grid:
-                iterated = evolve.run_exact(m, tau, 32, gamma).values
+                iterated = evolve.run_exact(m, [tau], 32, gamma)[0].values
                 folded = evolve.noisy_closed_form(
-                    evolve.run_exact(m, tau, 32, 0.0), gamma, m.dim
+                    evolve.run_exact(m, [tau], 32, 0.0)[0], gamma, m.dim
                 ).values
                 _expect(
                     failures,
@@ -220,7 +220,7 @@ def test_criterion_6_gamma_recovery():
     for name, gamma_true, tolerance in cases:
         m = model.build_model(name)
         reference = noisefit.tau_average(
-            {tau: evolve.run_exact(m, tau, n_max, 0.0) for tau in taus}
+            {tau: evolve.run_exact(m, [tau], n_max, 0.0)[0] for tau in taus}
         )
         for seed in range(10):
             measured = {}
@@ -285,7 +285,7 @@ def test_criterion_8_monte_carlo_fidelity():
                 n_shots=n_shots, seed=777000 + k, n_max=n_max, tau=tau, gamma=0.0
             )
             emp = sample.run_shots(m, cfg)
-            exact = evolve.run_exact(m, tau, n_max, 0.0).values
+            exact = evolve.run_exact(m, [tau], n_max, 0.0)[0].values
             clipped = np.clip(exact, 0.0, 1.0)
             se = np.sqrt(clipped * (1.0 - clipped) / n_shots)
             delta = np.abs(emp.probabilities - exact)

@@ -141,7 +141,7 @@ class TestOracleEquivalence:
         n_max = max(GRID_N)
         for tau in GRID_TAU:
             closed = analytic.closed_form_trace(kind, tau, n_max).values
-            exact = evolve.run_exact(m, tau, n_max).values
+            exact = evolve.run_exact(m, [tau], n_max)[0].values
             l = markov.build_transition_matrix(m, tau)
             p0 = evolve.born_probabilities(m.initial_state, m.basis)
             chain = markov.propagate(l, p0, n_max).values

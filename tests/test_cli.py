@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qmonitor import cli, sample
+from qmonitor.traces import ProbabilityTrace
 
 
 DATA = Path(__file__).parent / "data"
@@ -169,8 +170,28 @@ class TestSimulate:
                 "initial_state": {"re": [1.0, 0.0]},
                 "labels": ["g"],
             },
+            *(
+                {
+                    "hamiltonian": {"re": [[0.0, 0.5], [0.5, 0.0]]},
+                    "initial_state": {"re": [1.0, 0.0]},
+                    "labels": labels,
+                }
+                for labels in (
+                    ["g", "g"], ["n", "tau"], ["tau", "e"], ["g", "n"], ["stderr_0", "e"]
+                )
+            ),
         ],
-        ids=["hamiltonian_not_2d", "labels_not_a_list", "labels_not_strings", "labels_wrong_length"],
+        ids=[
+            "hamiltonian_not_2d",
+            "labels_not_a_list",
+            "labels_not_strings",
+            "labels_wrong_length",
+            "labels_duplicate",
+            "labels_n_tau",
+            "label_tau",
+            "label_n",
+            "label_stderr_prefix",
+        ],
     )
     def test_malformed_model_file_is_config_error(self, tmp_path, spec):
         model_file = tmp_path / "m.json"
@@ -472,6 +493,54 @@ class TestTiming:
         assert run(["timing", "--layers", "2,1,1", "--hw-profile", hw]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["cycle_duration_us"] == 0.62
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["tau,n,n,tau", "tau,n,a,a", "tau,n,a,b,stderr_1,stderr_0", "tau,n,a,stderr_0,b",
+     "tau,n,a,b,stderr_0"],
+)
+def test_ambiguous_columns_rejected_by_parser(tmp_path, header):
+    # the first outcome holds all the probability, so only the header is wrong
+    n_values = len(header.split(",")) - 2
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{header}\n0.0,0,1.0{',0.0' * (n_values - 1)}\n")
+    assert run(["render", bad, "--kind", "heatmap", "--column", 0, "--out", tmp_path]) == 3
+
+
+class TestTraceCsvFormat:
+    """The writer formats a grid point's block with one %-format; a csv.writer
+    with one format(x, '.17g') per cell must produce the same bytes."""
+
+    VALUES = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1 - 2**-53, 1.0]
+    TAUS = [0.0, 0.1, 1 / 3, math.pi]
+
+    @staticmethod
+    def reference(path, labels, taus, traces, stderrs):
+        header = ["tau", "n", *labels]
+        if stderrs is not None:
+            header += [f"stderr_{k}" for k in range(len(labels))]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for i, tau in enumerate(taus):
+                for n, values in enumerate(traces[i].values):
+                    row = [format(tau, ".17g"), str(n)] + [format(x, ".17g") for x in values]
+                    if stderrs is not None:
+                        row += [format(x, ".17g") for x in stderrs[i][n]]
+                    writer.writerow(row)
+
+    @pytest.mark.parametrize("with_stderr", [False, True])
+    def test_bytes_match_the_per_cell_writer(self, tmp_path, with_stderr):
+        rows = np.array([[x, 1.0 - x] for x in self.VALUES])
+        traces = [ProbabilityTrace(values=rows), ProbabilityTrace(values=rows[::-1, ::-1])] * 2
+        stderrs = [rows[:, ::-1], rows] * 2 if with_stderr else None
+        labels = ("g", "e,1")
+        cli._write_trace_csv(tmp_path / "got.csv", labels, self.TAUS, traces, stderrs)
+        self.reference(tmp_path / "want.csv", labels, self.TAUS, traces, stderrs)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert b"\n0,1,-0,1" in got and b",4.9406564584124654e-324," in got
 
 
 def test_nan_probabilities_rejected_by_parser(tmp_path):

@@ -63,15 +63,15 @@ class TestCycle:
 
 class TestRunExact:
     def test_bell_initial_row(self, bell):
-        trace = evolve.run_exact(bell, 0.9, 0)
+        trace = evolve.run_exact(bell, [0.9], 0)[0]
         assert np.max(np.abs(trace.values[0] - [0.5, 0.0, 0.5, 0.0])) < 1e-15
 
     def test_singlet_triplet_initial_row(self, singlet_triplet):
-        trace = evolve.run_exact(singlet_triplet, 0.9, 0)
+        trace = evolve.run_exact(singlet_triplet, [0.9], 0)[0]
         assert np.array_equal(trace.values[0], [1.0, 0.0, 0.0, 0.0])
 
     def test_single_qubit_two_cycles(self, single_qubit):
-        trace = evolve.run_exact(single_qubit, np.pi / 3, 2)
+        trace = evolve.run_exact(single_qubit, [np.pi / 3], 2)[0]
         mag = trace.values[2, 0] - trace.values[2, 1]
         assert abs(mag - np.cos(np.pi / 3) ** 2) < 1e-13
 
@@ -79,24 +79,24 @@ class TestRunExact:
     @pytest.mark.parametrize("tau", TAU_GRID)
     def test_matches_markov_engine(self, m, tau):
         n_max = 24
-        exact = evolve.run_exact(m, tau, n_max)
+        exact = evolve.run_exact(m, [tau], n_max)[0]
         l = markov.build_transition_matrix(m, tau)
         p0 = evolve.born_probabilities(m.initial_state, m.basis)
         chain = markov.propagate(l, p0, n_max)
         assert np.max(np.abs(exact.values - chain.values)) < 1e-12
 
     def test_singlet_component_stays_tiny(self, singlet_triplet):
-        trace = evolve.run_exact(singlet_triplet, 0.8, 40)
+        trace = evolve.run_exact(singlet_triplet, [0.8], 40)[0]
         assert np.max(np.abs(trace.values[:, 2])) < 1e-12
 
     def test_rejects_negative_n(self, single_qubit):
         with pytest.raises(ValueError):
-            evolve.run_exact(single_qubit, 0.5, -1)
+            evolve.run_exact(single_qubit, [0.5], -1)
 
 
 class TestNoisyClosedForm:
     def test_gamma_zero_is_identity(self, bell):
-        trace = evolve.run_exact(bell, 0.7, 10)
+        trace = evolve.run_exact(bell, [0.7], 10)[0]
         out = evolve.noisy_closed_form(trace, 0.0, 4)
         assert np.array_equal(out.values, trace.values)
 
@@ -108,13 +108,13 @@ class TestNoisyClosedForm:
         assert np.max(np.abs(out.values[1, 1:] - 0.03)) < 1e-15
 
     def test_long_time_mixes_to_uniform(self, singlet_triplet):
-        trace = evolve.run_exact(singlet_triplet, 0.7, 60)
+        trace = evolve.run_exact(singlet_triplet, [0.7], 60)[0]
         out = evolve.noisy_closed_form(trace, 0.12, 4)
         # survival (0.88)^60 ~ 4.7e-4 bounds the distance from 1/4
         assert np.max(np.abs(out.values[60] - 0.25)) < 5e-4
 
     def test_rows_still_sum_to_one(self, bell):
-        trace = evolve.run_exact(bell, 1.9, 30)
+        trace = evolve.run_exact(bell, [1.9], 30)[0]
         out = evolve.noisy_closed_form(trace, 0.37, 4)
         assert np.max(np.abs(out.values.sum(axis=1) - 1.0)) < 1e-12
 
@@ -123,16 +123,16 @@ class TestNoisyClosedForm:
     @pytest.mark.parametrize("gamma", [0.033, 0.12])
     def test_iterated_noise_matches_closed_form(self, m, tau, gamma):
         n_max = 24
-        iterated = evolve.run_exact(m, tau, n_max, gamma)
-        folded = evolve.noisy_closed_form(evolve.run_exact(m, tau, n_max, 0.0), gamma, m.dim)
+        iterated = evolve.run_exact(m, [tau], n_max, gamma)[0]
+        folded = evolve.noisy_closed_form(evolve.run_exact(m, [tau], n_max, 0.0)[0], gamma, m.dim)
         assert np.max(np.abs(iterated.values - folded.values)) < 1e-12
 
     @given(tau=taus, gamma=gammas)
     @settings(max_examples=30, deadline=None)
     def test_commuting_noise_property(self, tau, gamma):
         m = model.two_qubit_model("bell")
-        iterated = evolve.run_exact(m, tau, 12, gamma)
-        folded = evolve.noisy_closed_form(evolve.run_exact(m, tau, 12, 0.0), gamma, 4)
+        iterated = evolve.run_exact(m, [tau], 12, gamma)[0]
+        folded = evolve.noisy_closed_form(evolve.run_exact(m, [tau], 12, 0.0)[0], gamma, 4)
         assert np.max(np.abs(iterated.values - folded.values)) < 1e-12
 
 

@@ -14,7 +14,7 @@ TAU_GRID_33 = [k * math.pi / 32 for k in range(33)]
 
 
 def exact_traces(m, taus, n_max, gamma=0.0):
-    return {tau: evolve.run_exact(m, tau, n_max, gamma) for tau in taus}
+    return {tau: evolve.run_exact(m, [tau], n_max, gamma)[0] for tau in taus}
 
 
 class TestTauAverage:

@@ -136,7 +136,7 @@ class TestMarginalCorrectness:
                         n_shots=n_shots, seed=97, n_max=n_max, tau=tau, gamma=gamma
                     )
                     emp = sample.run_shots(m, c)
-                    exact = evolve.run_exact(m, tau, n_max, gamma).values
+                    exact = evolve.run_exact(m, [tau], n_max, gamma)[0].values
                     clipped = np.clip(exact, 0.0, 1.0)
                     se = np.sqrt(clipped * (1.0 - clipped) / n_shots)
                     delta = np.abs(emp.probabilities - exact)
@@ -150,7 +150,7 @@ class TestMarginalCorrectness:
         # per-cycle uniform replacement reproduces the noisy closed form
         c = cfg(n_shots=8192, tau=1.0, n_max=16, gamma=0.2, seed=41)
         emp = sample.run_shots(bell, c)
-        noiseless = evolve.run_exact(bell, 1.0, 16, 0.0)
+        noiseless = evolve.run_exact(bell, [1.0], 16, 0.0)[0]
         noisy = evolve.noisy_closed_form(noiseless, 0.2, 4).values
         se = np.sqrt(np.clip(noisy, 0, 1) * (1.0 - np.clip(noisy, 0, 1)) / c.n_shots)
         delta = np.abs(emp.probabilities - noisy)

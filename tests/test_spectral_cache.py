@@ -7,20 +7,9 @@ import pytest
 
 from qmonitor import cli, linalg, markov, model
 
-from conftest import ALL_MODEL_NAMES
+from conftest import ALL_MODEL_NAMES, three_level_model
 
 TAUS = [0.0, 0.3, 1.234, np.pi / 2, np.pi, 5.9]
-
-
-def three_level_model():
-    """A complex 3-level Hamiltonian measured in a rotated basis."""
-    h = np.array(
-        [[0.4, 0.3 - 0.2j, 0.0], [0.3 + 0.2j, -0.1, 0.25j], [0.0, -0.25j, 0.7]]
-    )
-    c, s = np.cos(0.6), np.sin(0.6)
-    v = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
-    basis = model.MeasurementBasis(dim=3, v=v, labels=("a", "b", "c"))
-    return model.Model(dim=3, hamiltonian=h, basis=basis, initial_state=v[:, 0])
 
 
 MODELS = [model.build_model(name) for name in ALL_MODEL_NAMES] + [three_level_model()]
@@ -72,3 +61,20 @@ class TestDiagonalizeOnce:
     def test_exact_sweep_diagonalizes_once(self, tmp_path, monkeypatch):
         argv = ["simulate", "--engine", "exact", "--tau-count", 17, "--out", tmp_path]
         assert count_calls(monkeypatch, linalg, "eig_hermitian", argv) == 1
+
+
+class TestPropagatorOncePerGridPoint:
+    """p1 and L(tau) come from one U(tau); the exact engine builds the grid's in one call."""
+
+    # the sample run adds one batched call for its max_abs_dev_from_exact reference
+    @pytest.mark.parametrize("engine, calls", [("markov", 33), ("sample", 33 + 1)])
+    def test_per_point_engines_build_one_propagator_per_point(
+        self, tmp_path, monkeypatch, engine, calls
+    ):
+        argv = ["simulate", "--engine", engine, "--tau-count", 33, "--shots", 64,
+                "--out", tmp_path]
+        assert count_calls(monkeypatch, linalg, "unitary_from_eig", argv) == calls
+
+    def test_exact_engine_builds_the_grid_at_once(self, tmp_path, monkeypatch):
+        argv = ["simulate", "--engine", "exact", "--tau-count", 33, "--out", tmp_path]
+        assert count_calls(monkeypatch, linalg, "unitary_from_eig", argv) == 1
