@@ -2,7 +2,7 @@
 
 Exact density-matrix propagation of measure-and-evolve protocols, their
 Markov-chain reduction, closed-form references, seeded Monte Carlo
-trajectory sampling, depolarizing-noise fitting, and a CLI for sweeps,
+shot-count sampling, depolarizing-noise fitting, and a CLI for sweeps,
 analysis and SVG rendering.
 """
 
@@ -58,13 +58,5 @@ from .noisefit import (
     noise_timescale,
     tau_average,
 )
-from .sample import (
-    EmpiricalTrace,
-    ShotConfig,
-    TrajectoryRecord,
-    empirical_magnetization,
-    run_shots,
-    sample_trajectory,
-    trajectory_rng,
-)
+from .sample import EmpiricalTrace, ShotConfig, run_shots
 from .traces import ProbabilityTrace

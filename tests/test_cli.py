@@ -572,6 +572,33 @@ class TestMarkovRowSums:
         assert len(rows) == 129 * 257
 
 
+class TestSampleOnFixtures:
+    """The dimension-16 fixture's Born law peaks at 1.0000000000000009, which
+    Generator.multinomial rejects unless the sampler clips and renormalises."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    @pytest.mark.parametrize("name", ["chain_dim8_seed67", "chain_dim16_seed0"])
+    def test_sample_engine_runs_within_five_sigma_and_reruns(self, tmp_path, name, gamma):
+        args = [
+            "simulate",
+            "--model", DATA / f"{name}.json",
+            "--engine", "sample",
+            "--tau-count", 9,
+            "--n-max", 16,
+            "--shots", 4096,
+            "--gamma", gamma,
+            "--seed", 3,
+            "--out", tmp_path,
+        ]
+        paths = [tmp_path / f"{name}_sample.csv", tmp_path / f"{name}_sample_summary.json"]
+        assert run(args) == 0
+        first = [p.read_bytes() for p in paths]
+        results = json.loads(first[1])["results"]
+        assert results["max_abs_dev_from_exact"] <= results["five_sigma_bound"]
+        assert run(args) == 0
+        assert [p.read_bytes() for p in paths] == first
+
+
 class TestSeedRange:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_validate_rejects(self, seed):
@@ -591,14 +618,13 @@ class TestSampleStreams:
 
     def test_seed_and_tau_index_pairs(self, tmp_path, monkeypatch):
         seen = {}
-        real = sample._substream_uniforms
+        real = sample._philox
 
         def record(cfg):
-            uniforms = real(cfg)
-            seen[(cfg.seed, cfg.stream)] = uniforms.copy()
-            return uniforms
+            seen[(cfg.seed, cfg.stream)] = np.random.Generator(real(cfg)).random(8)
+            return real(cfg)
 
-        monkeypatch.setattr(sample, "_substream_uniforms", record)
+        monkeypatch.setattr(sample, "_philox", record)
         for seed in (7, 8):
             args = [
                 "simulate",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,100 @@ def cfg(**kw):
     base = dict(n_shots=2048, seed=11, n_max=16, tau=0.7, gamma=0.0)
     base.update(kw)
     return sample.ShotConfig(**base)
+
+
+def empirical_magnetization(t: sample.EmpiricalTrace) -> np.ndarray:
+    """Per-cycle population imbalance P[:, 0] - P[:, 1] of a two-state trace."""
+    if t.probabilities.shape[1] != 2:
+        raise ValueError("magnetization is defined for two-state systems only")
+    return t.probabilities[:, 0] - t.probabilities[:, 1]
+
+
+def walk_shots(m, c: sample.ShotConfig) -> np.ndarray:
+    """Per-shot reference sampler: counts[n, k] from walking every shot.
+
+    Each shot measures the bare initial state (row 0, an independent draw),
+    then per cycle flips a depolarizing coin: with probability gamma the
+    outcome is a uniformly random basis index, otherwise it is drawn from the
+    first-cycle distribution p1 (cycle 1) or from the kernel row of the
+    previous outcome. The stream is numpy's default generator, unrelated to
+    run_shots' Philox key, so the two samplers agree only in law.
+    """
+    rng = np.random.default_rng([c.seed, c.stream])
+    dim = m.dim
+    cum_p0 = np.cumsum(evolve.born_probabilities(m.initial_state, m.basis))
+    p1, l = markov.first_cycle(m, c.tau)
+    cum_p1, cum_rows = np.cumsum(p1), np.cumsum(l.l, axis=1)
+
+    def pick(cum, u):
+        return min(int(np.searchsorted(cum, u, side="right")), dim - 1)
+
+    counts = np.zeros((c.n_max + 1, dim), dtype=np.int64)
+    for u in rng.random((c.n_shots, 1 + 2 * c.n_max)):
+        counts[0, pick(cum_p0, u[0])] += 1
+        k = -1
+        for n in range(1, c.n_max + 1):
+            u_noise, u_out = u[2 * n - 1], u[2 * n]
+            if u_noise < c.gamma:
+                k = min(int(u_out * dim), dim - 1)
+            else:
+                k = pick(cum_p1 if k < 0 else cum_rows[k], u_out)
+            counts[n, k] += 1
+    return counts
+
+
+def chain_moments(m, c: sample.ShotConfig):
+    """Exact per-shot outcome laws p[n] and one-cycle kernel K of a shot.
+
+    Row 0 is the Born law p0, row 1 is (1 - gamma) p1 + gamma / dim, and
+    row n + 1 is p[n] K with K = (1 - gamma) L + gamma J / dim.
+    """
+    dim = m.dim
+    p1, l = markov.first_cycle(m, c.tau)
+    kernel = (1.0 - c.gamma) * l.l + c.gamma / dim
+    rows = [evolve.born_probabilities(m.initial_state, m.basis)]
+    if c.n_max > 0:
+        rows.append((1.0 - c.gamma) * p1 + c.gamma / dim)
+    while len(rows) < c.n_max + 1:
+        rows.append(rows[-1] @ kernel)
+    return np.array(rows), kernel
+
+
+def _zscores(samples: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """z of each per-seed sample mean (axis 0 indexes seeds) against its expectation.
+
+    The standard error is estimated from the samples. A cell that never
+    varies must equal its expectation exactly (z = 0), or z is infinite.
+    """
+    diff = samples.mean(axis=0) - expected
+    se = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
+    return np.divide(diff, se, out=np.where(diff == 0, 0.0, np.inf), where=se > 0)
+
+
+def moment_zscores(counts: np.ndarray, p: np.ndarray, kernel: np.ndarray, n_shots: int):
+    """z-scores of the count chain's first and second moments, keyed by name.
+
+    counts has shape (seeds, n_max + 1, dim). Every cell is binomial with
+    mean N p and variance N p (1 - p). Consecutive cycles n >= 1 have the
+    lag-1 cross-covariance N (diag(p_n) K - p_n p_{n+1}^T); row 0 is an
+    independent measurement, so its covariance with row 1 is zero.
+    """
+    n = n_shots
+    dev = counts - n * p
+    lag = dev[:, :-1, :, None] * dev[:, 1:, None, :]
+    cov = n * (p[:-1, :, None] * kernel - p[:-1, :, None] * p[1:, None, :])
+    cov[0] = 0.0
+    return {
+        "mean": _zscores(counts, n * p),
+        "variance": _zscores(dev**2, n * p * (1.0 - p)),
+        "lag1_covariance": _zscores(lag, cov),
+    }
+
+
+# Bound fixed before the first run: each statistic is a mean over many seeds,
+# so its z is close to standard normal, and 5 sigma over a few hundred cells
+# fails by chance with probability below 1e-4.
+Z_BOUND = 5.0
 
 
 class TestShotConfig:
@@ -29,27 +125,27 @@ class TestShotConfig:
         cfg(**{field: 2**64 - 1})
 
 
-class TestSampleTrajectory:
+class TestExactCases:
+    """Counts that the physics fixes exactly, whatever the draws."""
+
     def test_zeno_frozen(self, single_qubit):
-        c = cfg(tau=0.0, seed=1)
-        rec = sample.sample_trajectory(single_qubit, c, sample.trajectory_rng(c, 0))
-        assert np.array_equal(rec.outcomes, np.zeros(16))
+        emp = sample.run_shots(single_qubit, cfg(tau=0.0, seed=1))
+        assert np.array_equal(emp.counts, np.tile([2048, 0], (17, 1)))
 
     def test_resonance_alternates(self, single_qubit):
-        c = cfg(tau=np.pi, seed=1)
-        rec = sample.sample_trajectory(single_qubit, c, sample.trajectory_rng(c, 0))
-        assert np.array_equal(rec.outcomes, np.tile([1, 0], 8))
+        emp = sample.run_shots(single_qubit, cfg(tau=np.pi, seed=1))
+        expected = np.array([[2048, 0], [0, 2048]] * 8 + [[2048, 0]])
+        assert np.array_equal(emp.counts, expected)
 
     def test_singlet_never_sampled(self, singlet_triplet):
-        c = cfg(tau=0.9, n_max=24, seed=5)
-        for shot in range(64):
-            rec = sample.sample_trajectory(singlet_triplet, c, sample.trajectory_rng(c, shot))
-            assert 2 not in rec.outcomes
+        for stream in range(16):
+            emp = sample.run_shots(singlet_triplet, cfg(tau=0.9, n_max=24, seed=5, stream=stream))
+            assert np.array_equal(emp.counts[:, 2], np.zeros(25, dtype=np.int64))
 
-    def test_outcomes_in_range(self, bell):
-        c = cfg(gamma=0.4, seed=9)
-        rec = sample.sample_trajectory(bell, c, sample.trajectory_rng(c, 3))
-        assert rec.outcomes.min() >= 0 and rec.outcomes.max() < 4
+    def test_n_max_zero_is_the_born_row(self, bell):
+        emp = sample.run_shots(bell, cfg(n_max=0, gamma=0.3))
+        assert emp.counts.shape == (1, 4)
+        assert emp.counts.sum() == 2048
 
 
 class TestRunShots:
@@ -69,25 +165,16 @@ class TestRunShots:
         emp = sample.run_shots(singlet_triplet, cfg(gamma=0.12))
         assert np.all(emp.counts.sum(axis=1) == 2048)
 
-    def test_matches_per_trajectory_aggregation(self, bell):
-        """run_shots is bitwise the aggregation of sample_trajectory per shot.
-
-        n_max 12 gives 25 draws per shot, so each shot leaves three words of
-        its last counter block unused and a layout off by one block shows.
-        """
-        c = cfg(n_shots=64, n_max=12, tau=1.1, gamma=0.25, seed=123, stream=5)
-        emp = sample.run_shots(bell, c)
-        counts = np.zeros((13, 4), dtype=np.int64)
-        cum_p0 = np.cumsum(evolve.born_probabilities(bell.initial_state, bell.basis))
-        for shot in range(c.n_shots):
-            rng = sample.trajectory_rng(c, shot)
-            u0 = rng.random(1)[0]
-            k0 = min(int(np.searchsorted(cum_p0, u0, side="right")), 3)
-            counts[0, k0] += 1
-            rec = sample.sample_trajectory(bell, c, rng)
-            for j, k in enumerate(rec.outcomes):
-                counts[j + 1, k] += 1
-        assert np.array_equal(counts, emp.counts)
+    def test_draw_order(self, bell):
+        """One Generator(Philox(seed * 2^64 + stream)) draws row 0, cycle 1,
+        then one multinomial per later cycle on the previous counts."""
+        c = cfg(n_shots=512, n_max=6, tau=1.1, gamma=0.25, seed=2**64 - 1, stream=5)
+        p, kernel = chain_moments(bell, c)
+        rng = np.random.Generator(np.random.Philox(key=(2**64 - 1) * 2**64 + 5))
+        rows = [rng.multinomial(512, p[0] / p[0].sum()), rng.multinomial(512, p[1] / p[1].sum())]
+        for _ in range(5):
+            rows.append(rng.multinomial(rows[-1], kernel / kernel.sum(axis=1, keepdims=True)).sum(axis=0))
+        assert np.array_equal(sample.run_shots(bell, c).counts, np.array(rows))
 
     def test_half_pi_single_cycle(self, single_qubit):
         emp = sample.run_shots(single_qubit, cfg(n_shots=8192, tau=np.pi / 2, n_max=1, seed=3))
@@ -107,20 +194,58 @@ class TestRunShots:
 class TestEmpiricalMagnetization:
     def test_all_zeros(self, single_qubit):
         emp = sample.run_shots(single_qubit, cfg(tau=0.0))
-        assert np.array_equal(sample.empirical_magnetization(emp), np.ones(17))
+        assert np.array_equal(empirical_magnetization(emp), np.ones(17))
 
     def test_resonance(self, single_qubit):
         emp = sample.run_shots(single_qubit, cfg(tau=np.pi, n_max=9))
-        assert np.array_equal(sample.empirical_magnetization(emp), (-1.0) ** np.arange(10))
+        assert np.array_equal(empirical_magnetization(emp), (-1.0) ** np.arange(10))
 
     def test_relaxed_is_small(self, single_qubit):
         emp = sample.run_shots(single_qubit, cfg(n_shots=8192, tau=np.pi / 2, n_max=20, seed=31))
-        assert abs(sample.empirical_magnetization(emp)[20]) < 5 / np.sqrt(8192)
+        assert abs(empirical_magnetization(emp)[20]) < 5 / np.sqrt(8192)
 
     def test_needs_two_states(self, bell):
         emp = sample.run_shots(bell, cfg(n_max=2))
         with pytest.raises(ValueError):
-            sample.empirical_magnetization(emp)
+            empirical_magnetization(emp)
+
+
+class TestCountChainLaw:
+    """run_shots and the per-shot walk against the exact moments of the chain.
+
+    The per-shot walk checks that the moment formulas describe shots walked
+    one at a time; run_shots must then meet the same formulas. Lag-1
+    covariances test the transition structure, which exact means alone
+    cannot: a sampler that redrew every cycle independently from p[n] would
+    match every mean and variance.
+    """
+
+    @pytest.mark.parametrize("n_shots", [64, 4096])
+    def test_run_shots_moments(self, bell, n_shots):
+        base = cfg(n_shots=n_shots, n_max=5, tau=1.1, gamma=0.25)
+        p, kernel = chain_moments(bell, base)
+        counts = np.array(
+            [sample.run_shots(bell, replace(base, seed=1000 + s)).counts for s in range(2000)]
+        )
+        for name, z in moment_zscores(counts, p, kernel, n_shots).items():
+            assert np.max(np.abs(z)) <= Z_BOUND, name
+
+    def test_per_shot_walk_moments(self, bell):
+        base = cfg(n_shots=64, n_max=4, tau=1.1, gamma=0.25)
+        p, kernel = chain_moments(bell, base)
+        counts = np.array([walk_shots(bell, replace(base, seed=s)) for s in range(400)])
+        for name, z in moment_zscores(counts, p, kernel, 64).items():
+            assert np.max(np.abs(z)) <= Z_BOUND, name
+
+    def test_independent_redraw_fails_the_covariance_check(self, bell):
+        """The lag-1 check has power: per-cycle independent multinomials fail it."""
+        base = cfg(n_shots=4096, n_max=5, tau=1.1, gamma=0.25)
+        p, kernel = chain_moments(bell, base)
+        rng = np.random.default_rng(3)
+        counts = np.array([[rng.multinomial(4096, row) for row in p] for _ in range(2000)])
+        z = moment_zscores(counts, p, kernel, 4096)
+        assert np.max(np.abs(z["mean"])) <= Z_BOUND
+        assert np.max(np.abs(z["lag1_covariance"])) > Z_BOUND
 
 
 class TestMarginalCorrectness:
@@ -157,47 +282,15 @@ class TestMarginalCorrectness:
         ok = (delta <= 1e-12) | (delta < 5.0 * se)
         assert ok.mean() >= 0.99
 
-    def test_transition_frequencies_match_kernel(self, single_qubit):
-        tau = 0.6
-        c = cfg(n_shots=1, n_max=8, tau=tau, seed=53)
-        l = markov.build_transition_matrix(single_qubit, tau).l
-        counts = np.zeros((2, 2))
-        for shot in range(3000):
-            rec = sample.sample_trajectory(single_qubit, c, sample.trajectory_rng(c, shot))
-            for a, b in zip(rec.outcomes[:-1], rec.outcomes[1:]):
-                counts[a, b] += 1
-        freq = counts / counts.sum(axis=1, keepdims=True)
-        rows = counts.sum(axis=1)
-        for i in range(2):
-            se = np.sqrt(l[i] * (1 - l[i]) / rows[i])
-            assert np.all(np.abs(freq[i] - l[i]) < 5 * np.maximum(se, 1e-12))
 
+def test_philox_streams_are_distinct():
+    def draws(seed, stream):
+        return np.random.Generator(sample._philox(cfg(seed=seed, stream=stream))).random(8)
 
-# Shot i of key (seed, stream) owns Philox counter blocks [i*B, (i+1)*B).
-# n_max 12 gives 25 draws per shot: B = 7 blocks and 3 unused words per shot.
-
-
-def test_trajectory_rng_streams_are_distinct():
-    def draws(seed, stream, shot):
-        return sample.trajectory_rng(cfg(seed=seed, stream=stream, n_max=12), shot).random(8)
-
-    a = draws(7, 0, 0)
-    assert not np.array_equal(a, draws(7, 0, 1))
-    assert not np.array_equal(a, draws(8, 0, 0))
-    assert not np.array_equal(a, draws(7, 1, 0))
+    a = draws(7, 0)
+    assert not np.array_equal(a, draws(8, 0))
+    assert not np.array_equal(a, draws(7, 1))
     # the old seed + tau_index scheme made these two the same stream
-    assert not np.array_equal(draws(7, 1, 0), draws(8, 0, 0))
+    assert not np.array_equal(draws(7, 1), draws(8, 0))
     # reproducible
-    assert np.array_equal(a, draws(7, 0, 0))
-
-
-def test_advance_regenerates_each_row():
-    c = cfg(n_shots=300, seed=2**64 - 1, stream=3, n_max=12)
-    block = sample._substream_uniforms(c)
-    assert block.shape == (300, 25)
-    assert not block.flags.owndata  # a view of the single draw, never a copy
-    for shot in (0, 1, 2, 17, 299):
-        bg = np.random.Philox(key=(2**64 - 1) * 2**64 + 3)
-        bg.advance(shot * 7)
-        assert np.array_equal(np.random.Generator(bg).random(25), block[shot])
-        assert np.array_equal(sample.trajectory_rng(c, shot).random(25), block[shot])
+    assert np.array_equal(a, draws(7, 0))
