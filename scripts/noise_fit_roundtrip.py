@@ -30,17 +30,11 @@ def main() -> int:
     taus = [k * math.pi / (args.tau_points - 1) for k in range(args.tau_points)]
     for name, gamma_true, layers in CASES:
         m = model.build_model(name)
-        measured = {}
-        for i, tau in enumerate(taus):
-            cfg = sample.ShotConfig(
-                n_shots=args.shots,
-                seed=args.seed,
-                stream=i,
-                n_max=args.n_max,
-                tau=tau,
-                gamma=gamma_true,
-            )
-            measured[tau] = sample.run_shots(m, cfg).trace()
+        cfg = sample.ShotConfig(
+            n_shots=args.shots, seed=args.seed, n_max=args.n_max, gamma=gamma_true
+        )
+        runs = sample.run_shots(m, taus, cfg)
+        measured = {tau: run.trace() for tau, run in zip(taus, runs)}
         reference = noisefit.tau_average(
             dict(zip(taus, evolve.run_exact(m, taus, args.n_max, 0.0)))
         )

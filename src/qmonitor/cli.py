@@ -288,50 +288,35 @@ def read_trace_csv(path):
 # engines
 
 
-def _trace_for(cfg: RunConfig, m: model_mod.Model, tau: float, tau_index: int):
-    """One (trace, stderr-or-None) pair for a grid point of a per-point engine."""
-    if cfg.engine == "markov":
-        p1, l = markov.first_cycle(m, tau)
-        rows = evolve.born_probabilities(m.initial_state, m.basis)[None, :]
+def cmd_simulate(cfg: RunConfig) -> dict:
+    m = _build_model(cfg.model)
+    taus = cfg.tau_grid()
+    stderrs = None
+    if cfg.engine == "exact":
+        traces = evolve.run_exact(m, taus, cfg.n_max, cfg.gamma)
+    elif cfg.engine == "sample":
+        shot_cfg = sample.ShotConfig(
+            n_shots=cfg.shots, seed=cfg.seed, n_max=cfg.n_max, gamma=cfg.gamma
+        )
+        runs = sample.run_shots(m, taus, shot_cfg)
+        traces = [run.trace() for run in runs]
+        stderrs = [run.stderr for run in runs]
+    elif cfg.engine == "markov":
+        p1, l = markov.first_cycle(m, taus)
+        rows = np.empty((len(taus), cfg.n_max + 1, m.dim))
+        rows[:, 0] = evolve.born_probabilities(m.initial_state, m.basis)
         if cfg.n_max > 0:
-            rows = np.vstack([rows, markov.propagate(l, p1, cfg.n_max - 1).values])
-        trace = ProbabilityTrace(values=rows)
-        if cfg.gamma > 0.0:
-            trace = evolve.noisy_closed_form(trace, cfg.gamma, m.dim)
-        return trace, None
-    if cfg.engine == "closed_form":
+            rows[:, 1:] = markov.propagate(l, p1, cfg.n_max - 1)
+        traces = [ProbabilityTrace(values=block) for block in rows]
+    else:
         kind = _ANALYTIC_KIND.get(cfg.model)
         if kind is None:
             raise ConfigError(
                 f"engine closed_form supports {sorted(_ANALYTIC_KIND)}, not {cfg.model!r}"
             )
-        trace = analytic.closed_form_trace(kind, tau, cfg.n_max)
-        if cfg.gamma > 0.0:
-            trace = evolve.noisy_closed_form(trace, cfg.gamma, m.dim)
-        return trace, None
-    if cfg.engine == "sample":
-        shot_cfg = sample.ShotConfig(
-            n_shots=cfg.shots,
-            seed=cfg.seed,
-            stream=tau_index,
-            n_max=cfg.n_max,
-            tau=tau,
-            gamma=cfg.gamma,
-        )
-        emp = sample.run_shots(m, shot_cfg)
-        return emp.trace(), emp.stderr
-    raise ConfigError(f"unknown engine {cfg.engine!r}")
-
-
-def cmd_simulate(cfg: RunConfig) -> dict:
-    m = _build_model(cfg.model)
-    taus = cfg.tau_grid()
-    if cfg.engine == "exact":
-        traces, stderrs = evolve.run_exact(m, taus, cfg.n_max, cfg.gamma), None
-    else:
-        pairs = [_trace_for(cfg, m, float(tau), i) for i, tau in enumerate(taus)]
-        traces = [trace for trace, _ in pairs]
-        stderrs = [err for _, err in pairs] if cfg.engine == "sample" else None
+        traces = [analytic.closed_form_trace(kind, float(tau), cfg.n_max) for tau in taus]
+    if cfg.engine in ("markov", "closed_form") and cfg.gamma > 0.0:
+        traces = [evolve.noisy_closed_form(t, cfg.gamma, m.dim) for t in traces]
 
     os.makedirs(cfg.out, exist_ok=True)
     key = f"{_model_key(cfg.model)}_{cfg.engine}"
@@ -362,7 +347,13 @@ def cmd_analyze(cfg: RunConfig) -> dict:
     per_tau = []
     for tau in cfg.tau_grid():
         tau = float(tau)
-        l = markov.build_transition_matrix(m, tau)
+        try:
+            l = markov.build_transition_matrix(m, tau)
+        except markov.AsymmetricKernelError as exc:
+            raise ConfigError(
+                f"analyze needs a symmetric kernel, but model {cfg.model!r} has a non-symmetric "
+                f"one at tau={tau!r}; simulate supports this model"
+            ) from exc
         spec = l.chain_spectrum
         report = markov.classify(l, h_blocks)
         stationary = markov.stationary_limit(l, p0)

@@ -1,13 +1,15 @@
 """Markov-chain reduction of the measurement protocol.
 
 Between consecutive measurements the outcome statistics follow a classical
-Markov chain whose kernel is the matrix of jump probabilities
-|<phi_k'| U(tau) |phi_k>|^2. For the models treated here that kernel is
-symmetric and doubly stochastic, so its spectrum is real, lies in [-1, 1],
-and always contains the eigenvalue 1 with the uniform eigenvector. The
-long-time regime is read off the spectrum: a unique unit eigenvalue gives
-uniform (infinite-temperature) mixing, a degenerate one preserves block
-weights, and an eigenvalue -1 makes the distribution oscillate forever.
+Markov chain with kernel L[k, k'] = |<phi_k'| U(tau) |phi_k>|^2 = P(k -> k').
+Distributions are row vectors and advance as p L. The kernel of a unitary is
+doubly stochastic but need not be symmetric (a Hamiltonian that is complex
+in the measurement basis breaks the symmetry), and the engines accept any
+such kernel. Only the spectral analysis requires a symmetric kernel: its
+spectrum is then real, lies in [-1, 1], and contains the eigenvalue 1 with
+the uniform eigenvector. A unique unit eigenvalue gives uniform
+(infinite-temperature) mixing, a degenerate one preserves block weights, and
+an eigenvalue -1 makes the distribution oscillate forever.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from . import linalg
 from .model import BlockStructure, Model
-from .traces import ProbabilityTrace
 
 STOCHASTIC_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
@@ -28,6 +29,20 @@ KIND_FROZEN = "frozen"
 KIND_OSCILLATORY = "oscillatory"
 KIND_INFINITE_TEMPERATURE = "infinite_temperature"
 KIND_PARTIAL = "partial"
+
+
+class AsymmetricKernelError(ValueError):
+    """A doubly stochastic kernel that is not symmetric, which the spectral analysis rejects."""
+
+
+def _check_doubly_stochastic(mat: np.ndarray) -> None:
+    """Reject a kernel, or a stack of kernels, that is not doubly stochastic."""
+    if np.min(mat) < -STOCHASTIC_TOL or np.max(mat) > 1.0 + STOCHASTIC_TOL:
+        raise ValueError("entries must be probabilities")
+    if np.max(np.abs(mat.sum(axis=-2) - 1.0)) > STOCHASTIC_TOL:
+        raise ValueError("columns must sum to 1")
+    if np.max(np.abs(mat.sum(axis=-1) - 1.0)) > STOCHASTIC_TOL:
+        raise ValueError("rows must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -46,14 +61,9 @@ class TransitionMatrix:
         mat = np.asarray(self.l, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("transition matrix must be square")
-        if np.min(mat) < -STOCHASTIC_TOL or np.max(mat) > 1.0 + STOCHASTIC_TOL:
-            raise ValueError("entries must be probabilities")
-        if np.max(np.abs(mat.sum(axis=0) - 1.0)) > STOCHASTIC_TOL:
-            raise ValueError("columns must sum to 1")
-        if np.max(np.abs(mat.sum(axis=1) - 1.0)) > STOCHASTIC_TOL:
-            raise ValueError("rows must sum to 1")
+        _check_doubly_stochastic(mat)
         if np.max(np.abs(mat - mat.T)) > STOCHASTIC_TOL:
-            raise ValueError("matrix must be symmetric")
+            raise AsymmetricKernelError("matrix must be symmetric")
         object.__setattr__(self, "l", mat)
 
     @property
@@ -93,46 +103,41 @@ class RegimeReport:
     details: str
 
 
-def propagator_in_measurement_basis(m: Model, tau: float) -> np.ndarray:
-    """U(tau) expressed in measurement coordinates.
+def _kernel(u_meas: np.ndarray) -> np.ndarray:
+    """Kernels L[..., k, k'] = |u_meas[..., k', k]|^2 of one U or a stack, rows normalised.
 
-    Computed from the block-by-block decomposition of V^dag H V
-    (``Model.measurement_eig``, cached on the model, so a tau sweep
-    diagonalizes once). Every entry of U that couples two blocks is a sum of
-    products with an exact zero factor, so it is exactly zero, and a dark
-    state's column is a pure phase on the diagonal.
+    Rounding leaves row sums a few ulp off 1, which propagate would compound
+    into a drift of the total probability. Cross-block entries of U are exact
+    zeros (``Model.measurement_eig``), so a dark row is an exact unit vector.
     """
-    return linalg.unitary_from_eig(m.measurement_eig, tau)
-
-
-def _kernel(u_meas: np.ndarray, tau: float) -> TransitionMatrix:
-    mat = np.abs(u_meas.T) ** 2  # [k, k'] = |u_meas[k', k]|^2
-    mat = mat / mat.sum(axis=0)
-    return TransitionMatrix(l=mat, tau=float(tau))
+    mat = np.abs(np.swapaxes(u_meas, -1, -2)) ** 2
+    return mat / mat.sum(axis=-1, keepdims=True)
 
 
 def build_transition_matrix(m: Model, tau: float) -> TransitionMatrix:
-    """Jump kernel L[k, k'] = |<phi_k'| U(tau) |phi_k>|^2 of a model.
+    """The kernel L(tau) of one grid point for the spectral analysis.
 
-    Each column is divided by its sum. Rounding leaves the sums a few ulp
-    off 1, and propagate would compound that over n steps into a visible
-    drift of the total probability. Dark columns are exact unit vectors and
-    divide by exactly 1.0, so dark populations stay pinned.
+    Raises AsymmetricKernelError unless the kernel is symmetric.
     """
-    return _kernel(propagator_in_measurement_basis(m, tau), tau)
+    u_meas = linalg.unitary_from_eig(m.measurement_eig, tau)
+    return TransitionMatrix(l=_kernel(u_meas), tau=float(tau))
 
 
-def first_cycle(m: Model, tau: float) -> tuple[np.ndarray, TransitionMatrix]:
-    """The first-cycle distribution p1 and the kernel L(tau), from one U(tau).
+def first_cycle(m: Model, taus) -> tuple[np.ndarray, np.ndarray]:
+    """(T, dim) first-cycle distributions p1 and (T, dim, dim) kernels L of a tau grid.
 
-    p1 = |U_meas V^dag psi|^2: the first evolution acts on the initial state
-    itself, so p1 keeps the coherences that the Born distribution p0 drops.
-    The chain only takes over after the first measurement: row n >= 1 of a
-    trace is L^(n-1) p1.
+    Both come from one batched U. p1 = |U_meas V^dag psi|^2 keeps the
+    coherences that the Born distribution p0 drops; row n >= 1 of a trace is
+    p1 L^(n-1). Raises ValueError unless every kernel is doubly stochastic.
     """
-    u_meas = propagator_in_measurement_basis(m, tau)
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1:
+        raise ValueError(f"taus must be a 1-D grid, got shape {taus.shape}")
+    u_meas = linalg.unitary_from_eig(m.measurement_eig, taus)
     psi_meas = linalg.adjoint(m.basis.v) @ m.initial_state
-    return np.abs(u_meas @ psi_meas) ** 2, _kernel(u_meas, tau)
+    l = _kernel(u_meas)
+    _check_doubly_stochastic(l)
+    return np.abs(u_meas @ psi_meas) ** 2, l
 
 
 def spectrum(l: TransitionMatrix) -> ChainSpectrum:
@@ -156,21 +161,26 @@ def power(l: TransitionMatrix, n: int) -> np.ndarray:
     return (spec.eigenvectors * spec.eigenvalues**n) @ spec.eigenvectors.T
 
 
-def propagate(l: TransitionMatrix, p0: np.ndarray, n: int) -> ProbabilityTrace:
-    """Outcome distributions L^m p0 for m = 0..n, by repeated application."""
+def propagate(l: np.ndarray, p0: np.ndarray, n: int) -> np.ndarray:
+    """Rows p0 L^m, m = 0..n, for (..., dim) row vectors and (..., dim, dim) kernels.
+
+    Returns shape (..., n + 1, dim); each step is one batched product.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    p = np.asarray(p0, dtype=float).reshape(-1)
-    if p.shape[0] != l.dim:
-        raise ValueError("p0 has wrong length")
-    if np.min(p) < -STOCHASTIC_TOL or abs(p.sum() - 1.0) > STOCHASTIC_TOL:
+    l = np.asarray(l, dtype=float)
+    p = np.asarray(p0, dtype=float)
+    if l.shape != p.shape + p.shape[-1:]:
+        raise ValueError(f"p0 of shape {p.shape} does not match kernels of shape {l.shape}")
+    if np.min(p) < -STOCHASTIC_TOL or np.max(np.abs(p.sum(axis=-1) - 1.0)) > STOCHASTIC_TOL:
         raise ValueError("p0 is not a probability vector")
-    rows = np.empty((n + 1, l.dim), dtype=float)
-    rows[0] = p
+    rows = np.empty((*p.shape[:-1], n + 1, p.shape[-1]), dtype=float)
+    rows[..., 0, :] = p
+    p = p[..., None, :]
     for m in range(1, n + 1):
-        p = l.l @ p
-        rows[m] = p
-    return ProbabilityTrace(values=rows)
+        p = p @ l
+        rows[..., m, :] = p[..., 0, :]
+    return rows
 
 
 def classify(

@@ -14,6 +14,7 @@ models.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
@@ -99,6 +100,11 @@ class Model:
         h = linalg.require_hermitian(self.hamiltonian)
         if h.shape[0] != self.dim or self.basis.dim != self.dim:
             raise ValueError("inconsistent dimensions")
+        # By Gershgorin every eigenvalue of V^dag H V is at most dim * max|H_ij|, so
+        # this keeps every sum in V^dag H V and every phase lambda tau (tau <= 2 pi) finite.
+        scale = 4.0 * math.pi * self.dim * float(np.max(np.abs(h)))
+        if not math.isfinite(scale):
+            raise ValueError(f"Hamiltonian entries overflow: 4 pi dim max|H_ij| = {scale}")
         psi = np.asarray(self.initial_state, dtype=complex).reshape(-1)
         if psi.shape[0] != self.dim:
             raise ValueError("initial state has wrong length")

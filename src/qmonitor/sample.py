@@ -12,11 +12,11 @@ immediately in the same basis). run_shots draws the counts directly. This
 has the same joint law as walking every shot, at a cost independent of
 n_shots; single shots are never materialised.
 
-Randomness comes from numpy's counter-based Philox generator. A run at one
-grid point is keyed by (seed, stream), where stream is the tau index: its
-generator is Generator(Philox(key = seed * 2^64 + stream)), so different
-grid points of one run and different seeds never share a stream. Within
-that generator the draw order is fixed:
+Randomness comes from numpy's counter-based Philox generator. Grid point i
+of a run is keyed by (seed, i): its generator is
+Generator(Philox(key = seed * 2^64 + i)), so different grid points of one
+run and different seeds never share a stream. Within that generator the draw
+order is fixed:
 
 - row 0: Multinomial(n_shots, p0), an independent measurement of the bare
   initial state;
@@ -24,10 +24,10 @@ that generator the draw order is fixed:
 - each later cycle: one multinomial(counts[n - 1], K) call, summed over the
   previous outcome.
 
-p0 is the Born law of the initial state; p1 and L come from one
-markov.first_cycle call. Reruns with one seed are byte-identical within one
-numpy version only, since NEP 19 does not promise stable
-Generator.multinomial streams across versions.
+p0 is the Born law of the initial state; the stacks of p1 and L come from
+one markov.first_cycle call over the whole grid. Reruns with one seed are
+byte-identical within one numpy version only, since NEP 19 does not promise
+stable Generator.multinomial streams across versions.
 """
 
 from __future__ import annotations
@@ -50,15 +50,11 @@ class ShotConfig:
     n_shots: int
     seed: int
     n_max: int
-    tau: float
     gamma: float = 0.0
-    stream: int = 0
 
     def __post_init__(self):
         if not 0 <= self.seed < _WORD:
             raise ValueError("seed must lie in [0, 2**64)")
-        if not 0 <= self.stream < _WORD:
-            raise ValueError("stream must lie in [0, 2**64)")
         if self.n_shots < 1:
             raise ValueError("n_shots must be >= 1")
         if self.n_max < 0:
@@ -86,9 +82,9 @@ class EmpiricalTrace:
         return ProbabilityTrace(values=self.probabilities)
 
 
-def _philox(cfg: ShotConfig) -> np.random.Philox:
+def _philox(seed: int, stream: int) -> np.random.Philox:
     """The bit generator of key (seed, stream), at counter 0."""
-    return np.random.Philox(key=int(cfg.seed) * _WORD + int(cfg.stream))
+    return np.random.Philox(key=int(seed) * _WORD + int(stream))
 
 
 def _pvals(p: np.ndarray) -> np.ndarray:
@@ -102,26 +98,31 @@ def _pvals(p: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def run_shots(m: Model, cfg: ShotConfig) -> EmpiricalTrace:
-    """Per-cycle outcome counts of cfg.n_shots independent trajectories.
+def run_shots(m: Model, taus, cfg: ShotConfig) -> list[EmpiricalTrace]:
+    """Per-cycle outcome counts of cfg.n_shots trajectories, one EmpiricalTrace per tau.
 
-    Deterministic given (cfg.seed, cfg.stream) and the numpy version: the
-    counts are drawn from the count chain in the order the module docstring
+    Deterministic given cfg.seed, the grid and the numpy version: grid point
+    i draws from the stream (cfg.seed, i) in the order the module docstring
     fixes.
     """
     gamma, dim = cfg.gamma, m.dim
-    p0 = evolve.born_probabilities(m.initial_state, m.basis)
-    p1, l = markov.first_cycle(m, cfg.tau)
-    rng = np.random.Generator(_philox(cfg))
+    p0 = _pvals(evolve.born_probabilities(m.initial_state, m.basis))
+    p1, l = markov.first_cycle(m, taus)
+    first = _pvals((1.0 - gamma) * p1 + gamma / dim)
+    kernels = _pvals((1.0 - gamma) * l + gamma / dim)
 
-    counts = np.zeros((cfg.n_max + 1, dim), dtype=np.int64)
-    counts[0] = rng.multinomial(cfg.n_shots, _pvals(p0))
-    if cfg.n_max > 0:
-        counts[1] = rng.multinomial(cfg.n_shots, _pvals((1.0 - gamma) * p1 + gamma / dim))
-    kernel = _pvals((1.0 - gamma) * l.l + gamma / dim)
-    for n in range(2, cfg.n_max + 1):
-        counts[n] = rng.multinomial(counts[n - 1], kernel).sum(axis=0)
+    counts = np.zeros((len(kernels), cfg.n_max + 1, dim), dtype=np.int64)
+    for i, (c, p1_i, kernel) in enumerate(zip(counts, first, kernels)):
+        rng = np.random.Generator(_philox(cfg.seed, i))
+        c[0] = rng.multinomial(cfg.n_shots, p0)
+        if cfg.n_max > 0:
+            c[1] = rng.multinomial(cfg.n_shots, p1_i)
+        for n in range(2, cfg.n_max + 1):
+            c[n] = rng.multinomial(c[n - 1], kernel).sum(axis=0)
 
     probs = counts / float(cfg.n_shots)
     stderr = np.sqrt(probs * (1.0 - probs) / cfg.n_shots)
-    return EmpiricalTrace(counts=counts, n_shots=cfg.n_shots, probabilities=probs, stderr=stderr)
+    return [
+        EmpiricalTrace(counts=c, n_shots=cfg.n_shots, probabilities=p, stderr=e)
+        for c, p, e in zip(counts, probs, stderr)
+    ]

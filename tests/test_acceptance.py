@@ -31,7 +31,7 @@ def _engines(m, tau: float, n_max: int):
     exact = evolve.run_exact(m, [tau], n_max)[0].values
     l = markov.build_transition_matrix(m, tau)
     p0 = evolve.born_probabilities(m.initial_state, m.basis)
-    chain = markov.propagate(l, p0, n_max).values
+    chain = markov.propagate(l.l, p0, n_max)
     return exact, chain
 
 
@@ -88,7 +88,7 @@ def test_criterion_2_singlet_triplet():
         )
     # asymptotics at tau = pi/4, n = 50
     l = markov.build_transition_matrix(m, math.pi / 4)
-    far = markov.propagate(l, [1.0, 0.0, 0.0, 0.0], 50).values[50]
+    far = markov.propagate(l.l, [1.0, 0.0, 0.0, 0.0], 50)[50]
     _expect(
         failures,
         float(np.max(np.abs(far - [1 / 3, 1 / 3, 0.0, 1 / 3]))) < 1e-6,
@@ -229,10 +229,9 @@ def test_criterion_6_gamma_recovery():
                     n_shots=n_shots,
                     seed=100000 * (seed + 1) + i,
                     n_max=n_max,
-                    tau=tau,
                     gamma=gamma_true,
                 )
-                measured[tau] = sample.run_shots(m, cfg).trace()
+                measured[tau] = sample.run_shots(m, [tau], cfg)[0].trace()
             fit = noisefit.fit_gamma(
                 noisefit.tau_average(measured), reference, m.dim, (1, n_max)
             )
@@ -281,10 +280,8 @@ def test_criterion_8_monte_carlo_fidelity():
     for name in ("single_qubit", "two_qubit_singlet_triplet", "two_qubit_bell"):
         m = model.build_model(name)
         for k, tau in enumerate(TAU_GRID_33):
-            cfg = sample.ShotConfig(
-                n_shots=n_shots, seed=777000 + k, n_max=n_max, tau=tau, gamma=0.0
-            )
-            emp = sample.run_shots(m, cfg)
+            cfg = sample.ShotConfig(n_shots=n_shots, seed=777000 + k, n_max=n_max, gamma=0.0)
+            emp = sample.run_shots(m, [tau], cfg)[0]
             exact = evolve.run_exact(m, [tau], n_max, 0.0)[0].values
             clipped = np.clip(exact, 0.0, 1.0)
             se = np.sqrt(clipped * (1.0 - clipped) / n_shots)

@@ -144,14 +144,14 @@ class TestOracleEquivalence:
             exact = evolve.run_exact(m, [tau], n_max)[0].values
             l = markov.build_transition_matrix(m, tau)
             p0 = evolve.born_probabilities(m.initial_state, m.basis)
-            chain = markov.propagate(l, p0, n_max).values
+            chain = markov.propagate(l.l, p0, n_max)
             assert np.max(np.abs(closed - chain)) < 1e-10
             assert np.max(np.abs(closed - exact)) < 1e-10
 
     def test_magnetization_matches_markov(self, single_qubit):
         for tau in GRID_TAU:
             l = markov.build_transition_matrix(single_qubit, tau)
-            chain = markov.propagate(l, [1.0, 0.0], 32).values
+            chain = markov.propagate(l.l, [1.0, 0.0], 32)
             mags = chain[:, 0] - chain[:, 1]
             expected = [analytic.magnetization_single_qubit(n, tau) for n in GRID_N]
             assert np.max(np.abs(mags - expected)) < 1e-12

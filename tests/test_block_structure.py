@@ -73,7 +73,7 @@ def test_block_decomposition_reconstructs_and_zeroes_cross_block_propagator(case
     h_meas = model.hamiltonian_in_basis(m)
     assert np.max(np.abs((w * dec.eigenvalues) @ w.conj().T - h_meas)) < 1e-12
 
-    u = markov.propagator_in_measurement_basis(m, tau)
+    u = linalg.unitary_from_eig(m.measurement_eig, tau)
     assert np.all(u[ids[:, None] != ids[None, :]] == 0.0)
 
 

@@ -198,6 +198,23 @@ class TestSimulate:
         model_file.write_text(json.dumps(spec))
         assert run(["simulate", "--model", model_file, "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--engine", engine] for engine in cli.ENGINES] + [["analyze"]],
+        ids=[*cli.ENGINES, "analyze"],
+    )
+    def test_overflowing_hamiltonian_is_config_error(self, tmp_path, argv):
+        model_file = tmp_path / "m.json"
+        model_file.write_text(
+            json.dumps(
+                {
+                    "hamiltonian": {"re": [[0.0, 1e308], [1e308, 0.0]]},
+                    "initial_state": {"re": [1.0, 0.0]},
+                }
+            )
+        )
+        assert run([*argv, "--model", model_file, "--out", tmp_path]) == 2
+
     def test_bad_tau_grid(self, tmp_path):
         assert run(["simulate", "--tau-stop", 9.0, "--out", tmp_path]) == 2
 
@@ -284,6 +301,30 @@ class TestAnalyze:
         )
         report = json.loads((tmp_path / "analyze_two_qubit_bell.json").read_text())
         assert report["results"]["per_tau"][0]["regime"] == "frozen"
+
+
+class TestComplexRing:
+    """A 3-site ring with hopping e^{0.6 i}, started on site 0. Its kernel is
+    doubly stochastic but not symmetric, and read as the transposed law, it
+    missed the exact engine by 0.95."""
+
+    RING = DATA / "ring3_complex.json"
+
+    def test_markov_matches_exact(self, tmp_path):
+        values = {}
+        for engine in ("exact", "markov"):
+            args = ["simulate", "--model", self.RING, "--engine", engine,
+                    "--tau-count", 33, "--n-max", 32, "--out", tmp_path]
+            assert run(args) == 0
+            _, rows = read_csv(tmp_path / f"ring3_complex_{engine}.csv")
+            values[engine] = np.array(rows, dtype=float)
+        assert values["exact"].shape == (33 * 33, 5)
+        assert np.max(np.abs(values["exact"] - values["markov"])) <= 1e-12
+
+    def test_analyze_is_config_error(self, tmp_path, capsys):
+        assert run(["analyze", "--model", self.RING, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert "ring3_complex.json" in err and "tau=" in err and "simulate" in err
 
 
 class TestFitNoise:
@@ -552,9 +593,9 @@ def test_nan_probabilities_rejected_by_parser(tmp_path):
 
 class TestMarkovRowSums:
     """Block-diagonal real H (blocks 5,2,1 and 13,2,1, last state dark) in a
-    random orthogonal basis. Without normalized kernel columns, rounding in
-    the column sums compounded over 256 steps to a total-probability drift
-    above 1e-12 on both models, and the markov engine exited with code 4.
+    random orthogonal basis. Without normalized kernel rows, rounding in the
+    row sums compounded over 256 steps to a total-probability drift above
+    1e-12 on both models, and the markov engine exited with code 4.
     """
 
     @pytest.mark.parametrize("name", ["chain_dim8_seed67", "chain_dim16_seed0"])
@@ -574,10 +615,11 @@ class TestMarkovRowSums:
 
 class TestSampleOnFixtures:
     """The dimension-16 fixture's Born law peaks at 1.0000000000000009, which
-    Generator.multinomial rejects unless the sampler clips and renormalises."""
+    Generator.multinomial rejects unless the sampler clips and renormalises.
+    The ring's kernel is not symmetric."""
 
     @pytest.mark.parametrize("gamma", [0.0, 0.05])
-    @pytest.mark.parametrize("name", ["chain_dim8_seed67", "chain_dim16_seed0"])
+    @pytest.mark.parametrize("name", ["chain_dim8_seed67", "chain_dim16_seed0", "ring3_complex"])
     def test_sample_engine_runs_within_five_sigma_and_reruns(self, tmp_path, name, gamma):
         args = [
             "simulate",
@@ -620,9 +662,9 @@ class TestSampleStreams:
         seen = {}
         real = sample._philox
 
-        def record(cfg):
-            seen[(cfg.seed, cfg.stream)] = np.random.Generator(real(cfg)).random(8)
-            return real(cfg)
+        def record(seed, stream):
+            seen[(seed, stream)] = np.random.Generator(real(seed, stream)).random(8)
+            return real(seed, stream)
 
         monkeypatch.setattr(sample, "_philox", record)
         for seed in (7, 8):

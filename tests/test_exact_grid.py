@@ -4,11 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qmonitor import cli, evolve, linalg, markov, model
 from qmonitor.traces import ProbabilityTrace
 
-from conftest import ALL_MODEL_NAMES, three_level_model
+from conftest import ALL_MODEL_NAMES, taus, three_level_model
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,39 +54,70 @@ class TestGridAgreement:
             assert np.max(np.abs(trace.values - expected)) < 1e-12
 
     def test_matches_first_cycle_then_chain(self, m, grid, gamma):
-        # The complex three-level kernel is doubly stochastic but not symmetric,
-        # which TransitionMatrix rejects, so the chain is iterated here directly.
         traces = evolve.run_exact(m, grid, N_MAX, gamma)
-        p0 = evolve.born_probabilities(m.initial_state, m.basis)
-        psi_meas = m.basis.v.conj().T @ m.initial_state
-        for tau, trace in zip(grid, traces):
-            u_meas = markov.propagator_in_measurement_basis(m, tau)
-            kernel = np.abs(u_meas) ** 2  # [k', k] = |<phi_k'|U|phi_k>|^2
-            rows = [p0, np.abs(u_meas @ psi_meas) ** 2]
-            for _ in range(N_MAX - 1):
-                rows.append(kernel @ rows[-1])
-            chain = evolve.noisy_closed_form(ProbabilityTrace(values=np.array(rows)), gamma, m.dim)
-            assert np.max(np.abs(trace.values - chain.values)) < 1e-12
+        assert np.max(np.abs(np.array([t.values for t in traces]) - chain(m, grid, gamma))) < 1e-12
 
 
-# every model except the complex three-level one, whose kernel is not symmetric
-@pytest.mark.parametrize("m", MODELS[:3] + MODELS[4:], ids=MODEL_IDS[:3] + MODEL_IDS[4:])
-@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
-@pytest.mark.parametrize("gamma", [0.0, 0.05])
-def test_matches_the_markov_module(m, grid, gamma):
+def chain(m, grid, gamma):
+    """The (T, N_MAX + 1, dim) rows p0, then p1 L^(n-1), through the markov module."""
+    p1, l = markov.first_cycle(m, grid)
+    rows = np.empty((len(grid), N_MAX + 1, m.dim))
+    rows[:, 0] = evolve.born_probabilities(m.initial_state, m.basis)
+    rows[:, 1:] = markov.propagate(l, p1, N_MAX - 1)
+    return np.array(
+        [evolve.noisy_closed_form(ProbabilityTrace(values=b), gamma, m.dim).values for b in rows]
+    )
+
+
+@pytest.mark.parametrize("m", MODELS, ids=MODEL_IDS)
+def test_grid_kernels_are_bitwise_the_per_point_kernels(m):
+    """analyze builds L(tau) from a scalar U(tau); the engines slice it from the grid's stack."""
+    grid = GRIDS["grid"]
+    _, l = markov.first_cycle(m, grid)
+    for i, tau in enumerate(grid):
+        assert np.array_equal(l[i], markov._kernel(linalg.unitary_from_eig(m.measurement_eig, tau)))
+
+
+_unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_models(draw, max_dim: int = 6):
+    """Random Hermitian H, a random unitary V = exp(-i G) and a random initial state."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+
+    def hermitian():
+        a = np.array(draw(st.lists(_unit, min_size=n * n, max_size=n * n))).reshape(n, n)
+        b = np.array(draw(st.lists(_unit, min_size=n * n, max_size=n * n))).reshape(n, n)
+        return ((a + 1j * b) + (a + 1j * b).conj().T) / 2.0
+
+    h = hermitian()
+    v = linalg.unitary_from_hamiltonian(hermitian(), 1.0)
+    psi = np.array(draw(st.lists(_unit, min_size=2 * n, max_size=2 * n))).view(complex)
+    assume(np.linalg.norm(psi) > 0.1)
+    basis = model.MeasurementBasis(dim=n, v=v, labels=tuple(f"s{k}" for k in range(n)))
+    return model.Model(dim=n, hamiltonian=h, basis=basis, initial_state=psi / np.linalg.norm(psi))
+
+
+@given(random_models(), st.lists(taus, min_size=1, max_size=4), st.sampled_from([0.0, 0.05]))
+@settings(max_examples=60, deadline=None)
+def test_random_models_exact_is_first_cycle_then_chain(m, grid, gamma):
+    _, l = markov.first_cycle(m, grid)
+    assert np.max(np.abs(l.sum(axis=-1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(l.sum(axis=-2) - 1.0)) <= 1e-12
+    assert l.min() >= 0.0 and l.max() <= 1.0 + 1e-12
     traces = evolve.run_exact(m, grid, N_MAX, gamma)
-    p0 = evolve.born_probabilities(m.initial_state, m.basis)
-    for tau, trace in zip(grid, traces):
-        p1, l = markov.first_cycle(m, tau)
-        rows = np.vstack([p0, markov.propagate(l, p1, N_MAX - 1).values])
-        chain = evolve.noisy_closed_form(ProbabilityTrace(values=rows), gamma, m.dim)
-        assert np.max(np.abs(trace.values - chain.values)) < 1e-12
+    assert np.max(np.abs(np.array([t.values for t in traces]) - chain(m, grid, gamma))) < 1e-12
 
 
 class TestGridShape:
     def test_rejects_a_scalar_tau(self, single_qubit):
         with pytest.raises(ValueError, match="1-D"):
             evolve.run_exact(single_qubit, 0.5, 4)
+
+    def test_first_cycle_rejects_a_scalar_tau(self, single_qubit):
+        with pytest.raises(ValueError, match="1-D"):
+            markov.first_cycle(single_qubit, 0.5)
 
     def test_n_max_zero_gives_the_born_row_everywhere(self, bell):
         traces = evolve.run_exact(bell, [0.0, 0.9, 2.0], 0)

@@ -153,6 +153,25 @@ class TestValidation:
                 initial_state=np.array([1.0, 1.0]),
             )
 
+    def test_overflowing_hamiltonian(self):
+        # 4 pi dim max|H_ij| must be finite: 4 pi * 2 * 1e308 is not
+        with pytest.raises(ValueError, match="overflow"):
+            model.Model(
+                dim=2,
+                hamiltonian=1e308 * model.pauli("x"),
+                basis=model.computational_basis(2),
+                initial_state=np.array([1.0, 0.0]),
+            )
+
+    def test_large_finite_hamiltonian_is_accepted(self):
+        m = model.Model(
+            dim=2,
+            hamiltonian=1e306 * model.pauli("x"),
+            basis=model.computational_basis(2),
+            initial_state=np.array([1.0, 0.0]),
+        )
+        assert np.all(np.isfinite(linalg.unitary_from_eig(m.measurement_eig, 2.0 * np.pi)))
+
     def test_non_unitary_basis(self):
         with pytest.raises(ValueError, match="unitary"):
             model.MeasurementBasis(dim=2, v=np.ones((2, 2)), labels=("a", "b"))

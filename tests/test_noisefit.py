@@ -82,8 +82,8 @@ class TestFitGamma:
         taus = [k * math.pi / 16 for k in range(17)]
         measured = {}
         for i, tau in enumerate(taus):
-            c = sample.ShotConfig(n_shots=8192, seed=300 + i, n_max=n_max, tau=tau, gamma=gamma_true)
-            measured[tau] = sample.run_shots(singlet_triplet, c).trace()
+            c = sample.ShotConfig(n_shots=8192, seed=300 + i, n_max=n_max, gamma=gamma_true)
+            measured[tau] = sample.run_shots(singlet_triplet, [tau], c)[0].trace()
         avg = noisefit.tau_average(measured)
         reference = noisefit.tau_average(exact_traces(singlet_triplet, taus, n_max, 0.0))
         fit = noisefit.fit_gamma(avg, reference, 4, (1, n_max))

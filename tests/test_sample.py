@@ -9,9 +9,14 @@ from conftest import all_models
 
 
 def cfg(**kw):
-    base = dict(n_shots=2048, seed=11, n_max=16, tau=0.7, gamma=0.0)
+    base = dict(n_shots=2048, seed=11, n_max=16, gamma=0.0)
     base.update(kw)
     return sample.ShotConfig(**base)
+
+
+def shots(m, tau=0.7, **kw):
+    """run_shots on the one-point grid [tau], which samples the stream (seed, 0)."""
+    return sample.run_shots(m, [tau], cfg(**kw))[0]
 
 
 def empirical_magnetization(t: sample.EmpiricalTrace) -> np.ndarray:
@@ -21,7 +26,7 @@ def empirical_magnetization(t: sample.EmpiricalTrace) -> np.ndarray:
     return t.probabilities[:, 0] - t.probabilities[:, 1]
 
 
-def walk_shots(m, c: sample.ShotConfig) -> np.ndarray:
+def walk_shots(m, tau, c: sample.ShotConfig) -> np.ndarray:
     """Per-shot reference sampler: counts[n, k] from walking every shot.
 
     Each shot measures the bare initial state (row 0, an independent draw),
@@ -31,11 +36,11 @@ def walk_shots(m, c: sample.ShotConfig) -> np.ndarray:
     previous outcome. The stream is numpy's default generator, unrelated to
     run_shots' Philox key, so the two samplers agree only in law.
     """
-    rng = np.random.default_rng([c.seed, c.stream])
+    rng = np.random.default_rng([c.seed, 0])
     dim = m.dim
     cum_p0 = np.cumsum(evolve.born_probabilities(m.initial_state, m.basis))
-    p1, l = markov.first_cycle(m, c.tau)
-    cum_p1, cum_rows = np.cumsum(p1), np.cumsum(l.l, axis=1)
+    p1, l = markov.first_cycle(m, [tau])
+    cum_p1, cum_rows = np.cumsum(p1[0]), np.cumsum(l[0], axis=1)
 
     def pick(cum, u):
         return min(int(np.searchsorted(cum, u, side="right")), dim - 1)
@@ -54,18 +59,18 @@ def walk_shots(m, c: sample.ShotConfig) -> np.ndarray:
     return counts
 
 
-def chain_moments(m, c: sample.ShotConfig):
+def chain_moments(m, tau, c: sample.ShotConfig):
     """Exact per-shot outcome laws p[n] and one-cycle kernel K of a shot.
 
     Row 0 is the Born law p0, row 1 is (1 - gamma) p1 + gamma / dim, and
     row n + 1 is p[n] K with K = (1 - gamma) L + gamma J / dim.
     """
     dim = m.dim
-    p1, l = markov.first_cycle(m, c.tau)
-    kernel = (1.0 - c.gamma) * l.l + c.gamma / dim
+    p1, l = markov.first_cycle(m, [tau])
+    kernel = (1.0 - c.gamma) * l[0] + c.gamma / dim
     rows = [evolve.born_probabilities(m.initial_state, m.basis)]
     if c.n_max > 0:
-        rows.append((1.0 - c.gamma) * p1 + c.gamma / dim)
+        rows.append((1.0 - c.gamma) * p1[0] + c.gamma / dim)
     while len(rows) < c.n_max + 1:
         rows.append(rows[-1] @ kernel)
     return np.array(rows), kernel
@@ -117,7 +122,8 @@ class TestShotConfig:
         with pytest.raises(ValueError):
             cfg(gamma=1.5)
 
-    @pytest.mark.parametrize("field", ["seed", "stream"])
+    # the stream word is the grid index, so only the seed can overflow the key
+    @pytest.mark.parametrize("field", ["seed"])
     def test_key_words_must_fit_64_bits(self, field):
         for bad in (-1, 2**64):
             with pytest.raises(ValueError):
@@ -129,83 +135,84 @@ class TestExactCases:
     """Counts that the physics fixes exactly, whatever the draws."""
 
     def test_zeno_frozen(self, single_qubit):
-        emp = sample.run_shots(single_qubit, cfg(tau=0.0, seed=1))
+        emp = shots(single_qubit, tau=0.0, seed=1)
         assert np.array_equal(emp.counts, np.tile([2048, 0], (17, 1)))
 
     def test_resonance_alternates(self, single_qubit):
-        emp = sample.run_shots(single_qubit, cfg(tau=np.pi, seed=1))
+        emp = shots(single_qubit, tau=np.pi, seed=1)
         expected = np.array([[2048, 0], [0, 2048]] * 8 + [[2048, 0]])
         assert np.array_equal(emp.counts, expected)
 
     def test_singlet_never_sampled(self, singlet_triplet):
-        for stream in range(16):
-            emp = sample.run_shots(singlet_triplet, cfg(tau=0.9, n_max=24, seed=5, stream=stream))
+        # sixteen grid points at one tau sample the streams (5, 0) .. (5, 15)
+        for emp in sample.run_shots(singlet_triplet, [0.9] * 16, cfg(n_max=24, seed=5)):
             assert np.array_equal(emp.counts[:, 2], np.zeros(25, dtype=np.int64))
 
     def test_n_max_zero_is_the_born_row(self, bell):
-        emp = sample.run_shots(bell, cfg(n_max=0, gamma=0.3))
+        emp = shots(bell, n_max=0, gamma=0.3)
         assert emp.counts.shape == (1, 4)
         assert emp.counts.sum() == 2048
 
 
 class TestRunShots:
     def test_deterministic(self, bell):
-        a = sample.run_shots(bell, cfg())
-        b = sample.run_shots(bell, cfg())
+        a = shots(bell)
+        b = shots(bell)
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.probabilities, b.probabilities)
         assert np.array_equal(a.stderr, b.stderr)
 
     def test_seed_changes_counts(self, bell):
-        a = sample.run_shots(bell, cfg(seed=1))
-        b = sample.run_shots(bell, cfg(seed=2))
+        a = shots(bell, seed=1)
+        b = shots(bell, seed=2)
         assert not np.array_equal(a.counts, b.counts)
 
     def test_rows_sum_to_n_shots(self, singlet_triplet):
-        emp = sample.run_shots(singlet_triplet, cfg(gamma=0.12))
+        emp = shots(singlet_triplet, gamma=0.12)
         assert np.all(emp.counts.sum(axis=1) == 2048)
 
     def test_draw_order(self, bell):
-        """One Generator(Philox(seed * 2^64 + stream)) draws row 0, cycle 1,
-        then one multinomial per later cycle on the previous counts."""
-        c = cfg(n_shots=512, n_max=6, tau=1.1, gamma=0.25, seed=2**64 - 1, stream=5)
-        p, kernel = chain_moments(bell, c)
+        """Grid point i draws from one Generator(Philox(seed * 2^64 + i)): row 0,
+        cycle 1, then one multinomial per later cycle on the previous counts."""
+        c = cfg(n_shots=512, n_max=6, gamma=0.25, seed=2**64 - 1)
+        p, kernel = chain_moments(bell, 1.1, c)
         rng = np.random.Generator(np.random.Philox(key=(2**64 - 1) * 2**64 + 5))
         rows = [rng.multinomial(512, p[0] / p[0].sum()), rng.multinomial(512, p[1] / p[1].sum())]
         for _ in range(5):
             rows.append(rng.multinomial(rows[-1], kernel / kernel.sum(axis=1, keepdims=True)).sum(axis=0))
-        assert np.array_equal(sample.run_shots(bell, c).counts, np.array(rows))
+        grid = [0.3, 0.9, 1.7, 2.2, 2.9, 1.1]
+        assert np.array_equal(sample.run_shots(bell, grid, c)[5].counts, np.array(rows))
 
     def test_half_pi_single_cycle(self, single_qubit):
-        emp = sample.run_shots(single_qubit, cfg(n_shots=8192, tau=np.pi / 2, n_max=1, seed=3))
+        emp = shots(single_qubit, tau=np.pi / 2, n_shots=8192, n_max=1, seed=3)
         bound = 5 * np.sqrt(0.25 / 8192)
         assert abs(emp.probabilities[1, 0] - 0.5) < bound
 
     def test_full_depolarization_uniform(self, bell):
-        emp = sample.run_shots(bell, cfg(n_shots=8192, gamma=1.0, n_max=8, seed=17))
+        emp = shots(bell, n_shots=8192, gamma=1.0, n_max=8, seed=17)
         se = np.sqrt(0.25 * 0.75 / 8192)
         assert np.max(np.abs(emp.probabilities[1:] - 0.25)) < 5 * se
 
     def test_singlet_column_exactly_empty(self, singlet_triplet):
-        emp = sample.run_shots(singlet_triplet, cfg(n_shots=4096, tau=0.9, seed=29))
+        emp = shots(singlet_triplet, tau=0.9, n_shots=4096, seed=29)
         assert np.array_equal(emp.counts[:, 2], np.zeros(17, dtype=np.int64))
 
 
 class TestEmpiricalMagnetization:
     def test_all_zeros(self, single_qubit):
-        emp = sample.run_shots(single_qubit, cfg(tau=0.0))
+        emp = shots(single_qubit, tau=0.0)
         assert np.array_equal(empirical_magnetization(emp), np.ones(17))
 
     def test_resonance(self, single_qubit):
-        emp = sample.run_shots(single_qubit, cfg(tau=np.pi, n_max=9))
+        emp = shots(single_qubit, tau=np.pi, n_max=9)
         assert np.array_equal(empirical_magnetization(emp), (-1.0) ** np.arange(10))
 
     def test_relaxed_is_small(self, single_qubit):
-        emp = sample.run_shots(single_qubit, cfg(n_shots=8192, tau=np.pi / 2, n_max=20, seed=31))
+        emp = shots(single_qubit, tau=np.pi / 2, n_shots=8192, n_max=20, seed=31)
         assert abs(empirical_magnetization(emp)[20]) < 5 / np.sqrt(8192)
 
     def test_needs_two_states(self, bell):
-        emp = sample.run_shots(bell, cfg(n_max=2))
+        emp = shots(bell, n_max=2)
         with pytest.raises(ValueError):
             empirical_magnetization(emp)
 
@@ -222,25 +229,26 @@ class TestCountChainLaw:
 
     @pytest.mark.parametrize("n_shots", [64, 4096])
     def test_run_shots_moments(self, bell, n_shots):
-        base = cfg(n_shots=n_shots, n_max=5, tau=1.1, gamma=0.25)
-        p, kernel = chain_moments(bell, base)
+        base = cfg(n_shots=n_shots, n_max=5, gamma=0.25)
+        p, kernel = chain_moments(bell, 1.1, base)
         counts = np.array(
-            [sample.run_shots(bell, replace(base, seed=1000 + s)).counts for s in range(2000)]
+            [sample.run_shots(bell, [1.1], replace(base, seed=1000 + s))[0].counts
+             for s in range(2000)]
         )
         for name, z in moment_zscores(counts, p, kernel, n_shots).items():
             assert np.max(np.abs(z)) <= Z_BOUND, name
 
     def test_per_shot_walk_moments(self, bell):
-        base = cfg(n_shots=64, n_max=4, tau=1.1, gamma=0.25)
-        p, kernel = chain_moments(bell, base)
-        counts = np.array([walk_shots(bell, replace(base, seed=s)) for s in range(400)])
+        base = cfg(n_shots=64, n_max=4, gamma=0.25)
+        p, kernel = chain_moments(bell, 1.1, base)
+        counts = np.array([walk_shots(bell, 1.1, replace(base, seed=s)) for s in range(400)])
         for name, z in moment_zscores(counts, p, kernel, 64).items():
             assert np.max(np.abs(z)) <= Z_BOUND, name
 
     def test_independent_redraw_fails_the_covariance_check(self, bell):
         """The lag-1 check has power: per-cycle independent multinomials fail it."""
-        base = cfg(n_shots=4096, n_max=5, tau=1.1, gamma=0.25)
-        p, kernel = chain_moments(bell, base)
+        base = cfg(n_shots=4096, n_max=5, gamma=0.25)
+        p, kernel = chain_moments(bell, 1.1, base)
         rng = np.random.default_rng(3)
         counts = np.array([[rng.multinomial(4096, row) for row in p] for _ in range(2000)])
         z = moment_zscores(counts, p, kernel, 4096)
@@ -257,10 +265,8 @@ class TestMarginalCorrectness:
         for m in all_models():
             for tau in (0.3 * np.pi, 0.7 * np.pi):
                 for gamma in (0.0, 0.12):
-                    c = sample.ShotConfig(
-                        n_shots=n_shots, seed=97, n_max=n_max, tau=tau, gamma=gamma
-                    )
-                    emp = sample.run_shots(m, c)
+                    c = sample.ShotConfig(n_shots=n_shots, seed=97, n_max=n_max, gamma=gamma)
+                    emp = sample.run_shots(m, [tau], c)[0]
                     exact = evolve.run_exact(m, [tau], n_max, gamma)[0].values
                     clipped = np.clip(exact, 0.0, 1.0)
                     se = np.sqrt(clipped * (1.0 - clipped) / n_shots)
@@ -273,8 +279,8 @@ class TestMarginalCorrectness:
 
     def test_depolarizing_consistency(self, bell):
         # per-cycle uniform replacement reproduces the noisy closed form
-        c = cfg(n_shots=8192, tau=1.0, n_max=16, gamma=0.2, seed=41)
-        emp = sample.run_shots(bell, c)
+        c = cfg(n_shots=8192, n_max=16, gamma=0.2, seed=41)
+        emp = sample.run_shots(bell, [1.0], c)[0]
         noiseless = evolve.run_exact(bell, [1.0], 16, 0.0)[0]
         noisy = evolve.noisy_closed_form(noiseless, 0.2, 4).values
         se = np.sqrt(np.clip(noisy, 0, 1) * (1.0 - np.clip(noisy, 0, 1)) / c.n_shots)
@@ -285,7 +291,7 @@ class TestMarginalCorrectness:
 
 def test_philox_streams_are_distinct():
     def draws(seed, stream):
-        return np.random.Generator(sample._philox(cfg(seed=seed, stream=stream))).random(8)
+        return np.random.Generator(sample._philox(seed, stream)).random(8)
 
     a = draws(7, 0)
     assert not np.array_equal(a, draws(8, 0))
