@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import json
 import math
 import os
@@ -222,12 +223,87 @@ def _write_trace_csv(path, labels, taus, traces, stderrs=None) -> None:
             fh.write((row * n_rows) % tuple(np.column_stack(columns).ravel().tolist()))
 
 
+_CHUNK_ROWS = 2048
+
+
+def _read_body_fast(fh, ncol: int, n_states: int) -> tuple[list[float], np.ndarray] | None:
+    """(taus, (T, R, n_states) values) of a body in the writer's layout, else None.
+
+    That layout: no quotes and no carriage returns, exactly ncol fields per
+    row, n written as digits running 0..R-1 in every block, one tau per
+    block and no tau in two blocks. Lines are read and converted to floats
+    (with float(), as the line parser does) in chunks of _CHUNK_ROWS, which
+    bounds the transient string lists; only the tau, n and outcome columns
+    are kept.
+    """
+    keys, values = [], []
+    for lines in iter(lambda: list(itertools.islice(fh, _CHUNK_ROWS)), []):
+        text = "".join(lines)
+        if '"' in text or "\r" in text:
+            return None
+        if set(map(str.count, lines, itertools.repeat(","))) != {ncol - 1}:
+            return None
+        cells = text.replace("\n", ",").split(",")
+        del cells[len(lines) * ncol :]  # the empty cell after a final newline
+        n_digits = "".join(cells[1::ncol])
+        if not (n_digits.isascii() and n_digits.isdigit()):
+            return None
+        try:
+            chunk = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        except ValueError:
+            return None
+        chunk = chunk.reshape(-1, ncol)
+        keys.append(chunk[:, :2].copy())
+        values.append(chunk[:, 2 : 2 + n_states].copy())
+    if not keys:
+        return None
+    keys = np.concatenate(keys)
+    starts = np.flatnonzero(keys[:, 1] == 0)
+    block = int(starts[1]) if len(starts) > 1 else len(keys)
+    if len(keys) % block:
+        return None
+    keys = keys.reshape(-1, block, 2)
+    taus = keys[:, 0, 0].tolist()
+    if not (
+        np.all(keys[:, :, 1] == np.arange(block))
+        and np.all(keys[:, :, 0] == keys[:, :1, 0])
+        and len(set(taus)) == len(taus)  # the line parser's dict keys: -0.0 == 0.0
+    ):
+        return None
+    return taus, np.concatenate(values).reshape(len(taus), block, n_states)
+
+
+def _read_body_rows(path, reader, n_states: int) -> tuple[list[float], list[np.ndarray]]:
+    """Parse the body row by row into (taus, per-tau value arrays), naming the first bad line."""
+    per_tau: dict[float, list[list[float]]] = {}
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) < 2 + n_states:
+            raise DataError(f"{path}:{lineno}: too few columns")
+        try:
+            tau = float(row[0])
+            n = int(row[1])
+            vals = [float(x) for x in row[2 : 2 + n_states]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        rows = per_tau.setdefault(tau, [])
+        if n != len(rows):
+            raise DataError(f"{path}:{lineno}: n values must be contiguous from 0")
+        rows.append(vals)
+    if not per_tau:
+        raise DataError(f"{path}: no data rows")
+    if len({len(rows) for rows in per_tau.values()}) != 1:
+        raise DataError(f"{path}: tau blocks have differing n ranges")
+    return list(per_tau), [np.array(rows) for rows in per_tau.values()]
+
+
 def read_trace_csv(path):
     """Parse a simulate CSV back into (labels, taus, {tau: ProbabilityTrace}).
 
     stderr columns, when present, must be stderr_0..stderr_{N-1} after the
     outcome columns; their values are ignored. Raises DataError on any
-    structural problem.
+    structural problem. A body in the writer's own layout is parsed in
+    chunks straight into one array; any other body is parsed again line by
+    line, which accepts the same files and names the first bad line.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -251,34 +327,19 @@ def read_trace_csv(path):
                 model_mod.check_labels(tuple(labels))
             except ValueError as exc:
                 raise DataError(f"{path}: {exc}") from exc
-            per_tau: dict[float, list[list[float]]] = {}
-            order: list[float] = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) < 2 + n_states:
-                    raise DataError(f"{path}:{lineno}: too few columns")
-                try:
-                    tau = float(row[0])
-                    n = int(row[1])
-                    vals = [float(x) for x in row[2 : 2 + n_states]]
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from exc
-                if tau not in per_tau:
-                    per_tau[tau] = []
-                    order.append(tau)
-                if n != len(per_tau[tau]):
-                    raise DataError(f"{path}:{lineno}: n values must be contiguous from 0")
-                per_tau[tau].append(vals)
+            body = _read_body_fast(fh, len(header), n_states)
+            if body is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                body = _read_body_rows(path, reader, n_states)
+            order, blocks = body
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not per_tau:
-        raise DataError(f"{path}: no data rows")
-    lengths = {len(rows) for rows in per_tau.values()}
-    if len(lengths) != 1:
-        raise DataError(f"{path}: tau blocks have differing n ranges")
     traces = {}
-    for tau, rows in per_tau.items():
+    for tau, values in zip(order, blocks):
         try:
-            traces[tau] = ProbabilityTrace(values=np.array(rows))
+            traces[tau] = ProbabilityTrace(values=values)
         except ValueError as exc:
             raise DataError(f"{path}: tau={tau}: {exc}") from exc
     return labels, order, traces

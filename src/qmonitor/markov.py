@@ -37,6 +37,8 @@ class AsymmetricKernelError(ValueError):
 
 def _check_doubly_stochastic(mat: np.ndarray) -> None:
     """Reject a kernel, or a stack of kernels, that is not doubly stochastic."""
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("entries must be finite")
     if np.min(mat) < -STOCHASTIC_TOL or np.max(mat) > 1.0 + STOCHASTIC_TOL:
         raise ValueError("entries must be probabilities")
     if np.max(np.abs(mat.sum(axis=-2) - 1.0)) > STOCHASTIC_TOL:
@@ -172,6 +174,8 @@ def propagate(l: np.ndarray, p0: np.ndarray, n: int) -> np.ndarray:
     p = np.asarray(p0, dtype=float)
     if l.shape != p.shape + p.shape[-1:]:
         raise ValueError(f"p0 of shape {p.shape} does not match kernels of shape {l.shape}")
+    if not (np.all(np.isfinite(l)) and np.all(np.isfinite(p))):
+        raise ValueError("kernels and p0 must be finite")
     if np.min(p) < -STOCHASTIC_TOL or np.max(np.abs(p.sum(axis=-1) - 1.0)) > STOCHASTIC_TOL:
         raise ValueError("p0 is not a probability vector")
     rows = np.empty((*p.shape[:-1], n + 1, p.shape[-1]), dtype=float)

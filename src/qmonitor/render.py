@@ -35,16 +35,24 @@ def _require_finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
+_RAMP = np.array(RAMP, dtype=float)
+
+
+def ramp_codes(x) -> np.ndarray:
+    """Packed 0xRRGGBB ramp colors for values x in [0, 1], clipped (NaN reads as 0).
+
+    Each channel is interpolated linearly between the two nearest stops and
+    rounded half to even.
+    """
+    pos = np.fmin(np.fmax(np.asarray(x, dtype=float), 0.0), 1.0) * (len(RAMP) - 1)
+    i = np.minimum(pos.astype(np.intp), len(RAMP) - 2)
+    rgb = np.rint(_RAMP[i] + (pos - i)[..., None] * (_RAMP[i + 1] - _RAMP[i])).astype(np.int64)
+    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+
+
 def ramp_color(x: float) -> str:
     """Hex color for x in [0, 1], clipped."""
-    x = min(1.0, max(0.0, float(x)))
-    pos = x * (len(RAMP) - 1)
-    i = min(int(pos), len(RAMP) - 2)
-    frac = pos - i
-    rgb = tuple(
-        int(round(RAMP[i][c] + frac * (RAMP[i + 1][c] - RAMP[i][c]))) for c in range(3)
-    )
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+    return "#%06x" % ramp_codes(x)
 
 
 def _fmt(x: float) -> str:
@@ -89,15 +97,14 @@ def heatmap_svg(
 
     out = _header(width, height)
     out.append(_text(width / 2, 20, title))
-    for i in range(len(taus)):
-        y = _MARGIN_T + plot_h - (i + 1) * ch
-        for j in range(len(ns)):
-            color = ramp_color((values[i, j] - lo) / span)
-            x = _MARGIN_L + j * cw
-            out.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" height="{ch:.2f}" '
-                f'fill="{color}"/>'
-            )
+    xs = [f"{_MARGIN_L + j * cw:.2f}" for j in range(len(ns))]
+    size = f'width="{cw:.2f}" height="{ch:.2f}"'
+    # one string per row: a list of 10^4-10^5 cell strings would set the render peak RSS
+    for i, codes in enumerate(ramp_codes((values - lo) / span).tolist()):
+        y = f"{_MARGIN_T + plot_h - (i + 1) * ch:.2f}"
+        cells = (f'<rect x="{x}" y="{y}" {size} fill="#{c:06x}"/>' for x, c in zip(xs, codes))
+        if codes:
+            out.append("\n".join(cells))
     # axes: a few ticks
     for j in range(0, len(ns), max(1, len(ns) // 8)):
         x = _MARGIN_L + (j + 0.5) * cw
@@ -145,9 +152,10 @@ def lines_svg(
         f'fill="none" stroke="#888"/>'
     )
     keys = sorted(series.keys())
+    codes = ramp_codes(np.arange(len(keys)) / max(len(keys) - 1, 1))
     for rank, n in enumerate(keys):
         vals = np.asarray(series[n], dtype=float)
-        color = ramp_color(rank / max(len(keys) - 1, 1))
+        color = f"#{codes[rank]:06x}"
         pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(taus, vals))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>')
         out.append(
@@ -193,12 +201,12 @@ def rho_grid_svg(
     )
     for mat, labels, x0, name in panels:
         y0 = _MARGIN_T + 14
+        codes = ramp_codes(mat / vmax)
         for i in range(dim):
             for j in range(dim):
-                color = ramp_color(mat[i, j] / vmax)
                 out.append(
                     f'<rect x="{x0 + j * cell:.1f}" y="{y0 + i * cell:.1f}" '
-                    f'width="{cell}" height="{cell}" fill="{color}" stroke="#333" '
+                    f'width="{cell}" height="{cell}" fill="#{codes[i, j]:06x}" stroke="#333" '
                     f'stroke-width="0.5"/>'
                 )
             out.append(_text(x0 - 6, y0 + (i + 0.6) * cell, str(labels[i]), anchor="end"))

@@ -61,6 +61,16 @@ class TestBuildTransitionMatrix:
         with pytest.raises(ValueError, match="sum"):
             markov.TransitionMatrix(l=np.array([[0.5, 0.4], [0.4, 0.5]]), tau=0.1)
 
+    @pytest.mark.parametrize(
+        "mat",
+        [np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]])],
+        ids=["nan", "inf"],
+    )
+    def test_validation_rejects_non_finite(self, mat):
+        # NaN compares false against every tolerance, so only isfinite catches it
+        with pytest.raises(ValueError, match="finite"):
+            markov.TransitionMatrix(l=mat, tau=0.0)
+
 
 class TestSpectrum:
     def test_single_qubit(self, single_qubit):
@@ -168,6 +178,20 @@ class TestPropagate:
             markov.propagate(l, [0.7, 0.7], 3)
         with pytest.raises(ValueError):
             markov.propagate(l, [1.2, -0.2], 3)
+
+    @pytest.mark.parametrize(
+        "l, p0",
+        [
+            (np.full((2, 2), np.nan), [1.0, 0.0]),
+            (np.array([[np.inf, 0.0], [0.0, 1.0]]), [1.0, 0.0]),
+            (np.eye(2), [np.nan, 1.0]),
+            (np.eye(2), [np.inf, 0.0]),
+        ],
+        ids=["nan-kernel", "inf-kernel", "nan-p0", "inf-p0"],
+    )
+    def test_rejects_non_finite(self, l, p0):
+        with pytest.raises(ValueError, match="finite"):
+            markov.propagate(l, p0, 2)
 
 
 class TestClassify:

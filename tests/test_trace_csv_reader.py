@@ -1,0 +1,157 @@
+"""The chunked array reader of trace CSVs against the line-by-line parser.
+
+read_trace_csv parses a body in the writer's own layout straight into one
+array and hands every other body to the line parser. Both must give the
+same labels, the same tau order, bitwise-equal traces and the same
+DataError text.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qmonitor import cli
+from qmonitor.traces import ProbabilityTrace
+
+DATA = Path(__file__).parent / "data"
+
+
+def outcome(path):
+    try:
+        labels, taus, traces = cli.read_trace_csv(path)
+    except cli.DataError as exc:
+        return ("error", str(exc))
+    assert list(traces) == taus
+    return (
+        "ok",
+        labels,
+        [tau.hex() for tau in taus],
+        [traces[tau].values.shape for tau in taus],
+        [traces[tau].values.tobytes() for tau in taus],
+    )
+
+
+def read_both(path, monkeypatch):
+    """(reader outcome, line-parser outcome, whether the array path accepted the body)."""
+    accepted = []
+    fast = cli._read_body_fast
+
+    def spy(*args):
+        body = fast(*args)
+        accepted.append(body is not None)
+        return body
+
+    monkeypatch.setattr(cli, "_read_body_fast", spy)
+    got = outcome(path)
+    monkeypatch.setattr(cli, "_read_body_fast", lambda *args: None)
+    want = outcome(path)
+    return got, want, accepted == [True]
+
+
+def simulate(tmp_path, model, engine, tau_count, n_max, *extra):
+    args = ["simulate", "--model", model, "--engine", engine, "--tau-count", tau_count,
+            "--n-max", n_max, "--out", tmp_path, *extra]
+    assert cli.main([str(a) for a in args]) == 0
+    return tmp_path / f"{cli._model_key(str(model))}_{engine}.csv"
+
+
+class TestSameResults:
+    @pytest.mark.parametrize("name", ["chain_dim8_seed67", "chain_dim16_seed0", "ring3_complex"])
+    def test_fixture_markov_csvs(self, tmp_path, monkeypatch, name):
+        path = simulate(tmp_path, DATA / f"{name}.json", "markov", 9, 40)
+        got, want, fast = read_both(path, monkeypatch)
+        assert fast and got[0] == "ok"
+        assert got == want
+
+    def test_sample_csv_with_stderr_columns(self, tmp_path, monkeypatch):
+        path = simulate(tmp_path, "single_qubit", "sample", 5, 8, "--shots", 64)
+        assert "stderr_1" in path.read_text().splitlines()[0]
+        got, want, fast = read_both(path, monkeypatch)
+        assert fast and got[0] == "ok"
+        assert got == want
+
+    def test_quoted_label_in_header(self, tmp_path, monkeypatch):
+        rows = np.array([[1.0, 0.0], [0.25, 0.75], [0.5, 0.5]])
+        traces = [ProbabilityTrace(values=rows), ProbabilityTrace(values=rows[:, ::-1])]
+        path = tmp_path / "quoted.csv"
+        cli._write_trace_csv(path, ("g", "e,1"), [0.0, 1 / 3], traces)
+        assert path.read_text().startswith('tau,n,g,"e,1"\n')
+        got, want, fast = read_both(path, monkeypatch)
+        assert fast and got[1] == ["g", "e,1"]
+        assert got == want
+
+    def test_file_longer_than_a_chunk(self, tmp_path, monkeypatch):
+        n_max = 300
+        path = simulate(tmp_path, DATA / "chain_dim8_seed67.json", "markov", 17, n_max)
+        assert 17 * (n_max + 1) > cli._CHUNK_ROWS
+        assert cli._CHUNK_ROWS % (n_max + 1) != 0  # a block straddles the chunk edge
+        got, want, fast = read_both(path, monkeypatch)
+        assert fast and len(got[2]) == 17
+        assert got == want
+
+
+BASE = (
+    "tau,n,a,b\n"
+    "0.5,0,1,0\n"
+    "0.5,1,0.75,0.25\n"
+    "0.5,2,0.5,0.5\n"
+    "1,0,1,0\n"
+    "1,1,0.25,0.75\n"
+    "1,2,0.5,0.5\n"
+)
+ROWS = BASE.splitlines(keepends=True)
+
+# name -> (file text, whether the array path accepts it, the line parser's verdict)
+DEVIATIONS = {
+    "short_row": (BASE.replace("0.5,1,0.75,0.25", "0.5,1,0.75"), False, "error"),
+    "extra_trailing_column": (BASE.replace("0.5,1,0.75,0.25", "0.5,1,0.75,0.25,9"), False, "ok"),
+    "n_written_as_float": (BASE.replace("0.5,1,", "0.5,1.0,"), False, "error"),
+    "n_with_leading_space": (BASE.replace("0.5,1,", "0.5, 1,"), False, "ok"),
+    "non_contiguous_n": (BASE.replace("0.5,2,", "0.5,3,"), False, "error"),
+    "interleaved_taus": ("".join(ROWS[:1] + [ROWS[k] for k in (1, 4, 2, 5, 3, 6)]), False, "ok"),
+    "repeated_tau_block": (BASE + "".join(ROWS[1:4]), False, "error"),
+    "tau_changes_mid_block": (BASE.replace("0.5,2,", "0.7,2,"), False, "error"),
+    "unequal_blocks": ("".join(ROWS[:-1]), False, "error"),
+    # an extra field then a missing one: the cells still tile a valid array
+    "misaligned_rows": ("tau,n,a,b\n1,0,1,0,1\n1,0.25,0.75\n", False, "error"),
+    "crlf_line_endings": (BASE.replace("\n", "\r\n"), False, "ok"),
+    "blank_final_line": (BASE + "\n", False, "error"),
+    "nan_cell": (BASE.replace("1,1,0.25,", "1,1,nan,"), True, "error"),
+    "tau_spelled_two_ways": (BASE.replace("0.5,2,", "5e-1,2,"), True, "ok"),
+    "no_final_newline": (BASE.rstrip("\n"), True, "ok"),
+    "n_with_leading_zero": (BASE.replace("1,2,", "1,02,"), True, "ok"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEVIATIONS))
+def test_same_outcome_as_the_line_parser(tmp_path, monkeypatch, name):
+    text, fast_accepts, verdict = DEVIATIONS[name]
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    got, want, fast = read_both(path, monkeypatch)
+    assert fast == fast_accepts
+    assert want[0] == verdict
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("short_row", "trace.csv:3: too few columns"),
+        ("n_written_as_float", "trace.csv:3: invalid literal for int()"),
+        ("non_contiguous_n", "trace.csv:4: n values must be contiguous from 0"),
+        ("repeated_tau_block", "trace.csv:8: n values must be contiguous from 0"),
+        ("tau_changes_mid_block", "trace.csv:4: n values must be contiguous from 0"),
+        ("unequal_blocks", "trace.csv: tau blocks have differing n ranges"),
+        ("misaligned_rows", "trace.csv:3: too few columns"),
+        ("blank_final_line", "trace.csv:8: too few columns"),
+        ("nan_cell", "trace.csv: tau=1.0: trace has non-finite entries"),
+    ],
+)
+def test_errors_name_the_line(tmp_path, name, message):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(DEVIATIONS[name][0].encode())
+    with pytest.raises(cli.DataError) as info:
+        cli.read_trace_csv(path)
+    assert message in str(info.value)
