@@ -16,7 +16,7 @@ from .analytic import (
     probs_single_qubit,
     probs_singlet_triplet,
 )
-from .evolve import cycle, initial_density, noisy_closed_form, rho_in_basis, run_exact
+from .evolve import initial_density, noisy_closed_form, rho_in_basis, run_exact
 from .linalg import (
     HermitianEig,
     adjoint,

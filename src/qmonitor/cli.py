@@ -204,23 +204,26 @@ def _summary(command: str, config_echo: dict, files: list[str], results: dict) -
 def _write_trace_csv(path, labels, taus, traces, stderrs=None) -> None:
     """Write one block of rows per grid point; traces and stderrs align with taus.
 
-    Each block is formatted by one %-format over a repeated row template;
-    '%.17g' % x and format(x, '.17g') give the same digits, so every float
-    round-trips exactly.
+    Each block length R has one template: R rows of the n digits written in
+    literally and ',%.17g' per value cell. A grid point joins '%.17g' % tau
+    into it once and %-formats only the value cells; '%.17g' % x and
+    format(x, '.17g') give the same digits, so every float round-trips exactly.
     """
     header = ["tau", "n", *labels]
     if stderrs is not None:
         header += [f"stderr_{k}" for k in range(len(labels))]
-    row = "%.17g,%d" + ",%.17g" * (len(header) - 2) + "\n"
+    cells = ",%.17g" * (len(header) - 2) + "\n"
+    templates: dict[int, list[str]] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for i, (tau, trace) in enumerate(zip(taus, traces, strict=True)):
             values = trace.values
-            n_rows = values.shape[0]
-            columns = [np.full(n_rows, tau), np.arange(n_rows), values]
             if stderrs is not None:
-                columns.append(stderrs[i])
-            fh.write((row * n_rows) % tuple(np.column_stack(columns).ravel().tolist()))
+                values = np.column_stack([values, stderrs[i]])
+            n_rows = values.shape[0]
+            if n_rows not in templates:
+                templates[n_rows] = ["", *(f",{n}{cells}" for n in range(n_rows))]
+            fh.write(("%.17g" % tau).join(templates[n_rows]) % tuple(values.ravel().tolist()))
 
 
 _CHUNK_ROWS = 2048
@@ -336,6 +339,8 @@ def read_trace_csv(path):
             order, blocks = body
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     traces = {}
     for tau, values in zip(order, blocks):
         try:

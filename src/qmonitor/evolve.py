@@ -2,14 +2,17 @@
 
 One protocol cycle is: unitary evolution for a time tau, projective
 dephasing onto the measurement basis, and (optionally) a depolarizing
-admixture of the completely mixed state with weight gamma. All states are
-plain complex128 density matrices in computational coordinates.
+admixture of the completely mixed state with weight gamma. States are plain
+complex128 density matrices.
 
-run_exact propagates a whole tau grid at once: it builds every U(tau) in one
-batched step and carries a (T, dim, dim) stack of density matrices through
-the cycles, so each cycle is a few batched matrix products over the grid.
-It is a genuine density-matrix propagation, independent of the Markov
-reduction, and the tests use it as the oracle for the other engines.
+run_exact propagates a whole tau grid at once, in measurement coordinates:
+it builds W(tau) = V^dag U(tau) V for every grid point in one batched step
+and rotates the initial state into the measurement basis once. A cycle is
+then W rho W^dag on the (T, dim, dim) stack of density matrices, followed
+by keeping its real diagonal (the projective dephasing) and mixing that
+with the uniform distribution (the depolarizing channel). It is a genuine
+density-matrix propagation, independent of the Markov reduction, and the
+tests use it as the oracle for the other engines.
 """
 
 from __future__ import annotations
@@ -58,49 +61,14 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def _step(
-    rho: np.ndarray, u: np.ndarray, basis: MeasurementBasis, gamma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One protocol cycle applied to a stack of density matrices.
-
-    ``rho`` and ``u`` are (T, dim, dim) stacks (``rho`` may also be one
-    matrix shared by every propagator). Returns the (T, dim, dim) states after
-    the cycle and their (T, dim) outcome populations.
-    """
-    v = basis.v
-    dim = v.shape[0]
-    evolved = u @ rho @ np.conj(np.swapaxes(u, -1, -2))
-    # diag(V^dag evolved V)
-    pops = np.real(np.sum(np.conj(v) * (evolved @ v), axis=-2))
-    dephased = (v * pops[:, None, :]) @ linalg.adjoint(v)
-    if gamma != 0.0:
-        dephased = (1.0 - gamma) * dephased + gamma * np.eye(dim, dtype=complex) / dim
-        pops = (1.0 - gamma) * pops + gamma / dim
-    return dephased, pops
-
-
-def cycle(rho: np.ndarray, m: Model, tau: float, gamma: float = 0.0) -> np.ndarray:
-    """One full protocol cycle applied to a density matrix.
-
-    With gamma = 0 this is the noiseless evolve-and-measure map; gamma = 1
-    replaces the state by the completely mixed one.
-    """
-    rho = linalg.as_matrix(rho)
-    if rho.shape[0] != m.dim:
-        raise ValueError(f"dimension mismatch: state {rho.shape[0]}, model {m.dim}")
-    gamma = _check_gamma(gamma)
-    u = linalg.unitary_from_eig(m.hamiltonian_eig, tau)
-    out, _ = _step(rho, u[None], m.basis, gamma)
-    return out[0]
-
-
 def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> list[ProbabilityTrace]:
     """Propagate the initial state over a tau grid for n_max cycles each.
 
     Returns one trace per grid point, in grid order. Row 0 is the Born
     distribution of the bare initial state (no evolution); row n >= 1 is the
     distribution after n cycles. Every grid point advances together: each
-    cycle is one batched step over the (T, dim, dim) stack of states.
+    cycle is two batched products W rho W^dag over the (T, dim, dim) stack of
+    states, whose real diagonal, depolarized, is the next (diagonal) state.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1:
@@ -108,12 +76,18 @@ def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> list[Probabilit
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     gamma = _check_gamma(gamma)
-    u = linalg.unitary_from_eig(m.hamiltonian_eig, taus)
-    rows = np.empty((len(taus), n_max + 1, m.dim), dtype=float)
+    v, dim = m.basis.v, m.dim
+    w = linalg.adjoint(v) @ linalg.unitary_from_eig(m.hamiltonian_eig, taus) @ v
+    w_dag = np.conj(np.swapaxes(w, -1, -2))
+    rows = np.empty((len(taus), n_max + 1, dim), dtype=float)
     rows[:, 0] = born_probabilities(m.initial_state, m.basis)
-    rho = initial_density(m)
+    rho = rho_in_basis(initial_density(m), m.basis, "to_measurement")
     for n in range(1, n_max + 1):
-        rho, rows[:, n] = _step(rho, u, m.basis, gamma)
+        pops = np.real(np.diagonal(w @ rho @ w_dag, axis1=-2, axis2=-1))
+        if gamma != 0.0:
+            pops = (1.0 - gamma) * pops + gamma / dim
+        rows[:, n] = pops
+        rho = pops[..., None] * np.eye(dim)
     return [ProbabilityTrace(values=block) for block in rows]
 
 

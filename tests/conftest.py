@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qmonitor import model
+from qmonitor import linalg, model
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +57,30 @@ def hermitian_matrices(draw, max_dim: int = 6):
 
 taus = st.floats(min_value=0.0, max_value=2.0 * np.pi, allow_nan=False, allow_infinity=False)
 gammas = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
+
+
+def cycle(rho: np.ndarray, m: model.Model, tau: float, gamma: float = 0.0) -> np.ndarray:
+    """One full protocol cycle applied to a density matrix, in computational coordinates.
+
+    U rho U^dag, then the projective dephasing sum_k |phi_k><phi_k| . |phi_k><phi_k|
+    through the columns of V, then the depolarizing channel. This is the
+    independent per-cycle reference for evolve.run_exact, which works in
+    measurement coordinates. With gamma = 0 this is the noiseless
+    evolve-and-measure map; gamma = 1 replaces the state by the completely
+    mixed one.
+    """
+    rho = linalg.as_matrix(rho)
+    if rho.shape[0] != m.dim:
+        raise ValueError(f"dimension mismatch: state {rho.shape[0]}, model {m.dim}")
+    gamma = float(gamma)
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    v = m.basis.v
+    u = linalg.unitary_from_eig(m.hamiltonian_eig, tau)
+    evolved = u @ rho @ linalg.adjoint(u)
+    # diag(V^dag evolved V)
+    pops = np.real(np.sum(np.conj(v) * (evolved @ v), axis=0))
+    dephased = (v * pops) @ linalg.adjoint(v)
+    if gamma != 0.0:
+        dephased = (1.0 - gamma) * dephased + gamma * np.eye(m.dim, dtype=complex) / m.dim
+    return dephased

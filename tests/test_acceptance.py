@@ -12,6 +12,8 @@ import numpy as np
 
 from qmonitor import analytic, evolve, markov, model, noisefit, sample
 
+from conftest import cycle
+
 TAU_GRID_33 = [k * math.pi / 32 for k in range(33)]
 N_GRID_33 = range(33)
 
@@ -335,7 +337,7 @@ def test_criterion_9_property_suite():
                 f"{name} tau={tau}: uniform vector not fixed",
             )
             mixed = np.eye(m.dim, dtype=complex) / m.dim
-            out = evolve.cycle(mixed, m, tau, gamma=0.3)
+            out = cycle(mixed, m, tau, gamma=0.3)
             _expect(
                 failures,
                 float(np.max(np.abs(out - mixed))) < 1e-12,

@@ -549,9 +549,27 @@ def test_ambiguous_columns_rejected_by_parser(tmp_path, header):
     assert run(["render", bad, "--kind", "heatmap", "--column", 0, "--out", tmp_path]) == 3
 
 
+@pytest.mark.parametrize("where", ["header", "body", "last_byte"])
+@pytest.mark.parametrize("command", ["render", "fit-noise"])
+def test_non_utf8_bytes_are_a_data_error(tmp_path, capsys, command, where):
+    text = b"tau,n,0,1\n0.0,0,1.0,0.0\n0.5,0,1.0,0.0\n"
+    data = {
+        "header": b"\xff" + text,
+        "body": text.replace(b"0.5,", b"0\xff5,"),
+        "last_byte": text + b"\xff",
+    }[where]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data)
+    extra = ["--kind", "heatmap", "--column", 0] if command == "render" else ["--model", "single_qubit"]
+    assert run([command, bad, *extra, "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and "UTF-8" in err
+
+
 class TestTraceCsvFormat:
-    """The writer formats a grid point's block with one %-format; a csv.writer
-    with one format(x, '.17g') per cell must produce the same bytes."""
+    """The writer fills one row template per block length, with the grid
+    point's tau joined in once; a csv.writer with one format(x, '.17g') per
+    cell must produce the same bytes."""
 
     VALUES = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1 - 2**-53, 1.0]
     TAUS = [0.0, 0.1, 1 / 3, math.pi]
@@ -582,6 +600,30 @@ class TestTraceCsvFormat:
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert b"\n0,1,-0,1" in got and b",4.9406564584124654e-324," in got
+
+    ROWS = np.array([[x, 1.0 - x] for x in VALUES])
+    LAYOUTS = {
+        # taus whose '%.17g' has an exponent or a sign
+        "signed_and_exponent_taus": ([5e-324, 1e-300, -0.0], [ROWS] * 3),
+        "one_row_blocks": ([0.5, -0.0], [ROWS[:1], ROWS[-1:]]),
+        "differing_block_lengths": (
+            [0.1, 1e-300, math.pi, -0.0, 5e-324],
+            [ROWS, ROWS[:1], ROWS[:3], ROWS[::-1], ROWS[:1]],
+        ),
+    }
+
+    @pytest.mark.parametrize("with_stderr", [False, True])
+    @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+    def test_layouts_match_the_per_cell_writer(self, tmp_path, layout, with_stderr):
+        taus, blocks = layout
+        traces = [ProbabilityTrace(values=b) for b in blocks]
+        stderrs = [b[:, ::-1] for b in blocks] if with_stderr else None
+        labels = ("g", "e,1")
+        cli._write_trace_csv(tmp_path / "got.csv", labels, taus, traces, stderrs)
+        self.reference(tmp_path / "want.csv", labels, taus, traces, stderrs)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\n") == 1 + sum(len(b) for b in blocks)
 
 
 def test_nan_probabilities_rejected_by_parser(tmp_path):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,43 +7,44 @@ from hypothesis import given, settings
 from qmonitor import evolve, linalg, markov, model
 from qmonitor.traces import ProbabilityTrace
 
-from conftest import all_models, gammas, taus
+from conftest import ALL_MODEL_NAMES, all_models, cycle, gammas, taus
 
 TAU_GRID = [k * np.pi / 8 for k in range(9)] + [0.7, 2.3]
+DATA = Path(__file__).parent / "data"
 
 
 class TestCycle:
     def test_zeno_frozen(self, single_qubit):
         rho0 = evolve.initial_density(single_qubit)
-        out = evolve.cycle(rho0, single_qubit, 0.0)
+        out = cycle(rho0, single_qubit, 0.0)
         assert np.max(np.abs(out - rho0)) < 1e-14
 
     def test_half_pi_splits_evenly(self, single_qubit):
         rho0 = evolve.initial_density(single_qubit)
-        out = evolve.cycle(rho0, single_qubit, np.pi / 2)
+        out = cycle(rho0, single_qubit, np.pi / 2)
         # |<0|U|0>|^2 = cos^2(pi/4) = 1/2
         assert np.max(np.abs(out - np.eye(2) / 2)) < 1e-14
 
     def test_full_depolarization(self, bell):
         rho0 = evolve.initial_density(bell)
-        out = evolve.cycle(rho0, bell, 1.234, gamma=1.0)
+        out = cycle(rho0, bell, 1.234, gamma=1.0)
         assert np.max(np.abs(out - np.eye(4) / 4)) < 1e-14
 
     def test_dimension_mismatch(self, bell):
         with pytest.raises(ValueError, match="mismatch"):
-            evolve.cycle(np.eye(2) / 2, bell, 0.5)
+            cycle(np.eye(2) / 2, bell, 0.5)
 
     def test_gamma_range(self, single_qubit):
         rho0 = evolve.initial_density(single_qubit)
         with pytest.raises(ValueError, match="gamma"):
-            evolve.cycle(rho0, single_qubit, 0.5, gamma=1.5)
+            cycle(rho0, single_qubit, 0.5, gamma=1.5)
 
     @pytest.mark.parametrize("m", all_models(), ids=lambda m: f"dim{m.dim}")
     @given(tau=taus, gamma=gammas)
     @settings(max_examples=25, deadline=None)
     def test_unitality(self, m, tau, gamma):
         mixed = np.eye(m.dim, dtype=complex) / m.dim
-        out = evolve.cycle(mixed, m, tau, gamma)
+        out = cycle(mixed, m, tau, gamma)
         assert np.max(np.abs(out - mixed)) < 1e-14
 
     @pytest.mark.parametrize("m", all_models(), ids=lambda m: f"dim{m.dim}")
@@ -49,13 +52,13 @@ class TestCycle:
     def test_output_is_valid_density(self, m, tau):
         rho = evolve.initial_density(m)
         for _ in range(5):
-            rho = evolve.cycle(rho, m, tau, gamma=0.05)
+            rho = cycle(rho, m, tau, gamma=0.05)
         evolve.check_density(rho)
 
     @pytest.mark.parametrize("m", all_models(), ids=lambda m: f"dim{m.dim}")
     @pytest.mark.parametrize("tau", TAU_GRID)
     def test_state_diagonal_in_measurement_basis(self, m, tau):
-        rho = evolve.cycle(evolve.initial_density(m), m, tau)
+        rho = cycle(evolve.initial_density(m), m, tau)
         w = evolve.rho_in_basis(rho, m.basis, "to_measurement")
         off = w - np.diag(np.diag(w))
         assert np.max(np.abs(off)) < 1e-12
@@ -92,6 +95,32 @@ class TestRunExact:
     def test_rejects_negative_n(self, single_qubit):
         with pytest.raises(ValueError):
             evolve.run_exact(single_qubit, [0.5], -1)
+
+
+class TestRunExactMatchesCycle:
+    """run_exact works in measurement coordinates (W = V^dag U V, real diagonal,
+    depolarizing); the computational-coordinate cycle, iterated one density
+    matrix at a time, is its independent reference."""
+
+    ORACLE_TAUS = [0.0, 0.4, 1.3, np.pi]
+    N_MAX = 12
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    @pytest.mark.parametrize(
+        "name",
+        [*ALL_MODEL_NAMES, "chain_dim8_seed67", "chain_dim16_seed0", "ring3_complex"],
+    )
+    def test_rows_match_iterated_cycle(self, name, gamma):
+        path = DATA / f"{name}.json"
+        m = model.build_model(str(path) if path.exists() else name)
+        traces = evolve.run_exact(m, self.ORACLE_TAUS, self.N_MAX, gamma)
+        for tau, trace in zip(self.ORACLE_TAUS, traces):
+            rho = evolve.initial_density(m)
+            rows = [evolve.born_probabilities(m.initial_state, m.basis)]
+            for _ in range(self.N_MAX):
+                rho = cycle(rho, m, tau, gamma)
+                rows.append(np.real(np.diag(evolve.rho_in_basis(rho, m.basis, "to_measurement"))))
+            assert np.max(np.abs(trace.values - np.array(rows))) <= 1e-12
 
 
 class TestNoisyClosedForm:
@@ -160,13 +189,13 @@ class TestRhoInBasis:
         assert np.max(np.abs(got - expected)) < 1e-14
 
     def test_round_trip(self, singlet_triplet):
-        rho = evolve.cycle(evolve.initial_density(singlet_triplet), singlet_triplet, 0.9)
+        rho = cycle(evolve.initial_density(singlet_triplet), singlet_triplet, 0.9)
         there = evolve.rho_in_basis(rho, singlet_triplet.basis, "to_measurement")
         back = evolve.rho_in_basis(there, singlet_triplet.basis, "to_computational")
         assert np.max(np.abs(back - rho)) < 1e-13
 
     def test_spectrum_preserved(self, bell):
-        rho = evolve.cycle(evolve.initial_density(bell), bell, 0.8, gamma=0.2)
+        rho = cycle(evolve.initial_density(bell), bell, 0.8, gamma=0.2)
         w = evolve.rho_in_basis(rho, bell.basis, "to_measurement")
         a = linalg.eig_hermitian(rho).eigenvalues
         b = linalg.eig_hermitian(w).eigenvalues
