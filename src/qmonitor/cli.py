@@ -234,28 +234,27 @@ def _read_body_fast(fh, ncol: int, n_states: int) -> tuple[list[float], np.ndarr
 
     That layout: no quotes and no carriage returns, exactly ncol fields per
     row, n written as digits running 0..R-1 in every block, one tau per
-    block and no tau in two blocks. Lines are read and converted to floats
-    (with float(), as the line parser does) in chunks of _CHUNK_ROWS, which
-    bounds the transient string lists; only the tau, n and outcome columns
-    are kept.
+    block and no tau in two blocks. Lines are read in chunks of _CHUNK_ROWS
+    and converted by numpy's C parser; only the tau, n and outcome columns
+    are kept. The comma count goes first, because loadtxt skips blank lines.
+    Spellings that float() accepts and loadtxt rejects (1_0, non-ASCII
+    digits) return None, so the line parser reads them.
     """
     keys, values = [], []
     for lines in iter(lambda: list(itertools.islice(fh, _CHUNK_ROWS)), []):
         text = "".join(lines)
-        if '"' in text or "\r" in text:
+        # float() rejects the separators \x1c-\x1f around a number; loadtxt strips them
+        if any(c in text for c in '"\r\x1c\x1d\x1e\x1f'):
             return None
         if set(map(str.count, lines, itertools.repeat(","))) != {ncol - 1}:
             return None
-        cells = text.replace("\n", ",").split(",")
-        del cells[len(lines) * ncol :]  # the empty cell after a final newline
-        n_digits = "".join(cells[1::ncol])
+        n_digits = "".join(line.split(",", 2)[1] for line in lines)
         if not (n_digits.isascii() and n_digits.isdigit()):
             return None
         try:
-            chunk = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+            chunk = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             return None
-        chunk = chunk.reshape(-1, ncol)
         keys.append(chunk[:, :2].copy())
         values.append(chunk[:, 2 : 2 + n_states].copy())
     if not keys:
@@ -532,12 +531,6 @@ def cmd_render(args: argparse.Namespace) -> dict:
 
     if args.kind == "heatmap":
         grid = _column_values(labels, traces, taus, column)
-        svg = render.heatmap_svg(
-            ns=list(range(n_rows)),
-            taus=taus,
-            values=grid,
-            title=f"{column} over (n, tau)",
-        )
         name = f"{stem}_heatmap_{_model_key(column)}.svg"
     elif args.kind == "lines":
         grid = _column_values(labels, traces, taus, column)
@@ -583,8 +576,18 @@ def cmd_render(args: argparse.Namespace) -> dict:
         raise ConfigError(f"unknown render kind {args.kind!r}")
 
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+    tmp = f"{path}.{os.getpid()}.tmp"  # moved onto path only once complete
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            if args.kind == "heatmap":
+                render.heatmap_svg(fh, list(range(n_rows)), taus, grid, f"{column} over (n, tau)")
+            else:
+                fh.write(svg)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     print(f"wrote {path}")
     return _summary("render", {"input": args.input, "kind": args.kind}, [path], {})
 

@@ -70,18 +70,28 @@ def _header(width: int, height: int) -> list[str]:
 
 
 def _text(x: float, y: float, s: str, anchor: str = "middle") -> str:
+    s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="{anchor}">{s}</text>'
 
 
 def heatmap_svg(
+    sink,
     ns: Sequence[int],
     taus: Sequence[float],
     values: np.ndarray,
     title: str,
     vmin: float | None = None,
     vmax: float | None = None,
-) -> str:
-    """Heatmap of values[i_tau, i_n] with cycle count on x and tau on y."""
+) -> None:
+    """Write a heatmap of values[i_tau, i_n], cycle count on x and tau on y, to sink.
+
+    The SVG is streamed through sink.write (any text sink): the header, then
+    the cells of one tau row per call, coloured from that row alone, then the
+    axes, so neither the whole document nor a colour array of the whole grid
+    is held. Only the heatmap streams, because its size grows with T x R
+    (about 19 MB at 257 x 1025); the line plots grow with T x picks and the
+    density-matrix grids with dim^2.
+    """
     values = _require_finite(values)
     if values.shape != (len(taus), len(ns)):
         raise ValueError("values shape must be (len(taus), len(ns))")
@@ -97,15 +107,15 @@ def heatmap_svg(
 
     out = _header(width, height)
     out.append(_text(width / 2, 20, title))
+    sink.write("\n".join(out) + "\n")
     xs = [f"{_MARGIN_L + j * cw:.2f}" for j in range(len(ns))]
     size = f'width="{cw:.2f}" height="{ch:.2f}"'
-    # one string per row: a list of 10^4-10^5 cell strings would set the render peak RSS
-    for i, codes in enumerate(ramp_codes((values - lo) / span).tolist()):
+    for i, row in enumerate(values):
         y = f"{_MARGIN_T + plot_h - (i + 1) * ch:.2f}"
-        cells = (f'<rect x="{x}" y="{y}" {size} fill="#{c:06x}"/>' for x, c in zip(xs, codes))
-        if codes:
-            out.append("\n".join(cells))
-    # axes: a few ticks
+        codes = ramp_codes((row - lo) / span).tolist()
+        cells = (f'<rect x="{x}" y="{y}" {size} fill="#{c:06x}"/>\n' for x, c in zip(xs, codes))
+        sink.write("".join(cells))
+    out = []  # axes: a few ticks
     for j in range(0, len(ns), max(1, len(ns) // 8)):
         x = _MARGIN_L + (j + 0.5) * cw
         out.append(_text(x, height - _MARGIN_B + 16, str(ns[j])))
@@ -116,7 +126,7 @@ def heatmap_svg(
     out.append(_text(14, height / 2, "tau"))
     out.append(_text(width - _MARGIN_R, 20, f"[{_fmt(lo)}, {_fmt(hi)}]", anchor="end"))
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    sink.write("\n".join(out) + "\n")
 
 
 def lines_svg(

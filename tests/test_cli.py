@@ -498,6 +498,55 @@ class TestRender:
         monkeypatch.setattr(cli.render, "heatmap_svg", boom)
         assert run(["render", path, "--kind", "heatmap", "--out", tmp_path]) == 4
 
+    def test_failed_heatmap_leaves_no_file_behind(self, tmp_path, monkeypatch):
+        path = self._csv(tmp_path)
+        out = tmp_path / "svg"
+        ramp_codes = cli.render.ramp_codes
+        rows = []
+
+        def second_row_fails(x):
+            rows.append(x)
+            if len(rows) == 2:
+                raise RuntimeError("colour ramp failed")
+            return ramp_codes(x)
+
+        monkeypatch.setattr(cli.render, "ramp_codes", second_row_fails)
+        assert run(["render", path, "--kind", "heatmap", "--out", out]) == 4
+        assert list(out.iterdir()) == []
+        earlier = out / "single_qubit_closed_form_heatmap_magnetization.svg"
+        earlier.write_text("earlier render")
+        rows.clear()
+        assert run(["render", path, "--kind", "heatmap", "--out", out]) == 4
+        assert list(out.iterdir()) == [earlier]
+        assert earlier.read_text() == "earlier render"
+
+    def test_labels_are_escaped_in_every_kind(self, tmp_path):
+        labels = ["p&q", "<b>"]
+        model = tmp_path / "odd_labels.json"
+        model.write_text(json.dumps({
+            "hamiltonian": {"re": [[0.0, 1.0], [1.0, 0.0]]},
+            "initial_state": {"re": [1.0, 0.0]},
+            "labels": labels,
+        }))
+        sim = ["simulate", "--model", model, "--engine", "markov", "--tau-count", 3,
+               "--n-max", 4, "--out", tmp_path]
+        assert run(sim) == 0
+        path = tmp_path / "odd_labels_markov.csv"
+        assert path.read_text().startswith("tau,n,p&q,<b>\n")
+        renders = {
+            "odd_labels_markov_heatmap_p_q.svg": ["--kind", "heatmap", "--column", "p&q"],
+            "odd_labels_markov_lines__b_.svg": ["--kind", "lines", "--column", "<b>"],
+            "odd_labels_markov_rho_grid_n1.svg": [
+                "--kind", "rho_grid", "--model", model, "--n", 1, "--tau", 0.0,
+            ],
+        }
+        for name, flags in renders.items():
+            assert run(["render", path, *flags, "--out", tmp_path]) == 0
+            root = ET.parse(tmp_path / name).getroot()
+            texts = "\n".join(e.text or "" for e in root.iter() if e.tag.endswith("text"))
+            wanted = labels if "rho_grid" in name else [flags[-1]]
+            assert all(label in texts for label in wanted), (name, texts)
+
     def test_unknown_column(self, tmp_path):
         path = self._csv(tmp_path)
         assert run(["render", path, "--column", "zeta", "--out", tmp_path]) == 3

@@ -1,3 +1,4 @@
+import io
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,6 +9,12 @@ from qmonitor import render
 
 def _parse(svg: str) -> ET.Element:
     return ET.fromstring(svg)
+
+
+def _heatmap(*args, **kwargs) -> str:
+    sink = io.StringIO()
+    render.heatmap_svg(sink, *args, **kwargs)
+    return sink.getvalue()
 
 
 class TestRampColor:
@@ -29,30 +36,30 @@ class TestRampColor:
 class TestHeatmap:
     def test_valid_svg_with_rects(self):
         values = np.linspace(0, 1, 12).reshape(3, 4)
-        svg = render.heatmap_svg(ns=[0, 1, 2, 3], taus=[0.0, 0.5, 1.0], values=values, title="t")
+        svg = _heatmap(ns=[0, 1, 2, 3], taus=[0.0, 0.5, 1.0], values=values, title="t")
         root = _parse(svg)
         rects = [e for e in root.iter() if e.tag.endswith("rect")]
         assert len(rects) >= 12
 
     def test_flat_data_is_valid(self):
         values = np.full((3, 4), 0.25)
-        svg = render.heatmap_svg(ns=[0, 1, 2, 3], taus=[0.0, 0.5, 1.0], values=values, title="t")
+        svg = _heatmap(ns=[0, 1, 2, 3], taus=[0.0, 0.5, 1.0], values=values, title="t")
         _parse(svg)
 
     def test_rejects_nan(self):
         values = np.full((2, 2), np.nan)
         with pytest.raises(RuntimeError):
-            render.heatmap_svg(ns=[0, 1], taus=[0.0, 1.0], values=values, title="t")
+            _heatmap(ns=[0, 1], taus=[0.0, 1.0], values=values, title="t")
 
     def test_deterministic(self):
         values = np.linspace(0, 1, 6).reshape(2, 3)
-        a = render.heatmap_svg(ns=[0, 1, 2], taus=[0.0, 1.0], values=values, title="t")
-        b = render.heatmap_svg(ns=[0, 1, 2], taus=[0.0, 1.0], values=values, title="t")
+        a = _heatmap(ns=[0, 1, 2], taus=[0.0, 1.0], values=values, title="t")
+        b = _heatmap(ns=[0, 1, 2], taus=[0.0, 1.0], values=values, title="t")
         assert a == b
 
     def test_version_comment_present(self):
         values = np.zeros((2, 2))
-        svg = render.heatmap_svg(ns=[0, 1], taus=[0.0, 1.0], values=values, title="t")
+        svg = _heatmap(ns=[0, 1], taus=[0.0, 1.0], values=values, title="t")
         assert "generated by qmonitor" in svg
 
 

@@ -1,5 +1,7 @@
 """The array colour helper against the scalar per-cell formula it replaced."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -116,7 +118,9 @@ def test_heatmap_cells_match_the_per_cell_loop(shape, limits):
     values = rng.uniform(-0.1, 1.1, shape)
     ns = list(range(shape[1]))
     taus = list(np.linspace(0.0, 3.0, shape[0]))
-    svg = render.heatmap_svg(ns, taus, values, title="t", vmin=limits[0], vmax=limits[1])
+    sink = io.StringIO()
+    render.heatmap_svg(sink, ns, taus, values, title="t", vmin=limits[0], vmax=limits[1])
+    svg = sink.getvalue()
     lines = svg.splitlines()
     assert "" not in lines
     assert [line for line in lines if line.startswith("<rect x=")] == reference_rects(

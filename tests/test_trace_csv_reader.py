@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qmonitor import cli
 from qmonitor.traces import ProbabilityTrace
@@ -155,3 +157,59 @@ def test_errors_name_the_line(tmp_path, name, message):
     with pytest.raises(cli.DataError) as info:
         cli.read_trace_csv(path)
     assert message in str(info.value)
+
+
+# pieces of cell text: spellings float() and numpy's parser read alike, and ones where they part
+TOKENS = ("0", "1", "5", "9", "+", "-", ".", "e", "E", "_", " ", "\t", "nan", "inf",
+          "Infinity", "0x1p-3", "#", "", "١", "\x1c")
+# the taus of two blocks, then the n, a and b cells of their three rows each
+CELLS = ("0.5", "2", "0", "1", "0", "1", "0.25", "0.75", "2", "0.5", "0.5",
+         "0", "0", "1", "1", "0.75", "0.25", "2", "0.5", "0.5")
+# (before, core, after): tokens around the cell, or around the token core put in its place
+EDIT = st.tuples(*map(st.sampled_from, (TOKENS, (None, *TOKENS), TOKENS)))
+
+
+def as_csv(edits):
+    cells = list(CELLS)
+    for k, (before, core, after) in edits.items():
+        cells[k] = before + (cells[k] if core is None else core) + after
+    rows = iter(zip(*[iter(cells[2:])] * 3))
+    lines = ["tau,n,a,b\n"]
+    for tau in cells[:2]:  # one tau spelling per block, so blocks can stay whole
+        lines += [",".join((tau, *next(rows))) + "\n" for _ in range(3)]
+    return "".join(lines)
+
+
+EDITED_CSV = st.dictionaries(st.integers(0, len(CELLS) - 1), EDIT, min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=EDITED_CSV)
+def test_any_cell_spelling_reads_as_the_line_parser_reads_it(tmp_path, edits):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(as_csv(edits).encode())
+    with pytest.MonkeyPatch.context() as mp:
+        got, want, _ = read_both(path, mp)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "edit, taus",
+    [
+        (("\n1,", "\n1_0,"), [0.5, 10.0]),  # float() reads underscores, numpy does not
+        (("1,1,0.25,", "1,1,٠.25,"), [0.5, 1.0]),  # nor non-ASCII digits
+        (("0.5,1,0.75,", "0.5,1,0.75\x1c,"), None),  # float() rejects what numpy strips
+    ],
+    ids=["underscore", "arabic_indic_digit", "separator_x1c"],
+)
+def test_spellings_only_one_parser_reads_take_the_line_parser(tmp_path, monkeypatch, edit, taus):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(BASE.replace(*edit).encode())
+    got, want, fast = read_both(path, monkeypatch)
+    assert not fast
+    assert got == want
+    if taus is None:
+        assert got[0] == "error"
+    else:
+        assert got[0] == "ok" and got[2] == [tau.hex() for tau in taus]
