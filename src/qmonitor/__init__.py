@@ -10,25 +10,17 @@ __version__ = "0.1.0"
 
 from .analytic import (
     closed_form_trace,
-    limit_probs,
     magnetization_single_qubit,
     probs_bell,
     probs_single_qubit,
     probs_singlet_triplet,
 )
 from .evolve import initial_density, noisy_closed_form, rho_in_basis, run_exact
-from .linalg import (
-    HermitianEig,
-    adjoint,
-    eig_hermitian,
-    kron,
-    unitary_from_hamiltonian,
-)
+from .linalg import HermitianEig, adjoint, eig_hermitian, kron
 from .markov import (
     ChainSpectrum,
     RegimeReport,
     TransitionMatrix,
-    build_transition_matrix,
     classify,
     power,
     propagate,

@@ -16,9 +16,6 @@ import numpy as np
 from .traces import ProbabilityTrace
 
 ModelKind = Literal["single_qubit", "singlet_triplet", "bell"]
-Parity = Literal["even", "odd", "generic"]
-
-RESONANCE_TOL = 1e-9
 
 
 def _check_n(n: int) -> int:
@@ -65,51 +62,6 @@ def probs_bell(n: int, tau: float) -> np.ndarray:
     n = _check_n(n)
     c = math.cos(2.0 * tau) ** n
     return np.array([(1.0 + c) / 4.0, (1.0 - c) / 4.0, 0.5, 0.0])
-
-
-def _resonance_class(tau: float, step: float) -> int | None:
-    """Index p of the nearest multiple p*step within RESONANCE_TOL, else None."""
-    p = round(tau / step)
-    if abs(tau - p * step) <= RESONANCE_TOL:
-        return int(p)
-    return None
-
-
-def limit_probs(model_kind: str, tau: float, parity: Parity = "generic") -> np.ndarray | None:
-    """Large-n outcome probabilities of the two-qubit models, or None if divergent.
-
-    At resonant tau (multiples of pi, and of pi/2 for the Bell case) the
-    distribution alternates with the parity of n; passing parity 'even' or
-    'odd' selects a subsequence limit, while 'generic' reports divergence
-    (None) where the plain limit does not exist.
-    """
-    if parity not in ("even", "odd", "generic"):
-        raise ValueError(f"unknown parity {parity!r}")
-    if model_kind == "singlet_triplet":
-        p = _resonance_class(tau, math.pi)
-        if p is None:
-            return np.array([1 / 3, 1 / 3, 0.0, 1 / 3])
-        if p % 2 == 0:
-            return np.array([1.0, 0.0, 0.0, 0.0])
-        # odd multiple of pi: hops between psi_0 and psi_3
-        if parity == "even":
-            return np.array([1.0, 0.0, 0.0, 0.0])
-        if parity == "odd":
-            return np.array([0.0, 0.0, 0.0, 1.0])
-        return None
-    if model_kind == "bell":
-        p = _resonance_class(tau, math.pi / 2.0)
-        if p is None:
-            return np.array([0.25, 0.25, 0.5, 0.0])
-        if p % 2 == 0:
-            return np.array([0.5, 0.0, 0.5, 0.0])
-        # odd multiple of pi/2: hops between beta_0 and beta_1
-        if parity == "even":
-            return np.array([0.5, 0.0, 0.5, 0.0])
-        if parity == "odd":
-            return np.array([0.0, 0.5, 0.5, 0.0])
-        return None
-    raise ValueError(f"no closed-form limits for model kind {model_kind!r}")
 
 
 _PROB_FUNCS = {

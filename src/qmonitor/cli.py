@@ -371,7 +371,8 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         rows = np.empty((len(taus), cfg.n_max + 1, m.dim))
         rows[:, 0] = evolve.born_probabilities(m.initial_state, m.basis)
         if cfg.n_max > 0:
-            rows[:, 1:] = markov.propagate(l, p1, cfg.n_max - 1)
+            rows[:, 1] = p1
+            markov.propagate(l, rows[:, 1:])
         traces = [ProbabilityTrace(values=block) for block in rows]
     else:
         kind = _ANALYTIC_KIND.get(cfg.model)
@@ -409,11 +410,12 @@ def cmd_analyze(cfg: RunConfig) -> dict:
     m = _build_model(cfg.model)
     h_blocks = model_mod.detect_blocks(model_mod.hamiltonian_in_basis(m))
     p0 = evolve.born_probabilities(m.initial_state, m.basis)
+    taus = cfg.tau_grid()
+    _, kernels = markov.first_cycle(m, taus)
     per_tau = []
-    for tau in cfg.tau_grid():
-        tau = float(tau)
+    for tau, kernel in zip(taus.tolist(), kernels):
         try:
-            l = markov.build_transition_matrix(m, tau)
+            l = markov.TransitionMatrix(l=kernel, tau=tau)
         except markov.AsymmetricKernelError as exc:
             raise ConfigError(
                 f"analyze needs a symmetric kernel, but model {cfg.model!r} has a non-symmetric "

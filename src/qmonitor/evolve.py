@@ -6,13 +6,15 @@ admixture of the completely mixed state with weight gamma. States are plain
 complex128 density matrices.
 
 run_exact propagates a whole tau grid at once, in measurement coordinates:
-it builds W(tau) = V^dag U(tau) V for every grid point in one batched step
-and rotates the initial state into the measurement basis once. A cycle is
-then W rho W^dag on the (T, dim, dim) stack of density matrices, followed
-by keeping its real diagonal (the projective dephasing) and mixing that
-with the uniform distribution (the depolarizing channel). It is a genuine
-density-matrix propagation, independent of the Markov reduction, and the
-tests use it as the oracle for the other engines.
+it builds W(tau) = exp(-i V^dag H V tau) for every grid point in one batched
+step from the block-wise decomposition ``Model.measurement_eig``, so every
+cross-block entry of W is an exact zero, and it rotates the initial state
+into the measurement basis once. A cycle is then W rho W^dag on the
+(T, dim, dim) stack of density matrices, followed by keeping its real
+diagonal (the projective dephasing) and mixing that with the uniform
+distribution (the depolarizing channel). It is a genuine density-matrix
+propagation, independent of the Markov reduction, and the tests use it as
+the oracle for the other engines.
 """
 
 from __future__ import annotations
@@ -26,21 +28,6 @@ from .model import MeasurementBasis, Model
 from .traces import ProbabilityTrace
 
 Direction = Literal["to_measurement", "to_computational"]
-
-PSD_TOL = -1e-10
-
-
-def check_density(rho: np.ndarray, trace_tol: float = 1e-12) -> np.ndarray:
-    """Validate Hermiticity, unit trace, and positivity (up to solver noise)."""
-    rho = linalg.require_hermitian(rho)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace is {tr}, expected 1")
-    eigs = linalg.eig_hermitian(rho).eigenvalues
-    if float(np.min(eigs)) < PSD_TOL:
-        raise ValueError(f"negative eigenvalue {np.min(eigs):.3e}")
-    return rho
-
 
 def initial_density(m: Model) -> np.ndarray:
     """The pure-state density matrix of the model's initial state."""
@@ -76,8 +63,8 @@ def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> list[Probabilit
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     gamma = _check_gamma(gamma)
-    v, dim = m.basis.v, m.dim
-    w = linalg.adjoint(v) @ linalg.unitary_from_eig(m.hamiltonian_eig, taus) @ v
+    dim = m.dim
+    w = linalg.unitary_from_eig(m.measurement_eig, taus)
     w_dag = np.conj(np.swapaxes(w, -1, -2))
     rows = np.empty((len(taus), n_max + 1, dim), dtype=float)
     rows[:, 0] = born_probabilities(m.initial_state, m.basis)

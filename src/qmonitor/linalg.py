@@ -98,11 +98,6 @@ def unitary_from_eig(dec: HermitianEig, tau) -> np.ndarray:
     return u
 
 
-def unitary_from_hamiltonian(h: np.ndarray, tau: float) -> np.ndarray:
-    """Propagator exp(-i h tau) (hbar = 1), built from the eigenbasis of h."""
-    return unitary_from_eig(eig_hermitian(h), tau)
-
-
 def rotate_matrix(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Basis change v^dagger a v, evaluated without fused multiply-adds.
 

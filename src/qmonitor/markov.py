@@ -117,12 +117,11 @@ def _kernel(u_meas: np.ndarray) -> np.ndarray:
 
 
 def build_transition_matrix(m: Model, tau: float) -> TransitionMatrix:
-    """The kernel L(tau) of one grid point for the spectral analysis.
+    """The kernel L(tau) of one tau, from ``first_cycle`` over the grid [tau].
 
     Raises AsymmetricKernelError unless the kernel is symmetric.
     """
-    u_meas = linalg.unitary_from_eig(m.measurement_eig, tau)
-    return TransitionMatrix(l=_kernel(u_meas), tau=float(tau))
+    return TransitionMatrix(l=first_cycle(m, [tau])[1][0], tau=float(tau))
 
 
 def first_cycle(m: Model, taus) -> tuple[np.ndarray, np.ndarray]:
@@ -163,25 +162,24 @@ def power(l: TransitionMatrix, n: int) -> np.ndarray:
     return (spec.eigenvectors * spec.eigenvalues**n) @ spec.eigenvectors.T
 
 
-def propagate(l: np.ndarray, p0: np.ndarray, n: int) -> np.ndarray:
-    """Rows p0 L^m, m = 0..n, for (..., dim) row vectors and (..., dim, dim) kernels.
+def propagate(l: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Fill rows[..., m, :] = rows[..., 0, :] L^m in place, m = 1..R-1, and return rows.
 
-    Returns shape (..., n + 1, dim); each step is one batched product.
+    rows is a caller-allocated (..., R, dim) float array whose row 0 holds the
+    start distributions p0; l is the matching (..., dim, dim) stack of kernels.
+    Each step is one batched product written straight into rows, so the
+    chain is held once.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     l = np.asarray(l, dtype=float)
-    p = np.asarray(p0, dtype=float)
+    p = rows[..., 0, :]
     if l.shape != p.shape + p.shape[-1:]:
         raise ValueError(f"p0 of shape {p.shape} does not match kernels of shape {l.shape}")
     if not (np.all(np.isfinite(l)) and np.all(np.isfinite(p))):
         raise ValueError("kernels and p0 must be finite")
     if np.min(p) < -STOCHASTIC_TOL or np.max(np.abs(p.sum(axis=-1) - 1.0)) > STOCHASTIC_TOL:
         raise ValueError("p0 is not a probability vector")
-    rows = np.empty((*p.shape[:-1], n + 1, p.shape[-1]), dtype=float)
-    rows[..., 0, :] = p
     p = p[..., None, :]
-    for m in range(1, n + 1):
+    for m in range(1, rows.shape[-2]):
         p = p @ l
         rows[..., m, :] = p[..., 0, :]
     return rows

@@ -75,20 +75,15 @@ class MeasurementBasis:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "labels", check_labels(tuple(str(s) for s in self.labels)))
 
-    def projector(self, k: int) -> np.ndarray:
-        """Rank-one projector onto outcome k, in computational coordinates."""
-        col = self.v[:, k]
-        return np.outer(col, np.conj(col))
-
 
 @dataclass(frozen=True)
 class Model:
     """A Hamiltonian, a measurement basis, and an initial pure state.
 
-    The spectral decompositions of H and of V^dag H V are computed on first
-    use and cached on the instance, so every tau of a sweep shares them.
-    Changing ``hamiltonian`` or ``basis.v`` in place after first use is
-    unsupported: the cached decompositions would go stale.
+    The spectral decomposition of V^dag H V, the only one any propagator is
+    built from, is computed on first use and cached on the instance, so every
+    tau of a sweep shares it. Changing ``hamiltonian`` or ``basis.v`` in place
+    after first use is unsupported: the cached decomposition would go stale.
     """
 
     dim: int
@@ -113,18 +108,6 @@ class Model:
             raise ValueError(f"initial state is not normalized (norm {norm})")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "initial_state", psi)
-
-    @cached_property
-    def hamiltonian_eig(self) -> linalg.HermitianEig:
-        """Decomposition of H in computational coordinates: the pair (lambda, V W).
-
-        Derived from ``measurement_eig`` (lambda, W), since H = V W diag(lambda)
-        W^dag V^dag; H itself is never diagonalized.
-        """
-        dec = self.measurement_eig
-        return linalg.HermitianEig(
-            eigenvalues=dec.eigenvalues, eigenvectors=self.basis.v @ dec.eigenvectors
-        )
 
     @cached_property
     def measurement_eig(self) -> linalg.HermitianEig:

@@ -50,11 +50,6 @@ def ramp_codes(x) -> np.ndarray:
     return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
 
 
-def ramp_color(x: float) -> str:
-    """Hex color for x in [0, 1], clipped."""
-    return "#%06x" % ramp_codes(x)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 

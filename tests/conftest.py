@@ -65,7 +65,8 @@ def cycle(rho: np.ndarray, m: model.Model, tau: float, gamma: float = 0.0) -> np
     U rho U^dag, then the projective dephasing sum_k |phi_k><phi_k| . |phi_k><phi_k|
     through the columns of V, then the depolarizing channel. This is the
     independent per-cycle reference for evolve.run_exact, which works in
-    measurement coordinates. With gamma = 0 this is the noiseless
+    measurement coordinates from the block decomposition of V^dag H V; U here
+    comes from its own decomposition of H. With gamma = 0 this is the noiseless
     evolve-and-measure map; gamma = 1 replaces the state by the completely
     mixed one.
     """
@@ -76,7 +77,7 @@ def cycle(rho: np.ndarray, m: model.Model, tau: float, gamma: float = 0.0) -> np
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     v = m.basis.v
-    u = linalg.unitary_from_eig(m.hamiltonian_eig, tau)
+    u = linalg.unitary_from_eig(linalg.eig_hermitian(m.hamiltonian), tau)
     evolved = u @ rho @ linalg.adjoint(u)
     # diag(V^dag evolved V)
     pops = np.real(np.sum(np.conj(v) * (evolved @ v), axis=0))
@@ -84,3 +85,11 @@ def cycle(rho: np.ndarray, m: model.Model, tau: float, gamma: float = 0.0) -> np
     if gamma != 0.0:
         dephased = (1.0 - gamma) * dephased + gamma * np.eye(m.dim, dtype=complex) / m.dim
     return dephased
+
+
+def start_rows(p0, n: int) -> np.ndarray:
+    """A (..., n + 1, dim) block for markov.propagate to fill: row 0 is p0."""
+    p0 = np.asarray(p0, dtype=float)
+    rows = np.empty((*p0.shape[:-1], n + 1, p0.shape[-1]))
+    rows[..., 0, :] = p0
+    return rows

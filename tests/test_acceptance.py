@@ -12,7 +12,8 @@ import numpy as np
 
 from qmonitor import analytic, evolve, markov, model, noisefit, sample
 
-from conftest import cycle
+import oracles
+from conftest import cycle, start_rows
 
 TAU_GRID_33 = [k * math.pi / 32 for k in range(33)]
 N_GRID_33 = range(33)
@@ -33,7 +34,7 @@ def _engines(m, tau: float, n_max: int):
     exact = evolve.run_exact(m, [tau], n_max)[0].values
     l = markov.build_transition_matrix(m, tau)
     p0 = evolve.born_probabilities(m.initial_state, m.basis)
-    chain = markov.propagate(l.l, p0, n_max)
+    chain = markov.propagate(l.l, start_rows(p0, n_max))
     return exact, chain
 
 
@@ -90,7 +91,7 @@ def test_criterion_2_singlet_triplet():
         )
     # asymptotics at tau = pi/4, n = 50
     l = markov.build_transition_matrix(m, math.pi / 4)
-    far = markov.propagate(l.l, [1.0, 0.0, 0.0, 0.0], 50)[50]
+    far = markov.propagate(l.l, start_rows([1.0, 0.0, 0.0, 0.0], 50))[50]
     _expect(
         failures,
         float(np.max(np.abs(far - [1 / 3, 1 / 3, 0.0, 1 / 3]))) < 1e-6,
@@ -133,15 +134,15 @@ def test_criterion_3_bell():
         is None,
         "stationary limit should not exist at tau=pi/2",
     )
-    even = analytic.limit_probs("bell", math.pi / 2, parity="even")
-    odd = analytic.limit_probs("bell", math.pi / 2, parity="odd")
+    even = oracles.limit_probs("bell", math.pi / 2, parity="even")
+    odd = oracles.limit_probs("bell", math.pi / 2, parity="odd")
     _expect(failures, np.array_equal(even, [0.5, 0.0, 0.5, 0.0]), "even-parity limit wrong")
     _expect(failures, np.array_equal(odd, [0.0, 0.5, 0.5, 0.0]), "odd-parity limit wrong")
     big_even = analytic.probs_bell(50, math.pi / 2)
     big_odd = analytic.probs_bell(51, math.pi / 2)
     _expect(failures, float(np.max(np.abs(big_even - even))) < 1e-10, "even subsequence wrong")
     _expect(failures, float(np.max(np.abs(big_odd - odd))) < 1e-10, "odd subsequence wrong")
-    generic = analytic.limit_probs("bell", 0.7)
+    generic = oracles.limit_probs("bell", 0.7)
     stat = markov.stationary_limit(markov.build_transition_matrix(m, 0.7), [0.5, 0, 0.5, 0])
     _expect(
         failures,
@@ -314,9 +315,7 @@ def test_criterion_9_property_suite():
             f"{name}: basis not unitary",
         )
         for tau in tau_grid:
-            from qmonitor import linalg
-
-            u = linalg.unitary_from_hamiltonian(m.hamiltonian, tau)
+            u = oracles.unitary_from_hamiltonian(m.hamiltonian, tau)
             _expect(
                 failures,
                 float(np.max(np.abs(u.conj().T @ u - np.eye(m.dim)))) < 1e-12,

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from qmonitor import analytic, evolve, markov, model
 
-from conftest import taus
+import oracles
+from conftest import start_rows, taus
 
 GRID_TAU = [k * np.pi / 40 for k in range(41)]
 GRID_N = range(33)
@@ -77,52 +78,52 @@ class TestBell:
 
 class TestLimitProbs:
     def test_singlet_triplet_generic(self):
-        got = analytic.limit_probs("singlet_triplet", 0.9)
+        got = oracles.limit_probs("singlet_triplet", 0.9)
         assert np.allclose(got, [1 / 3, 1 / 3, 0.0, 1 / 3])
 
     def test_singlet_triplet_even_multiple(self):
         assert np.array_equal(
-            analytic.limit_probs("singlet_triplet", 0.0), [1.0, 0.0, 0.0, 0.0]
+            oracles.limit_probs("singlet_triplet", 0.0), [1.0, 0.0, 0.0, 0.0]
         )
         assert np.array_equal(
-            analytic.limit_probs("singlet_triplet", 2 * np.pi), [1.0, 0.0, 0.0, 0.0]
+            oracles.limit_probs("singlet_triplet", 2 * np.pi), [1.0, 0.0, 0.0, 0.0]
         )
 
     def test_singlet_triplet_odd_multiple(self):
-        assert analytic.limit_probs("singlet_triplet", np.pi) is None
+        assert oracles.limit_probs("singlet_triplet", np.pi) is None
         assert np.array_equal(
-            analytic.limit_probs("singlet_triplet", np.pi, parity="odd"), [0, 0, 0, 1]
+            oracles.limit_probs("singlet_triplet", np.pi, parity="odd"), [0, 0, 0, 1]
         )
         assert np.array_equal(
-            analytic.limit_probs("singlet_triplet", np.pi, parity="even"), [1, 0, 0, 0]
+            oracles.limit_probs("singlet_triplet", np.pi, parity="even"), [1, 0, 0, 0]
         )
 
     def test_bell_generic(self):
-        assert np.allclose(analytic.limit_probs("bell", 0.9), [0.25, 0.25, 0.5, 0.0])
+        assert np.allclose(oracles.limit_probs("bell", 0.9), [0.25, 0.25, 0.5, 0.0])
 
     def test_bell_pi_multiples(self):
-        assert np.array_equal(analytic.limit_probs("bell", np.pi), [0.5, 0.0, 0.5, 0.0])
+        assert np.array_equal(oracles.limit_probs("bell", np.pi), [0.5, 0.0, 0.5, 0.0])
 
     def test_bell_half_pi(self):
-        assert analytic.limit_probs("bell", np.pi / 2) is None
+        assert oracles.limit_probs("bell", np.pi / 2) is None
         assert np.array_equal(
-            analytic.limit_probs("bell", np.pi / 2, parity="even"), [0.5, 0.0, 0.5, 0.0]
+            oracles.limit_probs("bell", np.pi / 2, parity="even"), [0.5, 0.0, 0.5, 0.0]
         )
         assert np.array_equal(
-            analytic.limit_probs("bell", np.pi / 2, parity="odd"), [0.0, 0.5, 0.5, 0.0]
+            oracles.limit_probs("bell", np.pi / 2, parity="odd"), [0.0, 0.5, 0.5, 0.0]
         )
 
     def test_limits_match_closed_form_at_large_n(self):
         for tau in (0.31, 1.1, 2.4):
-            lim = analytic.limit_probs("bell", tau)
+            lim = oracles.limit_probs("bell", tau)
             far = analytic.probs_bell(4000, tau)
             assert np.max(np.abs(lim - far)) < 1e-6
 
     def test_unknown_inputs(self):
         with pytest.raises(ValueError):
-            analytic.limit_probs("single_qubit", 0.5)
+            oracles.limit_probs("single_qubit", 0.5)
         with pytest.raises(ValueError):
-            analytic.limit_probs("bell", 0.5, parity="prime")
+            oracles.limit_probs("bell", 0.5, parity="prime")
 
 
 class TestOracleEquivalence:
@@ -144,14 +145,14 @@ class TestOracleEquivalence:
             exact = evolve.run_exact(m, [tau], n_max)[0].values
             l = markov.build_transition_matrix(m, tau)
             p0 = evolve.born_probabilities(m.initial_state, m.basis)
-            chain = markov.propagate(l.l, p0, n_max)
+            chain = markov.propagate(l.l, start_rows(p0, n_max))
             assert np.max(np.abs(closed - chain)) < 1e-10
             assert np.max(np.abs(closed - exact)) < 1e-10
 
     def test_magnetization_matches_markov(self, single_qubit):
         for tau in GRID_TAU:
             l = markov.build_transition_matrix(single_qubit, tau)
-            chain = markov.propagate(l.l, [1.0, 0.0], 32)
+            chain = markov.propagate(l.l, start_rows([1.0, 0.0], 32))
             mags = chain[:, 0] - chain[:, 1]
             expected = [analytic.magnetization_single_qubit(n, tau) for n in GRID_N]
             assert np.max(np.abs(mags - expected)) < 1e-12

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmonitor import linalg, markov, model
+from qmonitor import evolve, linalg, markov, model
 
+import oracles
 from conftest import taus
 
 DATA = Path(__file__).parent / "data"
@@ -37,6 +38,17 @@ def test_kernel_is_exactly_block_diagonal_with_unit_dark_columns(name):
             unit = np.eye(m.dim)[k]
             assert np.array_equal(l[:, k], unit), f"dark column {k} at tau={tau}"
             assert np.array_equal(l[k, :], unit), f"dark row {k} at tau={tau}"
+
+
+@pytest.mark.parametrize(
+    "name, column", [("two_qubit_singlet_triplet", "psi_2"), ("two_qubit_bell", "beta_3")]
+)
+def test_exact_engine_keeps_a_dark_column_exactly_zero(name, column):
+    m = model.build_model(name)
+    k = m.basis.labels.index(column)
+    cells = np.array([t.values[:, k] for t in evolve.run_exact(m, TAU_GRID_33, 32)])
+    assert cells.shape == (33, 33)
+    assert np.count_nonzero(cells) == 0
 
 
 @st.composite
@@ -81,7 +93,7 @@ def test_uncoupled_model_never_reaches_the_solver(monkeypatch):
     def fail(_):
         raise AssertionError("a 1x1 block reached linalg.eig_hermitian")
 
-    v = linalg.unitary_from_hamiltonian(model.pauli("y"), 0.4)
+    v = oracles.unitary_from_hamiltonian(model.pauli("y"), 0.4)
     monkeypatch.setattr(linalg, "eig_hermitian", fail)
     d = np.diag([0.5, -0.25])
     basis = model.MeasurementBasis(dim=2, v=v, labels=("a", "b"))
@@ -89,14 +101,3 @@ def test_uncoupled_model_never_reaches_the_solver(monkeypatch):
     dec = m.measurement_eig
     assert np.array_equal(dec.eigenvalues, np.real(np.diag(model.hamiltonian_in_basis(m))))
     assert np.array_equal(dec.eigenvectors, np.eye(2))
-    assert np.array_equal(m.hamiltonian_eig.eigenvectors, v)
-
-
-@given(block_models())
-@settings(max_examples=40, deadline=None)
-def test_derived_hamiltonian_eig_reconstructs_h(case):
-    m, _ = case
-    dec = m.hamiltonian_eig
-    w = dec.eigenvectors
-    assert np.max(np.abs((w * dec.eigenvalues) @ w.conj().T - m.hamiltonian)) < 1e-12
-    assert np.max(np.abs(w.conj().T @ w - np.eye(m.dim))) < 1e-12

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qmonitor import cli, evolve, linalg, markov, model
 from qmonitor.traces import ProbabilityTrace
 
+import oracles
 from conftest import ALL_MODEL_NAMES, taus, three_level_model
 
 DATA = Path(__file__).parent / "data"
@@ -63,7 +64,8 @@ def chain(m, grid, gamma):
     p1, l = markov.first_cycle(m, grid)
     rows = np.empty((len(grid), N_MAX + 1, m.dim))
     rows[:, 0] = evolve.born_probabilities(m.initial_state, m.basis)
-    rows[:, 1:] = markov.propagate(l, p1, N_MAX - 1)
+    rows[:, 1] = p1
+    markov.propagate(l, rows[:, 1:])
     return np.array(
         [evolve.noisy_closed_form(ProbabilityTrace(values=b), gamma, m.dim).values for b in rows]
     )
@@ -71,7 +73,7 @@ def chain(m, grid, gamma):
 
 @pytest.mark.parametrize("m", MODELS, ids=MODEL_IDS)
 def test_grid_kernels_are_bitwise_the_per_point_kernels(m):
-    """analyze builds L(tau) from a scalar U(tau); the engines slice it from the grid's stack."""
+    """A kernel sliced from the grid's stack is bitwise the kernel of a scalar U(tau)."""
     grid = GRIDS["grid"]
     _, l = markov.first_cycle(m, grid)
     for i, tau in enumerate(grid):
@@ -92,7 +94,7 @@ def random_models(draw, max_dim: int = 6):
         return ((a + 1j * b) + (a + 1j * b).conj().T) / 2.0
 
     h = hermitian()
-    v = linalg.unitary_from_hamiltonian(hermitian(), 1.0)
+    v = oracles.unitary_from_hamiltonian(hermitian(), 1.0)
     psi = np.array(draw(st.lists(_unit, min_size=2 * n, max_size=2 * n))).view(complex)
     assume(np.linalg.norm(psi) > 0.1)
     basis = model.MeasurementBasis(dim=n, v=v, labels=tuple(f"s{k}" for k in range(n)))
@@ -129,7 +131,7 @@ class TestFrozenAtZero:
     """With V = I and U(0) exactly the identity, nothing moves at tau = 0."""
 
     def test_propagator_is_exactly_the_identity(self, single_qubit):
-        dec = single_qubit.hamiltonian_eig
+        dec = single_qubit.measurement_eig
         assert np.array_equal(linalg.unitary_from_eig(dec, 0.0), np.eye(2))
         stack = linalg.unitary_from_eig(dec, [0.0, 1.0, 0.0])
         assert np.array_equal(stack[0], np.eye(2))

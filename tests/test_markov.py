@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qmonitor import evolve, markov, model
 
-from conftest import all_models, taus
+from conftest import all_models, start_rows, taus
 
 TAU_GRID = [k * np.pi / 8 for k in range(9)] + [0.7, 1.234]
 
@@ -149,18 +149,19 @@ class TestPower:
 class TestPropagate:
     def test_singlet_component_exactly_zero(self, singlet_triplet):
         for tau in (0.3, 0.7, np.pi / 4, 2.5):
-            trace = markov.propagate(kernel(singlet_triplet, tau).l, [1, 0, 0, 0], 64)
+            l = kernel(singlet_triplet, tau).l
+            trace = markov.propagate(l, start_rows([1, 0, 0, 0], 64))
             assert np.array_equal(trace[:, 2], np.zeros(65))
 
     def test_bell_frozen_components(self, bell):
         p0 = [0.5, 0.0, 0.5, 0.0]
         for tau in (0.3, 0.7, 1.9):
-            trace = markov.propagate(kernel(bell, tau).l, p0, 64)
+            trace = markov.propagate(kernel(bell, tau).l, start_rows(p0, 64))
             assert np.all(trace[:, 2] == 0.5)
             assert np.array_equal(trace[:, 3], np.zeros(65))
 
     def test_single_qubit_resonance(self, single_qubit):
-        trace = markov.propagate(kernel(single_qubit, np.pi).l, [1, 0], 8)
+        trace = markov.propagate(kernel(single_qubit, np.pi).l, start_rows([1, 0], 8))
         signs = (-1.0) ** np.arange(9)
         mag = trace[:, 0] - trace[:, 1]
         assert np.max(np.abs(mag - signs)) < 1e-12
@@ -168,16 +169,16 @@ class TestPropagate:
     def test_rejects_mismatched_shapes(self, single_qubit):
         l = markov.first_cycle(single_qubit, [0.3, 0.7])[1]
         with pytest.raises(ValueError, match="does not match"):
-            markov.propagate(l, [1.0, 0.0], 3)
+            markov.propagate(l, start_rows([1.0, 0.0], 3))
         with pytest.raises(ValueError, match="does not match"):
-            markov.propagate(l[0], [1.0, 0.0, 0.0], 3)
+            markov.propagate(l[0], start_rows([1.0, 0.0, 0.0], 3))
 
     def test_rejects_bad_p0(self, single_qubit):
         l = kernel(single_qubit, 0.7).l
         with pytest.raises(ValueError):
-            markov.propagate(l, [0.7, 0.7], 3)
+            markov.propagate(l, start_rows([0.7, 0.7], 3))
         with pytest.raises(ValueError):
-            markov.propagate(l, [1.2, -0.2], 3)
+            markov.propagate(l, start_rows([1.2, -0.2], 3))
 
     @pytest.mark.parametrize(
         "l, p0",
@@ -191,7 +192,7 @@ class TestPropagate:
     )
     def test_rejects_non_finite(self, l, p0):
         with pytest.raises(ValueError, match="finite"):
-            markov.propagate(l, p0, 2)
+            markov.propagate(l, start_rows(p0, 2))
 
 
 class TestClassify:
@@ -264,7 +265,7 @@ class TestStationaryLimit:
         l = kernel(m, tau)
         p0 = evolve.born_probabilities(m.initial_state, m.basis)
         limit = markov.stationary_limit(l, p0)
-        long_run = markov.propagate(l.l, p0, 400)[-1]
+        long_run = markov.propagate(l.l, start_rows(p0, 400))[-1]
         assert np.max(np.abs(limit - long_run)) < 1e-10
 
 
@@ -272,7 +273,8 @@ class TestStationaryLimit:
 @settings(max_examples=60, deadline=None)
 def test_propagate_rows_are_distributions(tau, n):
     m = model.two_qubit_model("bell")
-    trace = markov.propagate(markov.build_transition_matrix(m, tau).l, [0.5, 0, 0.5, 0], n)
+    l = markov.build_transition_matrix(m, tau).l
+    trace = markov.propagate(l, start_rows([0.5, 0, 0.5, 0], n))
     assert trace.shape == (n + 1, 4)
     assert trace.min() >= -1e-12
     assert np.max(np.abs(trace.sum(axis=1) - 1.0)) <= 1e-12

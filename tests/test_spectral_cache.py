@@ -1,12 +1,11 @@
 """Each model and each jump kernel is diagonalized once, and reuse is exact."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from qmonitor import cli, linalg, markov, model
 
+import oracles
 from conftest import ALL_MODEL_NAMES, three_level_model
 
 TAUS = [0.0, 0.3, 1.234, np.pi / 2, np.pi, 5.9]
@@ -17,21 +16,11 @@ MODELS = [model.build_model(name) for name in ALL_MODEL_NAMES] + [three_level_mo
 
 @pytest.mark.parametrize("m", MODELS, ids=[*ALL_MODEL_NAMES, "three_level"])
 class TestCachedPropagators:
-    def test_computational_basis_is_bitwise_the_reference(self, m):
-        # H's decomposition is derived from V^dag H V, so the bitwise reference
-        # is a freshly built model's; diagonalizing H directly agrees to 1e-13.
-        for tau in TAUS:
-            cached = linalg.unitary_from_eig(m.hamiltonian_eig, tau)
-            fresh = dataclasses.replace(m)
-            assert np.array_equal(cached, linalg.unitary_from_eig(fresh.hamiltonian_eig, tau))
-            direct = linalg.unitary_from_hamiltonian(m.hamiltonian, tau)
-            assert np.max(np.abs(cached - direct)) < 1e-13
-
     def test_measurement_basis_is_bitwise_the_reference(self, m):
         h_meas = model.hamiltonian_in_basis(m)
         for tau in TAUS:
             cached = linalg.unitary_from_eig(m.measurement_eig, tau)
-            assert np.array_equal(cached, linalg.unitary_from_hamiltonian(h_meas, tau))
+            assert np.array_equal(cached, oracles.unitary_from_hamiltonian(h_meas, tau))
 
 
 def count_calls(monkeypatch, module, name, argv):
@@ -77,4 +66,16 @@ class TestPropagatorOncePerGridPoint:
 
     def test_exact_engine_builds_the_grid_at_once(self, tmp_path, monkeypatch):
         argv = ["simulate", "--engine", "exact", "--tau-count", 33, "--out", tmp_path]
+        assert count_calls(monkeypatch, linalg, "unitary_from_eig", argv) == 1
+
+    def test_analyze_builds_the_grid_at_once(self, tmp_path, monkeypatch):
+        argv = ["analyze", "--model", "two_qubit_bell", "--tau-count", 17, "--out", tmp_path]
+        assert count_calls(monkeypatch, linalg, "unitary_from_eig", argv) == 1
+
+    def test_fit_noise_builds_the_grid_at_once(self, tmp_path, monkeypatch):
+        sim = ["simulate", "--model", "two_qubit_bell", "--engine", "markov", "--tau-count", 17,
+               "--gamma", 0.05, "--out", tmp_path]
+        assert cli.main([str(a) for a in sim]) == 0
+        argv = ["fit-noise", tmp_path / "two_qubit_bell_markov.csv", "--model", "two_qubit_bell",
+                "--out", tmp_path]
         assert count_calls(monkeypatch, linalg, "unitary_from_eig", argv) == 1
