@@ -17,18 +17,8 @@ from .analytic import (
 )
 from .evolve import initial_density, noisy_closed_form, rho_in_basis, run_exact
 from .linalg import HermitianEig, adjoint, eig_hermitian, kron
-from .markov import (
-    ChainSpectrum,
-    RegimeReport,
-    TransitionMatrix,
-    classify,
-    power,
-    propagate,
-    spectrum,
-    stationary_limit,
-)
+from .markov import RegimeReport, classify, propagate, spectrum, stationary_limit
 from .model import (
-    BlockStructure,
     MeasurementBasis,
     Model,
     build_model,

@@ -31,7 +31,7 @@ from .traces import ProbabilityTrace
 
 ENV_OUT = "QMONITOR_OUT"
 ENGINES = ("exact", "markov", "closed_form", "sample")
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # analytic closed forms exist only for the built-in models
 _ANALYTIC_KIND = {
@@ -411,33 +411,26 @@ def cmd_analyze(cfg: RunConfig) -> dict:
     h_blocks = model_mod.detect_blocks(model_mod.hamiltonian_in_basis(m))
     p0 = evolve.born_probabilities(m.initial_state, m.basis)
     taus = cfg.tau_grid()
-    _, kernels = markov.first_cycle(m, taus)
-    per_tau = []
-    for tau, kernel in zip(taus.tolist(), kernels):
-        try:
-            l = markov.TransitionMatrix(l=kernel, tau=tau)
-        except markov.AsymmetricKernelError as exc:
-            raise ConfigError(
-                f"analyze needs a symmetric kernel, but model {cfg.model!r} has a non-symmetric "
-                f"one at tau={tau!r}; simulate supports this model"
-            ) from exc
-        spec = l.chain_spectrum
-        report = markov.classify(l, h_blocks)
-        stationary = markov.stationary_limit(l, p0)
-        per_tau.append(
-            {
-                "tau": tau,
-                "eigenvalues": [float(x) for x in spec.eigenvalues],
-                "regime": report.kind,
-                "multiplicity_of_one": report.multiplicity_of_one,
-                "has_minus_one": report.has_minus_one,
-                "regime_blocks": report.blocks.as_lists() if report.blocks else None,
-                "stationary": None if stationary is None else [float(x) for x in stationary],
-                "details": report.details,
-            }
-        )
+    kernels = markov.build_transition_matrix(m, taus)
+    eigenvalues = markov.spectrum(kernels)
+    reports = markov.classify(kernels)
+    limits = markov.stationary_limit(reports, p0)
+    per_tau = [
+        {
+            "tau": tau,
+            "eigenvalues": lam.real.tolist(),
+            "eigenvalues_imag": lam.imag.tolist(),
+            "regime": report.kind,
+            "classes": [list(c) for c in report.classes],
+            "periods": list(report.periods),
+            "masses": markov.class_masses(report.classes, p0),
+            "stationary": None if limit is None else limit.tolist(),
+            "details": report.details,
+        }
+        for tau, lam, report, limit in zip(taus.tolist(), eigenvalues, reports, limits)
+    ]
     results = {
-        "hamiltonian_blocks": h_blocks.as_lists(),
+        "hamiltonian_blocks": [list(b) for b in h_blocks],
         "initial_distribution": [float(x) for x in p0],
         "per_tau": per_tau,
     }

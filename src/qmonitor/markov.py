@@ -3,36 +3,38 @@
 Between consecutive measurements the outcome statistics follow a classical
 Markov chain with kernel L[k, k'] = |<phi_k'| U(tau) |phi_k>|^2 = P(k -> k').
 Distributions are row vectors and advance as p L. The kernel of a unitary is
-doubly stochastic but need not be symmetric (a Hamiltonian that is complex
-in the measurement basis breaks the symmetry), and the engines accept any
-such kernel. Only the spectral analysis requires a symmetric kernel: its
-spectrum is then real, lies in [-1, 1], and contains the eigenvalue 1 with
-the uniform eigenvector. A unique unit eigenvalue gives uniform
-(infinite-temperature) mixing, a degenerate one preserves block weights, and
-an eigenvalue -1 makes the distribution oscillate forever.
+doubly stochastic. It is symmetric when V^dag H V is real and in general not
+when it is complex; everything here accepts both.
+
+The analysis takes the (T, dim, dim) kernel stack of a whole tau grid and
+reads the long-time behaviour from each kernel's support, the entries above
+SUPPORT_TOL. A doubly stochastic kernel has no transient states, so the
+connected components of its support are its closed classes, and each class
+keeps the mass it starts with. A class of period 1 relaxes to uniform on
+itself: one class gives infinite-temperature mixing, several give partial
+thermalization with a separate weight in each. A class of period p > 1
+cycles through p subsets forever, so the distribution never converges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .model import BlockStructure, Model
+from .model import Model, detect_blocks
 
 STOCHASTIC_TOL = 1e-12
-DEGENERACY_TOL = 1e-9
+# Kernel entries of at most this size count as absent from the support. Near a
+# resonance tau* the vanishing entries grow as (tau - tau*)^2, so the resonant
+# classes hold over a window of about sqrt(SUPPORT_TOL) around tau*.
+SUPPORT_TOL = 1e-9
 
 KIND_FROZEN = "frozen"
 KIND_OSCILLATORY = "oscillatory"
 KIND_INFINITE_TEMPERATURE = "infinite_temperature"
 KIND_PARTIAL = "partial"
-
-
-class AsymmetricKernelError(ValueError):
-    """A doubly stochastic kernel that is not symmetric, which the spectral analysis rejects."""
 
 
 def _check_doubly_stochastic(mat: np.ndarray) -> None:
@@ -48,60 +50,12 @@ def _check_doubly_stochastic(mat: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class TransitionMatrix:
-    """Symmetric doubly stochastic jump kernel for one evolution period tau.
-
-    Its spectrum is computed on first use and cached on the instance, so
-    classify, stationary_limit and power share one decomposition. Changing
-    ``l`` in place after first use is unsupported.
-    """
-
-    l: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        mat = np.asarray(self.l, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("transition matrix must be square")
-        _check_doubly_stochastic(mat)
-        if np.max(np.abs(mat - mat.T)) > STOCHASTIC_TOL:
-            raise AsymmetricKernelError("matrix must be symmetric")
-        object.__setattr__(self, "l", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.l.shape[0]
-
-    @cached_property
-    def chain_spectrum(self) -> ChainSpectrum:
-        """The kernel's spectrum, as returned by ``spectrum``."""
-        return spectrum(self)
-
-
-@dataclass(frozen=True)
-class ChainSpectrum:
-    """Eigenvalues (descending) and orthonormal real eigenvectors of the kernel."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        if float(np.min(lam)) < -1.0 - STOCHASTIC_TOL or float(np.max(lam)) > 1.0 + STOCHASTIC_TOL:
-            raise ValueError("spectrum escapes [-1, 1]; kernel is corrupt")
-        if abs(lam[0] - 1.0) > STOCHASTIC_TOL:
-            raise ValueError("leading eigenvalue must be 1")
-        object.__setattr__(self, "eigenvalues", lam)
-
-
-@dataclass(frozen=True)
 class RegimeReport:
-    """Asymptotic classification of the chain."""
+    """Closed classes of the kernel at one tau, their periods, and the regime they give."""
 
     kind: str
-    multiplicity_of_one: int
-    has_minus_one: bool
-    blocks: BlockStructure | None
+    classes: tuple[tuple[int, ...], ...]
+    periods: tuple[int, ...]
     details: str
 
 
@@ -116,12 +70,9 @@ def _kernel(u_meas: np.ndarray) -> np.ndarray:
     return mat / mat.sum(axis=-1, keepdims=True)
 
 
-def build_transition_matrix(m: Model, tau: float) -> TransitionMatrix:
-    """The kernel L(tau) of one tau, from ``first_cycle`` over the grid [tau].
-
-    Raises AsymmetricKernelError unless the kernel is symmetric.
-    """
-    return TransitionMatrix(l=first_cycle(m, [tau])[1][0], tau=float(tau))
+def build_transition_matrix(m: Model, taus) -> np.ndarray:
+    """The (T, dim, dim) kernels L(tau) of a tau grid, from ``first_cycle``."""
+    return first_cycle(m, taus)[1]
 
 
 def first_cycle(m: Model, taus) -> tuple[np.ndarray, np.ndarray]:
@@ -141,25 +92,18 @@ def first_cycle(m: Model, taus) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(u_meas @ psi_meas) ** 2, l
 
 
-def spectrum(l: TransitionMatrix) -> ChainSpectrum:
-    """Full eigendecomposition of the kernel, eigenvalues descending."""
-    dec = linalg.eig_hermitian(l.l.astype(complex))
-    order = slice(None, None, -1)
-    lam = dec.eigenvalues[order].copy()
-    vecs = dec.eigenvectors[:, order]
-    if float(np.max(np.abs(vecs.imag))) > 1e-12:
-        raise RuntimeError("eigenvectors of a real symmetric kernel came out complex")
-    return ChainSpectrum(eigenvalues=lam, eigenvectors=np.real(vecs).copy())
+def spectrum(l: np.ndarray) -> np.ndarray:
+    """(T, dim) eigenvalues of a kernel stack, by descending real part, then imaginary part.
 
-
-def power(l: TransitionMatrix, n: int) -> np.ndarray:
-    """n-th power of the kernel via its spectral decomposition."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return np.eye(l.dim)
-    spec = l.chain_spectrum
-    return (spec.eigenvectors * spec.eigenvalues**n) @ spec.eigenvectors.T
+    Real, from np.linalg.eigvalsh, when every kernel is symmetric within
+    STOCHASTIC_TOL; complex, from np.linalg.eigvals, otherwise.
+    """
+    l = np.asarray(l, dtype=float)
+    if np.max(np.abs(l - np.swapaxes(l, -1, -2))) <= STOCHASTIC_TOL:
+        return np.linalg.eigvalsh(l)[..., ::-1]
+    lam = np.linalg.eigvals(l)
+    order = np.lexsort((-lam.imag, -lam.real), axis=-1)
+    return np.take_along_axis(lam, order, axis=-1)
 
 
 def propagate(l: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -185,72 +129,74 @@ def propagate(l: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def classify(
-    l: TransitionMatrix, h_blocks: BlockStructure, tol: float = DEGENERACY_TOL
-) -> RegimeReport:
-    """Name the asymptotic regime of the chain.
+def _report(classes: tuple[tuple[int, ...], ...], periods: tuple[int, ...]) -> RegimeReport:
+    if all(len(c) == 1 for c in classes):
+        kind, details = KIND_FROZEN, "every class is a single state; every outcome is frozen"
+    elif max(periods) > 1:
+        kind = KIND_OSCILLATORY
+        details = f"a class has period {max(periods)}; the outcome distribution cycles with n"
+    elif len(classes) == 1:
+        kind = KIND_INFINITE_TEMPERATURE
+        details = "one aperiodic class; distribution relaxes to uniform"
+    else:
+        kind = KIND_PARTIAL
+        details = f"{len(classes)} aperiodic classes; class weights are conserved"
+    return RegimeReport(kind=kind, classes=classes, periods=periods, details=details)
 
-    frozen: the kernel is the identity (nothing moves). oscillatory: an
-    eigenvalue -1 is present and the distribution never converges.
-    infinite_temperature: unique unit eigenvalue, everything relaxes to
-    uniform. partial: degenerate unit eigenvalue, per-block memory survives.
+
+def classify(l: np.ndarray) -> list[RegimeReport]:
+    """Classes, periods and regime of every kernel in a (T, dim, dim) stack.
+
+    The classes are the connected components of the support L > SUPPORT_TOL
+    made symmetric; for a doubly stochastic kernel they are its closed
+    classes. A class's period is the gcd of the lengths n <= dim of the
+    directed walks that return to one of its states: every simple cycle is at
+    most dim long, so these lengths suffice. One boolean walk over the stack
+    gives them all. frozen: every class is a single state. oscillatory: some
+    class has period > 1. infinite_temperature: one aperiodic class.
+    partial: several aperiodic classes.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    lam = l.chain_spectrum.eigenvalues
-    mult_one = int(np.sum(lam >= 1.0 - tol))
-    has_minus_one = bool(np.any(lam <= -1.0 + tol))
-
-    if float(np.max(np.abs(l.l - np.eye(l.dim)))) < tol:
-        return RegimeReport(
-            kind=KIND_FROZEN,
-            multiplicity_of_one=l.dim,
-            has_minus_one=False,
-            blocks=None,
-            details="kernel is the identity; every outcome is frozen",
+    l = np.asarray(l, dtype=float)
+    if l.ndim != 3 or l.shape[1] != l.shape[2]:
+        raise ValueError(f"expected a (T, dim, dim) kernel stack, got shape {l.shape}")
+    _check_doubly_stochastic(l)
+    support = l > SUPPORT_TOL
+    walk = support
+    returns = [np.diagonal(walk, axis1=1, axis2=2)]  # returns[n - 1][t, i]: i -> i in n steps
+    for _ in range(l.shape[-1] - 1):
+        walk = walk @ support
+        returns.append(np.diagonal(walk, axis1=1, axis2=2))
+    lengths = np.arange(1, l.shape[-1] + 1)
+    state_periods = np.gcd.reduce(np.where(np.stack(returns, axis=-1), lengths, 0), axis=-1)
+    reports = []
+    for kernel, periods in zip(l, state_periods):
+        classes = detect_blocks(np.maximum(kernel, kernel.T), SUPPORT_TOL)
+        reports.append(
+            _report(classes, tuple(int(np.gcd.reduce(periods[list(c)])) for c in classes))
         )
-    if has_minus_one:
-        return RegimeReport(
-            kind=KIND_OSCILLATORY,
-            multiplicity_of_one=mult_one,
-            has_minus_one=True,
-            blocks=None,
-            details="eigenvalue -1 present; outcome distribution oscillates with n",
-        )
-    if mult_one == 1:
-        return RegimeReport(
-            kind=KIND_INFINITE_TEMPERATURE,
-            multiplicity_of_one=1,
-            has_minus_one=False,
-            blocks=None,
-            details="unique unit eigenvalue; distribution relaxes to uniform",
-        )
-    return RegimeReport(
-        kind=KIND_PARTIAL,
-        multiplicity_of_one=mult_one,
-        has_minus_one=False,
-        blocks=h_blocks,
-        details=(
-            f"unit eigenvalue has multiplicity {mult_one}; "
-            "block weights are conserved"
-        ),
-    )
+    return reports
 
 
-def stationary_limit(
-    l: TransitionMatrix, p0: np.ndarray, tol: float = DEGENERACY_TOL
-) -> np.ndarray | None:
-    """Projection of p0 onto the unit eigenspace, or None if -1 is in the spectrum.
+def class_masses(classes: tuple[tuple[int, ...], ...], p: np.ndarray) -> list[float]:
+    """The mass that distribution p puts on each class."""
+    return [float(np.sum(p[list(c)])) for c in classes]
 
-    When an eigenvalue -1 exists the large-n limit does not exist (period-two
-    oscillation); otherwise L^n p0 converges to this projection.
+
+def stationary_limit(reports: list[RegimeReport], p0) -> list[np.ndarray | None]:
+    """Large-n limit of p0 L^n for each report: uniform on each class, with p0's mass on it.
+
+    None where the regime is oscillatory: a class of period > 1 never settles.
     """
     p = np.asarray(p0, dtype=float).reshape(-1)
-    if p.shape[0] != l.dim:
-        raise ValueError("p0 has wrong length")
-    spec = l.chain_spectrum
-    if bool(np.any(spec.eigenvalues <= -1.0 + tol)):
-        return None
-    keep = spec.eigenvalues >= 1.0 - tol
-    vecs = spec.eigenvectors[:, keep]
-    return vecs @ (vecs.T @ p)
+    limits: list[np.ndarray | None] = []
+    for report in reports:
+        if sum(len(c) for c in report.classes) != p.shape[0]:
+            raise ValueError("p0 has wrong length")
+        if report.kind == KIND_OSCILLATORY:
+            limits.append(None)
+            continue
+        limit = np.empty_like(p)
+        for c, mass in zip(report.classes, class_masses(report.classes, p)):
+            limit[list(c)] = mass / len(c)
+        limits.append(limit)
+    return limits

@@ -123,23 +123,12 @@ class Model:
         h = hamiltonian_in_basis(self)
         eigenvalues = np.real(np.diag(h)).copy()
         eigenvectors = np.eye(self.dim, dtype=complex)
-        for block in detect_blocks(h).blocks:
+        for block in detect_blocks(h):
             if len(block) > 1:
                 dec = linalg.eig_hermitian(h[np.ix_(block, block)])
                 eigenvalues[list(block)] = dec.eigenvalues
                 eigenvectors[np.ix_(block, block)] = dec.eigenvectors
         return linalg.HermitianEig(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-@dataclass(frozen=True)
-class BlockStructure:
-    """Partition of basis indices into dynamically coupled groups."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    threshold: float
-
-    def as_lists(self) -> list[list[int]]:
-        return [list(b) for b in self.blocks]
 
 
 def computational_basis(dim: int, labels: tuple[str, ...] | None = None) -> MeasurementBasis:
@@ -222,10 +211,14 @@ def hamiltonian_in_basis(m: Model) -> np.ndarray:
     return linalg.rotate_matrix(m.hamiltonian, m.basis.v)
 
 
-def detect_blocks(h_in_basis: np.ndarray, threshold: float = 1e-10) -> BlockStructure:
+def detect_blocks(
+    h_in_basis: np.ndarray, threshold: float = 1e-10
+) -> tuple[tuple[int, ...], ...]:
     """Connected components of the coupling graph |h_kk'| > threshold (k != k').
 
-    Singleton components are allowed; the partition always covers all indices.
+    Each component is a sorted tuple of indices, and the components are
+    ordered by their first index. Singleton components are allowed; the
+    partition always covers all indices.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -248,7 +241,7 @@ def detect_blocks(h_in_basis: np.ndarray, threshold: float = 1e-10) -> BlockStru
                     stack.append(j)
         blocks.append(tuple(sorted(comp)))
     blocks.sort(key=lambda b: b[0])
-    return BlockStructure(blocks=tuple(blocks), threshold=float(threshold))
+    return tuple(blocks)
 
 
 def _complex_array(obj, name: str) -> np.ndarray:

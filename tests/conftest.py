@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qmonitor import linalg, model
+from qmonitor import linalg, markov, model
 
 
 @pytest.fixture(scope="session")
@@ -93,3 +93,8 @@ def start_rows(p0, n: int) -> np.ndarray:
     rows = np.empty((*p0.shape[:-1], n + 1, p0.shape[-1]))
     rows[..., 0, :] = p0
     return rows
+
+
+def kernel(m: model.Model, tau: float) -> np.ndarray:
+    """The (dim, dim) jump kernel L(tau) of one tau."""
+    return markov.build_transition_matrix(m, [tau])[0]

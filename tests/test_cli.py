@@ -262,7 +262,9 @@ class TestAnalyze:
         report = json.loads((tmp_path / "analyze_two_qubit_singlet_triplet.json").read_text())
         entry = report["results"]["per_tau"][0]
         assert entry["regime"] == "partial"
-        assert entry["regime_blocks"] == [[0, 1, 3], [2]]
+        assert entry["classes"] == [[0, 1, 3], [2]]
+        assert entry["periods"] == [1, 1]
+        assert entry["masses"] == [1.0, 0.0]
         assert report["results"]["hamiltonian_blocks"] == [[0, 1, 3], [2]]
         assert entry["stationary"] is not None
 
@@ -303,6 +305,26 @@ class TestAnalyze:
         assert report["results"]["per_tau"][0]["regime"] == "frozen"
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["single_qubit", "two_qubit_singlet_triplet", "two_qubit_bell",
+     *(str(DATA / f"{stem}.json") for stem in ("chain_dim8_seed67", "chain_dim16_seed0",
+                                               "ring3_complex"))],
+    ids=lambda name: Path(name).stem,
+)
+def test_analyze_classes_are_the_hamiltonian_blocks_off_resonance(tmp_path, name):
+    assert run(["analyze", "--model", name, "--tau-count", 33, "--out", tmp_path]) == 0
+    results = json.loads((tmp_path / f"analyze_{Path(name).stem}.json").read_text())["results"]
+    dim = len(results["initial_distribution"])
+    for entry in results["per_tau"]:
+        assert sorted(k for c in entry["classes"] for k in c) == list(range(dim))
+        assert abs(sum(entry["masses"]) - 1.0) <= 1e-12
+        if entry["regime"] in ("partial", "infinite_temperature"):
+            assert entry["classes"] == results["hamiltonian_blocks"], entry["tau"]
+            for c, mass in zip(entry["classes"], entry["masses"]):
+                assert abs(sum(entry["stationary"][k] for k in c) - mass) <= 1e-12
+
+
 class TestComplexRing:
     """A 3-site ring with hopping e^{0.6 i}, started on site 0. Its kernel is
     doubly stochastic but not symmetric, and read as the transposed law, it
@@ -321,10 +343,54 @@ class TestComplexRing:
         assert values["exact"].shape == (33 * 33, 5)
         assert np.max(np.abs(values["exact"] - values["markov"])) <= 1e-12
 
-    def test_analyze_is_config_error(self, tmp_path, capsys):
-        assert run(["analyze", "--model", self.RING, "--out", tmp_path]) == 2
-        err = capsys.readouterr().err
-        assert "ring3_complex.json" in err and "tau=" in err and "simulate" in err
+    def test_analyze_runs_on_the_non_symmetric_kernel(self, tmp_path):
+        args = ["analyze", "--model", self.RING, "--tau-start", 0.3, "--tau-stop", 2.9,
+                "--tau-count", 9, "--out", tmp_path]
+        path = tmp_path / "analyze_ring3_complex.json"
+        assert run(args) == 0
+        first = path.read_bytes()
+        assert run(args) == 0
+        assert path.read_bytes() == first
+        report = json.loads(path.read_text())
+        assert report["schema_version"] == 2
+        for entry in report["results"]["per_tau"]:
+            assert entry["regime"] == "infinite_temperature"
+            assert max(abs(x) for x in entry["eigenvalues_imag"]) > 1e-3
+            assert np.allclose(entry["stationary"], [1 / 3] * 3, atol=1e-15)
+
+
+class TestChiralRing:
+    """A 3-site ring with hopping i. At tau* = 4 pi / (3 sqrt 3) the kernel is a
+    cyclic permutation, up to entries of order 1e-31: period 3 with no
+    eigenvalue -1. Off tau* those entries grow as (tau - tau*)^2, so the
+    support threshold 1e-9 keeps the period for |tau - tau*| up to about 3.2e-5."""
+
+    RING = DATA / "ring3_chiral.json"
+    TAU = 4 * math.pi / (3 * math.sqrt(3))
+
+    def analyze_at(self, tmp_path, tau):
+        args = ["analyze", "--model", self.RING, "--tau-start", repr(tau),
+                "--tau-stop", repr(tau), "--tau-count", 1, "--out", tmp_path]
+        assert run(args) == 0
+        report = json.loads((tmp_path / "analyze_ring3_chiral.json").read_text())
+        return report["results"]["per_tau"][0]
+
+    def test_period_three_at_resonance(self, tmp_path):
+        entry = self.analyze_at(tmp_path, self.TAU)
+        assert entry["regime"] == "oscillatory"
+        assert entry["classes"] == [[0, 1, 2]] and entry["periods"] == [3]
+        assert entry["stationary"] is None
+        assert min(entry["eigenvalues"]) > -0.51  # no eigenvalue -1
+
+    @pytest.mark.parametrize("delta", [1e-5, -1e-5])
+    def test_period_survives_inside_the_window(self, tmp_path, delta):
+        entry = self.analyze_at(tmp_path, self.TAU + delta)
+        assert entry["regime"] == "oscillatory" and entry["periods"] == [3]
+
+    @pytest.mark.parametrize("delta", [1e-4, -1e-4])
+    def test_mixes_outside_the_window(self, tmp_path, delta):
+        entry = self.analyze_at(tmp_path, self.TAU + delta)
+        assert entry["regime"] == "infinite_temperature" and entry["periods"] == [1]
 
 
 class TestFitNoise:

@@ -8,7 +8,7 @@ from qmonitor import evolve, linalg, markov, model
 from qmonitor.traces import ProbabilityTrace
 
 import oracles
-from conftest import ALL_MODEL_NAMES, all_models, cycle, gammas, start_rows, taus
+from conftest import ALL_MODEL_NAMES, all_models, cycle, gammas, kernel, start_rows, taus
 
 TAU_GRID = [k * np.pi / 8 for k in range(9)] + [0.7, 2.3]
 DATA = Path(__file__).parent / "data"
@@ -84,9 +84,8 @@ class TestRunExact:
     def test_matches_markov_engine(self, m, tau):
         n_max = 24
         exact = evolve.run_exact(m, [tau], n_max)[0]
-        l = markov.build_transition_matrix(m, tau)
         p0 = evolve.born_probabilities(m.initial_state, m.basis)
-        chain = markov.propagate(l.l, start_rows(p0, n_max))
+        chain = markov.propagate(kernel(m, tau), start_rows(p0, n_max))
         assert np.max(np.abs(exact.values - chain)) < 1e-12
 
     def test_singlet_component_stays_tiny(self, singlet_triplet):

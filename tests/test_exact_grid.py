@@ -11,7 +11,7 @@ from qmonitor import cli, evolve, linalg, markov, model
 from qmonitor.traces import ProbabilityTrace
 
 import oracles
-from conftest import ALL_MODEL_NAMES, taus, three_level_model
+from conftest import ALL_MODEL_NAMES, kernel, taus, three_level_model
 
 DATA = Path(__file__).parent / "data"
 
@@ -139,7 +139,7 @@ class TestFrozenAtZero:
         assert not np.array_equal(stack[1], np.eye(2))
 
     def test_kernel_is_exactly_the_identity(self, single_qubit):
-        assert np.array_equal(markov.build_transition_matrix(single_qubit, 0.0).l, np.eye(2))
+        assert np.array_equal(kernel(single_qubit, 0.0), np.eye(2))
 
     @pytest.mark.parametrize("engine", ["exact", "markov"])
     def test_tau_zero_rows_are_p0(self, tmp_path, engine):

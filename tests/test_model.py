@@ -96,15 +96,15 @@ class TestHamiltonianInBasis:
 class TestDetectBlocks:
     def test_singlet_triplet(self, singlet_triplet):
         blocks = model.detect_blocks(model.hamiltonian_in_basis(singlet_triplet))
-        assert blocks.blocks == ((0, 1, 3), (2,))
+        assert blocks == ((0, 1, 3), (2,))
 
     def test_bell(self, bell):
         blocks = model.detect_blocks(model.hamiltonian_in_basis(bell))
-        assert blocks.blocks == ((0, 1), (2,), (3,))
+        assert blocks == ((0, 1), (2,), (3,))
 
     def test_single_qubit(self, single_qubit):
         blocks = model.detect_blocks(model.hamiltonian_in_basis(single_qubit))
-        assert blocks.blocks == ((0, 1),)
+        assert blocks == ((0, 1),)
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -120,7 +120,7 @@ class TestDetectBlocks:
                 if data.draw(st.booleans()):
                     adj[i, j] = adj[j, i] = 1.0
         blocks = model.detect_blocks(adj, threshold=0.5)
-        flat = sorted(i for b in blocks.blocks for i in b)
+        flat = sorted(i for b in blocks for i in b)
         assert flat == list(range(n))
 
         perm = data.draw(st.permutations(range(n)))
@@ -128,8 +128,8 @@ class TestDetectBlocks:
         permuted = model.detect_blocks(p @ adj @ p.T, threshold=0.5)
         # map original blocks through the permutation: index i moves to perm.index positions
         inv = np.argsort(list(perm))
-        mapped = sorted(tuple(sorted(int(inv[i]) for i in b)) for b in blocks.blocks)
-        assert mapped == sorted(permuted.blocks)
+        mapped = sorted(tuple(sorted(int(inv[i]) for i in b)) for b in blocks)
+        assert mapped == sorted(permuted)
 
     def test_idempotent(self, singlet_triplet):
         h = model.hamiltonian_in_basis(singlet_triplet)

@@ -10,9 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qmonitor"
 
 # Exports that nothing in src/ or scripts/ reads yet, each with its reason to stay.
-UNREFERENCED_EXPORTS = {
-    "power": "kept until the grid-level analysis replaces the per-tau kernel (ROADMAP item 2)",
-}
+UNREFERENCED_EXPORTS: dict[str, str] = {}
 
 
 def test_every_traced_entry_point_resolves(monkeypatch):

@@ -1,4 +1,4 @@
-"""Each model and each jump kernel is diagonalized once, and reuse is exact."""
+"""Each model is diagonalized once, each grid is analyzed in one pass, and reuse is exact."""
 
 import numpy as np
 import pytest
@@ -37,15 +37,16 @@ def count_calls(monkeypatch, module, name, argv):
 
 
 class TestDiagonalizeOnce:
-    def test_analyze_diagonalizes_the_model_once_and_each_kernel_once(
-        self, tmp_path, monkeypatch
-    ):
+    def test_analyze_diagonalizes_the_model_once(self, tmp_path, monkeypatch):
         argv = ["analyze", "--model", "two_qubit_bell", "--tau-count", 17, "--out", tmp_path]
-        assert count_calls(monkeypatch, linalg, "eig_hermitian", argv) == 1 + 17
+        assert count_calls(monkeypatch, linalg, "eig_hermitian", argv) == 1
 
-    def test_analyze_computes_each_kernel_spectrum_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "name", ["build_transition_matrix", "spectrum", "classify", "stationary_limit"]
+    )
+    def test_analyze_runs_each_stack_step_once(self, tmp_path, monkeypatch, name):
         argv = ["analyze", "--model", "two_qubit_bell", "--tau-count", 17, "--out", tmp_path]
-        assert count_calls(monkeypatch, markov, "spectrum", argv) == 17
+        assert count_calls(monkeypatch, markov, name, argv) == 1
 
     def test_exact_sweep_diagonalizes_once(self, tmp_path, monkeypatch):
         argv = ["simulate", "--engine", "exact", "--tau-count", 17, "--out", tmp_path]
