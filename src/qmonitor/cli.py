@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -87,19 +87,7 @@ class RunConfig:
         return np.linspace(self.tau_start, self.tau_stop, self.tau_count)
 
 
-_CONFIG_TYPES = {
-    "model": str,
-    "engine": str,
-    "tau_start": float,
-    "tau_stop": float,
-    "tau_count": int,
-    "n_max": int,
-    "gamma": float,
-    "shots": int,
-    "seed": int,
-    "n_fit_range": str,
-    "out": str,
-}
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _read_config_file(path: str) -> dict:
@@ -204,26 +192,32 @@ def _summary(command: str, config_echo: dict, files: list[str], results: dict) -
 def _write_trace_csv(path, labels, taus, traces, stderrs=None) -> None:
     """Write one block of rows per grid point; traces and stderrs align with taus.
 
-    Each block length R has one template: R rows of the n digits written in
-    literally and ',%.17g' per value cell. A grid point joins '%.17g' % tau
-    into it once and %-formats only the value cells; '%.17g' % x and
-    format(x, '.17g') give the same digits, so every float round-trips exactly.
+    A block fills a template of its rows: '\\0' where tau goes, the n digits,
+    the cells of each column whose bits equal the previous block's, and a
+    ',%.17g' slot for every other cell. It is rebuilt when the block length
+    or the repeated columns change. A grid point puts '%.17g' % tau in once
+    and %-formats only the slots; '%.17g' % x and format(x, '.17g') give the
+    same digits, so every float round-trips exactly.
     """
     header = ["tau", "n", *labels]
     if stderrs is not None:
         header += [f"stderr_{k}" for k in range(len(labels))]
-    cells = ",%.17g" * (len(header) - 2) + "\n"
-    templates: dict[int, list[str]] = {}
+    key, cols = None, [b""] * (len(header) - 2)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for i, (tau, trace) in enumerate(zip(taus, traces, strict=True)):
             values = trace.values
             if stderrs is not None:
                 values = np.column_stack([values, stderrs[i]])
-            n_rows = values.shape[0]
-            if n_rows not in templates:
-                templates[n_rows] = ["", *(f",{n}{cells}" for n in range(n_rows))]
-            fh.write(("%.17g" % tau).join(templates[n_rows]) % tuple(values.ravel().tolist()))
+            prev, cols = cols, [col.tobytes() for col in values.T]  # bits: 0.0 and -0.0 differ
+            same = [col == old for col, old in zip(cols, prev)]
+            if key != (len(values), same):
+                key, slots = (len(values), same), np.logical_not(same)
+                row = "".join(",%.17g" if s else ",%%.17g" for s in same)
+                text = "".join(f"\0,{n}{row}\n" for n in range(len(values)))
+                template = text % tuple(values[:, same].ravel().tolist())
+            cells = tuple(values[:, slots].ravel().tolist())
+            fh.write(template.replace("\0", "%.17g" % tau) % cells)
 
 
 _CHUNK_ROWS = 2048

@@ -9,12 +9,13 @@ run_exact propagates a whole tau grid at once, in measurement coordinates:
 it builds W(tau) = exp(-i V^dag H V tau) for every grid point in one batched
 step from the block-wise decomposition ``Model.measurement_eig``, so every
 cross-block entry of W is an exact zero, and it rotates the initial state
-into the measurement basis once. A cycle is then W rho W^dag on the
-(T, dim, dim) stack of density matrices, followed by keeping its real
-diagonal (the projective dephasing) and mixing that with the uniform
-distribution (the depolarizing channel). It is a genuine density-matrix
-propagation, independent of the Markov reduction, and the tests use it as
-the oracle for the other engines.
+into the measurement basis once. A cycle keeps only the real diagonal of
+W rho W^dag on the (T, dim, dim) stack of density matrices (the projective
+dephasing), computed as sum_j (W rho)_kj conj(W_kj) from one batched
+product, and mixes it with the uniform distribution (the depolarizing
+channel). rho stays a full density matrix, so the coherent first cycle is
+propagated as such: the engine is independent of the Markov reduction, and
+the tests use it as the oracle for the other engines.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> list[Probabilit
     Returns one trace per grid point, in grid order. Row 0 is the Born
     distribution of the bare initial state (no evolution); row n >= 1 is the
     distribution after n cycles. Every grid point advances together: each
-    cycle is two batched products W rho W^dag over the (T, dim, dim) stack of
-    states, whose real diagonal, depolarized, is the next (diagonal) state.
+    cycle is one batched product W rho over the (T, dim, dim) stack of states;
+    the real diagonal of W rho W^dag follows from it and conj(W), and,
+    depolarized, is the diagonal of the next state.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1:
@@ -65,16 +67,18 @@ def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> list[Probabilit
     gamma = _check_gamma(gamma)
     dim = m.dim
     w = linalg.unitary_from_eig(m.measurement_eig, taus)
-    w_dag = np.conj(np.swapaxes(w, -1, -2))
+    w_conj = np.conj(w)
     rows = np.empty((len(taus), n_max + 1, dim), dtype=float)
     rows[:, 0] = born_probabilities(m.initial_state, m.basis)
     rho = rho_in_basis(initial_density(m), m.basis, "to_measurement")
+    dephased, k = np.zeros(w.shape, dtype=complex), np.arange(dim)
     for n in range(1, n_max + 1):
-        pops = np.real(np.diagonal(w @ rho @ w_dag, axis1=-2, axis2=-1))
+        pops = np.real(np.einsum("tkj,tkj->tk", w @ rho, w_conj))  # diag(W rho W^dag)
         if gamma != 0.0:
             pops = (1.0 - gamma) * pops + gamma / dim
         rows[:, n] = pops
-        rho = pops[..., None] * np.eye(dim)
+        rho = dephased
+        rho[:, k, k] = pops
     return [ProbabilityTrace(values=block) for block in rows]
 
 

@@ -51,6 +51,18 @@ def test_exact_engine_keeps_a_dark_column_exactly_zero(name, column):
     assert np.count_nonzero(cells) == 0
 
 
+def test_exact_bell_columns_of_common_eigenvectors_do_not_move_with_tau():
+    """beta_2 and beta_3 are 1x1 blocks of V^dag H V, eigenvectors of H and the
+    observable alike: their rows are (1 - gamma)^n p0 + (1 - (1 - gamma)^n) / 4
+    at every tau, and the trace writer writes such repeated columns once."""
+    m = model.build_model("two_qubit_bell")
+    traces = evolve.run_exact(m, np.linspace(0.0, np.pi, 257), 64, 0.033)
+    cells = np.array([t.values for t in traces]).view(np.uint64)
+    common = [m.basis.labels.index("beta_2"), m.basis.labels.index("beta_3")]
+    assert np.all(cells[:, :, common] == cells[:1, :, common])
+    assert not np.all(cells[:, :, :2] == cells[:1, :, :2])
+
+
 @st.composite
 def block_models(draw):
     """A complex block-diagonal H written in a random unitary basis.

@@ -3,9 +3,12 @@ import json
 import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmonitor import cli, sample
 from qmonitor.traces import ProbabilityTrace
@@ -717,6 +720,12 @@ class TestTraceCsvFormat:
         assert b"\n0,1,-0,1" in got and b",4.9406564584124654e-324," in got
 
     ROWS = np.array([[x, 1.0 - x] for x in VALUES])
+    # three columns, so that one can repeat from the previous block while others change
+    A = np.array([[0.25, x / 2, 0.75 - x / 2] for x in VALUES])
+    B = A[:, [0, 2, 1]]
+    D = np.array([[0.5, x / 2, 0.5 - x / 2] for x in VALUES])
+    ZERO = ROWS.copy()
+    ZERO[0, 0] = -0.0  # ROWS[0, 0] is 0.0
     LAYOUTS = {
         # taus whose '%.17g' has an exponent or a sign
         "signed_and_exponent_taus": ([5e-324, 1e-300, -0.0], [ROWS] * 3),
@@ -724,6 +733,12 @@ class TestTraceCsvFormat:
         "differing_block_lengths": (
             [0.1, 1e-300, math.pi, -0.0, 5e-324],
             [ROWS, ROWS[:1], ROWS[:3], ROWS[::-1], ROWS[:1]],
+        ),
+        "column_constant_over_all_blocks": ([0.1, 0.2, 0.3, 0.4], [A, B, A, B]),
+        "column_repeats_for_two_blocks_then_changes": ([0.1, 0.2, 0.3, 0.4], [A, B, A, D]),
+        "zero_then_negative_zero": ([0.1, 0.2, 0.3], [ROWS, ZERO, ROWS]),
+        "block_length_changes_while_columns_repeat": (
+            [0.1, 0.2, 0.3, 0.4, 0.5], [A, A, A[:3], A[:3], A]
         ),
     }
 
@@ -733,12 +748,44 @@ class TestTraceCsvFormat:
         taus, blocks = layout
         traces = [ProbabilityTrace(values=b) for b in blocks]
         stderrs = [b[:, ::-1] for b in blocks] if with_stderr else None
-        labels = ("g", "e,1")
+        labels = ("g", "e,1", "f")[: blocks[0].shape[1]]
         cli._write_trace_csv(tmp_path / "got.csv", labels, taus, traces, stderrs)
         self.reference(tmp_path / "want.csv", labels, taus, traces, stderrs)
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert got.count(b"\n") == 1 + sum(len(b) for b in blocks)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_copied_columns_match_the_per_cell_writer(self, tmp_path_factory, data):
+        """Random blocks, each column copied bit for bit from the previous block or drawn anew."""
+        width = data.draw(st.integers(1, 3), label="outcome columns")
+        with_stderr = data.draw(st.booleans(), label="with_stderr")
+        cell = st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1.0]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        blocks = []
+        for _ in range(data.draw(st.integers(1, 6), label="blocks")):
+            prev = blocks[-1] if blocks else None
+            same_length = prev is not None and data.draw(st.booleans())
+            n_rows = len(prev) if same_length else data.draw(st.integers(1, 4))
+            block = np.empty((n_rows, width * (1 + with_stderr)))
+            for c in range(block.shape[1]):
+                if same_length and data.draw(st.booleans()):
+                    block[:, c] = prev[:, c]
+                else:
+                    block[:, c] = data.draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
+            blocks.append(block)
+        taus = data.draw(st.lists(cell, min_size=len(blocks), max_size=len(blocks)))
+        # the writer reads only .values, so the cells need not be probabilities
+        traces = [SimpleNamespace(values=b[:, :width]) for b in blocks]
+        stderrs = [b[:, width:] for b in blocks] if with_stderr else None
+        labels = ("g", "e,1", "f")[:width]
+        out = tmp_path_factory.mktemp("csv")
+        cli._write_trace_csv(out / "got.csv", labels, taus, traces, stderrs)
+        self.reference(out / "want.csv", labels, taus, traces, stderrs)
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
 def test_nan_probabilities_rejected_by_parser(tmp_path):

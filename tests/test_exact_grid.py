@@ -12,6 +12,7 @@ from qmonitor.traces import ProbabilityTrace
 
 import oracles
 from conftest import ALL_MODEL_NAMES, kernel, taus, three_level_model
+from test_render_memory import traced_peak
 
 DATA = Path(__file__).parent / "data"
 
@@ -149,3 +150,12 @@ class TestFrozenAtZero:
         m = model.single_qubit_model()
         p0 = evolve.born_probabilities(m.initial_state, m.basis)
         assert np.array_equal(traces[0.0].values, np.tile(p0, (7, 1)))
+
+
+def test_exact_simulate_holds_the_trace_once(tmp_path):
+    argv = ["simulate", "--model", "two_qubit_bell", "--engine", "exact", "--tau-count", 257,
+            "--n-max", 256, "--gamma", 0.033, "--out", tmp_path]
+    payload = 257 * 257 * 4 * 8  # every outcome cell as a float64
+    code, peak = traced_peak(cli.main, [str(a) for a in argv])
+    assert code == 0
+    assert peak <= 1.3 * payload

@@ -7,11 +7,22 @@ from hypothesis import strategies as st
 
 from qmonitor import evolve, markov, model
 
-from conftest import all_models, kernel, start_rows, taus
+from conftest import ALL_MODEL_NAMES, all_models, kernel, start_rows, taus
 
 DATA = Path(__file__).parent / "data"
 TAU_GRID = [k * np.pi / 8 for k in range(9)] + [0.7, 1.234]
 TAU_CHIRAL = 4 * np.pi / (3 * np.sqrt(3))
+
+
+FIXTURES = ("chain_dim8_seed67", "chain_dim16_seed0", "ring3_complex", "ring3_chiral")
+
+
+def lazy_walk(dim, edges):
+    """Symmetric doubly stochastic kernel that moves 1/4 of the mass across each edge."""
+    l = np.eye(dim)
+    for a, b in edges:
+        l[[a, b, a, b], [a, b, b, a]] += [-0.25, -0.25, 0.25, 0.25]
+    return l
 
 
 def report(m, tau):
@@ -227,6 +238,16 @@ class TestClassify:
     def test_classes_match_hamiltonian_blocks_generic(self, m):
         assert report(m, 0.7).classes == model.detect_blocks(model.hamiltonian_in_basis(m))
 
+    @pytest.mark.parametrize("name", [*ALL_MODEL_NAMES, *FIXTURES])
+    def test_classes_are_the_components_of_each_symmetrised_support(self, name):
+        m = model.build_model(str(DATA / f"{name}.json") if name in FIXTURES else name)
+        grids = [np.linspace(0.0, np.pi, count) for count in (17, 33, 129, 257)]
+        grids += [np.linspace(0.0, 2 * np.pi, 65), [TAU_CHIRAL, TAU_CHIRAL + 1e-5]]
+        l = markov.build_transition_matrix(m, np.concatenate(grids))
+        # the reference walks one kernel's symmetrised support at a time
+        want = [model.detect_blocks(np.maximum(k, k.T), markov.SUPPORT_TOL) for k in l]
+        assert [r.classes for r in markov.classify(l)] == want
+
     def test_one_call_classifies_the_stack(self, singlet_triplet):
         grid = [0.0, 0.7, np.pi]
         reports = markov.classify(markov.build_transition_matrix(singlet_triplet, grid))
@@ -244,8 +265,13 @@ class TestClassify:
              markov.KIND_INFINITE_TEMPERATURE),
             (np.kron(np.eye(2), np.full((2, 2), 0.5)), ((0, 1), (2, 3)), (1, 1),
              markov.KIND_PARTIAL),
+            # lazy walks along 0-7-1-6-2-5, five edges, which take three squarings to join,
+            # and along 3-4
+            (lazy_walk(8, [(0, 7), (7, 1), (1, 6), (6, 2), (2, 5), (3, 4)]),
+             ((0, 1, 2, 5, 6, 7), (3, 4)), (1, 1), markov.KIND_PARTIAL),
         ],
-        ids=["3-cycle", "4-ring-walk", "steps-1-and-2-mod-4", "no-self-loops", "two-blocks"],
+        ids=["3-cycle", "4-ring-walk", "steps-1-and-2-mod-4", "no-self-loops", "two-blocks",
+             "scrambled-path"],
     )
     def test_hand_built_kernels(self, l, classes, periods, kind):
         # without self-loops, returns of lengths 2 and 3 still make a class aperiodic
