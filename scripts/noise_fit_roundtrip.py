@@ -33,13 +33,12 @@ def main() -> int:
         cfg = sample.ShotConfig(
             n_shots=args.shots, seed=args.seed, n_max=args.n_max, gamma=gamma_true
         )
-        runs = sample.run_shots(m, taus, cfg)
-        measured = {tau: run.trace() for tau, run in zip(taus, runs)}
-        reference = noisefit.tau_average(
-            dict(zip(taus, evolve.run_exact(m, taus, args.n_max, 0.0)))
-        )
+        measured = sample.run_shots(m, taus, cfg) / args.shots
+        reference = evolve.run_exact(m, taus, args.n_max, 0.0)
         fit = noisefit.fit_gamma(
-            noisefit.tau_average(measured), reference, m.dim, (1, args.n_max)
+            noisefit.tau_average(measured, taus),
+            noisefit.tau_average(reference, taus),
+            (1, args.n_max),
         )
         dt = noisefit.cycle_duration(layers)
         rate = noisefit.decay_rate(fit.gamma, dt)

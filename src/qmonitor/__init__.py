@@ -33,12 +33,11 @@ from .noisefit import (
     HardwareProfile,
     LayerCount,
     NoiseFit,
-    TauAveragedTrace,
     cycle_duration,
     decay_rate,
     fit_gamma,
     noise_timescale,
     tau_average,
 )
-from .sample import EmpiricalTrace, ShotConfig, run_shots
-from .traces import ProbabilityTrace
+from .sample import ShotConfig, run_shots
+from .traces import check_trace

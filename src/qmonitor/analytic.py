@@ -13,7 +13,7 @@ from typing import Literal
 
 import numpy as np
 
-from .traces import ProbabilityTrace
+from .traces import check_trace
 
 ModelKind = Literal["single_qubit", "singlet_triplet", "bell"]
 
@@ -71,13 +71,15 @@ _PROB_FUNCS = {
 }
 
 
-def closed_form_trace(model_kind: ModelKind, tau: float, n_max: int) -> ProbabilityTrace:
-    """Stack the closed-form distributions for n = 0..n_max."""
+def closed_form_trace(model_kind: ModelKind, taus, n_max: int) -> np.ndarray:
+    """The checked (T, n_max+1, dim) stack of closed-form distributions over a tau grid."""
     try:
         func = _PROB_FUNCS[model_kind]
     except KeyError:
         raise ValueError(f"no closed form for model kind {model_kind!r}") from None
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rows = np.stack([func(n, tau) for n in range(n_max + 1)])
-    return ProbabilityTrace(values=rows)
+    values = np.empty((len(taus), n_max + 1, len(func(0, 0.0))))
+    for block, tau in zip(values, np.asarray(taus, dtype=float).tolist()):
+        block[:] = [func(n, tau) for n in range(n_max + 1)]
+    return check_trace(values)

@@ -1,10 +1,15 @@
 """Command-line front end.
 
-Subcommands: simulate (sweep a tau grid and emit per-tau probability traces
-as CSV), analyze (spectrum/regime/stationary report as JSON), fit-noise
-(estimate the depolarizing strength from a trace CSV), render (static SVG
-plots from a trace CSV), and timing (cycle duration and decay rate from
-layer counts).
+Subcommands: simulate (sweep a tau grid and write its (T, n_max+1, dim)
+probability trace as CSV), analyze (spectrum/regime/stationary report as
+JSON), fit-noise (estimate the depolarizing strength from a trace CSV),
+render (static SVG plots from a trace CSV), and timing (cycle duration and
+decay rate from layer counts).
+
+Every engine hands back one trace stack, which goes to the CSV as it is.
+The CSV format belongs to qmonitor.traces. The commands call its reader
+through this module's own name read_trace_csv, the name that
+qmbench/tracing.py wraps.
 
 Runs are reproducible: a fixed config plus seed yields byte-identical CSV
 and JSON, and SVG identical up to the version comment. Exit codes: 0 ok,
@@ -15,8 +20,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import itertools
 import json
 import math
 import os
@@ -25,9 +28,9 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import __version__, analytic, evolve, markov, noisefit, render, sample
+from . import __version__, analytic, evolve, markov, noisefit, render, sample, traces
 from . import model as model_mod
-from .traces import ProbabilityTrace
+from .traces import DataError, read_trace_csv
 
 ENV_OUT = "QMONITOR_OUT"
 ENGINES = ("exact", "markov", "closed_form", "sample")
@@ -45,10 +48,6 @@ class ConfigError(Exception):
     """Bad configuration: unknown keys, invalid values, missing files."""
 
 
-class DataError(Exception):
-    """Malformed or unusable input data."""
-
-
 @dataclass
 class RunConfig:
     """Sweep configuration shared by simulate and analyze."""
@@ -62,7 +61,6 @@ class RunConfig:
     gamma: float = 0.0
     shots: int = 8192
     seed: int = 0
-    n_fit_range: str = ""
     out: str = "out"
 
     def validate(self) -> None:
@@ -186,164 +184,6 @@ def _summary(command: str, config_echo: dict, files: list[str], results: dict) -
 
 
 # ---------------------------------------------------------------------------
-# trace CSV I/O
-
-
-def _write_trace_csv(path, labels, taus, traces, stderrs=None) -> None:
-    """Write one block of rows per grid point; traces and stderrs align with taus.
-
-    A block fills a template of its rows: '\\0' where tau goes, the n digits,
-    the cells of each column whose bits equal the previous block's, and a
-    ',%.17g' slot for every other cell. It is rebuilt when the block length
-    or the repeated columns change. A grid point puts '%.17g' % tau in once
-    and %-formats only the slots; '%.17g' % x and format(x, '.17g') give the
-    same digits, so every float round-trips exactly.
-    """
-    header = ["tau", "n", *labels]
-    if stderrs is not None:
-        header += [f"stderr_{k}" for k in range(len(labels))]
-    key, cols = None, [b""] * (len(header) - 2)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for i, (tau, trace) in enumerate(zip(taus, traces, strict=True)):
-            values = trace.values
-            if stderrs is not None:
-                values = np.column_stack([values, stderrs[i]])
-            prev, cols = cols, [col.tobytes() for col in values.T]  # bits: 0.0 and -0.0 differ
-            same = [col == old for col, old in zip(cols, prev)]
-            if key != (len(values), same):
-                key, slots = (len(values), same), np.logical_not(same)
-                row = "".join(",%.17g" if s else ",%%.17g" for s in same)
-                text = "".join(f"\0,{n}{row}\n" for n in range(len(values)))
-                template = text % tuple(values[:, same].ravel().tolist())
-            cells = tuple(values[:, slots].ravel().tolist())
-            fh.write(template.replace("\0", "%.17g" % tau) % cells)
-
-
-_CHUNK_ROWS = 2048
-
-
-def _read_body_fast(fh, ncol: int, n_states: int) -> tuple[list[float], np.ndarray] | None:
-    """(taus, (T, R, n_states) values) of a body in the writer's layout, else None.
-
-    That layout: no quotes and no carriage returns, exactly ncol fields per
-    row, n written as digits running 0..R-1 in every block, one tau per
-    block and no tau in two blocks. Lines are read in chunks of _CHUNK_ROWS
-    and converted by numpy's C parser; only the tau, n and outcome columns
-    are kept. The comma count goes first, because loadtxt skips blank lines.
-    Spellings that float() accepts and loadtxt rejects (1_0, non-ASCII
-    digits) return None, so the line parser reads them.
-    """
-    keys, values = [], []
-    for lines in iter(lambda: list(itertools.islice(fh, _CHUNK_ROWS)), []):
-        text = "".join(lines)
-        # float() rejects the separators \x1c-\x1f around a number; loadtxt strips them
-        if any(c in text for c in '"\r\x1c\x1d\x1e\x1f'):
-            return None
-        if set(map(str.count, lines, itertools.repeat(","))) != {ncol - 1}:
-            return None
-        n_digits = "".join(line.split(",", 2)[1] for line in lines)
-        if not (n_digits.isascii() and n_digits.isdigit()):
-            return None
-        try:
-            chunk = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
-        keys.append(chunk[:, :2].copy())
-        values.append(chunk[:, 2 : 2 + n_states].copy())
-    if not keys:
-        return None
-    keys = np.concatenate(keys)
-    starts = np.flatnonzero(keys[:, 1] == 0)
-    block = int(starts[1]) if len(starts) > 1 else len(keys)
-    if len(keys) % block:
-        return None
-    keys = keys.reshape(-1, block, 2)
-    taus = keys[:, 0, 0].tolist()
-    if not (
-        np.all(keys[:, :, 1] == np.arange(block))
-        and np.all(keys[:, :, 0] == keys[:, :1, 0])
-        and len(set(taus)) == len(taus)  # the line parser's dict keys: -0.0 == 0.0
-    ):
-        return None
-    return taus, np.concatenate(values).reshape(len(taus), block, n_states)
-
-
-def _read_body_rows(path, reader, n_states: int) -> tuple[list[float], list[np.ndarray]]:
-    """Parse the body row by row into (taus, per-tau value arrays), naming the first bad line."""
-    per_tau: dict[float, list[list[float]]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) < 2 + n_states:
-            raise DataError(f"{path}:{lineno}: too few columns")
-        try:
-            tau = float(row[0])
-            n = int(row[1])
-            vals = [float(x) for x in row[2 : 2 + n_states]]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        rows = per_tau.setdefault(tau, [])
-        if n != len(rows):
-            raise DataError(f"{path}:{lineno}: n values must be contiguous from 0")
-        rows.append(vals)
-    if not per_tau:
-        raise DataError(f"{path}: no data rows")
-    if len({len(rows) for rows in per_tau.values()}) != 1:
-        raise DataError(f"{path}: tau blocks have differing n ranges")
-    return list(per_tau), [np.array(rows) for rows in per_tau.values()]
-
-
-def read_trace_csv(path):
-    """Parse a simulate CSV back into (labels, taus, {tau: ProbabilityTrace}).
-
-    stderr columns, when present, must be stderr_0..stderr_{N-1} after the
-    outcome columns; their values are ignored. Raises DataError on any
-    structural problem. A body in the writer's own layout is parsed in
-    chunks straight into one array; any other body is parsed again line by
-    line, which accepts the same files and names the first bad line.
-    """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty CSV") from None
-            if header[:2] != ["tau", "n"]:
-                raise DataError(f"{path}: header must start with tau,n")
-            columns = header[2:]
-            n_states = next(
-                (k for k, col in enumerate(columns) if col.startswith("stderr_")), len(columns)
-            )
-            labels = columns[:n_states]
-            if not labels:
-                raise DataError(f"{path}: no outcome columns")
-            if columns[n_states:] not in ([], [f"stderr_{k}" for k in range(n_states)]):
-                raise DataError(f"{path}: stderr columns must be stderr_0..stderr_{n_states - 1}")
-            try:
-                model_mod.check_labels(tuple(labels))
-            except ValueError as exc:
-                raise DataError(f"{path}: {exc}") from exc
-            body = _read_body_fast(fh, len(header), n_states)
-            if body is None:
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
-                body = _read_body_rows(path, reader, n_states)
-            order, blocks = body
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
-    traces = {}
-    for tau, values in zip(order, blocks):
-        try:
-            traces[tau] = ProbabilityTrace(values=values)
-        except ValueError as exc:
-            raise DataError(f"{path}: tau={tau}: {exc}") from exc
-    return labels, order, traces
-
-
-# ---------------------------------------------------------------------------
 # engines
 
 
@@ -352,43 +192,41 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     taus = cfg.tau_grid()
     stderrs = None
     if cfg.engine == "exact":
-        traces = evolve.run_exact(m, taus, cfg.n_max, cfg.gamma)
+        values = evolve.run_exact(m, taus, cfg.n_max, cfg.gamma)
     elif cfg.engine == "sample":
         shot_cfg = sample.ShotConfig(
             n_shots=cfg.shots, seed=cfg.seed, n_max=cfg.n_max, gamma=cfg.gamma
         )
-        runs = sample.run_shots(m, taus, shot_cfg)
-        traces = [run.trace() for run in runs]
-        stderrs = [run.stderr for run in runs]
+        values = traces.check_trace(sample.run_shots(m, taus, shot_cfg) / float(cfg.shots))
+        stderrs = np.sqrt(values * (1.0 - values) / cfg.shots)
     elif cfg.engine == "markov":
         p1, l = markov.first_cycle(m, taus)
-        rows = np.empty((len(taus), cfg.n_max + 1, m.dim))
-        rows[:, 0] = evolve.born_probabilities(m.initial_state, m.basis)
+        values = np.empty((len(taus), cfg.n_max + 1, m.dim))
+        values[:, 0] = evolve.born_probabilities(m.initial_state, m.basis)
         if cfg.n_max > 0:
-            rows[:, 1] = p1
-            markov.propagate(l, rows[:, 1:])
-        traces = [ProbabilityTrace(values=block) for block in rows]
+            values[:, 1] = p1
+            markov.propagate(l, values[:, 1:])
+        traces.check_trace(values)
     else:
         kind = _ANALYTIC_KIND.get(cfg.model)
         if kind is None:
             raise ConfigError(
                 f"engine closed_form supports {sorted(_ANALYTIC_KIND)}, not {cfg.model!r}"
             )
-        traces = [analytic.closed_form_trace(kind, float(tau), cfg.n_max) for tau in taus]
+        values = analytic.closed_form_trace(kind, taus, cfg.n_max)
     if cfg.engine in ("markov", "closed_form") and cfg.gamma > 0.0:
-        traces = [evolve.noisy_closed_form(t, cfg.gamma, m.dim) for t in traces]
+        values = evolve.noisy_closed_form(values, cfg.gamma)
 
     os.makedirs(cfg.out, exist_ok=True)
     key = f"{_model_key(cfg.model)}_{cfg.engine}"
     csv_path = os.path.join(cfg.out, f"{key}.csv")
-    _write_trace_csv(csv_path, m.basis.labels, taus, traces, stderrs)
+    traces.write_trace_csv(csv_path, m.basis.labels, taus, values, stderrs)
 
     results: dict = {"rows": int(len(taus) * (cfg.n_max + 1)), "labels": list(m.basis.labels)}
     if cfg.engine == "sample":
-        reference = evolve.run_exact(m, taus, cfg.n_max, cfg.gamma)
-        results["max_abs_dev_from_exact"] = max(
-            float(np.max(np.abs(t.values - r.values))) for t, r in zip(traces, reference)
-        )
+        deviation = evolve.run_exact(m, taus, cfg.n_max, cfg.gamma)
+        deviation -= values  # in place, so no trace-sized temporary
+        results["max_abs_dev_from_exact"] = float(np.max(np.abs(deviation, out=deviation)))
         results["five_sigma_bound"] = 5.0 / math.sqrt(cfg.shots)
 
     summary = _summary("simulate", asdict(cfg), [csv_path], results)
@@ -440,20 +278,18 @@ def cmd_fit_noise(args: argparse.Namespace) -> dict:
     if not args.model:
         raise ConfigError("fit-noise requires --model (the noiseless reference)")
     m = _build_model(args.model)
-    labels, taus, traces = read_trace_csv(args.input)
+    labels, taus, values = read_trace_csv(args.input)
     if len(labels) != m.dim:
         raise DataError(
             f"CSV has {len(labels)} outcome columns but model {args.model!r} has dim {m.dim}"
         )
-    n_max = next(iter(traces.values())).n_max
+    n_max = values.shape[1] - 1
     n_range = _parse_n_range(args.n_fit_range or "", n_max)
 
     try:
-        measured = noisefit.tau_average(traces)
-        reference = noisefit.tau_average(dict(zip(taus, evolve.run_exact(m, taus, n_max, 0.0))))
-        fit = noisefit.fit_gamma(measured, reference, m.dim, n_range)
-    except noisefit.UnidentifiableDataError as exc:
-        raise DataError(str(exc)) from exc
+        measured = noisefit.tau_average(values, taus)
+        reference = noisefit.tau_average(evolve.run_exact(m, taus, n_max, 0.0), taus)
+        fit = noisefit.fit_gamma(measured, reference, n_range)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
@@ -485,16 +321,12 @@ def cmd_fit_noise(args: argparse.Namespace) -> dict:
 # rendering
 
 
-def _column_values(labels, traces, taus, column: str) -> np.ndarray:
+def _column_values(labels, values, column: str) -> np.ndarray:
     """Grid values[tau_index, n] for a named column or 'magnetization'."""
-    n_rows = next(iter(traces.values())).values.shape[0]
-    grid = np.empty((len(taus), n_rows))
     if column == "magnetization":
         if len(labels) != 2:
             raise DataError("magnetization rendering needs a two-state trace")
-        for i, tau in enumerate(taus):
-            grid[i] = render.magnetization_grid(traces[tau].values)
-        return grid
+        return render.magnetization_grid(values)
     if column in labels:
         k = labels.index(column)
     else:
@@ -504,14 +336,12 @@ def _column_values(labels, traces, taus, column: str) -> np.ndarray:
             raise DataError(f"unknown column {column!r}; have {labels}") from None
         if not 0 <= k < len(labels):
             raise DataError(f"column index {k} out of range")
-    for i, tau in enumerate(taus):
-        grid[i] = traces[tau].values[:, k]
-    return grid
+    return values[:, :, k]
 
 
 def cmd_render(args: argparse.Namespace) -> dict:
-    labels, taus, traces = read_trace_csv(args.input)
-    n_rows = next(iter(traces.values())).values.shape[0]
+    labels, taus, values = read_trace_csv(args.input)
+    n_rows = values.shape[1]
     column = args.column or ("magnetization" if len(labels) == 2 else labels[0])
 
     out_dir = args.out or os.environ.get(ENV_OUT, "out")
@@ -519,10 +349,10 @@ def cmd_render(args: argparse.Namespace) -> dict:
     stem = _model_key(args.input)
 
     if args.kind == "heatmap":
-        grid = _column_values(labels, traces, taus, column)
+        grid = _column_values(labels, values, column)
         name = f"{stem}_heatmap_{_model_key(column)}.svg"
     elif args.kind == "lines":
-        grid = _column_values(labels, traces, taus, column)
+        grid = _column_values(labels, values, column)
         if args.at_n:
             try:
                 picks = [int(p) for p in args.at_n.split(",")]
@@ -545,12 +375,12 @@ def cmd_render(args: argparse.Namespace) -> dict:
             raise DataError("CSV columns do not match the model dimension")
         if args.n is None or args.tau is None:
             raise ConfigError("rho_grid rendering requires --n and --tau")
-        matches = [t for t in taus if abs(t - args.tau) < 1e-9]
+        matches = [i for i, t in enumerate(taus) if abs(t - args.tau) < 1e-9]
         if not matches:
             raise DataError(f"tau={args.tau} not present in the CSV grid")
         if not 0 <= args.n < n_rows:
             raise DataError(f"n={args.n} outside 0..{n_rows - 1}")
-        probs = traces[matches[0]].values[args.n]
+        probs = values[matches[0], args.n]
         rho_meas = np.diag(probs.astype(complex))
         rho_comp = evolve.rho_in_basis(rho_meas, m.basis, "to_computational")
         svg = render.rho_grid_svg(

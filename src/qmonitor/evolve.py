@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .model import MeasurementBasis, Model
-from .traces import ProbabilityTrace
+from .traces import check_trace
 
 Direction = Literal["to_measurement", "to_computational"]
 
@@ -49,15 +49,15 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> list[ProbabilityTrace]:
+def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> np.ndarray:
     """Propagate the initial state over a tau grid for n_max cycles each.
 
-    Returns one trace per grid point, in grid order. Row 0 is the Born
-    distribution of the bare initial state (no evolution); row n >= 1 is the
-    distribution after n cycles. Every grid point advances together: each
-    cycle is one batched product W rho over the (T, dim, dim) stack of states;
-    the real diagonal of W rho W^dag follows from it and conj(W), and,
-    depolarized, is the diagonal of the next state.
+    Returns the checked (T, n_max+1, dim) trace in grid order. Row 0 of a
+    block is the Born distribution of the bare initial state (no evolution);
+    row n >= 1 is the distribution after n cycles. Every grid point advances
+    together: each cycle is one batched product W rho over the (T, dim, dim)
+    stack of states; the real diagonal of W rho W^dag follows from it and
+    conj(W), and, depolarized, is the diagonal of the next state.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1:
@@ -79,24 +79,22 @@ def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> list[Probabilit
         rows[:, n] = pops
         rho = dephased
         rho[:, k, k] = pops
-    return [ProbabilityTrace(values=block) for block in rows]
+    return check_trace(rows)
 
 
-def noisy_closed_form(p_noiseless: ProbabilityTrace, gamma: float, dim: int) -> ProbabilityTrace:
-    """Fold a per-cycle depolarizing channel into a noiseless trace.
+def noisy_closed_form(values: np.ndarray, gamma: float) -> np.ndarray:
+    """Fold a per-cycle depolarizing channel into a (T, n_max+1, dim) trace, in place.
 
-    Row n becomes (1-gamma)^n * row_n + (1 - (1-gamma)^n) / dim; valid because
-    the measurement cycle and the depolarizing channel are both unital and
-    therefore commute.
+    Row n of every block becomes (1-gamma)^n * row_n + (1 - (1-gamma)^n) / dim,
+    and values is returned checked. This is valid because the measurement
+    cycle and the depolarizing channel are both unital and therefore commute.
     """
     gamma = _check_gamma(gamma)
-    if dim != p_noiseless.dim:
-        raise ValueError("dim does not match the trace")
-    ns = np.arange(p_noiseless.n_max + 1, dtype=float)
+    ns = np.arange(values.shape[-2], dtype=float)
     survival = (1.0 - gamma) ** ns
-    mixed = (1.0 - survival) / dim
-    values = survival[:, None] * p_noiseless.values + mixed[:, None]
-    return ProbabilityTrace(values=values)
+    values *= survival[:, None]
+    values += ((1.0 - survival) / values.shape[-1])[:, None]
+    return check_trace(values)
 
 
 def rho_in_basis(rho: np.ndarray, basis: MeasurementBasis, direction: Direction) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 The noise model has a single parameter gamma, the per-cycle probability of
 replacing the state by the completely mixed one. Fitting happens on
-tau-averaged probability traces: averaging over the evolution period washes
+tau-averaged probability traces: tau_average reduces a (T, n_max+1, dim)
+trace to an (n_max+1, dim) array. Averaging over the evolution period washes
 out coherent detail and leaves the exponential envelope (1-gamma)^n, from
-which gamma is recovered by deterministic 1-D least squares.
+which fit_gamma recovers gamma by deterministic 1-D least squares.
 """
 
 from __future__ import annotations
@@ -16,29 +17,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .traces import ProbabilityTrace
-
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class UnidentifiableDataError(ValueError):
     """The fit objective carries no information about gamma."""
-
-
-@dataclass(frozen=True)
-class TauAveragedTrace:
-    """Trace averaged over the evolution period: values[n, k] = mean_tau P[n, k]."""
-
-    values: np.ndarray
-    tau_grid: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        row_err = np.max(np.abs(v.sum(axis=1) - 1.0))
-        if row_err > 1e-10:
-            raise ValueError(f"averaged rows must sum to 1 (max error {row_err:.3e})")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -99,28 +82,31 @@ class LayerCount:
             raise ValueError("each cycle needs at least one measurement layer")
 
 
-def tau_average(traces: Mapping[float, ProbabilityTrace]) -> TauAveragedTrace:
-    """Trapezoidal tau-average of per-tau traces over a grid covering [0, pi].
+def tau_average(values: np.ndarray, taus) -> np.ndarray:
+    """Trapezoidal tau-average of a (T, n_max+1, dim) trace over a grid covering [0, pi].
 
-    The quadrature is normalized by pi, i.e. it approximates
-    (1/pi) * integral_0^pi P[n, k](tau) dtau on the supplied grid.
+    Returns the (n_max+1, dim) array approximating
+    (1/pi) * integral_0^pi P[n, k](tau) dtau, with the blocks taken in
+    ascending order of their taus.
     """
-    if not traces:
+    taus = np.asarray(taus, dtype=float)
+    if len(taus) == 0:
         raise ValueError("empty tau grid")
-    taus = np.array(sorted(traces.keys()), dtype=float)
     if len(taus) < 2:
         raise ValueError("need at least two tau points")
+    order = np.argsort(taus, kind="stable")
+    taus = taus[order]
     if abs(taus[0]) > 1e-9 or abs(taus[-1] - math.pi) > 1e-9:
         raise ValueError("tau grid must cover [0, pi]")
-    stack = np.stack([traces[t].values for t in taus])  # (n_tau, n_max+1, N)
-    if any(traces[t].values.shape != stack[0].shape for t in taus):
-        raise ValueError("traces have inconsistent shapes")
     dt = np.diff(taus)
     weights = np.zeros(len(taus))
     weights[:-1] += dt / 2.0
     weights[1:] += dt / 2.0
-    avg = np.tensordot(weights, stack, axes=(0, 0)) / math.pi
-    return TauAveragedTrace(values=avg, tau_grid=taus)
+    avg = np.tensordot(weights, np.asarray(values, dtype=float)[order], axes=(0, 0)) / math.pi
+    row_err = np.max(np.abs(avg.sum(axis=1) - 1.0))
+    if row_err > 1e-10:
+        raise ValueError(f"averaged rows must sum to 1 (max error {row_err:.3e})")
+    return avg
 
 
 def _predict(model: np.ndarray, ns: np.ndarray, gamma: float, dim: int) -> np.ndarray:
@@ -129,13 +115,11 @@ def _predict(model: np.ndarray, ns: np.ndarray, gamma: float, dim: int) -> np.nd
 
 
 def fit_gamma(
-    measured: TauAveragedTrace,
-    model_noiseless: TauAveragedTrace,
-    dim: int,
-    n_range: tuple[int, int],
+    measured: np.ndarray, model_noiseless: np.ndarray, n_range: tuple[int, int]
 ) -> NoiseFit:
     """Least-squares estimate of the depolarizing strength on [0, 1].
 
+    measured and model_noiseless are tau-averaged (n_max+1, dim) traces.
     Minimizes sum over n in n_range (inclusive) and all k of
     (measured - [(1-gamma)^n model + (1-(1-gamma)^n)/dim])^2 with a
     golden-section search to width 1e-9 plus one parabolic refinement;
@@ -144,14 +128,15 @@ def fit_gamma(
     lo, hi = int(n_range[0]), int(n_range[1])
     if lo > hi:
         raise ValueError("empty n_range")
-    if lo < 0 or hi > measured.values.shape[0] - 1:
+    if lo < 0 or hi > measured.shape[0] - 1:
         raise ValueError("n_range outside the trace")
-    if measured.values.shape != model_noiseless.values.shape:
+    if measured.shape != model_noiseless.shape:
         raise ValueError("measured and model shapes differ")
 
+    dim = measured.shape[-1]
     ns = np.arange(lo, hi + 1, dtype=float)
-    data = measured.values[lo : hi + 1]
-    model = model_noiseless.values[lo : hi + 1]
+    data = measured[lo : hi + 1]
+    model = model_noiseless[lo : hi + 1]
 
     informative = ns >= 1
     if not np.any(informative) or (

@@ -8,9 +8,10 @@ K = (1 - gamma) L + gamma J / dim is the one-cycle kernel with its
 depolarizing coin: with probability gamma per cycle the outcome is replaced
 by a uniformly random basis index, which reproduces the depolarizing channel
 at the level of outcome statistics (the depolarized branch is measured
-immediately in the same basis). run_shots draws the counts directly. This
-has the same joint law as walking every shot, at a cost independent of
-n_shots; single shots are never materialised.
+immediately in the same basis). run_shots draws the counts directly and
+returns them as one (T, n_max+1, dim) int64 stack. This has the same joint
+law as walking every shot, at a cost independent of n_shots; single shots
+are never materialised.
 
 Randomness comes from numpy's counter-based Philox generator. Grid point i
 of a run is keyed by (seed, i): its generator is
@@ -38,7 +39,6 @@ import numpy as np
 
 from . import evolve, markov
 from .model import Model
-from .traces import ProbabilityTrace
 
 _WORD = 1 << 64
 
@@ -63,25 +63,6 @@ class ShotConfig:
             raise ValueError("gamma must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class EmpiricalTrace:
-    """Shot-aggregated outcome statistics.
-
-    counts[n, k] is the number of shots that produced outcome k at cycle n;
-    row 0 tallies an independent measurement of the bare initial state.
-    probabilities = counts / n_shots and stderr is the per-cell binomial
-    standard error sqrt(p (1-p) / n_shots).
-    """
-
-    counts: np.ndarray
-    n_shots: int
-    probabilities: np.ndarray
-    stderr: np.ndarray
-
-    def trace(self) -> ProbabilityTrace:
-        return ProbabilityTrace(values=self.probabilities)
-
-
 def _philox(seed: int, stream: int) -> np.random.Philox:
     """The bit generator of key (seed, stream), at counter 0."""
     return np.random.Philox(key=int(seed) * _WORD + int(stream))
@@ -98,12 +79,14 @@ def _pvals(p: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def run_shots(m: Model, taus, cfg: ShotConfig) -> list[EmpiricalTrace]:
-    """Per-cycle outcome counts of cfg.n_shots trajectories, one EmpiricalTrace per tau.
+def run_shots(m: Model, taus, cfg: ShotConfig) -> np.ndarray:
+    """The (T, n_max+1, dim) int64 outcome counts of cfg.n_shots trajectories per grid point.
 
-    Deterministic given cfg.seed, the grid and the numpy version: grid point
-    i draws from the stream (cfg.seed, i) in the order the module docstring
-    fixes.
+    counts[i, n, k] is the number of shots at tau_i that gave outcome k at
+    cycle n; row 0 tallies an independent measurement of the bare initial
+    state. Deterministic given cfg.seed, the grid and the numpy version: grid
+    point i draws from the stream (cfg.seed, i) in the order the module
+    docstring fixes.
     """
     gamma, dim = cfg.gamma, m.dim
     p0 = _pvals(evolve.born_probabilities(m.initial_state, m.basis))
@@ -119,10 +102,4 @@ def run_shots(m: Model, taus, cfg: ShotConfig) -> list[EmpiricalTrace]:
             c[1] = rng.multinomial(cfg.n_shots, p1_i)
         for n in range(2, cfg.n_max + 1):
             c[n] = rng.multinomial(c[n - 1], kernel).sum(axis=0)
-
-    probs = counts / float(cfg.n_shots)
-    stderr = np.sqrt(probs * (1.0 - probs) / cfg.n_shots)
-    return [
-        EmpiricalTrace(counts=c, n_shots=cfg.n_shots, probabilities=p, stderr=e)
-        for c, p, e in zip(counts, probs, stderr)
-    ]
+    return counts

@@ -1,41 +1,200 @@
-"""Probability traces: outcome distributions indexed by measurement count."""
+"""Probability traces and their CSV form.
+
+A trace is a float array values[i, n, k]: the probability of outcome k after
+n measurement cycles at grid point tau_i, for n = 0..n_max, as one
+(T, n_max+1, dim) stack. Row 0 of a block is the Born distribution of the
+initial state in the measurement basis. check_trace validates a stack one
+tau block at a time; write_trace_csv and read_trace_csv are the only code
+that knows the CSV layout.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import csv
+import itertools
 
 import numpy as np
 
+from .model import check_labels
+
 ROW_SUM_TOL = 1e-12
+_CHUNK_ROWS = 2048
 
 
-@dataclass(frozen=True)
-class ProbabilityTrace:
-    """Outcome probabilities P[n, k] for n = 0..n_max over N basis states.
+class DataError(Exception):
+    """Malformed or unusable input data."""
 
-    Row n is the distribution immediately after n measurement cycles; row 0
-    is the Born distribution of the initial state in the measurement basis.
+
+def check_trace(values, taus=None) -> np.ndarray:
+    """Return values as a float (T, n_max+1, dim) stack of outcome distributions.
+
+    Each tau block is checked on its own, so the temporaries stay the size of
+    one block. Raises ValueError for the first block with a non-finite entry,
+    a probability below -ROW_SUM_TOL or a row whose sum is off 1 by more than
+    ROW_SUM_TOL; given the grid taus, the message names that block's tau.
     """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[1] < 1 or values.shape[2] < 1:
+        raise ValueError(f"expected a (T, n_max+1, N) array, got shape {values.shape}")
+    for i, block in enumerate(values):
+        if not np.all(np.isfinite(block)):
+            problem = "trace has non-finite entries"
+        elif np.min(block) < -ROW_SUM_TOL:
+            problem = f"negative probability {np.min(block):.3e}"
+        elif (row_err := np.max(np.abs(block.sum(axis=1) - 1.0))) > ROW_SUM_TOL:
+            problem = f"rows do not sum to 1 (max error {row_err:.3e})"
+        else:
+            continue
+        raise ValueError(problem if taus is None else f"tau={taus[i]}: {problem}")
+    return values
 
-    values: np.ndarray
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError(f"expected a (n_max+1, N) array, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("trace has non-finite entries")
-        if np.min(v) < -ROW_SUM_TOL:
-            raise ValueError(f"negative probability {np.min(v):.3e}")
-        row_err = np.max(np.abs(v.sum(axis=1) - 1.0))
-        if row_err > ROW_SUM_TOL:
-            raise ValueError(f"rows do not sum to 1 (max error {row_err:.3e})")
-        object.__setattr__(self, "values", v)
+def write_trace_csv(path, labels, taus, values, stderrs=None) -> None:
+    """Write one block of rows per grid point of taus.
 
-    @property
-    def n_max(self) -> int:
-        return self.values.shape[0] - 1
+    values and stderrs are (T, R, N) stacks, or sequences of T 2-D blocks.
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
+    A block fills a template of its rows: '\\0' where tau goes, the n digits,
+    the cells of each column whose bits equal the previous block's, and a
+    ',%.17g' slot for every other cell. It is rebuilt when the block length
+    or the repeated columns change. A grid point puts '%.17g' % tau in once
+    and %-formats only the slots; '%.17g' % x and format(x, '.17g') give the
+    same digits, so every float round-trips exactly.
+    """
+    header = ["tau", "n", *labels]
+    if stderrs is not None:
+        header += [f"stderr_{k}" for k in range(len(labels))]
+    key, cols = None, [b""] * (len(header) - 2)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for i, (tau, block) in enumerate(zip(taus, values, strict=True)):
+            if stderrs is not None:
+                block = np.column_stack([block, stderrs[i]])
+            prev, cols = cols, [col.tobytes() for col in block.T]  # bits: 0.0 and -0.0 differ
+            same = [col == old for col, old in zip(cols, prev)]
+            if key != (len(block), same):
+                key, slots = (len(block), same), np.logical_not(same)
+                row = "".join(",%.17g" if s else ",%%.17g" for s in same)
+                text = "".join(f"\0,{n}{row}\n" for n in range(len(block)))
+                template = text % tuple(block[:, same].ravel().tolist())
+            cells = tuple(block[:, slots].ravel().tolist())
+            fh.write(template.replace("\0", "%.17g" % tau) % cells)
+
+
+def _read_body_fast(fh, ncol: int, n_states: int) -> tuple[list[float], np.ndarray] | None:
+    """(taus, (T, R, n_states) values) of a body in the writer's layout, else None.
+
+    That layout: no quotes and no carriage returns, exactly ncol fields per
+    row, n written as digits running 0..R-1 in every block, one tau per
+    block and no tau in two blocks. Lines are read in chunks of _CHUNK_ROWS
+    and converted by numpy's C parser; only the tau, n and outcome columns
+    are kept. The comma count goes first, because loadtxt skips blank lines.
+    Spellings that float() accepts and loadtxt rejects (1_0, non-ASCII
+    digits) return None, so the line parser reads them.
+    """
+    keys, values = [], []
+    for lines in iter(lambda: list(itertools.islice(fh, _CHUNK_ROWS)), []):
+        text = "".join(lines)
+        # float() rejects the separators \x1c-\x1f around a number; loadtxt strips them
+        if any(c in text for c in '"\r\x1c\x1d\x1e\x1f'):
+            return None
+        if set(map(str.count, lines, itertools.repeat(","))) != {ncol - 1}:
+            return None
+        n_digits = "".join(line.split(",", 2)[1] for line in lines)
+        if not (n_digits.isascii() and n_digits.isdigit()):
+            return None
+        try:
+            chunk = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+        keys.append(chunk[:, :2].copy())
+        values.append(chunk[:, 2 : 2 + n_states].copy())
+    if not keys:
+        return None
+    keys = np.concatenate(keys)
+    starts = np.flatnonzero(keys[:, 1] == 0)
+    block = int(starts[1]) if len(starts) > 1 else len(keys)
+    if len(keys) % block:
+        return None
+    keys = keys.reshape(-1, block, 2)
+    taus = keys[:, 0, 0].tolist()
+    if not (
+        np.all(keys[:, :, 1] == np.arange(block))
+        and np.all(keys[:, :, 0] == keys[:, :1, 0])
+        and len(set(taus)) == len(taus)  # the line parser's dict keys: -0.0 == 0.0
+    ):
+        return None
+    return taus, np.concatenate(values).reshape(len(taus), block, n_states)
+
+
+def _read_body_rows(path, reader, n_states: int) -> tuple[list[float], np.ndarray]:
+    """Parse the body row by row into (taus, (T, R, n_states) values), naming the first bad line."""
+    per_tau: dict[float, list[list[float]]] = {}
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) < 2 + n_states:
+            raise DataError(f"{path}:{lineno}: too few columns")
+        try:
+            tau = float(row[0])
+            n = int(row[1])
+            vals = [float(x) for x in row[2 : 2 + n_states]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        rows = per_tau.setdefault(tau, [])
+        if n != len(rows):
+            raise DataError(f"{path}:{lineno}: n values must be contiguous from 0")
+        rows.append(vals)
+    if not per_tau:
+        raise DataError(f"{path}: no data rows")
+    if len({len(rows) for rows in per_tau.values()}) != 1:
+        raise DataError(f"{path}: tau blocks have differing n ranges")
+    return list(per_tau), np.array(list(per_tau.values()), dtype=float)
+
+
+def read_trace_csv(path) -> tuple[list[str], list[float], np.ndarray]:
+    """Parse a simulate CSV back into (labels, taus, (T, n_max+1, N) values).
+
+    stderr columns, when present, must be stderr_0..stderr_{N-1} after the
+    outcome columns; their values are ignored. Raises DataError on any
+    structural problem and on any block that check_trace rejects. A body in
+    the writer's own layout is parsed in chunks straight into one array; any
+    other body is parsed again line by line, which accepts the same files
+    and names the first bad line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty CSV") from None
+            if header[:2] != ["tau", "n"]:
+                raise DataError(f"{path}: header must start with tau,n")
+            columns = header[2:]
+            n_states = next(
+                (k for k, col in enumerate(columns) if col.startswith("stderr_")), len(columns)
+            )
+            labels = columns[:n_states]
+            if not labels:
+                raise DataError(f"{path}: no outcome columns")
+            if columns[n_states:] not in ([], [f"stderr_{k}" for k in range(n_states)]):
+                raise DataError(f"{path}: stderr columns must be stderr_0..stderr_{n_states - 1}")
+            try:
+                check_labels(tuple(labels))
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc}") from exc
+            body = _read_body_fast(fh, len(header), n_states)
+            if body is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                body = _read_body_rows(path, reader, n_states)
+            taus, values = body
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        check_trace(values, taus)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    return labels, taus, values

@@ -36,7 +36,7 @@ def stationary(m, tau: float, p0):
 
 
 def _engines(m, tau: float, n_max: int):
-    exact = evolve.run_exact(m, [tau], n_max)[0].values
+    exact = evolve.run_exact(m, [tau], n_max)[0]
     p0 = evolve.born_probabilities(m.initial_state, m.basis)
     chain = markov.propagate(kernel(m, tau), start_rows(p0, n_max))
     return exact, chain
@@ -194,10 +194,8 @@ def test_criterion_5_noise_model():
         m = model.build_model(name)
         for gamma in (0.033, 0.12):
             for tau in tau_grid:
-                iterated = evolve.run_exact(m, [tau], 32, gamma)[0].values
-                folded = evolve.noisy_closed_form(
-                    evolve.run_exact(m, [tau], 32, 0.0)[0], gamma, m.dim
-                ).values
+                iterated = evolve.run_exact(m, [tau], 32, gamma)
+                folded = evolve.noisy_closed_form(evolve.run_exact(m, [tau], 32, 0.0), gamma)
                 _expect(
                     failures,
                     float(np.max(np.abs(iterated - folded))) < 1e-12,
@@ -221,11 +219,9 @@ def test_criterion_6_gamma_recovery():
     ]
     for name, gamma_true, tolerance in cases:
         m = model.build_model(name)
-        reference = noisefit.tau_average(
-            {tau: evolve.run_exact(m, [tau], n_max, 0.0)[0] for tau in taus}
-        )
+        reference = noisefit.tau_average(evolve.run_exact(m, taus, n_max, 0.0), taus)
         for seed in range(10):
-            measured = {}
+            counts = []
             for i, tau in enumerate(taus):
                 cfg = sample.ShotConfig(
                     n_shots=n_shots,
@@ -233,10 +229,9 @@ def test_criterion_6_gamma_recovery():
                     n_max=n_max,
                     gamma=gamma_true,
                 )
-                measured[tau] = sample.run_shots(m, [tau], cfg)[0].trace()
-            fit = noisefit.fit_gamma(
-                noisefit.tau_average(measured), reference, m.dim, (1, n_max)
-            )
+                counts.append(sample.run_shots(m, [tau], cfg)[0])
+            measured = noisefit.tau_average(np.array(counts) / n_shots, taus)
+            fit = noisefit.fit_gamma(measured, reference, (1, n_max))
             _expect(
                 failures,
                 abs(fit.gamma - gamma_true) <= tolerance,
@@ -283,11 +278,11 @@ def test_criterion_8_monte_carlo_fidelity():
         m = model.build_model(name)
         for k, tau in enumerate(TAU_GRID_33):
             cfg = sample.ShotConfig(n_shots=n_shots, seed=777000 + k, n_max=n_max, gamma=0.0)
-            emp = sample.run_shots(m, [tau], cfg)[0]
-            exact = evolve.run_exact(m, [tau], n_max, 0.0)[0].values
+            emp = sample.run_shots(m, [tau], cfg)[0] / n_shots
+            exact = evolve.run_exact(m, [tau], n_max, 0.0)[0]
             clipped = np.clip(exact, 0.0, 1.0)
             se = np.sqrt(clipped * (1.0 - clipped) / n_shots)
-            delta = np.abs(emp.probabilities - exact)
+            delta = np.abs(emp - exact)
             ok = (delta <= 1e-12) | (delta < 5.0 * se)
             total += ok.size
             good += int(ok.sum())

@@ -141,8 +141,8 @@ class TestOracleEquivalence:
         m = model.build_model(name)
         n_max = max(GRID_N)
         for tau in GRID_TAU:
-            closed = analytic.closed_form_trace(kind, tau, n_max).values
-            exact = evolve.run_exact(m, [tau], n_max)[0].values
+            closed = analytic.closed_form_trace(kind, [tau], n_max)[0]
+            exact = evolve.run_exact(m, [tau], n_max)[0]
             p0 = evolve.born_probabilities(m.initial_state, m.basis)
             chain = markov.propagate(kernel(m, tau), start_rows(p0, n_max))
             assert np.max(np.abs(closed - chain)) < 1e-10
@@ -157,7 +157,7 @@ class TestOracleEquivalence:
 
 
 def test_closed_form_trace_shape():
-    trace = analytic.closed_form_trace("bell", 0.7, 16)
-    assert trace.values.shape == (17, 4)
+    trace = analytic.closed_form_trace("bell", [0.7, 1.1, 2.0], 16)
+    assert trace.shape == (3, 17, 4)
     with pytest.raises(ValueError):
-        analytic.closed_form_trace("ghz", 0.7, 16)
+        analytic.closed_form_trace("ghz", [0.7], 16)

@@ -46,7 +46,7 @@ def test_kernel_is_exactly_block_diagonal_with_unit_dark_columns(name):
 def test_exact_engine_keeps_a_dark_column_exactly_zero(name, column):
     m = model.build_model(name)
     k = m.basis.labels.index(column)
-    cells = np.array([t.values[:, k] for t in evolve.run_exact(m, TAU_GRID_33, 32)])
+    cells = evolve.run_exact(m, TAU_GRID_33, 32)[:, :, k]
     assert cells.shape == (33, 33)
     assert np.count_nonzero(cells) == 0
 
@@ -56,8 +56,7 @@ def test_exact_bell_columns_of_common_eigenvectors_do_not_move_with_tau():
     observable alike: their rows are (1 - gamma)^n p0 + (1 - (1 - gamma)^n) / 4
     at every tau, and the trace writer writes such repeated columns once."""
     m = model.build_model("two_qubit_bell")
-    traces = evolve.run_exact(m, np.linspace(0.0, np.pi, 257), 64, 0.033)
-    cells = np.array([t.values for t in traces]).view(np.uint64)
+    cells = evolve.run_exact(m, np.linspace(0.0, np.pi, 257), 64, 0.033).view(np.uint64)
     common = [m.basis.labels.index("beta_2"), m.basis.labels.index("beta_3")]
     assert np.all(cells[:, :, common] == cells[:1, :, common])
     assert not np.all(cells[:, :, :2] == cells[:1, :, :2])

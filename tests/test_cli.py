@@ -3,15 +3,13 @@ import json
 import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmonitor import cli, sample
-from qmonitor.traces import ProbabilityTrace
+from qmonitor import cli, sample, traces
 
 
 DATA = Path(__file__).parent / "data"
@@ -238,10 +236,12 @@ class TestConfigFile:
         header, rows = read_csv(tmp_path / "two_qubit_bell_markov.csv")
         assert len(rows) == 4 * 4  # n_max overridden to 3 by the flag
 
-    def test_unknown_key(self, tmp_path):
+    def test_unknown_key(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
-        ini.write_text("[run]\nfrobnicate = 3\n")
-        assert run(["simulate", "--config", ini, "--out", tmp_path]) == 2
+        for line in ("frobnicate = 3", "n_fit_range = 1:5"):
+            ini.write_text(f"[run]\n{line}\n")
+            assert run(["simulate", "--config", ini, "--out", tmp_path]) == 2
+            assert "unknown key" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert run(["simulate", "--config", tmp_path / "nope.ini", "--out", tmp_path]) == 2
@@ -693,7 +693,7 @@ class TestTraceCsvFormat:
     TAUS = [0.0, 0.1, 1 / 3, math.pi]
 
     @staticmethod
-    def reference(path, labels, taus, traces, stderrs):
+    def reference(path, labels, taus, blocks, stderrs):
         header = ["tau", "n", *labels]
         if stderrs is not None:
             header += [f"stderr_{k}" for k in range(len(labels))]
@@ -701,7 +701,7 @@ class TestTraceCsvFormat:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             for i, tau in enumerate(taus):
-                for n, values in enumerate(traces[i].values):
+                for n, values in enumerate(blocks[i]):
                     row = [format(tau, ".17g"), str(n)] + [format(x, ".17g") for x in values]
                     if stderrs is not None:
                         row += [format(x, ".17g") for x in stderrs[i][n]]
@@ -710,11 +710,11 @@ class TestTraceCsvFormat:
     @pytest.mark.parametrize("with_stderr", [False, True])
     def test_bytes_match_the_per_cell_writer(self, tmp_path, with_stderr):
         rows = np.array([[x, 1.0 - x] for x in self.VALUES])
-        traces = [ProbabilityTrace(values=rows), ProbabilityTrace(values=rows[::-1, ::-1])] * 2
-        stderrs = [rows[:, ::-1], rows] * 2 if with_stderr else None
+        values = np.stack([rows, rows[::-1, ::-1]] * 2)
+        stderrs = np.stack([rows[:, ::-1], rows] * 2) if with_stderr else None
         labels = ("g", "e,1")
-        cli._write_trace_csv(tmp_path / "got.csv", labels, self.TAUS, traces, stderrs)
-        self.reference(tmp_path / "want.csv", labels, self.TAUS, traces, stderrs)
+        traces.write_trace_csv(tmp_path / "got.csv", labels, self.TAUS, values, stderrs)
+        self.reference(tmp_path / "want.csv", labels, self.TAUS, values, stderrs)
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert b"\n0,1,-0,1" in got and b",4.9406564584124654e-324," in got
@@ -746,11 +746,10 @@ class TestTraceCsvFormat:
     @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
     def test_layouts_match_the_per_cell_writer(self, tmp_path, layout, with_stderr):
         taus, blocks = layout
-        traces = [ProbabilityTrace(values=b) for b in blocks]
         stderrs = [b[:, ::-1] for b in blocks] if with_stderr else None
         labels = ("g", "e,1", "f")[: blocks[0].shape[1]]
-        cli._write_trace_csv(tmp_path / "got.csv", labels, taus, traces, stderrs)
-        self.reference(tmp_path / "want.csv", labels, taus, traces, stderrs)
+        traces.write_trace_csv(tmp_path / "got.csv", labels, taus, blocks, stderrs)
+        self.reference(tmp_path / "want.csv", labels, taus, blocks, stderrs)
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert got.count(b"\n") == 1 + sum(len(b) for b in blocks)
@@ -778,14 +777,27 @@ class TestTraceCsvFormat:
                     block[:, c] = data.draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
             blocks.append(block)
         taus = data.draw(st.lists(cell, min_size=len(blocks), max_size=len(blocks)))
-        # the writer reads only .values, so the cells need not be probabilities
-        traces = [SimpleNamespace(values=b[:, :width]) for b in blocks]
+        # the writer does not check its input, so the cells need not be probabilities
+        values = [b[:, :width] for b in blocks]
         stderrs = [b[:, width:] for b in blocks] if with_stderr else None
         labels = ("g", "e,1", "f")[:width]
         out = tmp_path_factory.mktemp("csv")
-        cli._write_trace_csv(out / "got.csv", labels, taus, traces, stderrs)
-        self.reference(out / "want.csv", labels, taus, traces, stderrs)
+        traces.write_trace_csv(out / "got.csv", labels, taus, values, stderrs)
+        self.reference(out / "want.csv", labels, taus, values, stderrs)
         assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("1.1,-0.1", "negative probability"), ("0.6,0.5", "rows do not sum to 1")],
+    ids=["negative_cell", "row_sums_to_1.1"],
+)
+def test_block_checks_name_the_tau(tmp_path, capsys, row, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"tau,n,0,1\n0.5,0,1.0,0.0\n0.5,1,{row}\n")
+    assert run(["fit-noise", bad, "--model", "single_qubit", "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert "tau=0.5: " in err and message in err
 
 
 def test_nan_probabilities_rejected_by_parser(tmp_path):

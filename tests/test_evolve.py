@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from qmonitor import evolve, linalg, markov, model
-from qmonitor.traces import ProbabilityTrace
 
 import oracles
 from conftest import ALL_MODEL_NAMES, all_models, cycle, gammas, kernel, start_rows, taus
@@ -68,15 +67,15 @@ class TestCycle:
 class TestRunExact:
     def test_bell_initial_row(self, bell):
         trace = evolve.run_exact(bell, [0.9], 0)[0]
-        assert np.max(np.abs(trace.values[0] - [0.5, 0.0, 0.5, 0.0])) < 1e-15
+        assert np.max(np.abs(trace[0] - [0.5, 0.0, 0.5, 0.0])) < 1e-15
 
     def test_singlet_triplet_initial_row(self, singlet_triplet):
         trace = evolve.run_exact(singlet_triplet, [0.9], 0)[0]
-        assert np.array_equal(trace.values[0], [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(trace[0], [1.0, 0.0, 0.0, 0.0])
 
     def test_single_qubit_two_cycles(self, single_qubit):
         trace = evolve.run_exact(single_qubit, [np.pi / 3], 2)[0]
-        mag = trace.values[2, 0] - trace.values[2, 1]
+        mag = trace[2, 0] - trace[2, 1]
         assert abs(mag - np.cos(np.pi / 3) ** 2) < 1e-13
 
     @pytest.mark.parametrize("m", all_models(), ids=lambda m: f"dim{m.dim}")
@@ -86,11 +85,11 @@ class TestRunExact:
         exact = evolve.run_exact(m, [tau], n_max)[0]
         p0 = evolve.born_probabilities(m.initial_state, m.basis)
         chain = markov.propagate(kernel(m, tau), start_rows(p0, n_max))
-        assert np.max(np.abs(exact.values - chain)) < 1e-12
+        assert np.max(np.abs(exact - chain)) < 1e-12
 
     def test_singlet_component_stays_tiny(self, singlet_triplet):
         trace = evolve.run_exact(singlet_triplet, [0.8], 40)[0]
-        assert np.max(np.abs(trace.values[:, 2])) < 1e-12
+        assert np.max(np.abs(trace[:, 2])) < 1e-12
 
     def test_rejects_negative_n(self, single_qubit):
         with pytest.raises(ValueError):
@@ -120,49 +119,47 @@ class TestRunExactMatchesCycle:
             for _ in range(self.N_MAX):
                 rho = cycle(rho, m, tau, gamma)
                 rows.append(np.real(np.diag(evolve.rho_in_basis(rho, m.basis, "to_measurement"))))
-            assert np.max(np.abs(trace.values - np.array(rows))) <= 1e-12
+            assert np.max(np.abs(trace - np.array(rows))) <= 1e-12
 
 
 class TestNoisyClosedForm:
     def test_gamma_zero_is_identity(self, bell):
-        trace = evolve.run_exact(bell, [0.7], 10)[0]
-        out = evolve.noisy_closed_form(trace, 0.0, 4)
-        assert np.array_equal(out.values, trace.values)
+        trace = evolve.run_exact(bell, [0.7, 2.1], 10)
+        assert np.array_equal(evolve.noisy_closed_form(trace.copy(), 0.0), trace)
 
     def test_one_step_by_hand(self):
-        trace = ProbabilityTrace(values=np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]]))
-        out = evolve.noisy_closed_form(trace, 0.12, 4)
+        trace = np.array([[[1.0, 0, 0, 0], [1.0, 0, 0, 0]]])
+        out = evolve.noisy_closed_form(trace, 0.12)
+        assert out is trace  # folded in place
         # 0.88 * 1 + 0.12/4 = 0.91 on the leading entry
-        assert abs(out.values[1, 0] - 0.91) < 1e-15
-        assert np.max(np.abs(out.values[1, 1:] - 0.03)) < 1e-15
+        assert abs(out[0, 1, 0] - 0.91) < 1e-15
+        assert np.max(np.abs(out[0, 1, 1:] - 0.03)) < 1e-15
 
     def test_long_time_mixes_to_uniform(self, singlet_triplet):
-        trace = evolve.run_exact(singlet_triplet, [0.7], 60)[0]
-        out = evolve.noisy_closed_form(trace, 0.12, 4)
+        out = evolve.noisy_closed_form(evolve.run_exact(singlet_triplet, [0.7], 60), 0.12)
         # survival (0.88)^60 ~ 4.7e-4 bounds the distance from 1/4
-        assert np.max(np.abs(out.values[60] - 0.25)) < 5e-4
+        assert np.max(np.abs(out[0, 60] - 0.25)) < 5e-4
 
     def test_rows_still_sum_to_one(self, bell):
-        trace = evolve.run_exact(bell, [1.9], 30)[0]
-        out = evolve.noisy_closed_form(trace, 0.37, 4)
-        assert np.max(np.abs(out.values.sum(axis=1) - 1.0)) < 1e-12
+        out = evolve.noisy_closed_form(evolve.run_exact(bell, [1.9, 0.4], 30), 0.37)
+        assert np.max(np.abs(out.sum(axis=2) - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("m", all_models(), ids=lambda m: f"dim{m.dim}")
     @pytest.mark.parametrize("tau", TAU_GRID)
     @pytest.mark.parametrize("gamma", [0.033, 0.12])
     def test_iterated_noise_matches_closed_form(self, m, tau, gamma):
         n_max = 24
-        iterated = evolve.run_exact(m, [tau], n_max, gamma)[0]
-        folded = evolve.noisy_closed_form(evolve.run_exact(m, [tau], n_max, 0.0)[0], gamma, m.dim)
-        assert np.max(np.abs(iterated.values - folded.values)) < 1e-12
+        iterated = evolve.run_exact(m, [tau], n_max, gamma)
+        folded = evolve.noisy_closed_form(evolve.run_exact(m, [tau], n_max, 0.0), gamma)
+        assert np.max(np.abs(iterated - folded)) < 1e-12
 
     @given(tau=taus, gamma=gammas)
     @settings(max_examples=30, deadline=None)
     def test_commuting_noise_property(self, tau, gamma):
         m = model.two_qubit_model("bell")
-        iterated = evolve.run_exact(m, [tau], 12, gamma)[0]
-        folded = evolve.noisy_closed_form(evolve.run_exact(m, [tau], 12, 0.0)[0], gamma, 4)
-        assert np.max(np.abs(iterated.values - folded.values)) < 1e-12
+        iterated = evolve.run_exact(m, [tau], 12, gamma)
+        folded = evolve.noisy_closed_form(evolve.run_exact(m, [tau], 12, 0.0), gamma)
+        assert np.max(np.abs(iterated - folded)) < 1e-12
 
 
 class TestRhoInBasis:

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmonitor import cli, evolve, linalg, markov, model
-from qmonitor.traces import ProbabilityTrace
 
 import oracles
 from conftest import ALL_MODEL_NAMES, kernel, taus, three_level_model
@@ -50,14 +49,14 @@ def reference_density_trace(m, tau, n_max, gamma):
 class TestGridAgreement:
     def test_matches_per_point_density_matrices(self, m, grid, gamma):
         traces = evolve.run_exact(m, grid, N_MAX, gamma)
-        assert len(traces) == len(grid)
+        assert traces.shape == (len(grid), N_MAX + 1, m.dim)
         for tau, trace in zip(grid, traces):
             expected = reference_density_trace(m, tau, N_MAX, gamma)
-            assert np.max(np.abs(trace.values - expected)) < 1e-12
+            assert np.max(np.abs(trace - expected)) < 1e-12
 
     def test_matches_first_cycle_then_chain(self, m, grid, gamma):
         traces = evolve.run_exact(m, grid, N_MAX, gamma)
-        assert np.max(np.abs(np.array([t.values for t in traces]) - chain(m, grid, gamma))) < 1e-12
+        assert np.max(np.abs(traces - chain(m, grid, gamma))) < 1e-12
 
 
 def chain(m, grid, gamma):
@@ -67,9 +66,7 @@ def chain(m, grid, gamma):
     rows[:, 0] = evolve.born_probabilities(m.initial_state, m.basis)
     rows[:, 1] = p1
     markov.propagate(l, rows[:, 1:])
-    return np.array(
-        [evolve.noisy_closed_form(ProbabilityTrace(values=b), gamma, m.dim).values for b in rows]
-    )
+    return evolve.noisy_closed_form(rows, gamma)
 
 
 @pytest.mark.parametrize("m", MODELS, ids=MODEL_IDS)
@@ -110,7 +107,7 @@ def test_random_models_exact_is_first_cycle_then_chain(m, grid, gamma):
     assert np.max(np.abs(l.sum(axis=-2) - 1.0)) <= 1e-12
     assert l.min() >= 0.0 and l.max() <= 1.0 + 1e-12
     traces = evolve.run_exact(m, grid, N_MAX, gamma)
-    assert np.max(np.abs(np.array([t.values for t in traces]) - chain(m, grid, gamma))) < 1e-12
+    assert np.max(np.abs(traces - chain(m, grid, gamma))) < 1e-12
 
 
 class TestGridShape:
@@ -124,8 +121,8 @@ class TestGridShape:
 
     def test_n_max_zero_gives_the_born_row_everywhere(self, bell):
         traces = evolve.run_exact(bell, [0.0, 0.9, 2.0], 0)
-        assert [t.values.shape for t in traces] == [(1, 4)] * 3
-        assert all(np.array_equal(t.values, traces[0].values) for t in traces)
+        assert traces.shape == (3, 1, 4)
+        assert all(np.array_equal(t, traces[0]) for t in traces)
 
 
 class TestFrozenAtZero:
@@ -146,10 +143,11 @@ class TestFrozenAtZero:
     def test_tau_zero_rows_are_p0(self, tmp_path, engine):
         args = ["simulate", "--engine", engine, "--tau-count", 3, "--n-max", 6, "--out", tmp_path]
         assert cli.main([str(a) for a in args]) == 0
-        _, _, traces = cli.read_trace_csv(tmp_path / f"single_qubit_{engine}.csv")
+        _, taus, traces = cli.read_trace_csv(tmp_path / f"single_qubit_{engine}.csv")
         m = model.single_qubit_model()
         p0 = evolve.born_probabilities(m.initial_state, m.basis)
-        assert np.array_equal(traces[0.0].values, np.tile(p0, (7, 1)))
+        assert taus[0] == 0.0
+        assert np.array_equal(traces[0], np.tile(p0, (7, 1)))
 
 
 def test_exact_simulate_holds_the_trace_once(tmp_path):

@@ -6,40 +6,46 @@ import pytest
 from hypothesis import given, settings
 
 from qmonitor import evolve, noisefit, sample
-from qmonitor.traces import ProbabilityTrace
 
 from conftest import gammas
 
 TAU_GRID_33 = [k * math.pi / 32 for k in range(33)]
 
 
-def exact_traces(m, taus, n_max, gamma=0.0):
-    return {tau: evolve.run_exact(m, [tau], n_max, gamma)[0] for tau in taus}
+def exact_average(m, taus, n_max, gamma=0.0):
+    """The tau-average of the exact trace of m over the grid taus."""
+    return noisefit.tau_average(evolve.run_exact(m, taus, n_max, gamma), taus)
 
 
 class TestTauAverage:
     def test_constant_trace(self):
-        rows = np.tile([0.25, 0.25, 0.25, 0.25], (5, 1))
-        traces = {tau: ProbabilityTrace(values=rows) for tau in (0.0, 1.0, math.pi)}
-        avg = noisefit.tau_average(traces)
-        assert np.max(np.abs(avg.values - 0.25)) < 1e-15
+        values = np.full((3, 5, 4), 0.25)
+        avg = noisefit.tau_average(values, (0.0, 1.0, math.pi))
+        assert avg.shape == (5, 4)
+        assert np.max(np.abs(avg - 0.25)) < 1e-15
 
     def test_single_qubit_cos_squared(self, single_qubit):
         # (1/pi) integral of cos^2 = 1/2, so the n=2 row averages to 3/4
-        avg = noisefit.tau_average(exact_traces(single_qubit, TAU_GRID_33, 4))
-        assert abs(avg.values[2, 0] - 0.75) < 1e-12
+        avg = exact_average(single_qubit, TAU_GRID_33, 4)
+        assert abs(avg[2, 0] - 0.75) < 1e-12
 
     def test_row_zero_is_tau_independent(self, bell):
-        avg = noisefit.tau_average(exact_traces(bell, TAU_GRID_33, 3))
-        assert np.max(np.abs(avg.values[0] - [0.5, 0.0, 0.5, 0.0])) < 1e-12
+        avg = exact_average(bell, TAU_GRID_33, 3)
+        assert np.max(np.abs(avg[0] - [0.5, 0.0, 0.5, 0.0])) < 1e-12
+
+    def test_blocks_are_taken_in_tau_order(self, bell):
+        values = evolve.run_exact(bell, TAU_GRID_33, 6)
+        order = np.random.default_rng(5).permutation(33)
+        shuffled = noisefit.tau_average(values[order], np.array(TAU_GRID_33)[order])
+        assert np.array_equal(shuffled, noisefit.tau_average(values, TAU_GRID_33))
 
     def test_requires_coverage(self, single_qubit):
         with pytest.raises(ValueError, match="cover"):
-            noisefit.tau_average(exact_traces(single_qubit, [0.0, 1.0], 2))
+            exact_average(single_qubit, [0.0, 1.0], 2)
         with pytest.raises(ValueError, match="two"):
-            noisefit.tau_average(exact_traces(single_qubit, [0.0], 2))
+            exact_average(single_qubit, [0.0], 2)
         with pytest.raises(ValueError, match="empty"):
-            noisefit.tau_average({})
+            noisefit.tau_average(np.empty((0, 3, 2)), [])
 
     @given(gammas)
     @settings(max_examples=20, deadline=None)
@@ -48,14 +54,14 @@ class TestTauAverage:
         from qmonitor.model import two_qubit_model
 
         m = two_qubit_model("bell")
-        noiseless = exact_traces(m, m_taus, 8)
+        noiseless = evolve.run_exact(m, m_taus, 8)
         avg_then_noise = noisefit.tau_average(
-            {t: evolve.noisy_closed_form(tr, gamma, 4) for t, tr in noiseless.items()}
+            evolve.noisy_closed_form(noiseless.copy(), gamma), m_taus
         )
         noise_then_avg = evolve.noisy_closed_form(
-            ProbabilityTrace(values=noisefit.tau_average(noiseless).values), gamma, 4
-        )
-        assert np.max(np.abs(avg_then_noise.values - noise_then_avg.values)) < 1e-12
+            noisefit.tau_average(noiseless, m_taus)[None], gamma
+        )[0]
+        assert np.max(np.abs(avg_then_noise - noise_then_avg)) < 1e-12
 
 
 class TestFitGamma:
@@ -63,48 +69,46 @@ class TestFitGamma:
     def test_noiseless_round_trip(self, singlet_triplet, gamma_true):
         taus = TAU_GRID_33[::2]
         n_max = 20
-        measured = noisefit.tau_average(exact_traces(singlet_triplet, taus, n_max, gamma_true))
-        reference = noisefit.tau_average(exact_traces(singlet_triplet, taus, n_max, 0.0))
-        fit = noisefit.fit_gamma(measured, reference, 4, (1, n_max))
+        measured = exact_average(singlet_triplet, taus, n_max, gamma_true)
+        reference = exact_average(singlet_triplet, taus, n_max, 0.0)
+        fit = noisefit.fit_gamma(measured, reference, (1, n_max))
         assert abs(fit.gamma - gamma_true) < 1e-6
         assert fit.residual_sum_sq < 1e-12
 
     def test_zero_gamma(self, bell):
         taus = TAU_GRID_33[::4]
-        trace = exact_traces(bell, taus, 12)
-        avg = noisefit.tau_average(trace)
-        fit = noisefit.fit_gamma(avg, avg, 4, (1, 12))
+        avg = exact_average(bell, taus, 12)
+        fit = noisefit.fit_gamma(avg, avg, (1, 12))
         assert fit.gamma < 1e-6
         assert fit.residual_sum_sq < 1e-12
 
     def test_monte_carlo_round_trip(self, singlet_triplet):
         gamma_true, n_max = 0.12, 24
         taus = [k * math.pi / 16 for k in range(17)]
-        measured = {}
+        counts = []
         for i, tau in enumerate(taus):
             c = sample.ShotConfig(n_shots=8192, seed=300 + i, n_max=n_max, gamma=gamma_true)
-            measured[tau] = sample.run_shots(singlet_triplet, [tau], c)[0].trace()
-        avg = noisefit.tau_average(measured)
-        reference = noisefit.tau_average(exact_traces(singlet_triplet, taus, n_max, 0.0))
-        fit = noisefit.fit_gamma(avg, reference, 4, (1, n_max))
+            counts.append(sample.run_shots(singlet_triplet, [tau], c)[0])
+        avg = noisefit.tau_average(np.array(counts) / 8192, taus)
+        reference = exact_average(singlet_triplet, taus, n_max, 0.0)
+        fit = noisefit.fit_gamma(avg, reference, (1, n_max))
         assert abs(fit.gamma - gamma_true) < 0.01
 
     def test_unidentifiable_uniform_model(self):
-        rows = np.tile([0.25, 0.25, 0.25, 0.25], (6, 1))
-        flat = noisefit.TauAveragedTrace(values=rows, tau_grid=np.array([0.0, math.pi]))
+        flat = np.full((6, 4), 0.25)
         with pytest.raises(noisefit.UnidentifiableDataError):
-            noisefit.fit_gamma(flat, flat, 4, (1, 5))
+            noisefit.fit_gamma(flat, flat, (1, 5))
 
     def test_rejects_empty_range(self, bell):
-        avg = noisefit.tau_average(exact_traces(bell, TAU_GRID_33[::4], 6))
+        avg = exact_average(bell, TAU_GRID_33[::4], 6)
         with pytest.raises(ValueError):
-            noisefit.fit_gamma(avg, avg, 4, (5, 3))
+            noisefit.fit_gamma(avg, avg, (5, 3))
 
     def test_fit_reports_range_and_timescale(self, bell):
         taus = TAU_GRID_33[::4]
-        measured = noisefit.tau_average(exact_traces(bell, taus, 15, 0.033))
-        reference = noisefit.tau_average(exact_traces(bell, taus, 15, 0.0))
-        fit = noisefit.fit_gamma(measured, reference, 4, (1, 15))
+        measured = exact_average(bell, taus, 15, 0.033)
+        reference = exact_average(bell, taus, 15, 0.0)
+        fit = noisefit.fit_gamma(measured, reference, (1, 15))
         assert fit.fitted_on == (1, 15)
         assert abs(fit.n_noise - noisefit.noise_timescale(fit.gamma)) < 1e-9
 

@@ -15,15 +15,15 @@ def cfg(**kw):
 
 
 def shots(m, tau=0.7, **kw):
-    """run_shots on the one-point grid [tau], which samples the stream (seed, 0)."""
+    """The (n_max+1, dim) counts of run_shots on the one-point grid [tau], stream (seed, 0)."""
     return sample.run_shots(m, [tau], cfg(**kw))[0]
 
 
-def empirical_magnetization(t: sample.EmpiricalTrace) -> np.ndarray:
-    """Per-cycle population imbalance P[:, 0] - P[:, 1] of a two-state trace."""
-    if t.probabilities.shape[1] != 2:
+def empirical_magnetization(counts: np.ndarray) -> np.ndarray:
+    """Per-cycle population imbalance P[:, 0] - P[:, 1] of a two-state count block."""
+    if counts.shape[1] != 2:
         raise ValueError("magnetization is defined for two-state systems only")
-    return t.probabilities[:, 0] - t.probabilities[:, 1]
+    return (counts[:, 0] - counts[:, 1]) / counts[0].sum()
 
 
 def walk_shots(m, tau, c: sample.ShotConfig) -> np.ndarray:
@@ -135,41 +135,36 @@ class TestExactCases:
     """Counts that the physics fixes exactly, whatever the draws."""
 
     def test_zeno_frozen(self, single_qubit):
-        emp = shots(single_qubit, tau=0.0, seed=1)
-        assert np.array_equal(emp.counts, np.tile([2048, 0], (17, 1)))
+        counts = shots(single_qubit, tau=0.0, seed=1)
+        assert np.array_equal(counts, np.tile([2048, 0], (17, 1)))
 
     def test_resonance_alternates(self, single_qubit):
-        emp = shots(single_qubit, tau=np.pi, seed=1)
+        counts = shots(single_qubit, tau=np.pi, seed=1)
         expected = np.array([[2048, 0], [0, 2048]] * 8 + [[2048, 0]])
-        assert np.array_equal(emp.counts, expected)
+        assert np.array_equal(counts, expected)
 
     def test_singlet_never_sampled(self, singlet_triplet):
         # sixteen grid points at one tau sample the streams (5, 0) .. (5, 15)
-        for emp in sample.run_shots(singlet_triplet, [0.9] * 16, cfg(n_max=24, seed=5)):
-            assert np.array_equal(emp.counts[:, 2], np.zeros(25, dtype=np.int64))
+        counts = sample.run_shots(singlet_triplet, [0.9] * 16, cfg(n_max=24, seed=5))
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts[:, :, 2], np.zeros((16, 25), dtype=np.int64))
 
     def test_n_max_zero_is_the_born_row(self, bell):
-        emp = shots(bell, n_max=0, gamma=0.3)
-        assert emp.counts.shape == (1, 4)
-        assert emp.counts.sum() == 2048
+        counts = shots(bell, n_max=0, gamma=0.3)
+        assert counts.shape == (1, 4)
+        assert counts.sum() == 2048
 
 
 class TestRunShots:
     def test_deterministic(self, bell):
-        a = shots(bell)
-        b = shots(bell)
-        assert np.array_equal(a.counts, b.counts)
-        assert np.array_equal(a.probabilities, b.probabilities)
-        assert np.array_equal(a.stderr, b.stderr)
+        assert np.array_equal(shots(bell), shots(bell))
 
     def test_seed_changes_counts(self, bell):
-        a = shots(bell, seed=1)
-        b = shots(bell, seed=2)
-        assert not np.array_equal(a.counts, b.counts)
+        assert not np.array_equal(shots(bell, seed=1), shots(bell, seed=2))
 
     def test_rows_sum_to_n_shots(self, singlet_triplet):
-        emp = shots(singlet_triplet, gamma=0.12)
-        assert np.all(emp.counts.sum(axis=1) == 2048)
+        counts = shots(singlet_triplet, gamma=0.12)
+        assert np.all(counts.sum(axis=1) == 2048)
 
     def test_draw_order(self, bell):
         """Grid point i draws from one Generator(Philox(seed * 2^64 + i)): row 0,
@@ -181,40 +176,40 @@ class TestRunShots:
         for _ in range(5):
             rows.append(rng.multinomial(rows[-1], kernel / kernel.sum(axis=1, keepdims=True)).sum(axis=0))
         grid = [0.3, 0.9, 1.7, 2.2, 2.9, 1.1]
-        assert np.array_equal(sample.run_shots(bell, grid, c)[5].counts, np.array(rows))
+        assert np.array_equal(sample.run_shots(bell, grid, c)[5], np.array(rows))
 
     def test_half_pi_single_cycle(self, single_qubit):
-        emp = shots(single_qubit, tau=np.pi / 2, n_shots=8192, n_max=1, seed=3)
+        counts = shots(single_qubit, tau=np.pi / 2, n_shots=8192, n_max=1, seed=3)
         bound = 5 * np.sqrt(0.25 / 8192)
-        assert abs(emp.probabilities[1, 0] - 0.5) < bound
+        assert abs(counts[1, 0] / 8192 - 0.5) < bound
 
     def test_full_depolarization_uniform(self, bell):
-        emp = shots(bell, n_shots=8192, gamma=1.0, n_max=8, seed=17)
+        counts = shots(bell, n_shots=8192, gamma=1.0, n_max=8, seed=17)
         se = np.sqrt(0.25 * 0.75 / 8192)
-        assert np.max(np.abs(emp.probabilities[1:] - 0.25)) < 5 * se
+        assert np.max(np.abs(counts[1:] / 8192 - 0.25)) < 5 * se
 
     def test_singlet_column_exactly_empty(self, singlet_triplet):
-        emp = shots(singlet_triplet, tau=0.9, n_shots=4096, seed=29)
-        assert np.array_equal(emp.counts[:, 2], np.zeros(17, dtype=np.int64))
+        counts = shots(singlet_triplet, tau=0.9, n_shots=4096, seed=29)
+        assert np.array_equal(counts[:, 2], np.zeros(17, dtype=np.int64))
 
 
 class TestEmpiricalMagnetization:
     def test_all_zeros(self, single_qubit):
-        emp = shots(single_qubit, tau=0.0)
-        assert np.array_equal(empirical_magnetization(emp), np.ones(17))
+        counts = shots(single_qubit, tau=0.0)
+        assert np.array_equal(empirical_magnetization(counts), np.ones(17))
 
     def test_resonance(self, single_qubit):
-        emp = shots(single_qubit, tau=np.pi, n_max=9)
-        assert np.array_equal(empirical_magnetization(emp), (-1.0) ** np.arange(10))
+        counts = shots(single_qubit, tau=np.pi, n_max=9)
+        assert np.array_equal(empirical_magnetization(counts), (-1.0) ** np.arange(10))
 
     def test_relaxed_is_small(self, single_qubit):
-        emp = shots(single_qubit, tau=np.pi / 2, n_shots=8192, n_max=20, seed=31)
-        assert abs(empirical_magnetization(emp)[20]) < 5 / np.sqrt(8192)
+        counts = shots(single_qubit, tau=np.pi / 2, n_shots=8192, n_max=20, seed=31)
+        assert abs(empirical_magnetization(counts)[20]) < 5 / np.sqrt(8192)
 
     def test_needs_two_states(self, bell):
-        emp = shots(bell, n_max=2)
+        counts = shots(bell, n_max=2)
         with pytest.raises(ValueError):
-            empirical_magnetization(emp)
+            empirical_magnetization(counts)
 
 
 class TestCountChainLaw:
@@ -232,7 +227,7 @@ class TestCountChainLaw:
         base = cfg(n_shots=n_shots, n_max=5, gamma=0.25)
         p, kernel = chain_moments(bell, 1.1, base)
         counts = np.array(
-            [sample.run_shots(bell, [1.1], replace(base, seed=1000 + s))[0].counts
+            [sample.run_shots(bell, [1.1], replace(base, seed=1000 + s))[0]
              for s in range(2000)]
         )
         for name, z in moment_zscores(counts, p, kernel, n_shots).items():
@@ -266,11 +261,11 @@ class TestMarginalCorrectness:
             for tau in (0.3 * np.pi, 0.7 * np.pi):
                 for gamma in (0.0, 0.12):
                     c = sample.ShotConfig(n_shots=n_shots, seed=97, n_max=n_max, gamma=gamma)
-                    emp = sample.run_shots(m, [tau], c)[0]
-                    exact = evolve.run_exact(m, [tau], n_max, gamma)[0].values
+                    emp = sample.run_shots(m, [tau], c)[0] / n_shots
+                    exact = evolve.run_exact(m, [tau], n_max, gamma)[0]
                     clipped = np.clip(exact, 0.0, 1.0)
                     se = np.sqrt(clipped * (1.0 - clipped) / n_shots)
-                    delta = np.abs(emp.probabilities - exact)
+                    delta = np.abs(emp - exact)
                     # floor absorbs the ~1e-17 dust of the exact engine
                     ok = (delta <= 1e-12) | (delta < 5.0 * se)
                     total += ok.size
@@ -280,11 +275,10 @@ class TestMarginalCorrectness:
     def test_depolarizing_consistency(self, bell):
         # per-cycle uniform replacement reproduces the noisy closed form
         c = cfg(n_shots=8192, n_max=16, gamma=0.2, seed=41)
-        emp = sample.run_shots(bell, [1.0], c)[0]
-        noiseless = evolve.run_exact(bell, [1.0], 16, 0.0)[0]
-        noisy = evolve.noisy_closed_form(noiseless, 0.2, 4).values
+        emp = sample.run_shots(bell, [1.0], c)[0] / c.n_shots
+        noisy = evolve.noisy_closed_form(evolve.run_exact(bell, [1.0], 16, 0.0), 0.2)[0]
         se = np.sqrt(np.clip(noisy, 0, 1) * (1.0 - np.clip(noisy, 0, 1)) / c.n_shots)
-        delta = np.abs(emp.probabilities - noisy)
+        delta = np.abs(emp - noisy)
         ok = (delta <= 1e-12) | (delta < 5.0 * se)
         assert ok.mean() >= 0.99
 

@@ -13,40 +13,39 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qmonitor import cli
-from qmonitor.traces import ProbabilityTrace
+from qmonitor import cli, traces
 
 DATA = Path(__file__).parent / "data"
 
 
 def outcome(path):
     try:
-        labels, taus, traces = cli.read_trace_csv(path)
+        labels, taus, values = cli.read_trace_csv(path)
     except cli.DataError as exc:
         return ("error", str(exc))
-    assert list(traces) == taus
+    assert len(values) == len(taus)
     return (
         "ok",
         labels,
         [tau.hex() for tau in taus],
-        [traces[tau].values.shape for tau in taus],
-        [traces[tau].values.tobytes() for tau in taus],
+        [block.shape for block in values],
+        [block.tobytes() for block in values],
     )
 
 
 def read_both(path, monkeypatch):
     """(reader outcome, line-parser outcome, whether the array path accepted the body)."""
     accepted = []
-    fast = cli._read_body_fast
+    fast = traces._read_body_fast
 
     def spy(*args):
         body = fast(*args)
         accepted.append(body is not None)
         return body
 
-    monkeypatch.setattr(cli, "_read_body_fast", spy)
+    monkeypatch.setattr(traces, "_read_body_fast", spy)
     got = outcome(path)
-    monkeypatch.setattr(cli, "_read_body_fast", lambda *args: None)
+    monkeypatch.setattr(traces, "_read_body_fast", lambda *args: None)
     want = outcome(path)
     return got, want, accepted == [True]
 
@@ -75,9 +74,8 @@ class TestSameResults:
 
     def test_quoted_label_in_header(self, tmp_path, monkeypatch):
         rows = np.array([[1.0, 0.0], [0.25, 0.75], [0.5, 0.5]])
-        traces = [ProbabilityTrace(values=rows), ProbabilityTrace(values=rows[:, ::-1])]
         path = tmp_path / "quoted.csv"
-        cli._write_trace_csv(path, ("g", "e,1"), [0.0, 1 / 3], traces)
+        traces.write_trace_csv(path, ("g", "e,1"), [0.0, 1 / 3], np.stack([rows, rows[:, ::-1]]))
         assert path.read_text().startswith('tau,n,g,"e,1"\n')
         got, want, fast = read_both(path, monkeypatch)
         assert fast and got[1] == ["g", "e,1"]
@@ -86,8 +84,8 @@ class TestSameResults:
     def test_file_longer_than_a_chunk(self, tmp_path, monkeypatch):
         n_max = 300
         path = simulate(tmp_path, DATA / "chain_dim8_seed67.json", "markov", 17, n_max)
-        assert 17 * (n_max + 1) > cli._CHUNK_ROWS
-        assert cli._CHUNK_ROWS % (n_max + 1) != 0  # a block straddles the chunk edge
+        assert 17 * (n_max + 1) > traces._CHUNK_ROWS
+        assert traces._CHUNK_ROWS % (n_max + 1) != 0  # a block straddles the chunk edge
         got, want, fast = read_both(path, monkeypatch)
         assert fast and len(got[2]) == 17
         assert got == want
