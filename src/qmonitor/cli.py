@@ -11,6 +11,10 @@ The CSV format belongs to qmonitor.traces. The commands call its reader
 through this module's own name read_trace_csv, the name that
 qmbench/tracing.py wraps.
 
+This module imports only traces and model (and through them linalg). Each
+command imports the modules it runs when it runs, and simulate imports only
+its engine's, so a process loads and compiles no code its command skips.
+
 Runs are reproducible: a fixed config plus seed yields byte-identical CSV
 and JSON, and SVG identical up to the version comment. Exit codes: 0 ok,
 2 configuration error, 3 data error, 4 numerical failure.
@@ -19,7 +23,6 @@ and JSON, and SVG identical up to the version comment. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import math
 import os
@@ -28,7 +31,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import __version__, analytic, evolve, markov, noisefit, render, sample, traces
+from . import __version__, traces
 from . import model as model_mod
 from .traces import DataError, read_trace_csv
 
@@ -89,6 +92,8 @@ _CONFIG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _read_config_file(path: str) -> dict:
+    import configparser
+
     parser = configparser.ConfigParser()
     try:
         loaded = parser.read(path)
@@ -150,6 +155,8 @@ def _parse_n_range(text: str, n_max: int) -> tuple[int, int]:
 
 
 def _parse_layers(text: str) -> noisefit.LayerCount:
+    from . import noisefit
+
     try:
         n1q, ncnot, nmeas = (int(p) for p in text.split(","))
         return noisefit.LayerCount(n_1q_layers=n1q, n_cnot_layers=ncnot, n_meas_layers=nmeas)
@@ -158,6 +165,8 @@ def _parse_layers(text: str) -> noisefit.LayerCount:
 
 
 def _load_hw_profile(path: str | None) -> noisefit.HardwareProfile:
+    from . import noisefit
+
     if path is None:
         return noisefit.DEFAULT_HARDWARE
     try:
@@ -192,14 +201,23 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     taus = cfg.tau_grid()
     stderrs = None
     if cfg.engine == "exact":
+        from . import evolve
+
         values = evolve.run_exact(m, taus, cfg.n_max, cfg.gamma)
     elif cfg.engine == "sample":
+        from . import evolve, sample
+
         shot_cfg = sample.ShotConfig(
             n_shots=cfg.shots, seed=cfg.seed, n_max=cfg.n_max, gamma=cfg.gamma
         )
         values = traces.check_trace(sample.run_shots(m, taus, shot_cfg) / float(cfg.shots))
-        stderrs = np.sqrt(values * (1.0 - values) / cfg.shots)
+        stderrs = 1.0 - values  # sqrt(values (1 - values) / shots) in this one buffer
+        stderrs *= values
+        stderrs /= cfg.shots
+        np.sqrt(stderrs, out=stderrs)
     elif cfg.engine == "markov":
+        from . import evolve, markov
+
         p1, l = markov.first_cycle(m, taus)
         values = np.empty((len(taus), cfg.n_max + 1, m.dim))
         values[:, 0] = evolve.born_probabilities(m.initial_state, m.basis)
@@ -208,6 +226,8 @@ def cmd_simulate(cfg: RunConfig) -> dict:
             markov.propagate(l, values[:, 1:])
         traces.check_trace(values)
     else:
+        from . import analytic, evolve
+
         kind = _ANALYTIC_KIND.get(cfg.model)
         if kind is None:
             raise ConfigError(
@@ -221,6 +241,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     key = f"{_model_key(cfg.model)}_{cfg.engine}"
     csv_path = os.path.join(cfg.out, f"{key}.csv")
     traces.write_trace_csv(csv_path, m.basis.labels, taus, values, stderrs)
+    del stderrs  # freed before the sample check below builds an exact trace
 
     results: dict = {"rows": int(len(taus) * (cfg.n_max + 1)), "labels": list(m.basis.labels)}
     if cfg.engine == "sample":
@@ -239,6 +260,8 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 
 
 def cmd_analyze(cfg: RunConfig) -> dict:
+    from . import evolve, markov
+
     m = _build_model(cfg.model)
     h_blocks = model_mod.detect_blocks(model_mod.hamiltonian_in_basis(m))
     p0 = evolve.born_probabilities(m.initial_state, m.basis)
@@ -275,6 +298,8 @@ def cmd_analyze(cfg: RunConfig) -> dict:
 
 
 def cmd_fit_noise(args: argparse.Namespace) -> dict:
+    from . import evolve, noisefit
+
     if not args.model:
         raise ConfigError("fit-noise requires --model (the noiseless reference)")
     m = _build_model(args.model)
@@ -324,6 +349,8 @@ def cmd_fit_noise(args: argparse.Namespace) -> dict:
 def _column_values(labels, values, column: str) -> np.ndarray:
     """Grid values[tau_index, n] for a named column or 'magnetization'."""
     if column == "magnetization":
+        from . import render
+
         if len(labels) != 2:
             raise DataError("magnetization rendering needs a two-state trace")
         return render.magnetization_grid(values)
@@ -340,6 +367,8 @@ def _column_values(labels, values, column: str) -> np.ndarray:
 
 
 def cmd_render(args: argparse.Namespace) -> dict:
+    from . import render
+
     labels, taus, values = read_trace_csv(args.input)
     n_rows = values.shape[1]
     column = args.column or ("magnetization" if len(labels) == 2 else labels[0])
@@ -368,6 +397,8 @@ def cmd_render(args: argparse.Namespace) -> dict:
         svg = render.lines_svg(taus, series, title=f"{column} vs tau", ylabel=column)
         name = f"{stem}_lines_{_model_key(column)}.svg"
     elif args.kind == "rho_grid":
+        from . import evolve
+
         if not args.model:
             raise ConfigError("rho_grid rendering requires --model")
         m = _build_model(args.model)
@@ -412,6 +443,8 @@ def cmd_render(args: argparse.Namespace) -> dict:
 
 
 def cmd_timing(args: argparse.Namespace) -> dict:
+    from . import noisefit
+
     if not args.layers:
         raise ConfigError("timing requires --layers 1q,cnot,meas")
     layers = _parse_layers(args.layers)

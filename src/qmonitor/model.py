@@ -27,8 +27,6 @@ BasisKind = Literal["singlet_triplet", "bell"]
 
 _SQ2 = np.sqrt(2.0)
 
-MODEL_NAMES = ("single_qubit", "two_qubit_singlet_triplet", "two_qubit_bell")
-
 
 def pauli(which: str) -> np.ndarray:
     """The 2x2 Pauli matrix for axis 'x', 'y' or 'z'."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -36,16 +35,11 @@ class NoiseFit:
 
 @dataclass(frozen=True)
 class HardwareProfile:
-    """Gate/readout durations (ns), error rates, and per-qubit coherence times (us)."""
+    """Gate and readout durations (ns), the inputs of cycle_duration."""
 
     dur_1q_ns: float
     dur_cnot_ns: float
     dur_readout_ns: float
-    err_1q: float
-    err_cnot: float
-    err_readout: float
-    t1_us: Mapping[str, float]
-    t2_us: Mapping[str, float]
 
     def __post_init__(self):
         for name in ("dur_1q_ns", "dur_cnot_ns", "dur_readout_ns"):
@@ -53,17 +47,12 @@ class HardwareProfile:
                 raise ValueError(f"{name} must be positive")
 
 
-# Bundled default: characterization snapshot of a 7-qubit fixed-frequency
+# Bundled default: gate and readout durations of a 7-qubit fixed-frequency
 # transmon device with native CNOTs.
 DEFAULT_HARDWARE = HardwareProfile(
     dur_1q_ns=35.0,
     dur_cnot_ns=327.0,
     dur_readout_ns=704.0,
-    err_1q=1.7e-4,
-    err_cnot=6.8e-3,
-    err_readout=0.01,
-    t1_us={"q1": 76.4, "q2": 167.1, "q6": 110.7},
-    t2_us={"q1": 98.0, "q2": 130.0, "q6": 145.1},
 )
 
 
@@ -219,7 +208,11 @@ def decay_rate(gamma: float, dt_us: float) -> float:
 
 
 def hardware_profile_from_file(path) -> HardwareProfile:
-    """Load a HardwareProfile from a JSON file mirroring the dataclass fields."""
+    """Load a HardwareProfile from a JSON object carrying the dataclass fields.
+
+    Other keys, such as the error rates and coherence times of a full device
+    characterization, are ignored.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -232,11 +225,6 @@ def hardware_profile_from_file(path) -> HardwareProfile:
             dur_1q_ns=float(raw["dur_1q_ns"]),
             dur_cnot_ns=float(raw["dur_cnot_ns"]),
             dur_readout_ns=float(raw["dur_readout_ns"]),
-            err_1q=float(raw.get("err_1q", 0.0)),
-            err_cnot=float(raw.get("err_cnot", 0.0)),
-            err_readout=float(raw.get("err_readout", 0.0)),
-            t1_us=dict(raw.get("t1_us", {})),
-            t2_us=dict(raw.get("t2_us", {})),
         )
     except KeyError as exc:
         raise ValueError(f"hardware profile {path}: missing key {exc}") from exc

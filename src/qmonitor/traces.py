@@ -18,7 +18,7 @@ import numpy as np
 from .model import check_labels
 
 ROW_SUM_TOL = 1e-12
-_CHUNK_ROWS = 2048
+_CHUNK_ROWS = 512
 
 
 class DataError(Exception):
@@ -50,16 +50,16 @@ def check_trace(values, taus=None) -> np.ndarray:
 
 
 def write_trace_csv(path, labels, taus, values, stderrs=None) -> None:
-    """Write one block of rows per grid point of taus.
+    """Write one block of R rows per grid point of taus.
 
-    values and stderrs are (T, R, N) stacks, or sequences of T 2-D blocks.
+    values and stderrs are (T, R, N) stacks.
 
     A block fills a template of its rows: '\\0' where tau goes, the n digits,
     the cells of each column whose bits equal the previous block's, and a
-    ',%.17g' slot for every other cell. It is rebuilt when the block length
-    or the repeated columns change. A grid point puts '%.17g' % tau in once
-    and %-formats only the slots; '%.17g' % x and format(x, '.17g') give the
-    same digits, so every float round-trips exactly.
+    ',%.17g' slot for every other cell. It is rebuilt when the repeated
+    columns change. A grid point puts '%.17g' % tau in once and %-formats
+    only the slots; '%.17g' % x and format(x, '.17g') give the same digits,
+    so every float round-trips exactly.
     """
     header = ["tau", "n", *labels]
     if stderrs is not None:
@@ -72,8 +72,8 @@ def write_trace_csv(path, labels, taus, values, stderrs=None) -> None:
                 block = np.column_stack([block, stderrs[i]])
             prev, cols = cols, [col.tobytes() for col in block.T]  # bits: 0.0 and -0.0 differ
             same = [col == old for col, old in zip(cols, prev)]
-            if key != (len(block), same):
-                key, slots = (len(block), same), np.logical_not(same)
+            if key != same:
+                key, slots = same, np.logical_not(same)
                 row = "".join(",%.17g" if s else ",%%.17g" for s in same)
                 text = "".join(f"\0,{n}{row}\n" for n in range(len(block)))
                 template = text % tuple(block[:, same].ravel().tolist())
@@ -81,19 +81,40 @@ def write_trace_csv(path, labels, taus, values, stderrs=None) -> None:
             fh.write(template.replace("\0", "%.17g" % tau) % cells)
 
 
-def _read_body_fast(fh, ncol: int, n_states: int) -> tuple[list[float], np.ndarray] | None:
-    """(taus, (T, R, n_states) values) of a body in the writer's layout, else None.
+def _count_lines(path) -> int:
+    """The number of lines in a file, a last line without its newline included."""
+    count, last = 0, b"\n"
+    with open(path, "rb") as raw:
+        for data in iter(lambda: raw.read(1 << 16), b""):
+            count, last = count + data.count(b"\n"), data[-1:]
+    return count + (last != b"\n")
+
+
+def _read_body_fast(
+    fh, n_lines: int, ncol: int, n_states: int
+) -> tuple[list[float], np.ndarray] | None:
+    """(taus, (T, R, n_states) values) of an n_lines-line body in the writer's layout, else None.
 
     That layout: no quotes and no carriage returns, exactly ncol fields per
     row, n written as digits running 0..R-1 in every block, one tau per
-    block and no tau in two blocks. Lines are read in chunks of _CHUNK_ROWS
-    and converted by numpy's C parser; only the tau, n and outcome columns
-    are kept. The comma count goes first, because loadtxt skips blank lines.
-    Spellings that float() accepts and loadtxt rejects (1_0, non-ASCII
-    digits) return None, so the line parser reads them.
+    block and no tau in two blocks. The keys (tau, n) and the values are
+    allocated once at their final size; lines are read in chunks of
+    _CHUNK_ROWS, and numpy's C parser converts each chunk's tau, n and
+    outcome columns into its slice, so no other trace-sized array exists.
+    The stderr columns are never converted. The comma count goes first,
+    because loadtxt skips blank lines. Spellings that float() accepts and
+    loadtxt rejects (1_0, non-ASCII digits) return None, so the line parser
+    reads them, and so does a body whose line count is not n_lines.
     """
-    keys, values = [], []
+    if n_lines < 1:
+        return None
+    keys, values = np.empty((n_lines, 2)), np.empty((n_lines, n_states))
+    usecols = range(2 + n_states)
+    start = 0
     for lines in iter(lambda: list(itertools.islice(fh, _CHUNK_ROWS)), []):
+        stop = start + len(lines)
+        if stop > n_lines:
+            return None
         text = "".join(lines)
         # float() rejects the separators \x1c-\x1f around a number; loadtxt strips them
         if any(c in text for c in '"\r\x1c\x1d\x1e\x1f'):
@@ -104,17 +125,17 @@ def _read_body_fast(fh, ncol: int, n_states: int) -> tuple[list[float], np.ndarr
         if not (n_digits.isascii() and n_digits.isdigit()):
             return None
         try:
-            chunk = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            chunk = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=usecols)
         except ValueError:
             return None
-        keys.append(chunk[:, :2].copy())
-        values.append(chunk[:, 2 : 2 + n_states].copy())
-    if not keys:
+        keys[start:stop] = chunk[:, :2]
+        values[start:stop] = chunk[:, 2:]
+        start = stop
+    if start != n_lines:
         return None
-    keys = np.concatenate(keys)
     starts = np.flatnonzero(keys[:, 1] == 0)
-    block = int(starts[1]) if len(starts) > 1 else len(keys)
-    if len(keys) % block:
+    block = int(starts[1]) if len(starts) > 1 else n_lines
+    if n_lines % block:
         return None
     keys = keys.reshape(-1, block, 2)
     taus = keys[:, 0, 0].tolist()
@@ -124,7 +145,7 @@ def _read_body_fast(fh, ncol: int, n_states: int) -> tuple[list[float], np.ndarr
         and len(set(taus)) == len(taus)  # the line parser's dict keys: -0.0 == 0.0
     ):
         return None
-    return taus, np.concatenate(values).reshape(len(taus), block, n_states)
+    return taus, values.reshape(len(taus), block, n_states)
 
 
 def _read_body_rows(path, reader, n_states: int) -> tuple[list[float], np.ndarray]:
@@ -154,11 +175,12 @@ def read_trace_csv(path) -> tuple[list[str], list[float], np.ndarray]:
     """Parse a simulate CSV back into (labels, taus, (T, n_max+1, N) values).
 
     stderr columns, when present, must be stderr_0..stderr_{N-1} after the
-    outcome columns; their values are ignored. Raises DataError on any
-    structural problem and on any block that check_trace rejects. A body in
-    the writer's own layout is parsed in chunks straight into one array; any
-    other body is parsed again line by line, which accepts the same files
-    and names the first bad line.
+    outcome columns; their values are not even converted. Raises DataError
+    on any structural problem and on any block that check_trace rejects. A
+    body in the writer's own layout is parsed in chunks straight into the
+    result, so the reader holds the values, the (tau, n) keys and one chunk;
+    any other body is parsed again line by line, which accepts the same
+    files and names the first bad line.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -182,7 +204,8 @@ def read_trace_csv(path) -> tuple[list[str], list[float], np.ndarray]:
                 check_labels(tuple(labels))
             except ValueError as exc:
                 raise DataError(f"{path}: {exc}") from exc
-            body = _read_body_fast(fh, len(header), n_states)
+            n_lines = _count_lines(path) - reader.line_num
+            body = _read_body_fast(fh, n_lines, len(header), n_states)
             if body is None:
                 fh.seek(0)
                 reader = csv.reader(fh)

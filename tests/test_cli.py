@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmonitor import cli, sample, traces
+from qmonitor import cli, render, sample, traces
 
 
 DATA = Path(__file__).parent / "data"
@@ -564,13 +564,13 @@ class TestRender:
         def boom(*args, **kwargs):
             raise RuntimeError("solver failed to converge")
 
-        monkeypatch.setattr(cli.render, "heatmap_svg", boom)
+        monkeypatch.setattr(render, "heatmap_svg", boom)
         assert run(["render", path, "--kind", "heatmap", "--out", tmp_path]) == 4
 
     def test_failed_heatmap_leaves_no_file_behind(self, tmp_path, monkeypatch):
         path = self._csv(tmp_path)
         out = tmp_path / "svg"
-        ramp_codes = cli.render.ramp_codes
+        ramp_codes = render.ramp_codes
         rows = []
 
         def second_row_fails(x):
@@ -579,7 +579,7 @@ class TestRender:
                 raise RuntimeError("colour ramp failed")
             return ramp_codes(x)
 
-        monkeypatch.setattr(cli.render, "ramp_codes", second_row_fails)
+        monkeypatch.setattr(render, "ramp_codes", second_row_fails)
         assert run(["render", path, "--kind", "heatmap", "--out", out]) == 4
         assert list(out.iterdir()) == []
         earlier = out / "single_qubit_closed_form_heatmap_magnetization.svg"
@@ -685,9 +685,9 @@ def test_non_utf8_bytes_are_a_data_error(tmp_path, capsys, command, where):
 
 
 class TestTraceCsvFormat:
-    """The writer fills one row template per block length, with the grid
-    point's tau joined in once; a csv.writer with one format(x, '.17g') per
-    cell must produce the same bytes."""
+    """The writer fills one row template for the blocks of a stack, with the
+    grid point's tau joined in once; a csv.writer with one format(x, '.17g')
+    per cell must produce the same bytes."""
 
     VALUES = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1 - 2**-53, 1.0]
     TAUS = [0.0, 0.1, 1 / 3, math.pi]
@@ -730,56 +730,47 @@ class TestTraceCsvFormat:
         # taus whose '%.17g' has an exponent or a sign
         "signed_and_exponent_taus": ([5e-324, 1e-300, -0.0], [ROWS] * 3),
         "one_row_blocks": ([0.5, -0.0], [ROWS[:1], ROWS[-1:]]),
-        "differing_block_lengths": (
-            [0.1, 1e-300, math.pi, -0.0, 5e-324],
-            [ROWS, ROWS[:1], ROWS[:3], ROWS[::-1], ROWS[:1]],
-        ),
         "column_constant_over_all_blocks": ([0.1, 0.2, 0.3, 0.4], [A, B, A, B]),
         "column_repeats_for_two_blocks_then_changes": ([0.1, 0.2, 0.3, 0.4], [A, B, A, D]),
         "zero_then_negative_zero": ([0.1, 0.2, 0.3], [ROWS, ZERO, ROWS]),
-        "block_length_changes_while_columns_repeat": (
-            [0.1, 0.2, 0.3, 0.4, 0.5], [A, A, A[:3], A[:3], A]
-        ),
     }
 
     @pytest.mark.parametrize("with_stderr", [False, True])
     @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
     def test_layouts_match_the_per_cell_writer(self, tmp_path, layout, with_stderr):
         taus, blocks = layout
-        stderrs = [b[:, ::-1] for b in blocks] if with_stderr else None
+        blocks = np.stack(blocks)
+        stderrs = blocks[:, :, ::-1] if with_stderr else None
         labels = ("g", "e,1", "f")[: blocks[0].shape[1]]
         traces.write_trace_csv(tmp_path / "got.csv", labels, taus, blocks, stderrs)
         self.reference(tmp_path / "want.csv", labels, taus, blocks, stderrs)
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
-        assert got.count(b"\n") == 1 + sum(len(b) for b in blocks)
+        assert got.count(b"\n") == 1 + blocks.shape[0] * blocks.shape[1]
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_copied_columns_match_the_per_cell_writer(self, tmp_path_factory, data):
-        """Random blocks, each column copied bit for bit from the previous block or drawn anew."""
+        """Random stacks, each column copied bit for bit from the previous block or drawn anew."""
         width = data.draw(st.integers(1, 3), label="outcome columns")
         with_stderr = data.draw(st.booleans(), label="with_stderr")
         cell = st.one_of(
             st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1.0]),
             st.floats(allow_nan=False, allow_infinity=False),
         )
-        blocks = []
-        for _ in range(data.draw(st.integers(1, 6), label="blocks")):
-            prev = blocks[-1] if blocks else None
-            same_length = prev is not None and data.draw(st.booleans())
-            n_rows = len(prev) if same_length else data.draw(st.integers(1, 4))
-            block = np.empty((n_rows, width * (1 + with_stderr)))
+        n_rows = data.draw(st.integers(1, 4), label="rows per block")
+        blocks = np.empty((data.draw(st.integers(1, 6), label="blocks"), n_rows,
+                           width * (1 + with_stderr)))
+        for i, block in enumerate(blocks):
             for c in range(block.shape[1]):
-                if same_length and data.draw(st.booleans()):
-                    block[:, c] = prev[:, c]
+                if i and data.draw(st.booleans()):
+                    block[:, c] = blocks[i - 1, :, c]
                 else:
                     block[:, c] = data.draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
-            blocks.append(block)
         taus = data.draw(st.lists(cell, min_size=len(blocks), max_size=len(blocks)))
         # the writer does not check its input, so the cells need not be probabilities
-        values = [b[:, :width] for b in blocks]
-        stderrs = [b[:, width:] for b in blocks] if with_stderr else None
+        values = blocks[:, :, :width]
+        stderrs = blocks[:, :, width:] if with_stderr else None
         labels = ("g", "e,1", "f")[:width]
         out = tmp_path_factory.mktemp("csv")
         traces.write_trace_csv(out / "got.csv", labels, taus, values, stderrs)

@@ -11,7 +11,7 @@ from qmonitor import cli, evolve, linalg, markov, model
 
 import oracles
 from conftest import ALL_MODEL_NAMES, kernel, taus, three_level_model
-from test_render_memory import traced_peak
+from test_render_memory import traced_cli_peak
 
 DATA = Path(__file__).parent / "data"
 
@@ -154,6 +154,6 @@ def test_exact_simulate_holds_the_trace_once(tmp_path):
     argv = ["simulate", "--model", "two_qubit_bell", "--engine", "exact", "--tau-count", 257,
             "--n-max", 256, "--gamma", 0.033, "--out", tmp_path]
     payload = 257 * 257 * 4 * 8  # every outcome cell as a float64
-    code, peak = traced_peak(cli.main, [str(a) for a in argv])
+    code, peak = traced_cli_peak(argv)
     assert code == 0
     assert peak <= 1.3 * payload

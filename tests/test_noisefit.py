@@ -176,8 +176,6 @@ class TestHardwareProfile:
         assert hw.dur_1q_ns == 35.0
         assert hw.dur_cnot_ns == 327.0
         assert hw.dur_readout_ns == 704.0
-        assert hw.err_cnot == 6.8e-3
-        assert hw.t1_us["q2"] == 167.1
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "hw.json"
@@ -187,14 +185,19 @@ class TestHardwareProfile:
                     "dur_1q_ns": 40,
                     "dur_cnot_ns": 300,
                     "dur_readout_ns": 650,
+                    # a full device characterization: the fields below are ignored
                     "err_1q": 2e-4,
+                    "err_cnot": 6.8e-3,
+                    "err_readout": 0.01,
                     "t1_us": {"q0": 90.0},
+                    "t2_us": {"q0": 110.0},
                 }
             )
         )
         hw = noisefit.hardware_profile_from_file(path)
-        assert hw.dur_cnot_ns == 300
-        assert hw.t1_us == {"q0": 90.0}
+        assert hw == noisefit.HardwareProfile(
+            dur_1q_ns=40.0, dur_cnot_ns=300.0, dur_readout_ns=650.0
+        )
         layers = noisefit.LayerCount(1, 1, 1)
         assert abs(noisefit.cycle_duration(layers, hw) - 0.990) < 1e-12
 
@@ -209,4 +212,4 @@ class TestHardwareProfile:
 
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError):
-            noisefit.HardwareProfile(0.0, 327.0, 704.0, 0, 0, 0, {}, {})
+            noisefit.HardwareProfile(0.0, 327.0, 704.0)

@@ -1,10 +1,18 @@
-"""The benchmark's traced entry points resolve, and every export has a production caller."""
+"""The benchmark's traced entry points resolve, every export resolves lazily and has a
+production caller, and each command loads only the modules it runs."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import qmonitor
+from qmonitor import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qmonitor"
@@ -40,17 +48,92 @@ def read_names(paths) -> set[str]:
     return names
 
 
+def test_every_export_resolves_from_its_module():
+    assert len(qmonitor._EXPORTS) > 0
+    assert qmonitor.__all__ == sorted(qmonitor._EXPORTS)
+    for name, module in qmonitor._EXPORTS.items():
+        defined = getattr(importlib.import_module(f"qmonitor.{module}"), name)
+        assert getattr(qmonitor, name) is defined
+        assert name in dir(qmonitor)
+    with pytest.raises(AttributeError):
+        qmonitor.no_such_export
+
+
 def test_every_export_has_a_production_reference():
-    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    exports = [
-        alias.asname or alias.name
-        for node in init.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
+    exports = list(qmonitor._EXPORTS)
+    assert exports
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     read = read_names(sources + sorted((ROOT / "scripts").glob("*.py")))
     assert [name for name in exports if name not in read and name not in UNREFERENCED_EXPORTS] == []
     # an entry whose name gained a production reference leaves the list
     assert [name for name in UNREFERENCED_EXPORTS if name in read] == []
     assert set(UNREFERENCED_EXPORTS) <= set(exports)
+
+
+def loaded_modules(tmp_path, code) -> set[str]:
+    """The qmonitor modules and configparser loaded in a fresh interpreter after code runs."""
+    report = "import sys; print('\\n' + ' '.join(sorted(sys.modules)))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    loaded = set(done.stdout.splitlines()[-1].split())
+    return {m for m in loaded if m.startswith("qmonitor") or m == "configparser"}
+
+
+def run_cli(tmp_path, *argv) -> str:
+    """Code that runs one CLI command, writing into tmp_path."""
+    argv = [str(a) for a in (*argv, "--out", tmp_path)]
+    return f"from qmonitor import cli; assert cli.main({argv!r}) == 0"
+
+
+CLI_IMPORTS = {"qmonitor", "qmonitor.cli", "qmonitor.traces", "qmonitor.model", "qmonitor.linalg"}
+
+
+def test_the_cli_module_loads_only_traces_model_and_linalg(tmp_path):
+    assert loaded_modules(tmp_path, "import qmonitor") == {"qmonitor"}
+    assert loaded_modules(tmp_path, "import qmonitor.cli") == CLI_IMPORTS
+
+
+SWEEP = ("--tau-count", 5, "--n-max", 6, "--shots", 16)
+ENGINES_UNUSED = {
+    "exact": {"markov", "sample", "analytic", "noisefit", "render", "configparser"},
+    "markov": {"sample", "analytic", "noisefit", "render"},
+    "sample": {"analytic", "noisefit", "render"},
+    "closed_form": {"markov", "sample", "noisefit", "render"},
+}
+
+
+def unqualified(modules) -> set[str]:
+    return {m.removeprefix("qmonitor.") for m in modules}
+
+
+@pytest.mark.parametrize("engine", ENGINES_UNUSED)
+def test_simulate_loads_only_its_engine(tmp_path, engine):
+    loaded = loaded_modules(tmp_path, run_cli(tmp_path, "simulate", "--engine", engine, *SWEEP))
+    assert unqualified(loaded) & ENGINES_UNUSED[engine] == set()
+
+
+def test_analyze_loads_no_engine_but_markov(tmp_path):
+    loaded = loaded_modules(tmp_path, run_cli(tmp_path, "analyze", *SWEEP[:4]))
+    assert unqualified(loaded) & {"sample", "analytic", "noisefit", "render"} == set()
+
+
+def test_trace_readers_load_only_what_they_run(tmp_path):
+    args = ["simulate", "--engine", "markov", *SWEEP, "--out", tmp_path]
+    assert cli.main([str(a) for a in args]) == 0
+    path = tmp_path / "single_qubit_markov.csv"
+    heatmap = loaded_modules(tmp_path, run_cli(tmp_path, "render", path, "--kind", "heatmap"))
+    assert heatmap == CLI_IMPORTS | {"qmonitor.render"}
+    fit = loaded_modules(tmp_path, run_cli(tmp_path, "fit-noise", path, "--model", "single_qubit"))
+    assert fit == CLI_IMPORTS | {"qmonitor.evolve", "qmonitor.noisefit"}
+
+
+def test_a_config_file_loads_configparser(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\ntau_count = 3\nn_max = 2\n")
+    loaded = loaded_modules(tmp_path, run_cli(tmp_path, "simulate", "--config", ini))
+    assert "configparser" in loaded
+

@@ -1,9 +1,9 @@
-"""Peak traced memory of the trace-sized paths: a markov simulate and the
-heatmap render each hold every trace value once, and the render never holds
-the whole SVG.
+"""Peak traced memory of the trace-sized paths: a markov simulate, the trace
+reader and the heatmap render each hold every trace value once, a sample
+simulate at most twice, and the render never holds the whole SVG.
 
 tracemalloc counts Python objects and numpy buffers alike, so the bounds do
-not depend on the machine. Both were fixed from the sizes involved before
+not depend on the machine. Each was fixed from the sizes involved before
 the first run.
 """
 
@@ -38,14 +38,51 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def traced_cli_peak(argv):
+    """(exit code, traced peak) of cli.main(argv), after an untraced run on a 2-point grid.
+
+    cli imports a command's modules, and numpy.random, when the command first
+    runs; the warm-up run loads them, so the peak counts the data the command
+    holds and not its code.
+    """
+    argv = [str(a) for a in argv]
+    small = list(argv)
+    small[small.index("--tau-count") + 1] = "2"
+    assert cli.main(small) == 0
+    return traced_peak(cli.main, argv)
+
+
 def test_markov_simulate_holds_the_trace_once(tmp_path):
     model = DATA / "chain_dim8_seed67.json"
     argv = ["simulate", "--model", model, "--engine", "markov", "--tau-count", 129,
             "--n-max", 256, "--out", tmp_path]
     payload = 129 * 257 * 8 * 8  # every outcome cell as a float64
-    code, peak = traced_peak(cli.main, [str(a) for a in argv])
+    code, peak = traced_cli_peak(argv)
     assert code == 0
     assert peak <= 1.3 * payload
+
+
+def test_reader_holds_the_values_and_keys_once(tmp_path):
+    model = DATA / "chain_dim8_seed67.json"
+    argv = ["simulate", "--model", model, "--engine", "markov", "--tau-count", 129,
+            "--n-max", 256, "--out", tmp_path]
+    assert cli.main([str(a) for a in argv]) == 0
+    payload = 129 * 257 * (8 + 2) * 8  # every outcome cell and (tau, n) key as a float64
+    path = tmp_path / "chain_dim8_seed67_markov.csv"
+    (_, _, values), peak = traced_peak(cli.read_trace_csv, path)
+    assert values.shape == (129, 257, 8)
+    assert peak <= 1.3 * payload
+
+
+def test_sample_simulate_holds_at_most_two_traces(tmp_path):
+    # the probabilities live with the stderr stack while the CSV is written, and with
+    # the exact trace while the summary measures the deviation from it
+    argv = ["simulate", "--model", "two_qubit_bell", "--engine", "sample", "--tau-count", 257,
+            "--n-max", 256, "--gamma", 0.033, "--seed", 7, "--out", tmp_path]
+    payload = 257 * 257 * 4 * 8  # every outcome cell as a float64
+    code, peak = traced_cli_peak(argv)
+    assert code == 0
+    assert peak <= 2.3 * payload
 
 
 def test_heatmap_streams_rows_without_holding_the_document():

@@ -101,6 +101,11 @@ BASE = (
     "1,2,0.5,0.5\n"
 )
 ROWS = BASE.splitlines(keepends=True)
+# BASE with stderr columns, which both parsers check by name and never convert
+STDERR = "".join(
+    row.replace("\n", ",stderr_0,stderr_1\n" if k == 0 else ",0.125,0.25\n")
+    for k, row in enumerate(ROWS)
+)
 
 # name -> (file text, whether the array path accepts it, the line parser's verdict)
 DEVIATIONS = {
@@ -121,6 +126,13 @@ DEVIATIONS = {
     "tau_spelled_two_ways": (BASE.replace("0.5,2,", "5e-1,2,"), True, "ok"),
     "no_final_newline": (BASE.rstrip("\n"), True, "ok"),
     "n_with_leading_zero": (BASE.replace("1,2,", "1,02,"), True, "ok"),
+    # the text iterator ends the header at \r, the line count does not: the counts disagree
+    "header_ends_in_carriage_return": (BASE.replace("b\n", "b\r", 1), False, "ok"),
+    "stderr_columns": (STDERR, True, "ok"),
+    "malformed_stderr_cell": (STDERR.replace("0.75,0.125,0.25\n1,2", "0.75,x,0.25\n1,2"), True, "ok"),
+    "nan_stderr_cell": (STDERR.replace("0.5,2,0.5,0.5,0.125,", "0.5,2,0.5,0.5,nan,"), True, "ok"),
+    "missing_stderr_cell": (STDERR.replace("1,1,0.25,0.75,0.125,0.25", "1,1,0.25,0.75,0.125"),
+                            False, "ok"),
 }
 
 
