@@ -30,10 +30,9 @@ def main() -> int:
     taus = [k * math.pi / (args.tau_points - 1) for k in range(args.tau_points)]
     for name, gamma_true, layers in CASES:
         m = model.build_model(name)
-        cfg = sample.ShotConfig(
-            n_shots=args.shots, seed=args.seed, n_max=args.n_max, gamma=gamma_true
+        measured = sample.run_shots(
+            m, taus, args.n_max, gamma_true, shots=args.shots, seed=args.seed
         )
-        measured = sample.run_shots(m, taus, cfg) / args.shots
         reference = evolve.run_exact(m, taus, args.n_max, 0.0)
         fit = noisefit.fit_gamma(
             noisefit.tau_average(measured, taus),

@@ -48,7 +48,7 @@ _MODULE_EXPORTS = {
         "noise_timescale",
         "tau_average",
     ),
-    "sample": ("ShotConfig", "run_shots"),
+    "sample": ("run_shots",),
     "traces": ("check_trace",),
 }
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}

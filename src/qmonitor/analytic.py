@@ -3,19 +3,17 @@
 These are exact trigonometric expressions in (n, tau) and serve as
 independent oracles for the density-matrix and Markov engines. The n = 0
 convention is cos(tau)^0 = 1 even at cos(tau) = 0, matching the identity
-kernel at zero cycles.
+kernel at zero cycles. closed_form_trace, the closed_form engine, reads the
+CLOSED_FORMS entry of a built-in model name.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Literal
 
 import numpy as np
 
-from .traces import check_trace
-
-ModelKind = Literal["single_qubit", "singlet_triplet", "bell"]
+from . import evolve
 
 
 def _check_n(n: int) -> int:
@@ -64,22 +62,26 @@ def probs_bell(n: int, tau: float) -> np.ndarray:
     return np.array([(1.0 + c) / 4.0, (1.0 - c) / 4.0, 0.5, 0.0])
 
 
-_PROB_FUNCS = {
+# built-in model name -> its outcome probabilities after n cycles at tau
+CLOSED_FORMS = {
     "single_qubit": probs_single_qubit,
-    "singlet_triplet": probs_singlet_triplet,
-    "bell": probs_bell,
+    "two_qubit_singlet_triplet": probs_singlet_triplet,
+    "two_qubit_bell": probs_bell,
 }
 
 
-def closed_form_trace(model_kind: ModelKind, taus, n_max: int) -> np.ndarray:
-    """The checked (T, n_max+1, dim) stack of closed-form distributions over a tau grid."""
+def closed_form_trace(model: str, taus, n_max: int, gamma: float = 0.0) -> np.ndarray:
+    """The checked (T, n_max+1, dim) closed-form trace of a built-in model over a tau grid.
+
+    A nonzero gamma is folded in by ``evolve.noisy_closed_form``.
+    """
     try:
-        func = _PROB_FUNCS[model_kind]
+        func = CLOSED_FORMS[model]
     except KeyError:
-        raise ValueError(f"no closed form for model kind {model_kind!r}") from None
+        raise ValueError(f"no closed form for model {model!r}") from None
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     values = np.empty((len(taus), n_max + 1, len(func(0, 0.0))))
     for block, tau in zip(values, np.asarray(taus, dtype=float).tolist()):
         block[:] = [func(n, tau) for n in range(n_max + 1)]
-    return check_trace(values)
+    return evolve.noisy_closed_form(values, gamma)

@@ -6,10 +6,11 @@ JSON), fit-noise (estimate the depolarizing strength from a trace CSV),
 render (static SVG plots from a trace CSV), and timing (cycle duration and
 decay rate from layer counts).
 
-Every engine hands back one trace stack, which goes to the CSV as it is.
-The CSV format belongs to qmonitor.traces. The commands call its reader
-through this module's own name read_trace_csv, the name that
-qmbench/tracing.py wraps.
+Every engine is a function of (model, taus, n_max, gamma) that returns the
+finished, checked (T, n_max+1, dim) trace; simulate dispatches to one, writes
+the trace to the CSV as it is and summarises it. The CSV format belongs to
+qmonitor.traces. The commands call its reader through this module's own name
+read_trace_csv, the name that qmbench/tracing.py wraps.
 
 This module imports only traces and model (and through them linalg). Each
 command imports the modules it runs when it runs, and simulate imports only
@@ -38,13 +39,6 @@ from .traces import DataError, read_trace_csv
 ENV_OUT = "QMONITOR_OUT"
 ENGINES = ("exact", "markov", "closed_form", "sample")
 SCHEMA_VERSION = 2
-
-# analytic closed forms exist only for the built-in models
-_ANALYTIC_KIND = {
-    "single_qubit": "single_qubit",
-    "two_qubit_singlet_triplet": "singlet_triplet",
-    "two_qubit_bell": "bell",
-}
 
 
 class ConfigError(Exception):
@@ -175,6 +169,13 @@ def _load_hw_profile(path: str | None) -> noisefit.HardwareProfile:
         raise ConfigError(f"cannot load hardware profile: {exc}") from exc
 
 
+def _require_model_labels(labels: list[str], m: model_mod.Model, name: str) -> None:
+    """A trace CSV's outcome columns must be the model's own labels, in order."""
+    want = list(m.basis.labels)
+    if labels != want:
+        raise DataError(f"CSV labels {labels} are not the labels of model {name!r}: {want}")
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -204,38 +205,26 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         from . import evolve
 
         values = evolve.run_exact(m, taus, cfg.n_max, cfg.gamma)
+    elif cfg.engine == "markov":
+        from . import markov
+
+        values = markov.run_chain(m, taus, cfg.n_max, cfg.gamma)
     elif cfg.engine == "sample":
         from . import evolve, sample
 
-        shot_cfg = sample.ShotConfig(
-            n_shots=cfg.shots, seed=cfg.seed, n_max=cfg.n_max, gamma=cfg.gamma
-        )
-        values = traces.check_trace(sample.run_shots(m, taus, shot_cfg) / float(cfg.shots))
+        values = sample.run_shots(m, taus, cfg.n_max, cfg.gamma, shots=cfg.shots, seed=cfg.seed)
         stderrs = 1.0 - values  # sqrt(values (1 - values) / shots) in this one buffer
         stderrs *= values
         stderrs /= cfg.shots
         np.sqrt(stderrs, out=stderrs)
-    elif cfg.engine == "markov":
-        from . import evolve, markov
-
-        p1, l = markov.first_cycle(m, taus)
-        values = np.empty((len(taus), cfg.n_max + 1, m.dim))
-        values[:, 0] = evolve.born_probabilities(m.initial_state, m.basis)
-        if cfg.n_max > 0:
-            values[:, 1] = p1
-            markov.propagate(l, values[:, 1:])
-        traces.check_trace(values)
     else:
-        from . import analytic, evolve
+        from . import analytic
 
-        kind = _ANALYTIC_KIND.get(cfg.model)
-        if kind is None:
+        if cfg.model not in analytic.CLOSED_FORMS:
             raise ConfigError(
-                f"engine closed_form supports {sorted(_ANALYTIC_KIND)}, not {cfg.model!r}"
+                f"engine closed_form supports {sorted(analytic.CLOSED_FORMS)}, not {cfg.model!r}"
             )
-        values = analytic.closed_form_trace(kind, taus, cfg.n_max)
-    if cfg.engine in ("markov", "closed_form") and cfg.gamma > 0.0:
-        values = evolve.noisy_closed_form(values, cfg.gamma)
+        values = analytic.closed_form_trace(cfg.model, taus, cfg.n_max, cfg.gamma)
 
     os.makedirs(cfg.out, exist_ok=True)
     key = f"{_model_key(cfg.model)}_{cfg.engine}"
@@ -260,11 +249,11 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 
 
 def cmd_analyze(cfg: RunConfig) -> dict:
-    from . import evolve, markov
+    from . import markov
 
     m = _build_model(cfg.model)
     h_blocks = model_mod.detect_blocks(model_mod.hamiltonian_in_basis(m))
-    p0 = evolve.born_probabilities(m.initial_state, m.basis)
+    p0 = m.initial_distribution
     taus = cfg.tau_grid()
     kernels = markov.build_transition_matrix(m, taus)
     eigenvalues = markov.spectrum(kernels)
@@ -304,10 +293,7 @@ def cmd_fit_noise(args: argparse.Namespace) -> dict:
         raise ConfigError("fit-noise requires --model (the noiseless reference)")
     m = _build_model(args.model)
     labels, taus, values = read_trace_csv(args.input)
-    if len(labels) != m.dim:
-        raise DataError(
-            f"CSV has {len(labels)} outcome columns but model {args.model!r} has dim {m.dim}"
-        )
+    _require_model_labels(labels, m, args.model)
     n_max = values.shape[1] - 1
     n_range = _parse_n_range(args.n_fit_range or "", n_max)
 
@@ -402,8 +388,7 @@ def cmd_render(args: argparse.Namespace) -> dict:
         if not args.model:
             raise ConfigError("rho_grid rendering requires --model")
         m = _build_model(args.model)
-        if m.dim != len(labels):
-            raise DataError("CSV columns do not match the model dimension")
+        _require_model_labels(labels, m, args.model)
         if args.n is None or args.tau is None:
             raise ConfigError("rho_grid rendering requires --n and --tau")
         matches = [i for i, t in enumerate(taus) if abs(t - args.tau) < 1e-9]

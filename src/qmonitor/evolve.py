@@ -30,16 +30,11 @@ from .traces import check_trace
 
 Direction = Literal["to_measurement", "to_computational"]
 
+
 def initial_density(m: Model) -> np.ndarray:
     """The pure-state density matrix of the model's initial state."""
     psi = m.initial_state
     return np.outer(psi, np.conj(psi))
-
-
-def born_probabilities(psi: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
-    """Outcome distribution |<phi_k|psi>|^2 of a pure state."""
-    amps = linalg.adjoint(basis.v) @ np.asarray(psi, dtype=complex).reshape(-1)
-    return np.abs(amps) ** 2
 
 
 def _check_gamma(gamma: float) -> float:
@@ -53,7 +48,7 @@ def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> np.ndarray:
     """Propagate the initial state over a tau grid for n_max cycles each.
 
     Returns the checked (T, n_max+1, dim) trace in grid order. Row 0 of a
-    block is the Born distribution of the bare initial state (no evolution);
+    block is ``m.initial_distribution``, the Born law of the bare initial state;
     row n >= 1 is the distribution after n cycles. Every grid point advances
     together: each cycle is one batched product W rho over the (T, dim, dim)
     stack of states; the real diagonal of W rho W^dag follows from it and
@@ -69,7 +64,7 @@ def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> np.ndarray:
     w = linalg.unitary_from_eig(m.measurement_eig, taus)
     w_conj = np.conj(w)
     rows = np.empty((len(taus), n_max + 1, dim), dtype=float)
-    rows[:, 0] = born_probabilities(m.initial_state, m.basis)
+    rows[:, 0] = m.initial_distribution
     rho = rho_in_basis(initial_density(m), m.basis, "to_measurement")
     dephased, k = np.zeros(w.shape, dtype=complex), np.arange(dim)
     for n in range(1, n_max + 1):
@@ -85,15 +80,16 @@ def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> np.ndarray:
 def noisy_closed_form(values: np.ndarray, gamma: float) -> np.ndarray:
     """Fold a per-cycle depolarizing channel into a (T, n_max+1, dim) trace, in place.
 
-    Row n of every block becomes (1-gamma)^n * row_n + (1 - (1-gamma)^n) / dim,
-    and values is returned checked. This is valid because the measurement
-    cycle and the depolarizing channel are both unital and therefore commute.
+    Row n of every block becomes (1-gamma)^n * row_n + (1 - (1-gamma)^n) / dim
+    (gamma = 0 leaves it untouched), and values is returned checked. This is
+    valid because the measurement cycle and the depolarizing channel are both
+    unital and therefore commute.
     """
     gamma = _check_gamma(gamma)
-    ns = np.arange(values.shape[-2], dtype=float)
-    survival = (1.0 - gamma) ** ns
-    values *= survival[:, None]
-    values += ((1.0 - survival) / values.shape[-1])[:, None]
+    if gamma != 0.0:
+        survival = (1.0 - gamma) ** np.arange(values.shape[-2], dtype=float)
+        values *= survival[:, None]
+        values += ((1.0 - survival) / values.shape[-1])[:, None]
     return check_trace(values)
 
 

@@ -6,6 +6,8 @@ Distributions are row vectors and advance as p L. The kernel of a unitary is
 doubly stochastic. It is symmetric when V^dag H V is real and in general not
 when it is complex; everything here accepts both.
 
+run_chain, the markov engine, fills a trace from one first_cycle call.
+
 The analysis takes the (T, dim, dim) kernel stack of a whole tau grid and
 reads the long-time behaviour from each kernel's support, the entries above
 SUPPORT_TOL. A doubly stochastic kernel has no transient states, so the
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import evolve, linalg
 from .model import Model
 
 STOCHASTIC_TOL = 1e-12
@@ -128,6 +130,22 @@ def propagate(l: np.ndarray, rows: np.ndarray) -> np.ndarray:
         p = p @ l
         rows[..., m, :] = p[..., 0, :]
     return rows
+
+
+def run_chain(m: Model, taus, n_max: int, gamma: float = 0.0) -> np.ndarray:
+    """The checked (T, n_max+1, dim) trace p0, p1, p1 L, p1 L^2, ... of a tau grid.
+
+    A nonzero gamma is folded in by ``evolve.noisy_closed_form``.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    p1, l = first_cycle(m, taus)
+    values = np.empty((len(l), n_max + 1, m.dim))
+    values[:, 0] = m.initial_distribution
+    if n_max > 0:
+        values[:, 1] = p1
+        propagate(l, values[:, 1:])
+    return evolve.noisy_closed_form(values, gamma)
 
 
 def _report(classes: tuple[tuple[int, ...], ...], periods: tuple[int, ...]) -> RegimeReport:

@@ -128,6 +128,13 @@ class Model:
                 eigenvectors[np.ix_(block, block)] = dec.eigenvectors
         return linalg.HermitianEig(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
+    @cached_property
+    def initial_distribution(self) -> np.ndarray:
+        """Born distribution p0[k] = |<phi_k|psi>|^2 of the initial state, read-only."""
+        p0 = np.abs(linalg.adjoint(self.basis.v) @ self.initial_state) ** 2
+        p0.flags.writeable = False
+        return p0
+
 
 def computational_basis(dim: int, labels: tuple[str, ...] | None = None) -> MeasurementBasis:
     if labels is None:

@@ -1,10 +1,11 @@
 """Reference helpers that only the tests use.
 
 Each one is an independent oracle or a convenience the package itself has
-no use for: a propagator built from a fresh decomposition of H, a density
-matrix validator, the large-n limits of the two-qubit models, outcome
-projectors in computational coordinates, and the scalar hex colour of the
-render ramp.
+no use for: a propagator built from a fresh decomposition of H, the Born law
+of a pure state, a density matrix validator, the large-n limits of the
+two-qubit models, outcome projectors in computational coordinates, a
+per-shot sampler, the magnetization of a two-state count block, and the
+scalar hex colour of the render ramp.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from qmonitor import linalg, render
+from qmonitor import linalg, markov, render
 from qmonitor.model import MeasurementBasis
 
 Parity = Literal["even", "odd", "generic"]
@@ -26,6 +27,12 @@ RESONANCE_TOL = 1e-9
 def unitary_from_hamiltonian(h: np.ndarray, tau: float) -> np.ndarray:
     """Propagator exp(-i h tau) (hbar = 1), built from the eigenbasis of h."""
     return linalg.unitary_from_eig(linalg.eig_hermitian(h), tau)
+
+
+def born_probabilities(psi: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
+    """Outcome distribution |<phi_k|psi>|^2 of a pure state."""
+    amps = linalg.adjoint(basis.v) @ np.asarray(psi, dtype=complex).reshape(-1)
+    return np.abs(amps) ** 2
 
 
 def check_density(rho: np.ndarray, trace_tol: float = 1e-12) -> np.ndarray:
@@ -49,6 +56,59 @@ def projector(basis: MeasurementBasis, k: int) -> np.ndarray:
 def ramp_color(x: float) -> str:
     """Hex color for x in [0, 1], clipped."""
     return "#%06x" % render.ramp_codes(x)
+
+
+def reference_color(x) -> str:
+    """One cell's colour the scalar way: clip, interpolate, round half to even."""
+    ramp = render.RAMP
+    x = min(1.0, max(0.0, float(x)))
+    pos = x * (len(ramp) - 1)
+    i = min(int(pos), len(ramp) - 2)
+    frac = pos - i
+    rgb = tuple(
+        int(round(ramp[i][c] + frac * (ramp[i + 1][c] - ramp[i][c]))) for c in range(3)
+    )
+    return "#{:02x}{:02x}{:02x}".format(*rgb)
+
+
+def empirical_magnetization(counts: np.ndarray) -> np.ndarray:
+    """Per-cycle population imbalance P[:, 0] - P[:, 1] of a two-state count block."""
+    if counts.shape[1] != 2:
+        raise ValueError("magnetization is defined for two-state systems only")
+    return (counts[:, 0] - counts[:, 1]) / counts[0].sum()
+
+
+def walk_shots(m, tau: float, n_max: int, gamma: float, *, shots: int, seed: int) -> np.ndarray:
+    """Per-shot reference sampler: counts[n, k] from walking every shot.
+
+    Each shot measures the bare initial state (row 0, an independent draw),
+    then per cycle flips a depolarizing coin: with probability gamma the
+    outcome is a uniformly random basis index, otherwise it is drawn from the
+    first-cycle distribution p1 (cycle 1) or from the kernel row of the
+    previous outcome. The stream is numpy's default generator, unrelated to
+    run_shots' Philox key, so the two samplers agree only in law.
+    """
+    rng = np.random.default_rng([seed, 0])
+    dim = m.dim
+    cum_p0 = np.cumsum(born_probabilities(m.initial_state, m.basis))
+    p1, l = markov.first_cycle(m, [tau])
+    cum_p1, cum_rows = np.cumsum(p1[0]), np.cumsum(l[0], axis=1)
+
+    def pick(cum, u):
+        return min(int(np.searchsorted(cum, u, side="right")), dim - 1)
+
+    counts = np.zeros((n_max + 1, dim), dtype=np.int64)
+    for u in rng.random((shots, 1 + 2 * n_max)):
+        counts[0, pick(cum_p0, u[0])] += 1
+        k = -1
+        for n in range(1, n_max + 1):
+            u_noise, u_out = u[2 * n - 1], u[2 * n]
+            if u_noise < gamma:
+                k = min(int(u_out * dim), dim - 1)
+            else:
+                k = pick(cum_p1 if k < 0 else cum_rows[k], u_out)
+            counts[n, k] += 1
+    return counts
 
 
 def _resonance_class(tau: float, step: float) -> int | None:

@@ -37,7 +37,7 @@ def stationary(m, tau: float, p0):
 
 def _engines(m, tau: float, n_max: int):
     exact = evolve.run_exact(m, [tau], n_max)[0]
-    p0 = evolve.born_probabilities(m.initial_state, m.basis)
+    p0 = oracles.born_probabilities(m.initial_state, m.basis)
     chain = markov.propagate(kernel(m, tau), start_rows(p0, n_max))
     return exact, chain
 
@@ -221,16 +221,13 @@ def test_criterion_6_gamma_recovery():
         m = model.build_model(name)
         reference = noisefit.tau_average(evolve.run_exact(m, taus, n_max, 0.0), taus)
         for seed in range(10):
-            counts = []
-            for i, tau in enumerate(taus):
-                cfg = sample.ShotConfig(
-                    n_shots=n_shots,
-                    seed=100000 * (seed + 1) + i,
-                    n_max=n_max,
-                    gamma=gamma_true,
-                )
-                counts.append(sample.run_shots(m, [tau], cfg)[0])
-            measured = noisefit.tau_average(np.array(counts) / n_shots, taus)
+            frequencies = [
+                sample.run_shots(
+                    m, [tau], n_max, gamma_true, shots=n_shots, seed=100000 * (seed + 1) + i
+                )[0]
+                for i, tau in enumerate(taus)
+            ]
+            measured = noisefit.tau_average(np.array(frequencies), taus)
             fit = noisefit.fit_gamma(measured, reference, (1, n_max))
             _expect(
                 failures,
@@ -277,8 +274,7 @@ def test_criterion_8_monte_carlo_fidelity():
     for name in ("single_qubit", "two_qubit_singlet_triplet", "two_qubit_bell"):
         m = model.build_model(name)
         for k, tau in enumerate(TAU_GRID_33):
-            cfg = sample.ShotConfig(n_shots=n_shots, seed=777000 + k, n_max=n_max, gamma=0.0)
-            emp = sample.run_shots(m, [tau], cfg)[0] / n_shots
+            emp = sample.run_shots(m, [tau], n_max, 0.0, shots=n_shots, seed=777000 + k)[0]
             exact = evolve.run_exact(m, [tau], n_max, 0.0)[0]
             clipped = np.clip(exact, 0.0, 1.0)
             se = np.sqrt(clipped * (1.0 - clipped) / n_shots)

@@ -129,21 +129,14 @@ class TestLimitProbs:
 class TestOracleEquivalence:
     """Closed forms against both numerical engines on the full grid."""
 
-    @pytest.mark.parametrize(
-        "name,kind",
-        [
-            ("single_qubit", "single_qubit"),
-            ("two_qubit_singlet_triplet", "singlet_triplet"),
-            ("two_qubit_bell", "bell"),
-        ],
-    )
-    def test_grid_agreement(self, name, kind):
+    @pytest.mark.parametrize("name", analytic.CLOSED_FORMS)
+    def test_grid_agreement(self, name):
         m = model.build_model(name)
         n_max = max(GRID_N)
         for tau in GRID_TAU:
-            closed = analytic.closed_form_trace(kind, [tau], n_max)[0]
+            closed = analytic.closed_form_trace(name, [tau], n_max)[0]
             exact = evolve.run_exact(m, [tau], n_max)[0]
-            p0 = evolve.born_probabilities(m.initial_state, m.basis)
+            p0 = oracles.born_probabilities(m.initial_state, m.basis)
             chain = markov.propagate(kernel(m, tau), start_rows(p0, n_max))
             assert np.max(np.abs(closed - chain)) < 1e-10
             assert np.max(np.abs(closed - exact)) < 1e-10
@@ -157,7 +150,10 @@ class TestOracleEquivalence:
 
 
 def test_closed_form_trace_shape():
-    trace = analytic.closed_form_trace("bell", [0.7, 1.1, 2.0], 16)
+    trace = analytic.closed_form_trace("two_qubit_bell", [0.7, 1.1, 2.0], 16)
     assert trace.shape == (3, 17, 4)
     with pytest.raises(ValueError):
         analytic.closed_form_trace("ghz", [0.7], 16)
+    # the closed forms are keyed by the built-in model names only
+    with pytest.raises(ValueError):
+        analytic.closed_form_trace("bell", [0.7], 16)

@@ -13,6 +13,8 @@ from qmonitor import cli, render, sample, traces
 
 
 DATA = Path(__file__).parent / "data"
+SINGLET_TRIPLET_LABELS = ["psi_0", "psi_1", "psi_2", "psi_3"]
+BELL_LABELS = ["beta_0", "beta_1", "beta_2", "beta_3"]
 
 
 def run(args):
@@ -462,6 +464,14 @@ class TestFitNoise:
         bad.write_text("tau,n,a,b\n0.0,0,0.5\n")
         assert run(["fit-noise", bad, "--model", "single_qubit", "--out", tmp_path]) == 3
 
+    def test_csv_of_another_model_is_a_data_error(self, tmp_path, capsys):
+        # same dimension, other outcomes: fitted against the Bell reference it gave gamma = 1
+        path = self._simulate(tmp_path, 0.05)
+        assert run(["fit-noise", path, "--model", "two_qubit_bell", "--out", tmp_path]) == 3
+        err = capsys.readouterr().err
+        assert str(SINGLET_TRIPLET_LABELS) in err and str(BELL_LABELS) in err
+        assert not (tmp_path / "fit_two_qubit_bell.json").exists()
+
     def test_wrong_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")
@@ -623,6 +633,14 @@ class TestRender:
     def test_rho_grid_requires_model(self, tmp_path):
         path = self._csv(tmp_path)
         assert run(["render", path, "--kind", "rho_grid", "--out", tmp_path]) == 2
+
+    def test_rho_grid_of_another_model_is_a_data_error(self, tmp_path, capsys):
+        path = self._csv(tmp_path, model="two_qubit_singlet_triplet", engine="exact")
+        flags = ["--kind", "rho_grid", "--model", "two_qubit_bell", "--n", 1, "--tau", 0.0]
+        assert run(["render", path, *flags, "--out", tmp_path]) == 3
+        err = capsys.readouterr().err
+        assert str(SINGLET_TRIPLET_LABELS) in err and str(BELL_LABELS) in err
+        assert list(tmp_path.glob("*.svg")) == []
 
 
 class TestTiming:

@@ -1,0 +1,88 @@
+"""Every engine is a function of (model, taus, n_max, gamma) that returns the
+finished (T, n_max+1, dim) trace, and p0 comes from Model.initial_distribution."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qmonitor import analytic, evolve, markov, model, sample
+
+import oracles
+from conftest import ALL_MODEL_NAMES
+
+DATA = Path(__file__).parent / "data"
+FIXTURES = sorted(DATA.glob("*.json"))
+MODELS = {name: model.build_model(name) for name in ALL_MODEL_NAMES} | {
+    path.stem: model.build_model(str(path)) for path in FIXTURES
+}
+GRID = [0.0, 0.4, 1.3, np.pi / 2, 2.9]
+N_MAX = 12
+
+
+def test_the_fixtures_are_all_there():
+    assert len(FIXTURES) == 4
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_initial_distribution_is_the_born_oracle(name):
+    m = MODELS[name]
+    want = oracles.born_probabilities(m.initial_state, m.basis)
+    assert np.array_equal(m.initial_distribution, want)
+    assert m.initial_distribution is m.initial_distribution  # computed once per model
+    with pytest.raises(ValueError):
+        m.initial_distribution[0] = 0.5  # read-only: no caller can change it for the others
+
+
+def engines(m, name):
+    """Each engine's trace on GRID at gamma 0.05, by engine name."""
+    runs = {
+        "exact": evolve.run_exact(m, GRID, N_MAX, 0.05),
+        "markov": markov.run_chain(m, GRID, N_MAX, 0.05),
+        "sample": sample.run_shots(m, GRID, N_MAX, 0.05, shots=64, seed=3),
+    }
+    if name in analytic.CLOSED_FORMS:
+        runs["closed_form"] = analytic.closed_form_trace(name, GRID, N_MAX, 0.05)
+    return runs
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_every_engine_returns_the_finished_trace(name):
+    m = MODELS[name]
+    for engine, values in engines(m, name).items():
+        assert values.shape == (len(GRID), N_MAX + 1, m.dim), engine
+        assert values.dtype == np.float64, engine
+        assert np.max(np.abs(values.sum(axis=-1) - 1.0)) <= 1e-12, engine
+        if engine in ("exact", "markov"):
+            assert all(np.array_equal(row, m.initial_distribution) for row in values[:, 0])
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.37, 1.0])
+@pytest.mark.parametrize("name", ALL_MODEL_NAMES)
+def test_noise_is_the_closed_form_fold_of_the_noiseless_trace(name, gamma):
+    m = MODELS[name]
+    chain = markov.run_chain(m, GRID, N_MAX, gamma)
+    assert np.array_equal(chain, evolve.noisy_closed_form(markov.run_chain(m, GRID, N_MAX), gamma))
+    closed = analytic.closed_form_trace(name, GRID, N_MAX, gamma)
+    noiseless = analytic.closed_form_trace(name, GRID, N_MAX)
+    assert np.array_equal(closed, evolve.noisy_closed_form(noiseless, gamma))
+
+
+@pytest.mark.parametrize("gamma", [-0.1, 1.5])
+def test_chain_and_closed_forms_reject_gamma_outside_the_unit_interval(bell, gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        markov.run_chain(bell, GRID, N_MAX, gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        analytic.closed_form_trace("two_qubit_bell", GRID, N_MAX, gamma)
+
+
+def test_chain_rejects_negative_n_max(bell):
+    with pytest.raises(ValueError, match="n_max"):
+        markov.run_chain(bell, GRID, -1)
+
+
+def test_noiseless_fold_leaves_the_trace_untouched(bell):
+    values = markov.run_chain(bell, GRID, N_MAX)
+    before = values.copy()
+    assert evolve.noisy_closed_form(values, 0.0) is values
+    assert np.array_equal(values, before)

@@ -83,7 +83,7 @@ class TestRunExact:
     def test_matches_markov_engine(self, m, tau):
         n_max = 24
         exact = evolve.run_exact(m, [tau], n_max)[0]
-        p0 = evolve.born_probabilities(m.initial_state, m.basis)
+        p0 = oracles.born_probabilities(m.initial_state, m.basis)
         chain = markov.propagate(kernel(m, tau), start_rows(p0, n_max))
         assert np.max(np.abs(exact - chain)) < 1e-12
 
@@ -115,7 +115,7 @@ class TestRunExactMatchesCycle:
         traces = evolve.run_exact(m, self.ORACLE_TAUS, self.N_MAX, gamma)
         for tau, trace in zip(self.ORACLE_TAUS, traces):
             rho = evolve.initial_density(m)
-            rows = [evolve.born_probabilities(m.initial_state, m.basis)]
+            rows = [oracles.born_probabilities(m.initial_state, m.basis)]
             for _ in range(self.N_MAX):
                 rho = cycle(rho, m, tau, gamma)
                 rows.append(np.real(np.diag(evolve.rho_in_basis(rho, m.basis, "to_measurement"))))

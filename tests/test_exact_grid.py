@@ -56,17 +56,7 @@ class TestGridAgreement:
 
     def test_matches_first_cycle_then_chain(self, m, grid, gamma):
         traces = evolve.run_exact(m, grid, N_MAX, gamma)
-        assert np.max(np.abs(traces - chain(m, grid, gamma))) < 1e-12
-
-
-def chain(m, grid, gamma):
-    """The (T, N_MAX + 1, dim) rows p0, then p1 L^(n-1), through the markov module."""
-    p1, l = markov.first_cycle(m, grid)
-    rows = np.empty((len(grid), N_MAX + 1, m.dim))
-    rows[:, 0] = evolve.born_probabilities(m.initial_state, m.basis)
-    rows[:, 1] = p1
-    markov.propagate(l, rows[:, 1:])
-    return evolve.noisy_closed_form(rows, gamma)
+        assert np.max(np.abs(traces - markov.run_chain(m, grid, N_MAX, gamma))) < 1e-12
 
 
 @pytest.mark.parametrize("m", MODELS, ids=MODEL_IDS)
@@ -107,7 +97,7 @@ def test_random_models_exact_is_first_cycle_then_chain(m, grid, gamma):
     assert np.max(np.abs(l.sum(axis=-2) - 1.0)) <= 1e-12
     assert l.min() >= 0.0 and l.max() <= 1.0 + 1e-12
     traces = evolve.run_exact(m, grid, N_MAX, gamma)
-    assert np.max(np.abs(traces - chain(m, grid, gamma))) < 1e-12
+    assert np.max(np.abs(traces - markov.run_chain(m, grid, N_MAX, gamma))) < 1e-12
 
 
 class TestGridShape:
@@ -145,7 +135,7 @@ class TestFrozenAtZero:
         assert cli.main([str(a) for a in args]) == 0
         _, taus, traces = cli.read_trace_csv(tmp_path / f"single_qubit_{engine}.csv")
         m = model.single_qubit_model()
-        p0 = evolve.born_probabilities(m.initial_state, m.basis)
+        p0 = oracles.born_probabilities(m.initial_state, m.basis)
         assert taus[0] == 0.0
         assert np.array_equal(traces[0], np.tile(p0, (7, 1)))
 

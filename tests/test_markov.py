@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from qmonitor import evolve, markov, model
+from qmonitor import markov, model
 
+import oracles
 from conftest import ALL_MODEL_NAMES, all_models, kernel, start_rows, taus
 
 DATA = Path(__file__).parent / "data"
@@ -330,7 +331,7 @@ class TestStationaryLimit:
     @pytest.mark.parametrize("m", all_models(), ids=lambda m: f"dim{m.dim}")
     def test_matches_long_propagation(self, m):
         tau = 0.7
-        p0 = evolve.born_probabilities(m.initial_state, m.basis)
+        p0 = oracles.born_probabilities(m.initial_state, m.basis)
         long_run = markov.propagate(kernel(m, tau), start_rows(p0, 400))[-1]
         assert np.max(np.abs(limit(m, tau, p0) - long_run)) < 1e-10
 
@@ -393,7 +394,7 @@ def test_classes_conserve_mass_and_give_the_limit(m, tau):
     assert sorted(k for c in rep.classes for k in c) == list(range(m.dim))
     assert len(rep.periods) == len(rep.classes) and min(rep.periods) >= 1
 
-    p0 = evolve.born_probabilities(m.initial_state, m.basis)
+    p0 = oracles.born_probabilities(m.initial_state, m.basis)
     masses = markov.class_masses(rep.classes, p0)
     assert np.max(np.abs(np.subtract(markov.class_masses(rep.classes, p1[0]), masses))) <= 1e-12
 

@@ -85,11 +85,11 @@ class TestFitGamma:
     def test_monte_carlo_round_trip(self, singlet_triplet):
         gamma_true, n_max = 0.12, 24
         taus = [k * math.pi / 16 for k in range(17)]
-        counts = []
-        for i, tau in enumerate(taus):
-            c = sample.ShotConfig(n_shots=8192, seed=300 + i, n_max=n_max, gamma=gamma_true)
-            counts.append(sample.run_shots(singlet_triplet, [tau], c)[0])
-        avg = noisefit.tau_average(np.array(counts) / 8192, taus)
+        frequencies = [
+            sample.run_shots(singlet_triplet, [tau], n_max, gamma_true, shots=8192, seed=300 + i)[0]
+            for i, tau in enumerate(taus)
+        ]
+        avg = noisefit.tau_average(np.array(frequencies), taus)
         reference = exact_average(singlet_triplet, taus, n_max, 0.0)
         fit = noisefit.fit_gamma(avg, reference, (1, n_max))
         assert abs(fit.gamma - gamma_true) < 0.01

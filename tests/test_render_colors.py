@@ -12,18 +12,6 @@ import oracles
 RAMP = render.RAMP
 
 
-def reference_color(x):
-    """One cell's colour the scalar way: clip, interpolate, round half to even."""
-    x = min(1.0, max(0.0, float(x)))
-    pos = x * (len(RAMP) - 1)
-    i = min(int(pos), len(RAMP) - 2)
-    frac = pos - i
-    rgb = tuple(
-        int(round(RAMP[i][c] + frac * (RAMP[i + 1][c] - RAMP[i][c]))) for c in range(3)
-    )
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
-
-
 def helper_colors(xs):
     return ["#%06x" % c for c in render.ramp_codes(np.asarray(xs)).ravel().tolist()]
 
@@ -54,13 +42,13 @@ OUTSIDE = [-np.inf, -7.0, -1.0, -1e-300, -0.0, 1.0 + 2**-52, 1.5, 7.0, np.inf, n
 
 def test_helper_matches_the_scalar_formula_on_a_fine_grid():
     xs = np.linspace(0, 1, 100001)
-    assert helper_colors(xs) == [reference_color(x) for x in xs]
+    assert helper_colors(xs) == [oracles.reference_color(x) for x in xs]
     sub = xs[::97]
-    assert [oracles.ramp_color(x) for x in sub] == [reference_color(x) for x in sub]
+    assert [oracles.ramp_color(x) for x in sub] == [oracles.reference_color(x) for x in sub]
 
 
 def test_helper_clips_like_the_scalar_formula():
-    want = [reference_color(x) for x in OUTSIDE]
+    want = [oracles.reference_color(x) for x in OUTSIDE]
     assert helper_colors(OUTSIDE) == want
     assert [oracles.ramp_color(x) for x in OUTSIDE] == want
     assert want[0] == want[-1] == oracles.ramp_color(0.0)
@@ -72,7 +60,7 @@ def test_helper_rounds_exact_ties_half_to_even():
     assert any(int(v - 0.5) % 2 == 0 for _, v in ties)
     assert any(int(v - 0.5) % 2 == 1 for _, v in ties)
     xs = [x for x, _ in ties]
-    want = [reference_color(x) for x in xs]
+    want = [oracles.reference_color(x) for x in xs]
     assert helper_colors(xs) == want
     assert [oracles.ramp_color(x) for x in xs] == want
 
@@ -81,7 +69,7 @@ def test_helper_keeps_the_input_shape():
     xs = np.linspace(-0.5, 1.5, 12).reshape(3, 4)
     codes = render.ramp_codes(xs)
     assert codes.shape == (3, 4)
-    assert helper_colors(xs) == [reference_color(x) for x in xs.ravel()]
+    assert helper_colors(xs) == [oracles.reference_color(x) for x in xs.ravel()]
 
 
 def reference_rects(ns, taus, values, vmin=None, vmax=None):
@@ -97,7 +85,7 @@ def reference_rects(ns, taus, values, vmin=None, vmax=None):
     for i in range(len(taus)):
         y = 36 + plot_h - (i + 1) * ch
         for j in range(len(ns)):
-            color = reference_color((values[i, j] - lo) / span)
+            color = oracles.reference_color((values[i, j] - lo) / span)
             lines.append(
                 f'<rect x="{64 + j * cw:.2f}" y="{y:.2f}" width="{cw:.2f}" height="{ch:.2f}" '
                 f'fill="{color}"/>'
