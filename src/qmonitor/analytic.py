@@ -79,9 +79,8 @@ def closed_form_trace(model: str, taus, n_max: int, gamma: float = 0.0) -> np.nd
         func = CLOSED_FORMS[model]
     except KeyError:
         raise ValueError(f"no closed form for model {model!r}") from None
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    taus, gamma = evolve.check_run(taus, n_max, gamma)
     values = np.empty((len(taus), n_max + 1, len(func(0, 0.0))))
-    for block, tau in zip(values, np.asarray(taus, dtype=float).tolist()):
+    for block, tau in zip(values, taus.tolist()):
         block[:] = [func(n, tau) for n in range(n_max + 1)]
     return evolve.noisy_closed_form(values, gamma)

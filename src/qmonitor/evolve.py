@@ -10,12 +10,13 @@ it builds W(tau) = exp(-i V^dag H V tau) for every grid point in one batched
 step from the block-wise decomposition ``Model.measurement_eig``, so every
 cross-block entry of W is an exact zero, and it rotates the initial state
 into the measurement basis once. A cycle keeps only the real diagonal of
-W rho W^dag on the (T, dim, dim) stack of density matrices (the projective
-dephasing), computed as sum_j (W rho)_kj conj(W_kj) from one batched
-product, and mixes it with the uniform distribution (the depolarizing
-channel). rho stays a full density matrix, so the coherent first cycle is
-propagated as such: the engine is independent of the Markov reduction, and
-the tests use it as the oracle for the other engines.
+W rho W^dag (the projective dephasing), computed as sum_j (W rho)_kj
+conj(W_kj), and mixes it with the uniform distribution (the depolarizing
+channel). The first cycle starts from the full initial density matrix, so
+its coherences are propagated as such: the engine is independent of the
+Markov reduction, and the tests use it as the oracle for the other engines.
+After it the dephased state is diagonal, so each later W rho is W with its
+columns scaled by the populations.
 """
 
 from __future__ import annotations
@@ -44,36 +45,41 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> np.ndarray:
-    """Propagate the initial state over a tau grid for n_max cycles each.
+def check_run(taus, n_max: int = 0, gamma: float = 0.0) -> tuple[np.ndarray, float]:
+    """The argument check every engine makes before any work: (taus as floats, gamma).
 
-    Returns the checked (T, n_max+1, dim) trace in grid order. Row 0 of a
-    block is ``m.initial_distribution``, the Born law of the bare initial state;
-    row n >= 1 is the distribution after n cycles. Every grid point advances
-    together: each cycle is one batched product W rho over the (T, dim, dim)
-    stack of states; the real diagonal of W rho W^dag follows from it and
-    conj(W), and, depolarized, is the diagonal of the next state.
+    Raises ValueError unless taus is 1-D, n_max >= 0 and gamma lies in [0, 1].
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1:
         raise ValueError(f"taus must be a 1-D grid, got shape {taus.shape}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    gamma = _check_gamma(gamma)
+    return taus, _check_gamma(gamma)
+
+
+def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> np.ndarray:
+    """Propagate the initial state over a tau grid for n_max cycles each.
+
+    Returns the checked (T, n_max+1, dim) trace in grid order. Row 0 of a
+    block is ``m.initial_distribution``, the Born law of the bare initial state;
+    row n >= 1 is the distribution after n cycles. Every grid point advances
+    together, one batched step per cycle: W rho with the full initial rho for
+    the coherent first cycle, then W diag(pops) with the populations pops.
+    """
+    taus, gamma = check_run(taus, n_max, gamma)
     dim = m.dim
     w = linalg.unitary_from_eig(m.measurement_eig, taus)
     w_conj = np.conj(w)
     rows = np.empty((len(taus), n_max + 1, dim), dtype=float)
     rows[:, 0] = m.initial_distribution
-    rho = rho_in_basis(initial_density(m), m.basis, "to_measurement")
-    dephased, k = np.zeros(w.shape, dtype=complex), np.arange(dim)
+    w_rho = w @ rho_in_basis(initial_density(m), m.basis, "to_measurement")
     for n in range(1, n_max + 1):
-        pops = np.real(np.einsum("tkj,tkj->tk", w @ rho, w_conj))  # diag(W rho W^dag)
+        pops = np.real(np.einsum("tkj,tkj->tk", w_rho, w_conj))  # diag(W rho W^dag)
         if gamma != 0.0:
             pops = (1.0 - gamma) * pops + gamma / dim
         rows[:, n] = pops
-        rho = dephased
-        rho[:, k, k] = pops
+        np.multiply(w, pops[:, None, :], out=w_rho)  # W diag(pops)
     return check_trace(rows)
 
 

@@ -85,9 +85,7 @@ def first_cycle(m: Model, taus) -> tuple[np.ndarray, np.ndarray]:
     coherences that the Born distribution p0 drops; row n >= 1 of a trace is
     p1 L^(n-1). Raises ValueError unless every kernel is doubly stochastic.
     """
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1:
-        raise ValueError(f"taus must be a 1-D grid, got shape {taus.shape}")
+    taus, _ = evolve.check_run(taus)
     u_meas = linalg.unitary_from_eig(m.measurement_eig, taus)
     psi_meas = linalg.adjoint(m.basis.v) @ m.initial_state
     l = _kernel(u_meas)
@@ -137,8 +135,7 @@ def run_chain(m: Model, taus, n_max: int, gamma: float = 0.0) -> np.ndarray:
 
     A nonzero gamma is folded in by ``evolve.noisy_closed_form``.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    taus, gamma = evolve.check_run(taus, n_max, gamma)
     p1, l = first_cycle(m, taus)
     values = np.empty((len(l), n_max + 1, m.dim))
     values[:, 0] = m.initial_distribution

@@ -13,39 +13,32 @@ immediately in the same basis). run_shots draws the counts directly, as one
 has the same joint law as walking every shot, at a cost independent of the
 number of shots; single shots are never materialised.
 
-Randomness comes from numpy's counter-based Philox generator. Grid point i
-of a run is keyed by (seed, i): its generator is
-Generator(Philox(key = seed * 2^64 + i)), so different grid points of one
-run and different seeds never share a stream. Within that generator the draw
-order is fixed:
+Randomness comes from numpy's counter-based Philox generator: a run with
+seed s draws from the one stream Generator(Philox(key = s)), so different
+seeds never share a stream. Each draw covers the whole grid, in this order:
 
-- row 0: Multinomial(shots, p0), an independent measurement of the bare
-  initial state;
-- cycle 1: Multinomial(shots, (1 - gamma) p1 + gamma / dim);
-- each later cycle: one multinomial(counts[n - 1], K) call, summed over the
-  previous outcome.
+- row 0: multinomial(shots, p0, size=T), an independent measurement of the
+  bare initial state at each grid point;
+- cycle 1: multinomial(shots, (1 - gamma) p1 + gamma / dim) over the
+  (T, dim) stack;
+- each later cycle: multinomial(counts[:, n - 1], K) over the (T, dim, dim)
+  stack, summed over the previous outcome.
 
-p0 is Model.initial_distribution, the Born law of the initial state; the
-stacks of p1 and L come from one markov.first_cycle call over the whole
-grid. Reruns with one seed are byte-identical within one numpy version only,
-since NEP 19 does not promise stable Generator.multinomial streams across
-versions.
+So a grid point's counts depend on the grid around it, though not their
+law, and different grid points stay independent. p0 is
+Model.initial_distribution; the stacks of p1 and L come from one
+markov.first_cycle call. Reruns with one seed and one grid are
+byte-identical within one numpy version only, since NEP 19 does not promise
+stable Generator.multinomial streams across versions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import markov
+from . import evolve, markov
 from .model import Model
 from .traces import check_trace
-
-_WORD = 1 << 64
-
-
-def _philox(seed: int, stream: int) -> np.random.Philox:
-    """The bit generator of key (seed, stream), at counter 0."""
-    return np.random.Philox(key=int(seed) * _WORD + int(stream))
 
 
 def _pvals(p: np.ndarray) -> np.ndarray:
@@ -67,29 +60,24 @@ def run_shots(
     counts[i, n, k] / shots, where counts[i, n, k] is the number of shots at
     tau_i that gave outcome k at cycle n; row 0 tallies an independent
     measurement of the bare initial state. Deterministic given the seed, the
-    grid and the numpy version: grid point i draws from the stream (seed, i)
-    in the order the module docstring fixes.
+    grid and the numpy version: one stream per run, drawn in the order the
+    module docstring fixes.
     """
-    if not 0 <= seed < _WORD:
+    taus, gamma = evolve.check_run(taus, n_max, gamma)
+    if not 0 <= seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
     if shots < 1:
-        raise ValueError("n_shots must be >= 1")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
+        raise ValueError("shots must be >= 1")
     dim = m.dim
-    p0 = _pvals(m.initial_distribution)
     p1, l = markov.first_cycle(m, taus)
     first = _pvals((1.0 - gamma) * p1 + gamma / dim)
     kernels = _pvals((1.0 - gamma) * l + gamma / dim)
 
-    counts = np.zeros((len(kernels), n_max + 1, dim), dtype=np.int64)
-    for i, (c, p1_i, kernel) in enumerate(zip(counts, first, kernels)):
-        rng = np.random.Generator(_philox(seed, i))
-        c[0] = rng.multinomial(shots, p0)
-        if n_max > 0:
-            c[1] = rng.multinomial(shots, p1_i)
-        for n in range(2, n_max + 1):
-            c[n] = rng.multinomial(c[n - 1], kernel).sum(axis=0)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    counts = np.empty((len(taus), n_max + 1, dim), dtype=np.int64)
+    counts[:, 0] = rng.multinomial(shots, _pvals(m.initial_distribution), size=len(taus))
+    if n_max > 0:
+        counts[:, 1] = rng.multinomial(shots, first)
+    for n in range(2, n_max + 1):
+        counts[:, n] = rng.multinomial(counts[:, n - 1], kernels).sum(axis=1)
     return check_trace(counts / float(shots))

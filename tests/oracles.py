@@ -86,7 +86,7 @@ def walk_shots(m, tau: float, n_max: int, gamma: float, *, shots: int, seed: int
     outcome is a uniformly random basis index, otherwise it is drawn from the
     first-cycle distribution p1 (cycle 1) or from the kernel row of the
     previous outcome. The stream is numpy's default generator, unrelated to
-    run_shots' Philox key, so the two samplers agree only in law.
+    run_shots' Philox stream, so the two samplers agree only in law.
     """
     rng = np.random.default_rng([seed, 0])
     dim = m.dim

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmonitor import cli, render, sample, traces
+from qmonitor import cli, render, traces
 
 
 DATA = Path(__file__).parent / "data"
@@ -881,17 +881,18 @@ class TestSeedRange:
 
 
 class TestSampleStreams:
-    """Grid point i of a run with seed s samples the stream (s, i)."""
+    """A run with seed s draws from the one stream Philox(key=s)."""
 
-    def test_seed_and_tau_index_pairs(self, tmp_path, monkeypatch):
-        seen = {}
-        real = sample._philox
+    def test_one_stream_per_run_keyed_by_the_seed(self, tmp_path, monkeypatch):
+        keys = []
+        real = np.random.Philox
 
-        def record(seed, stream):
-            seen[(seed, stream)] = np.random.Generator(real(seed, stream)).random(8)
-            return real(seed, stream)
+        def record(*args, **kwargs):
+            keys.append(kwargs["key"])
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(sample, "_philox", record)
+        monkeypatch.setattr(np.random, "Philox", record)
+        csvs = []
         for seed in (7, 8):
             args = [
                 "simulate",
@@ -903,8 +904,9 @@ class TestSampleStreams:
                 "--out", tmp_path,
             ]
             assert run(args) == 0
-        assert list(seen) == [(7, 0), (7, 1), (7, 2), (8, 0), (8, 1), (8, 2)]
-        assert not np.array_equal(seen[(7, 1)], seen[(8, 0)])
+            csvs.append((tmp_path / "single_qubit_sample.csv").read_bytes())
+        assert keys == [7, 8]
+        assert csvs[0] != csvs[1]
 
 
 class TestMarkovStartsFromFirstCycle:

@@ -76,6 +76,18 @@ def test_chain_and_closed_forms_reject_gamma_outside_the_unit_interval(bell, gam
         analytic.closed_form_trace("two_qubit_bell", GRID, N_MAX, gamma)
 
 
+def test_chain_and_closed_forms_check_gamma_before_any_work(bell, monkeypatch):
+    def reached(*args):
+        raise AssertionError("the trace was computed before the gamma check")
+
+    monkeypatch.setattr(markov, "first_cycle", reached)
+    monkeypatch.setitem(analytic.CLOSED_FORMS, "two_qubit_bell", reached)
+    with pytest.raises(ValueError, match="gamma"):
+        markov.run_chain(bell, GRID, N_MAX, 1.5)
+    with pytest.raises(ValueError, match="gamma"):
+        analytic.closed_form_trace("two_qubit_bell", GRID, N_MAX, 1.5)
+
+
 def test_chain_rejects_negative_n_max(bell):
     with pytest.raises(ValueError, match="n_max"):
         markov.run_chain(bell, GRID, -1)

@@ -25,7 +25,7 @@ def counts_of(frequencies: np.ndarray, shots: int) -> np.ndarray:
 
 
 def shots(m, tau=0.7, **kw):
-    """The (n_max+1, dim) counts of run_shots on the one-point grid [tau], stream (seed, 0)."""
+    """The (n_max+1, dim) counts of run_shots on the one-point grid [tau]."""
     return counts_of(run(m, [tau], **kw)[0], kw.get("shots", RUN["shots"]))
 
 
@@ -89,7 +89,7 @@ class TestRunShotsChecks:
         [
             ({"seed": -1}, r"seed must lie in \[0, 2\*\*64\)"),
             ({"seed": 2**64}, r"seed must lie in \[0, 2\*\*64\)"),
-            ({"shots": 0}, "n_shots must be >= 1"),
+            ({"shots": 0}, "^shots must be >= 1"),
             ({"n_max": -1}, "n_max must be >= 0"),
             ({"gamma": 1.5}, r"gamma must lie in \[0, 1\]"),
         ],
@@ -100,7 +100,7 @@ class TestRunShotsChecks:
             run(bell, [0.7], **bad)
 
     def test_largest_seed_is_accepted(self, bell):
-        # the stream word is the grid index, so only the seed can overflow the key
+        # the seed is the whole Philox key, so 2**64 - 1 is the largest key a run uses
         run(bell, [0.7], seed=2**64 - 1, n_max=1)
 
 
@@ -117,7 +117,7 @@ class TestExactCases:
         assert np.array_equal(counts, expected)
 
     def test_singlet_never_sampled(self, singlet_triplet):
-        # sixteen grid points at one tau sample the streams (5, 0) .. (5, 15)
+        # sixteen copies of one tau, drawn side by side from seed 5's one stream
         frequencies = run(singlet_triplet, [0.9] * 16, n_max=24, seed=5)
         assert frequencies.dtype == np.float64
         assert np.array_equal(frequencies[:, :, 2], np.zeros((16, 25)))
@@ -140,17 +140,23 @@ class TestRunShots:
         assert np.all(counts.sum(axis=1) == 2048)
 
     def test_draw_order(self, bell):
-        """Grid point i draws from one Generator(Philox(seed * 2^64 + i)): row 0,
-        cycle 1, then one multinomial per later cycle on the previous counts;
-        the trace is the counts over the shot number."""
+        """A run draws from one Generator(Philox(key=seed)): row 0 of every grid
+        point, then cycle 1 of every grid point, then each later cycle of every
+        grid point as one multinomial per previous outcome, summed; the trace is
+        the counts over the shot number."""
         c = dict(shots=512, n_max=6, gamma=0.25, seed=2**64 - 1)
-        p, kernel = chain_moments(bell, 1.1, 6, 0.25)
-        rng = np.random.Generator(np.random.Philox(key=(2**64 - 1) * 2**64 + 5))
-        rows = [rng.multinomial(512, p[0] / p[0].sum()), rng.multinomial(512, p[1] / p[1].sum())]
-        for _ in range(5):
-            rows.append(rng.multinomial(rows[-1], kernel / kernel.sum(axis=1, keepdims=True)).sum(axis=0))
         grid = [0.3, 0.9, 1.7, 2.2, 2.9, 1.1]
-        assert np.array_equal(run(bell, grid, **c)[5], np.array(rows) / 512)
+        laws = [chain_moments(bell, tau, 6, 0.25) for tau in grid]
+        rng = np.random.Generator(np.random.Philox(key=2**64 - 1))
+        rows = [[rng.multinomial(512, p[0] / p[0].sum()) for p, _ in laws]]
+        rows.append([rng.multinomial(512, p[1] / p[1].sum()) for p, _ in laws])
+        for _ in range(5):
+            rows.append([
+                sum(rng.multinomial(count, row / row.sum()) for count, row in zip(prev, kernel))
+                for prev, (_, kernel) in zip(rows[-1], laws)
+            ])
+        hand = np.swapaxes(np.array(rows), 0, 1) / 512
+        assert np.array_equal(run(bell, grid, **c), hand)
 
     def test_half_pi_single_cycle(self, single_qubit):
         counts = shots(single_qubit, tau=np.pi / 2, shots=8192, n_max=1, seed=3)
@@ -254,14 +260,13 @@ class TestMarginalCorrectness:
         assert ok.mean() >= 0.99
 
 
-def test_philox_streams_are_distinct():
-    def draws(seed, stream):
-        return np.random.Generator(sample._philox(seed, stream)).random(8)
+def test_neighbouring_seeds_share_no_draws(bell):
+    # under the old seed + tau_index keys, seed 7 at grid point 1 replayed seed 8 at grid point 0
+    grid = [0.7, 1.1, 1.9]
+    a, b = run(bell, grid, seed=7), run(bell, grid, seed=8)
+    assert not any(np.array_equal(x, y) for x in a for y in b)
 
-    a = draws(7, 0)
-    assert not np.array_equal(a, draws(8, 0))
-    assert not np.array_equal(a, draws(7, 1))
-    # the old seed + tau_index scheme made these two the same stream
-    assert not np.array_equal(draws(7, 1), draws(8, 0))
-    # reproducible
-    assert np.array_equal(a, draws(7, 0))
+
+def test_a_repeated_tau_draws_other_counts(bell):
+    a, b = run(bell, [1.1, 1.1])
+    assert not np.array_equal(a, b)
