@@ -48,11 +48,14 @@ def _check_gamma(gamma: float) -> float:
 def check_run(taus, n_max: int = 0, gamma: float = 0.0) -> tuple[np.ndarray, float]:
     """The argument check every engine makes before any work: (taus as floats, gamma).
 
-    Raises ValueError unless taus is 1-D, n_max >= 0 and gamma lies in [0, 1].
+    Raises ValueError unless taus is a non-empty 1-D grid, n_max >= 0 and gamma
+    lies in [0, 1].
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1:
         raise ValueError(f"taus must be a 1-D grid, got shape {taus.shape}")
+    if len(taus) == 0:
+        raise ValueError("taus must hold at least one grid point")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     return taus, _check_gamma(gamma)

@@ -103,13 +103,14 @@ def heatmap_svg(
     out = _header(width, height)
     out.append(_text(width / 2, 20, title))
     sink.write("\n".join(out) + "\n")
-    xs = [f"{_MARGIN_L + j * cw:.2f}" for j in range(len(ns))]
+    # one row of cells: the x positions in place, '\0' for y and a '%06x' slot per colour
     size = f'width="{cw:.2f}" height="{ch:.2f}"'
+    row_text = "".join(
+        f'<rect x="{_MARGIN_L + j * cw:.2f}" y="\0" {size} fill="#%06x"/>\n' for j in range(len(ns))
+    )
     for i, row in enumerate(values):
         y = f"{_MARGIN_T + plot_h - (i + 1) * ch:.2f}"
-        codes = ramp_codes((row - lo) / span).tolist()
-        cells = (f'<rect x="{x}" y="{y}" {size} fill="#{c:06x}"/>\n' for x, c in zip(xs, codes))
-        sink.write("".join(cells))
+        sink.write(row_text.replace("\0", y) % tuple(ramp_codes((row - lo) / span).tolist()))
     out = []  # axes: a few ticks
     for j in range(0, len(ns), max(1, len(ns) // 8)):
         x = _MARGIN_L + (j + 0.5) * cw

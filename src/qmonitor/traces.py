@@ -6,6 +6,18 @@ n measurement cycles at grid point tau_i, for n = 0..n_max, as one
 initial state in the measurement basis. check_trace validates a stack one
 tau block at a time; write_trace_csv and read_trace_csv are the only code
 that knows the CSV layout.
+
+Decimal text is most of their time, and threads cannot share it (the GIL),
+so a large trace's text is split with one helper process started by
+os.fork. The writer's helper formats grid points T//2..T-1 into the
+sibling file '<csv>.<helper pid>.part', which this process appends after
+its own half and removes; the reader's helper converts the lines from the
+file's middle byte on into shared anonymous mmaps. Both halves run the same
+block-range function as a one-process run, so the split never shows in the
+bytes or values. A trace of fewer than _FORK_MIN_CELLS cells stays in one
+process, and so does every trace where os.fork is missing or only one CPU
+is in os.sched_getaffinity(0). The helper is killed and reaped, and its part
+file removed, on every path out.
 """
 
 from __future__ import annotations
@@ -19,6 +31,12 @@ from .model import check_labels
 
 ROW_SUM_TOL = 1e-12
 _CHUNK_ROWS = 512
+# A trace of fewer CSV cells (rows x columns) has its text written and read by
+# one process. Starting and reaping the helper costs about 2 ms; on a 2-vCPU
+# x86-64 machine the split broke even near 25k cells (Bell, 65 x 65 x 6 cells:
+# write 4.2 -> 4.0 ms, read 6.3 -> 5.8 ms) and lost below (33 x 65 x 6: write
+# 2.4 -> 4.4 ms), so the floor sits above the crossover.
+_FORK_MIN_CELLS = 40_000
 
 
 class DataError(Exception):
@@ -49,90 +67,258 @@ def check_trace(values, taus=None) -> np.ndarray:
     return values
 
 
-def write_trace_csv(path, labels, taus, values, stderrs=None) -> None:
-    """Write one block of R rows per grid point of taus.
+def _forks(cells: int) -> bool:
+    """Whether the CSV text of this many cells is split with a forked helper.
 
-    values and stderrs are (T, R, N) stacks.
+    Not below _FORK_MIN_CELLS, where starting and reaping the helper costs
+    more than half the text saves; not where os.fork is missing or this
+    process may run on one CPU only.
+    """
+    import os
+
+    if cells < _FORK_MIN_CELLS or not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+class _Helper:
+    """One forked process that runs work() and leaves with os._exit.
+
+    pid is None when work is None or fork fails; the caller then does all
+    the work itself. The exit status is 0 when work() returns a true value
+    and 1 when it returns a false one or raises. Leaving the with block
+    kills and reaps a helper that wait() has not reaped, so no helper
+    outlives the block.
+    """
+
+    def __init__(self, work=None):
+        import os
+        import warnings
+
+        self.pid = self._running = None
+        if work is None:
+            return
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that a child forked from a process with threads
+            # (OpenBLAS starts some) may deadlock on a lock one of them holds;
+            # the helper runs no BLAS code and only formats, parses and writes
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                    DeprecationWarning)
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                return
+        if pid == 0:  # the helper: touches none of the parent's open file objects
+            status = 1
+            try:
+                status = 0 if work() else 1
+            finally:
+                os._exit(status)
+        self.pid = self._running = pid
+
+    def wait(self) -> int:
+        """Reap the helper and return its exit status (negative: the signal that ended it)."""
+        import os
+
+        status = os.waitpid(self._running, 0)[1]
+        self._running = None
+        return os.waitstatus_to_exitcode(status)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._running is not None:
+            import os
+            import signal
+
+            os.kill(self._running, signal.SIGKILL)
+            self.wait()
+
+
+def _write_blocks(fh, taus, values, stderrs, start: int, stop: int) -> None:
+    """Write the rows of grid points start..stop-1 to fh.
 
     A block fills a template of its rows: '\\0' where tau goes, the n digits,
     the cells of each column whose bits equal the previous block's, and a
     ',%.17g' slot for every other cell. It is rebuilt when the repeated
     columns change. A grid point puts '%.17g' % tau in once and %-formats
     only the slots; '%.17g' % x and format(x, '.17g') give the same digits,
-    so every float round-trips exactly.
+    so every float round-trips exactly. Block start is compared with block
+    start - 1 as in a whole-grid pass, so any range writes the bytes that
+    the whole grid writes for it.
     """
+
+    def block_at(i):
+        return values[i] if stderrs is None else np.column_stack([values[i], stderrs[i]])
+
+    key, cols = None, [b""] * (values.shape[2] * (1 if stderrs is None else 2))
+    if start:
+        cols = [col.tobytes() for col in block_at(start - 1).T]
+    for i in range(start, stop):
+        block = block_at(i)
+        prev, cols = cols, [col.tobytes() for col in block.T]  # bits: 0.0 and -0.0 differ
+        same = [col == old for col, old in zip(cols, prev)]
+        if key != same:
+            key, slots = same, np.logical_not(same)
+            row = "".join(",%.17g" if s else ",%%.17g" for s in same)
+            text = "".join(f"\0,{n}{row}\n" for n in range(len(block)))
+            template = text % tuple(block[:, same].ravel().tolist())
+        cells = tuple(block[:, slots].ravel().tolist())
+        fh.write(template.replace("\0", "%.17g" % taus[i]) % cells)
+
+
+def write_trace_csv(path, labels, taus, values, stderrs=None) -> None:
+    """Write one block of R rows per grid point of taus.
+
+    values and stderrs are (T, R, N) stacks. Above _FORK_MIN_CELLS cells, a
+    forked helper writes blocks T//2..T-1 into the sibling file
+    '<path>.<helper pid>.part' while this process writes the header and
+    blocks 0..T//2-1; this process then reaps the helper, appends the part
+    file and removes it. Both halves, and the whole grid otherwise, go
+    through _write_blocks, so the bytes do not depend on the split. The
+    helper is killed and reaped, and the part file removed, on every path.
+    """
+    import contextlib
+    import os
+    import shutil
+
     header = ["tau", "n", *labels]
     if stderrs is not None:
         header += [f"stderr_{k}" for k in range(len(labels))]
-    key, cols = None, [b""] * (len(header) - 2)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for i, (tau, block) in enumerate(zip(taus, values, strict=True)):
-            if stderrs is not None:
-                block = np.column_stack([block, stderrs[i]])
-            prev, cols = cols, [col.tobytes() for col in block.T]  # bits: 0.0 and -0.0 differ
-            same = [col == old for col, old in zip(cols, prev)]
-            if key != same:
-                key, slots = same, np.logical_not(same)
-                row = "".join(",%.17g" if s else ",%%.17g" for s in same)
-                text = "".join(f"\0,{n}{row}\n" for n in range(len(block)))
-                template = text % tuple(block[:, same].ravel().tolist())
-            cells = tuple(block[:, slots].ravel().tolist())
-            fh.write(template.replace("\0", "%.17g" % tau) % cells)
+    blocks = len(values)
+    if len(taus) != blocks:
+        raise ValueError(f"{len(taus)} taus for {blocks} blocks")
+    split = blocks // 2 if _forks(blocks * values.shape[1] * len(header)) else blocks
+
+    def write_second_half() -> bool:
+        with open(f"{path}.{os.getpid()}.part", "w", encoding="utf-8", newline="") as part:
+            _write_blocks(part, taus, values, stderrs, split, blocks)
+        return True
+
+    helper = _Helper(write_second_half if 0 < split < blocks else None)
+    if helper.pid is None:
+        split = blocks
+    part = f"{path}.{helper.pid}.part"
+    try:
+        with helper, open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            _write_blocks(fh, taus, values, stderrs, 0, split)
+            if helper.pid is not None:
+                if (status := helper.wait()) != 0:
+                    raise OSError(f"{path}: the helper writing blocks {split}..{blocks - 1} "
+                                  f"exited with status {status}")
+                fh.flush()
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer, 1 << 16)
+    finally:
+        if helper.pid is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
 
 
-def _count_lines(path) -> int:
-    """The number of lines in a file, a last line without its newline included."""
-    count, last = 0, b"\n"
-    with open(path, "rb") as raw:
-        for data in iter(lambda: raw.read(1 << 16), b""):
-            count, last = count + data.count(b"\n"), data[-1:]
-    return count + (last != b"\n")
+def _count_lines(path) -> tuple[int, int, int] | None:
+    """(lines, split, offset) of a file without carriage returns, else None.
 
-
-def _read_body_fast(
-    fh, n_lines: int, ncol: int, n_states: int
-) -> tuple[list[float], np.ndarray] | None:
-    """(taus, (T, R, n_states) values) of an n_lines-line body in the writer's layout, else None.
-
-    That layout: no quotes and no carriage returns, exactly ncol fields per
-    row, n written as digits running 0..R-1 in every block, one tau per
-    block and no tau in two blocks. The keys (tau, n) and the values are
-    allocated once at their final size; lines are read in chunks of
-    _CHUNK_ROWS, and numpy's C parser converts each chunk's tau, n and
-    outcome columns into its slice, so no other trace-sized array exists.
-    The stderr columns are never converted. The comma count goes first,
-    because loadtxt skips blank lines. Spellings that float() accepts and
-    loadtxt rejects (1_0, non-ASCII digits) return None, so the line parser
-    reads them, and so does a body whose line count is not n_lines.
+    lines counts the '\\n'-ended lines, a last line without its newline
+    included: without '\\r', where the text reader also ends a line, these
+    are the lines it yields. split is the index of the first line that
+    starts at or past the file's middle byte, and offset the byte it starts
+    at (lines and the file size when no line does).
     """
-    if n_lines < 1:
-        return None
-    keys, values = np.empty((n_lines, 2)), np.empty((n_lines, n_states))
+    import os
+
+    count, last, pos, split = 0, b"\n", 0, None
+    with open(path, "rb") as raw:
+        middle = os.fstat(raw.fileno()).st_size // 2
+        for data in iter(lambda: raw.read(1 << 16), b""):
+            if b"\r" in data:
+                return None
+            if split is None and pos + len(data) >= middle:
+                end = data.find(b"\n", max(middle - 1 - pos, 0))
+                if end >= 0:
+                    split = (count + data.count(b"\n", 0, end + 1), pos + end + 1)
+            count, last, pos = count + data.count(b"\n"), data[-1:], pos + len(data)
+    count += last != b"\n"
+    line, offset = split or (count, pos)
+    return count, line, offset
+
+
+def _convert(lines, keys: np.ndarray, values: np.ndarray, ncol: int, n_states: int) -> bool:
+    """Convert lines into keys and values; whether they were len(keys) rows in the writer's layout.
+
+    That layout, row by row: no quotes and no carriage returns, exactly ncol
+    fields, n written as digits. Lines are read in chunks of _CHUNK_ROWS,
+    and numpy's C parser converts each chunk's tau, n and outcome columns
+    into its slice of keys and values; the stderr columns are never
+    converted. The comma count goes first, because loadtxt skips blank
+    lines. Spellings that float() accepts and loadtxt rejects (1_0,
+    non-ASCII digits) return False.
+    """
     usecols = range(2 + n_states)
     start = 0
-    for lines in iter(lambda: list(itertools.islice(fh, _CHUNK_ROWS)), []):
-        stop = start + len(lines)
-        if stop > n_lines:
-            return None
-        text = "".join(lines)
+    for chunk_lines in iter(lambda: list(itertools.islice(lines, _CHUNK_ROWS)), []):
+        stop = start + len(chunk_lines)
+        if stop > len(keys):
+            return False
+        text = "".join(chunk_lines)
         # float() rejects the separators \x1c-\x1f around a number; loadtxt strips them
         if any(c in text for c in '"\r\x1c\x1d\x1e\x1f'):
-            return None
-        if set(map(str.count, lines, itertools.repeat(","))) != {ncol - 1}:
-            return None
-        n_digits = "".join(line.split(",", 2)[1] for line in lines)
+            return False
+        if set(map(str.count, chunk_lines, itertools.repeat(","))) != {ncol - 1}:
+            return False
+        n_digits = "".join(line.split(",", 2)[1] for line in chunk_lines)
         if not (n_digits.isascii() and n_digits.isdigit()):
-            return None
+            return False
         try:
-            chunk = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=usecols)
+            chunk = np.loadtxt(chunk_lines, delimiter=",", comments=None, ndmin=2, usecols=usecols)
         except ValueError:
-            return None
+            return False
         keys[start:stop] = chunk[:, :2]
         values[start:stop] = chunk[:, 2:]
         start = stop
-    if start != n_lines:
+    return start == len(keys)
+
+
+def _read_body_fast(
+    fh, path, n_lines: int, split: int, offset: int, ncol: int, n_states: int
+) -> tuple[list[float], np.ndarray] | None:
+    """(taus, (T, R, n_states) values) of an n_lines-line body in the writer's layout, else None.
+
+    Besides _convert's row layout, that layout has n running 0..R-1 in
+    every block, one tau per block and no tau in two blocks. The (tau, n)
+    keys and the values are allocated once at their final size, in shared
+    anonymous mmaps, so no other trace-sized array exists. Above
+    _FORK_MIN_CELLS cells, a forked helper converts body lines split..
+    n_lines-1, which start at byte offset, into its rows of both while this
+    process converts the lines before; otherwise this process converts them
+    all. Either half out of layout returns None.
+    """
+    if n_lines < 1:
         return None
+    import io
+    import mmap
+
+    keys = np.frombuffer(mmap.mmap(-1, n_lines * 2 * 8)).reshape(n_lines, 2)
+    values = np.frombuffer(mmap.mmap(-1, n_lines * n_states * 8)).reshape(n_lines, n_states)
+    if not (0 < split < n_lines and _forks(n_lines * ncol)):
+        split = n_lines
+
+    def convert_second_half() -> bool:
+        with open(path, "rb") as raw:
+            raw.seek(offset)
+            text = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+            return _convert(text, keys[split:], values[split:], ncol, n_states)
+
+    with _Helper(convert_second_half if split < n_lines else None) as helper:
+        if helper.pid is None:
+            split = n_lines
+        if not _convert(itertools.islice(fh, split), keys[:split], values[:split], ncol, n_states):
+            return None
+        if helper.pid is not None and helper.wait() != 0:
+            return None
     starts = np.flatnonzero(keys[:, 1] == 0)
     block = int(starts[1]) if len(starts) > 1 else n_lines
     if n_lines % block:
@@ -204,8 +390,13 @@ def read_trace_csv(path) -> tuple[list[str], list[float], np.ndarray]:
                 check_labels(tuple(labels))
             except ValueError as exc:
                 raise DataError(f"{path}: {exc}") from exc
-            n_lines = _count_lines(path) - reader.line_num
-            body = _read_body_fast(fh, n_lines, len(header), n_states)
+            body, scan = None, _count_lines(path)
+            if scan is not None:
+                lines, split, offset = scan
+                head = reader.line_num
+                body = _read_body_fast(
+                    fh, path, lines - head, split - head, offset, len(header), n_states
+                )
             if body is None:
                 fh.seek(0)
                 reader = csv.reader(fh)

@@ -157,3 +157,19 @@ def test_closed_form_trace_shape():
     # the closed forms are keyed by the built-in model names only
     with pytest.raises(ValueError):
         analytic.closed_form_trace("bell", [0.7], 16)
+
+
+@pytest.mark.parametrize("name", analytic.CLOSED_FORMS)
+def test_the_grid_is_the_per_point_closed_form_bit_for_bit(name):
+    # powers come from Python's float power; numpy's SIMD pow can differ in the last bit
+    taus = np.linspace(0.0, np.pi, 65)
+    func = analytic.CLOSED_FORMS[name]
+    grid = analytic.closed_form_trace(name, taus, 128)
+    per_point = np.array([[func(n, tau) for n in range(129)] for tau in taus.tolist()])
+    assert grid.tobytes() == per_point.tobytes()
+    dim = per_point.shape[-1]
+    assert func(range(3), [0.1, 0.2, 0.3, 0.4]).shape == (4, 3, dim)
+    assert func(range(3), 0.1).shape == (3, dim)
+    assert func(2, [0.1, 0.2]).shape == (2, dim)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        func([0, -1], 0.1)

@@ -98,3 +98,17 @@ def test_noiseless_fold_leaves_the_trace_untouched(bell):
     before = values.copy()
     assert evolve.noisy_closed_form(values, 0.0) is values
     assert np.array_equal(values, before)
+
+
+@pytest.mark.parametrize("engine", ["exact", "markov", "first_cycle", "sample", "closed_form"])
+def test_every_engine_rejects_an_empty_grid(bell, engine):
+    run = {
+        "exact": lambda taus: evolve.run_exact(bell, taus, N_MAX),
+        "markov": lambda taus: markov.run_chain(bell, taus, N_MAX),
+        "first_cycle": lambda taus: markov.first_cycle(bell, taus),
+        "sample": lambda taus: sample.run_shots(bell, taus, N_MAX, shots=64, seed=3),
+        "closed_form": lambda taus: analytic.closed_form_trace("two_qubit_bell", taus, N_MAX),
+    }[engine]
+    for taus in ([], np.array([]), ()):
+        with pytest.raises(ValueError, match="^taus must hold at least one grid point$"):
+            run(taus)

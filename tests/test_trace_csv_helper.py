@@ -1,0 +1,317 @@
+"""The forked helper that writes or reads the second half of a trace CSV.
+
+write_trace_csv and read_trace_csv split the text of a large trace between
+this process and one forked helper. The split must not show: the forked
+write equals the one-process write byte for byte, the forked read gives the
+line parser's values bit for bit and its DataError word for word, and no
+helper process or part file outlives a call, on success or failure.
+"""
+
+import os
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qmonitor import analytic, cli, evolve, markov, model, sample, traces
+
+DATA = Path(__file__).parent / "data"
+SWEEP_TAUS = np.linspace(0.0, np.pi, 257)  # the exact_sweep shape: 257 blocks of 257 rows
+SWEEP_N = 256
+GAMMA = 0.033
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the helpers started, with the size floor and CPU count out of the way."""
+    started = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(traces, "_forks", lambda cells: True)
+    return started
+
+
+def assert_no_leftovers(directory):
+    assert not list(Path(directory).glob("*.part"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def write_both(tmp_path, monkeypatch, forks, labels, taus, values, stderrs=None):
+    """(bytes of the forked write, bytes of the one-process write)."""
+    traces.write_trace_csv(tmp_path / "forked.csv", labels, taus, values, stderrs)
+    assert len(forks) == (len(values) > 1)
+    assert_no_leftovers(tmp_path)
+    with monkeypatch.context() as mp:
+        mp.setattr(traces, "_forks", lambda cells: False)
+        traces.write_trace_csv(tmp_path / "serial.csv", labels, taus, values, stderrs)
+    assert len(forks) == (len(values) > 1)
+    return (tmp_path / "forked.csv").read_bytes(), (tmp_path / "serial.csv").read_bytes()
+
+
+def sweep_trace(engine):
+    """(values, stderrs) of one engine on the Bell sweep grid, as simulate writes them."""
+    bell = model.build_model("two_qubit_bell")
+    if engine == "exact":
+        return evolve.run_exact(bell, SWEEP_TAUS, SWEEP_N, GAMMA), None
+    if engine == "markov":
+        return markov.run_chain(bell, SWEEP_TAUS, SWEEP_N, GAMMA), None
+    if engine == "closed_form":
+        return analytic.closed_form_trace("two_qubit_bell", SWEEP_TAUS, SWEEP_N, GAMMA), None
+    values = sample.run_shots(bell, SWEEP_TAUS, SWEEP_N, GAMMA, shots=1024, seed=7)
+    return values, np.sqrt(values * (1.0 - values) / 1024)
+
+
+class TestWriter:
+    @pytest.mark.parametrize("engine", ["exact", "markov", "sample", "closed_form"])
+    def test_sweep_shape_bytes_do_not_depend_on_the_split(self, tmp_path, monkeypatch, forks,
+                                                          engine):
+        values, stderrs = sweep_trace(engine)
+        labels = model.build_model("two_qubit_bell").basis.labels
+        forked, serial = write_both(tmp_path, monkeypatch, forks, labels, SWEEP_TAUS, values,
+                                    stderrs)
+        assert forked == serial
+        assert forked.count(b"\n") == 1 + 257 * 257
+        assert (b"stderr_3" in forked) == (stderrs is not None)
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 5, 7])
+    def test_odd_and_tiny_grids(self, tmp_path, monkeypatch, forks, blocks):
+        taus = np.linspace(0.1, 3.0, blocks)
+        values = markov.run_chain(model.build_model("two_qubit_bell"), taus, 9, GAMMA)
+        forked, serial = write_both(tmp_path, monkeypatch, forks, ("a", "b", "c", "d"), taus,
+                                    values)
+        assert forked == serial
+
+    @pytest.mark.parametrize(
+        "repeats",
+        [
+            # blocks 0..3 and their copied columns; the helper starts at block 2
+            ((), (0,), (0, 1), ()),  # the middle block changes which columns repeat
+            ((), (0, 1, 2), (0, 1, 2), (1,)),  # a whole block repeats across the split
+            ((), (), (), ()),
+        ],
+        ids=["middle_block_changes_the_repeats", "block_repeats_across_the_split", "none"],
+    )
+    def test_repeated_columns_across_the_split(self, tmp_path, monkeypatch, forks, repeats):
+        rows = 6
+        rng = np.random.default_rng(5)
+        values = np.empty((len(repeats), rows, 3))
+        for i, copied in enumerate(repeats):
+            values[i] = rng.dirichlet(np.ones(3), size=rows)
+            for c in copied:
+                values[i, :, c] = values[i - 1, :, c]
+        taus = [0.5, 1.0, 1.5, 2.0]
+        forked, serial = write_both(tmp_path, monkeypatch, forks, ("a", "b", "c"), taus, values)
+        assert forked == serial
+
+    def test_a_failing_helper_fails_the_write_and_leaves_nothing(self, tmp_path, monkeypatch,
+                                                                 forks):
+        parent = os.getpid()
+        write_blocks = traces._write_blocks
+
+        def failing_in_the_helper(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("the helper fails")
+            return write_blocks(*args)
+
+        monkeypatch.setattr(traces, "_write_blocks", failing_in_the_helper)
+        values, _ = sweep_trace("markov")
+        with pytest.raises(OSError, match="helper writing blocks 128..256 exited with status 1"):
+            traces.write_trace_csv(tmp_path / "t.csv", ("a", "b", "c", "d"), SWEEP_TAUS, values)
+        assert len(forks) == 1
+        assert_no_leftovers(tmp_path)
+
+    def test_a_failing_parent_kills_the_helper_and_leaves_nothing(self, tmp_path, monkeypatch,
+                                                                  forks):
+        parent = os.getpid()
+        write_blocks = traces._write_blocks
+
+        def failing_in_the_parent(fh, taus, values, stderrs, start, stop):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return write_blocks(fh, taus, values, stderrs, start, stop)
+
+        monkeypatch.setattr(traces, "_write_blocks", failing_in_the_parent)
+        values, _ = sweep_trace("markov")
+        with pytest.raises(KeyboardInterrupt):
+            traces.write_trace_csv(tmp_path / "t.csv", ("a", "b", "c", "d"), SWEEP_TAUS, values)
+        assert len(forks) == 1
+        assert_no_leftovers(tmp_path)
+
+    def test_no_fork_warning_reaches_the_caller(self, tmp_path, forks):
+        # Python 3.12+ warns on fork() from a process with threads, as OpenBLAS makes it
+        values, _ = sweep_trace("markov")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traces.write_trace_csv(tmp_path / "t.csv", ("a", "b", "c", "d"), SWEEP_TAUS, values)
+        assert len(forks) == 1
+
+
+def simulate_csv(tmp_path, forks, model_name, engine, tau_count, n_max, *extra):
+    """The CSV of one simulate run; forks then lists only the helpers started after it."""
+    argv = ["simulate", "--model", model_name, "--engine", engine, "--tau-count", tau_count,
+            "--n-max", n_max, "--out", tmp_path, *extra]
+    assert cli.main([str(a) for a in argv]) == 0
+    forks.clear()
+    return tmp_path / f"{cli._model_key(str(model_name))}_{engine}.csv"
+
+
+def chain_csv(tmp_path, forks, tau_count=17, n_max=60):
+    return simulate_csv(tmp_path, forks, DATA / "chain_dim8_seed67.json", "markov", tau_count,
+                        n_max)
+
+
+def read_outcome(path):
+    try:
+        labels, taus, values = cli.read_trace_csv(path)
+    except cli.DataError as exc:
+        return ("error", str(exc))
+    return ("ok", labels, [tau.hex() for tau in taus], values.shape, values.tobytes())
+
+
+def line_parser_outcome(path, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(traces, "_read_body_fast", lambda *args: None)
+        return read_outcome(path)
+
+
+def second_half_line(path):
+    """The 1-based number of a body line that the helper reads, with its text."""
+    lines, split, _ = traces._count_lines(path)
+    assert 1 < split < lines
+    number = (split + lines) // 2 + 1
+    return number, path.read_text().splitlines()[number - 1]
+
+
+class TestReader:
+    @pytest.mark.parametrize("tau_count, n_max", [(17, 60), (8, 33), (1, 200)])
+    def test_values_are_the_line_parsers(self, tmp_path, monkeypatch, forks, tau_count, n_max):
+        path = chain_csv(tmp_path, forks, tau_count, n_max)
+        got = read_outcome(path)
+        assert len(forks) == 1
+        assert got[0] == "ok" and got[3] == (tau_count, n_max + 1, 8)
+        assert got == line_parser_outcome(path, monkeypatch)
+        assert_no_leftovers(tmp_path)
+
+    def test_stderr_columns(self, tmp_path, monkeypatch, forks):
+        path = simulate_csv(tmp_path, forks, "two_qubit_bell", "sample", 33, 40, "--shots", 64)
+        got = read_outcome(path)
+        assert len(forks) == 1 and got[0] == "ok"
+        assert got == line_parser_outcome(path, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda tau, n, rest: f"{tau},{n}", "too few columns"),
+            (lambda tau, n, rest: f"{tau},{n}.0,{rest}", "invalid literal for int()"),
+            (lambda tau, n, rest: f"{tau},{n},x{rest}", "could not convert string to float"),
+        ],
+        ids=["short_row", "n_written_as_float", "bad_cell"],
+    )
+    def test_a_bad_line_in_the_helpers_half_gives_the_serial_error(self, tmp_path, monkeypatch,
+                                                                   forks, edit, message):
+        path = chain_csv(tmp_path, forks)
+        number, line = second_half_line(path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[number - 1] = edit(*line.split(",", 2)) + "\n"
+        path.write_text("".join(lines))
+        got = read_outcome(path)
+        assert len(forks) == 1
+        assert got[0] == "error" and got[1].startswith(f"{path}:{number}: {message}")
+        with monkeypatch.context() as mp:
+            mp.setattr(traces, "_forks", lambda cells: False)
+            assert read_outcome(path) == got
+        assert got == line_parser_outcome(path, monkeypatch)
+        assert_no_leftovers(tmp_path)
+
+    def test_bytes_that_are_not_utf8_in_the_helpers_half(self, tmp_path, monkeypatch, forks):
+        path = chain_csv(tmp_path, forks)
+        number, line = second_half_line(path)
+        data = path.read_bytes()
+        at = data.index(line.encode()) + len(line) - 2
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        got = read_outcome(path)
+        assert len(forks) == 1
+        assert got[0] == "error" and "not UTF-8 text" in got[1]
+        with monkeypatch.context() as mp:
+            mp.setattr(traces, "_forks", lambda cells: False)
+            assert read_outcome(path) == got
+        assert_no_leftovers(tmp_path)
+
+    def test_a_failing_helper_falls_back_to_the_line_parser(self, tmp_path, monkeypatch, forks):
+        path = chain_csv(tmp_path, forks)
+        want = line_parser_outcome(path, monkeypatch)
+        parent = os.getpid()
+        convert = traces._convert
+
+        def failing_in_the_helper(*args):
+            if os.getpid() != parent:
+                raise MemoryError
+            return convert(*args)
+
+        monkeypatch.setattr(traces, "_convert", failing_in_the_helper)
+        assert read_outcome(path) == want
+        assert len(forks) == 1
+        assert_no_leftovers(tmp_path)
+
+
+    def test_a_half_the_helper_rejects_sends_the_file_to_the_line_parser(self, tmp_path,
+                                                                         monkeypatch, forks):
+        # the helper converts every row, then reports them out of layout
+        path = chain_csv(tmp_path, forks)
+        parent = os.getpid()
+        convert, read_body_fast = traces._convert, traces._read_body_fast
+        bodies = []
+
+        def rejecting_in_the_helper(*args):
+            return convert(*args) and os.getpid() == parent
+
+        def spy(*args):
+            bodies.append(read_body_fast(*args))
+            return bodies[-1]
+
+        monkeypatch.setattr(traces, "_convert", rejecting_in_the_helper)
+        monkeypatch.setattr(traces, "_read_body_fast", spy)
+        got = read_outcome(path)
+        assert bodies == [None] and len(forks) == 1
+        assert got == line_parser_outcome(path, monkeypatch)
+
+
+class TestWhenToFork:
+    def test_the_size_floor(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert not traces._forks(traces._FORK_MIN_CELLS - 1)
+        assert traces._forks(traces._FORK_MIN_CELLS)
+
+    def test_one_cpu_stays_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert not traces._forks(10 * traces._FORK_MIN_CELLS)
+
+    def test_no_fork_stays_serial(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert not traces._forks(10 * traces._FORK_MIN_CELLS)
+
+    def test_the_noise_roundtrip_csvs_stay_serial(self):
+        # 33 taus x 33 rows of tau, n, 4 outcomes and 4 stderr columns
+        assert 33 * 33 * 10 < traces._FORK_MIN_CELLS
+
+    def test_a_sweep_command_leaves_no_helper_and_no_part_file(self, tmp_path, monkeypatch):
+        started = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: started.append(1) or real_fork())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        argv = ["simulate", "--model", "two_qubit_bell", "--engine", "exact", "--tau-count",
+                257, "--n-max", 256, "--gamma", GAMMA, "--out", tmp_path]
+        assert cli.main([str(a) for a in argv]) == 0
+        argv = ["render", tmp_path / "two_qubit_bell_exact.csv", "--out", tmp_path]
+        assert cli.main([str(a) for a in argv]) == 0
+        assert len(started) == 2  # the write and the read
+        assert_no_leftovers(tmp_path)
