@@ -17,7 +17,9 @@ command imports the modules it runs when it runs, and simulate imports only
 its engine's, so a process loads and compiles no code its command skips.
 
 Runs are reproducible: a fixed config plus seed yields byte-identical CSV
-and JSON, and SVG identical up to the version comment. Exit codes: 0 ok,
+and JSON, and SVG identical up to the version comment. Every file is written
+through traces.replacing into the output directory that _out_dir names, so
+a failed command leaves earlier outputs as they were. Exit codes: 0 ok,
 2 configuration error, 3 data error, 4 numerical failure.
 """
 
@@ -107,6 +109,11 @@ def _read_config_file(path: str) -> dict:
     return merged
 
 
+def _out_dir(out: str | None) -> str:
+    """The output directory: --out, else $QMONITOR_OUT, else ./out."""
+    return out or os.environ.get(ENV_OUT, "out")
+
+
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
@@ -115,8 +122,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if "out" not in values:
-        values["out"] = os.environ.get(ENV_OUT, "out")
+    values["out"] = _out_dir(values.get("out"))
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
@@ -148,25 +154,22 @@ def _parse_n_range(text: str, n_max: int) -> tuple[int, int]:
     return (lo, hi)
 
 
-def _parse_layers(text: str) -> noisefit.LayerCount:
+def _cycle_timing(args: argparse.Namespace) -> tuple[noisefit.LayerCount, float]:
+    """(layers, cycle duration in us) from --layers and --hw-profile."""
     from . import noisefit
 
     try:
-        n1q, ncnot, nmeas = (int(p) for p in text.split(","))
-        return noisefit.LayerCount(n_1q_layers=n1q, n_cnot_layers=ncnot, n_meas_layers=nmeas)
+        n1q, ncnot, nmeas = (int(p) for p in args.layers.split(","))
+        layers = noisefit.LayerCount(n_1q_layers=n1q, n_cnot_layers=ncnot, n_meas_layers=nmeas)
     except ValueError as exc:
-        raise ConfigError(f"bad --layers value {text!r}; expected 1q,cnot,meas") from exc
-
-
-def _load_hw_profile(path: str | None) -> noisefit.HardwareProfile:
-    from . import noisefit
-
-    if path is None:
-        return noisefit.DEFAULT_HARDWARE
-    try:
-        return noisefit.hardware_profile_from_file(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load hardware profile: {exc}") from exc
+        raise ConfigError(f"bad --layers value {args.layers!r}; expected 1q,cnot,meas") from exc
+    hw = noisefit.DEFAULT_HARDWARE
+    if args.hw_profile is not None:
+        try:
+            hw = noisefit.hardware_profile_from_file(args.hw_profile)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load hardware profile: {exc}") from exc
+    return layers, noisefit.cycle_duration(layers, hw)
 
 
 def _require_model_labels(labels: list[str], m: model_mod.Model, name: str) -> None:
@@ -177,7 +180,7 @@ def _require_model_labels(labels: list[str], m: model_mod.Model, name: str) -> N
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with traces.replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -312,13 +315,11 @@ def cmd_fit_noise(args: argparse.Namespace) -> dict:
         "tau_points": len(taus),
     }
     if args.layers:
-        layers = _parse_layers(args.layers)
-        hw = _load_hw_profile(args.hw_profile)
-        dt = noisefit.cycle_duration(layers, hw)
+        dt = _cycle_timing(args)[1]
         results["cycle_duration_us"] = dt
         results["decay_rate_mhz"] = noisefit.decay_rate(fit.gamma, dt)
 
-    out_dir = args.out or os.environ.get(ENV_OUT, "out")
+    out_dir = _out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"fit_{_model_key(args.model)}.json")
     summary = _summary("fit-noise", {"input": args.input, "model": args.model}, [path], results)
@@ -359,7 +360,7 @@ def cmd_render(args: argparse.Namespace) -> dict:
     n_rows = values.shape[1]
     column = args.column or ("magnetization" if len(labels) == 2 else labels[0])
 
-    out_dir = args.out or os.environ.get(ENV_OUT, "out")
+    out_dir = _out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     stem = _model_key(args.input)
 
@@ -411,18 +412,11 @@ def cmd_render(args: argparse.Namespace) -> dict:
         raise ConfigError(f"unknown render kind {args.kind!r}")
 
     path = os.path.join(out_dir, name)
-    tmp = f"{path}.{os.getpid()}.tmp"  # moved onto path only once complete
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            if args.kind == "heatmap":
-                render.heatmap_svg(fh, list(range(n_rows)), taus, grid, f"{column} over (n, tau)")
-            else:
-                fh.write(svg)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with traces.replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        if args.kind == "heatmap":
+            render.heatmap_svg(fh, list(range(n_rows)), taus, grid, f"{column} over (n, tau)")
+        else:
+            fh.write(svg)
     print(f"wrote {path}")
     return _summary("render", {"input": args.input, "kind": args.kind}, [path], {})
 
@@ -432,12 +426,10 @@ def cmd_timing(args: argparse.Namespace) -> dict:
 
     if not args.layers:
         raise ConfigError("timing requires --layers 1q,cnot,meas")
-    layers = _parse_layers(args.layers)
-    hw = _load_hw_profile(args.hw_profile)
+    layers, dt = _cycle_timing(args)
     gamma = args.gamma if args.gamma is not None else 0.0
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError("gamma must lie in [0, 1]")
-    dt = noisefit.cycle_duration(layers, hw)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -454,7 +446,9 @@ def cmd_timing(args: argparse.Namespace) -> dict:
 # argument parsing
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser, command) -> None:
+    """The sweep flags of simulate and analyze, whose command runs on their RunConfig."""
+    p.set_defaults(run=lambda args: command(_build_run_config(args)))
     p.add_argument("--config", help="INI config file; flags override its values")
     p.add_argument("--model", help="built-in model name or path to a model JSON file")
     p.add_argument("--engine", choices=ENGINES)
@@ -476,13 +470,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qmonitor {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="sweep a tau grid and write trace CSV")
-    _add_run_flags(p_sim)
-
-    p_ana = sub.add_parser("analyze", help="spectrum and regime report as JSON")
-    _add_run_flags(p_ana)
+    _add_run_flags(sub.add_parser("simulate", help="sweep a tau grid and write trace CSV"),
+                   cmd_simulate)
+    _add_run_flags(sub.add_parser("analyze", help="spectrum and regime report as JSON"),
+                   cmd_analyze)
 
     p_fit = sub.add_parser("fit-noise", help="fit the depolarizing strength to a trace CSV")
+    p_fit.set_defaults(run=cmd_fit_noise)
     p_fit.add_argument("input", help="CSV produced by simulate")
     p_fit.add_argument("--model", required=False)
     p_fit.add_argument("--n-fit-range", dest="n_fit_range", help="LO:HI cycles used in the fit")
@@ -491,6 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out")
 
     p_ren = sub.add_parser("render", help="render a trace CSV to SVG")
+    p_ren.set_defaults(run=cmd_render)
     p_ren.add_argument("input", help="CSV produced by simulate")
     p_ren.add_argument("--kind", choices=("heatmap", "lines", "rho_grid"), default="heatmap")
     p_ren.add_argument("--column", help="outcome label, column index, or 'magnetization'")
@@ -501,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ren.add_argument("--out")
 
     p_tim = sub.add_parser("timing", help="cycle duration and decay rate from layer counts")
+    p_tim.set_defaults(run=cmd_timing)
     p_tim.add_argument("--layers", help="1q,cnot,meas layer counts")
     p_tim.add_argument("--gamma", type=float)
     p_tim.add_argument("--hw-profile", dest="hw_profile", help="hardware profile JSON")
@@ -509,21 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            cmd_simulate(_build_run_config(args))
-        elif args.command == "analyze":
-            cmd_analyze(_build_run_config(args))
-        elif args.command == "fit-noise":
-            cmd_fit_noise(args)
-        elif args.command == "render":
-            cmd_render(args)
-        elif args.command == "timing":
-            cmd_timing(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

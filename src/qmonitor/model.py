@@ -136,13 +136,9 @@ class Model:
         return p0
 
 
-def computational_basis(dim: int, labels: tuple[str, ...] | None = None) -> MeasurementBasis:
-    if labels is None:
-        if dim == 2:
-            labels = ("0", "1")
-        else:
-            width = max(1, (dim - 1).bit_length())
-            labels = tuple(format(k, f"0{width}b") for k in range(dim))
+def computational_basis(dim: int) -> MeasurementBasis:
+    width = max(1, (dim - 1).bit_length())
+    labels = tuple(format(k, f"0{width}b") for k in range(dim))
     return MeasurementBasis(dim=dim, v=np.eye(dim, dtype=complex), labels=labels)
 
 

@@ -75,8 +75,6 @@ def heatmap_svg(
     taus: Sequence[float],
     values: np.ndarray,
     title: str,
-    vmin: float | None = None,
-    vmax: float | None = None,
 ) -> None:
     """Write a heatmap of values[i_tau, i_n], cycle count on x and tau on y, to sink.
 
@@ -90,8 +88,7 @@ def heatmap_svg(
     values = _require_finite(values)
     if values.shape != (len(taus), len(ns)):
         raise ValueError("values shape must be (len(taus), len(ns))")
-    lo = float(np.min(values)) if vmin is None else vmin
-    hi = float(np.max(values)) if vmax is None else vmax
+    lo, hi = float(np.min(values)), float(np.max(values))
     span = hi - lo if hi > lo else 1.0
 
     width, height = 720, 440

@@ -7,6 +7,11 @@ initial state in the measurement basis. check_trace validates a stack one
 tau block at a time; write_trace_csv and read_trace_csv are the only code
 that knows the CSV layout.
 
+Every file qmonitor writes, the trace CSV, the JSON summaries and the SVGs,
+goes through replacing: it is written under the sibling name
+'<path>.<pid>.tmp' and moved onto path with os.replace only once complete,
+so a failed or interrupted write leaves path's earlier bytes, or no file.
+
 Decimal text is most of their time, and threads cannot share it (the GIL),
 so a large trace's text is split with one helper process started by
 os.fork. The writer's helper formats grid points T//2..T-1 into the
@@ -22,8 +27,10 @@ file removed, on every path out.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
+import os
 
 import numpy as np
 
@@ -74,8 +81,6 @@ def _forks(cells: int) -> bool:
     more than half the text saves; not where os.fork is missing or this
     process may run on one CPU only.
     """
-    import os
-
     if cells < _FORK_MIN_CELLS or not hasattr(os, "fork"):
         return False
     if hasattr(os, "sched_getaffinity"):
@@ -94,7 +99,6 @@ class _Helper:
     """
 
     def __init__(self, work=None):
-        import os
         import warnings
 
         self.pid = self._running = None
@@ -120,8 +124,6 @@ class _Helper:
 
     def wait(self) -> int:
         """Reap the helper and return its exit status (negative: the signal that ended it)."""
-        import os
-
         status = os.waitpid(self._running, 0)[1]
         self._running = None
         return os.waitstatus_to_exitcode(status)
@@ -131,11 +133,27 @@ class _Helper:
 
     def __exit__(self, *exc_info):
         if self._running is not None:
-            import os
             import signal
 
             os.kill(self._running, signal.SIGKILL)
             self.wait()
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """Yield the sibling path '<path>.<pid>.tmp', moved onto path when the block completes.
+
+    On any exception, KeyboardInterrupt included, the temporary file is
+    removed instead, so path keeps its earlier bytes, or stays absent.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write_blocks(fh, taus, values, stderrs, start: int, stop: int) -> None:
@@ -146,17 +164,15 @@ def _write_blocks(fh, taus, values, stderrs, start: int, stop: int) -> None:
     ',%.17g' slot for every other cell. It is rebuilt when the repeated
     columns change. A grid point puts '%.17g' % tau in once and %-formats
     only the slots; '%.17g' % x and format(x, '.17g') give the same digits,
-    so every float round-trips exactly. Block start is compared with block
-    start - 1 as in a whole-grid pass, so any range writes the bytes that
-    the whole grid writes for it.
+    so every float round-trips exactly. Which columns repeat decides only
+    which cells are formatted once, never the text, so any range writes the
+    bytes that the whole grid writes for it.
     """
 
     def block_at(i):
         return values[i] if stderrs is None else np.column_stack([values[i], stderrs[i]])
 
     key, cols = None, [b""] * (values.shape[2] * (1 if stderrs is None else 2))
-    if start:
-        cols = [col.tobytes() for col in block_at(start - 1).T]
     for i in range(start, stop):
         block = block_at(i)
         prev, cols = cols, [col.tobytes() for col in block.T]  # bits: 0.0 and -0.0 differ
@@ -171,7 +187,7 @@ def _write_blocks(fh, taus, values, stderrs, start: int, stop: int) -> None:
 
 
 def write_trace_csv(path, labels, taus, values, stderrs=None) -> None:
-    """Write one block of R rows per grid point of taus.
+    """Write one block of R rows per grid point of taus, through replacing(path).
 
     values and stderrs are (T, R, N) stacks. Above _FORK_MIN_CELLS cells, a
     forked helper writes blocks T//2..T-1 into the sibling file
@@ -181,8 +197,6 @@ def write_trace_csv(path, labels, taus, values, stderrs=None) -> None:
     through _write_blocks, so the bytes do not depend on the split. The
     helper is killed and reaped, and the part file removed, on every path.
     """
-    import contextlib
-    import os
     import shutil
 
     header = ["tau", "n", *labels]
@@ -203,7 +217,7 @@ def write_trace_csv(path, labels, taus, values, stderrs=None) -> None:
         split = blocks
     part = f"{path}.{helper.pid}.part"
     try:
-        with helper, open(path, "w", encoding="utf-8", newline="") as fh:
+        with helper, replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
             _write_blocks(fh, taus, values, stderrs, 0, split)
             if helper.pid is not None:
@@ -228,8 +242,6 @@ def _count_lines(path) -> tuple[int, int, int] | None:
     starts at or past the file's middle byte, and offset the byte it starts
     at (lines and the file size when no line does).
     """
-    import os
-
     count, last, pos, split = 0, b"\n", 0, None
     with open(path, "rb") as raw:
         middle = os.fstat(raw.fileno()).st_size // 2

@@ -109,6 +109,24 @@ class TestSimulate:
         assert csv_path.read_bytes() == first_csv
         assert json_path.read_bytes() == first_json
 
+    def test_a_failed_csv_write_leaves_the_earlier_outputs(self, tmp_path, monkeypatch):
+        args = ["simulate", "--model", "two_qubit_bell", "--engine", "markov",
+                "--tau-count", 5, "--n-max", 8, "--out", tmp_path]
+        assert run(args) == 0
+        earlier = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert sorted(earlier) == ["two_qubit_bell_markov.csv",
+                                   "two_qubit_bell_markov_summary.json"]
+        write_blocks = traces._write_blocks
+
+        def disk_full(fh, *args):
+            write_blocks(fh, *args)  # the whole body, then the device is full
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(traces, "_write_blocks", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            run([*args[:-2], "--gamma", 0.1, "--out", tmp_path])
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == earlier
+
     def test_unknown_model_is_config_error(self, tmp_path):
         assert run(["simulate", "--model", "three_qubit", "--out", tmp_path]) == 2
 
@@ -308,6 +326,22 @@ class TestAnalyze:
         )
         report = json.loads((tmp_path / "analyze_two_qubit_bell.json").read_text())
         assert report["results"]["per_tau"][0]["regime"] == "frozen"
+
+    def test_a_failed_summary_write_leaves_the_earlier_summary(self, tmp_path, monkeypatch):
+        args = ["analyze", "--model", "single_qubit", "--tau-count", 3, "--out", tmp_path]
+        assert run(args) == 0
+        path = tmp_path / "analyze_single_qubit.json"
+        earlier = path.read_bytes()
+
+        def interrupted(payload, fh, **kwargs):
+            fh.write("{")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(args)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == earlier
 
 
 @pytest.mark.parametrize(

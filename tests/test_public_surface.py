@@ -1,7 +1,6 @@
-"""The benchmark's traced entry points resolve, every export resolves lazily and has a
-production caller, and each command loads only the modules it runs."""
+"""The benchmark's traced entry points resolve, and each command loads only the modules
+it runs."""
 
-import ast
 import importlib
 import importlib.util
 import os
@@ -11,14 +10,9 @@ from pathlib import Path
 
 import pytest
 
-import qmonitor
 from qmonitor import cli
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "qmonitor"
-
-# Exports that nothing in src/ or scripts/ reads yet, each with its reason to stay.
-UNREFERENCED_EXPORTS: dict[str, str] = {}
 
 
 def test_every_traced_entry_point_resolves(monkeypatch):
@@ -34,40 +28,6 @@ def test_every_traced_entry_point_resolves(monkeypatch):
         if not callable(getattr(importlib.import_module(f"qmonitor.{mod}"), attr, None))
     ]
     assert missing == []
-
-
-def read_names(paths) -> set[str]:
-    """Every name read as a variable or as an attribute in the given sources."""
-    names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
-
-
-def test_every_export_resolves_from_its_module():
-    assert len(qmonitor._EXPORTS) > 0
-    assert qmonitor.__all__ == sorted(qmonitor._EXPORTS)
-    for name, module in qmonitor._EXPORTS.items():
-        defined = getattr(importlib.import_module(f"qmonitor.{module}"), name)
-        assert getattr(qmonitor, name) is defined
-        assert name in dir(qmonitor)
-    with pytest.raises(AttributeError):
-        qmonitor.no_such_export
-
-
-def test_every_export_has_a_production_reference():
-    exports = list(qmonitor._EXPORTS)
-    assert exports
-    sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    read = read_names(sources + sorted((ROOT / "scripts").glob("*.py")))
-    assert [name for name in exports if name not in read and name not in UNREFERENCED_EXPORTS] == []
-    # an entry whose name gained a production reference leaves the list
-    assert [name for name in UNREFERENCED_EXPORTS if name in read] == []
-    assert set(UNREFERENCED_EXPORTS) <= set(exports)
 
 
 def loaded_modules(tmp_path, code) -> set[str]:

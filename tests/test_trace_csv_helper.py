@@ -4,7 +4,8 @@ write_trace_csv and read_trace_csv split the text of a large trace between
 this process and one forked helper. The split must not show: the forked
 write equals the one-process write byte for byte, the forked read gives the
 line parser's values bit for bit and its DataError word for word, and no
-helper process or part file outlives a call, on success or failure.
+helper process, part file or temporary file outlives a call, on success or
+failure. A failed write leaves the target's earlier bytes.
 """
 
 import os
@@ -41,8 +42,15 @@ def forks(monkeypatch):
 
 def assert_no_leftovers(directory):
     assert not list(Path(directory).glob("*.part"))
+    assert not list(Path(directory).glob("*.tmp"))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def write_earlier(path):
+    """Write a small one-process trace to path and return its bytes."""
+    traces.write_trace_csv(path, ("a", "b"), [0.0], np.array([[[1.0, 0.0], [0.5, 0.5]]]))
+    return path.read_bytes()
 
 
 def write_both(tmp_path, monkeypatch, forks, labels, taus, values, stderrs=None):
@@ -122,11 +130,13 @@ class TestWriter:
                 raise RuntimeError("the helper fails")
             return write_blocks(*args)
 
+        earlier = write_earlier(tmp_path / "t.csv")
         monkeypatch.setattr(traces, "_write_blocks", failing_in_the_helper)
         values, _ = sweep_trace("markov")
         with pytest.raises(OSError, match="helper writing blocks 128..256 exited with status 1"):
             traces.write_trace_csv(tmp_path / "t.csv", ("a", "b", "c", "d"), SWEEP_TAUS, values)
         assert len(forks) == 1
+        assert (tmp_path / "t.csv").read_bytes() == earlier
         assert_no_leftovers(tmp_path)
 
     def test_a_failing_parent_kills_the_helper_and_leaves_nothing(self, tmp_path, monkeypatch,
@@ -139,11 +149,13 @@ class TestWriter:
                 raise KeyboardInterrupt
             return write_blocks(fh, taus, values, stderrs, start, stop)
 
+        earlier = write_earlier(tmp_path / "t.csv")
         monkeypatch.setattr(traces, "_write_blocks", failing_in_the_parent)
         values, _ = sweep_trace("markov")
         with pytest.raises(KeyboardInterrupt):
             traces.write_trace_csv(tmp_path / "t.csv", ("a", "b", "c", "d"), SWEEP_TAUS, values)
         assert len(forks) == 1
+        assert (tmp_path / "t.csv").read_bytes() == earlier
         assert_no_leftovers(tmp_path)
 
     def test_no_fork_warning_reaches_the_caller(self, tmp_path, forks):
