@@ -706,6 +706,52 @@ class TestTiming:
         assert payload["cycle_duration_us"] == 0.62
 
 
+class TestOutDir:
+    """simulate, analyze, fit-noise and render write under --out, else $QMONITOR_OUT, else ./out."""
+
+    MODEL = "two_qubit_singlet_triplet"
+    COMMANDS = {
+        "simulate": (["simulate", "--model", MODEL, "--tau-count", 2, "--n-max", 2],
+                     [f"{MODEL}_exact.csv", f"{MODEL}_exact_summary.json"]),
+        "analyze": (["analyze", "--model", MODEL, "--tau-start", 0.7, "--tau-stop", 0.7,
+                     "--tau-count", 1],
+                    [f"analyze_{MODEL}.json"]),
+        "fit-noise": (["fit-noise", "{csv}", "--model", MODEL, "--n-fit-range", "1:20"],
+                      [f"fit_{MODEL}.json"]),
+        "render": (["render", "{csv}", "--kind", "heatmap"],
+                   [f"{MODEL}_closed_form_heatmap_psi_0.svg"]),
+    }
+
+    @pytest.mark.parametrize("where", ["flag", "env", "default"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_writing_command_follows_the_rule(self, tmp_path, monkeypatch, command, where):
+        data = tmp_path / "data"
+        argv = [
+            "simulate", "--model", self.MODEL, "--engine", "closed_form",
+            "--tau-count", 17, "--n-max", 20, "--gamma", 0.12, "--out", data,
+        ]
+        assert run(argv) == 0
+        csv_path = data / f"{self.MODEL}_closed_form.csv"
+        args, names = self.COMMANDS[command]
+        args = [csv_path if a == "{csv}" else a for a in args]
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        if where == "default":
+            monkeypatch.delenv(cli.ENV_OUT, raising=False)
+        else:
+            monkeypatch.setenv(cli.ENV_OUT, str(tmp_path / "env"))
+        if where == "flag":
+            args = [*args, "--out", tmp_path / "flag"]
+        assert run(args) == 0
+        expected = {"flag": tmp_path / "flag", "env": tmp_path / "env", "default": cwd / "out"}
+        for name in names:
+            assert (expected[where] / name).is_file()
+        for other, directory in expected.items():
+            if other != where:
+                assert not directory.exists()
+
+
 @pytest.mark.parametrize(
     "header",
     ["tau,n,n,tau", "tau,n,a,a", "tau,n,a,b,stderr_1,stderr_0", "tau,n,a,stderr_0,b",

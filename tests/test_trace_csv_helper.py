@@ -167,6 +167,39 @@ class TestWriter:
         assert len(forks) == 1
 
 
+class TestReplacing:
+    @pytest.mark.parametrize("earlier", [False, True], ids=["absent", "earlier"])
+    def test_a_completed_block_moves_the_temp_file_onto_the_path(self, tmp_path, earlier):
+        path = tmp_path / "t.csv"
+        if earlier:
+            path.write_bytes(b"earlier\n")
+        with traces.replacing(path) as tmp:
+            assert tmp == f"{path}.{os.getpid()}.tmp"
+            Path(tmp).write_bytes(b"new\n")
+            assert path.exists() == earlier
+        assert path.read_bytes() == b"new\n"
+        assert_no_leftovers(tmp_path)
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    @pytest.mark.parametrize("earlier", [False, True], ids=["absent", "earlier"])
+    def test_a_failed_block_keeps_the_earlier_bytes(self, tmp_path, error, earlier):
+        path = tmp_path / "t.csv"
+        if earlier:
+            path.write_bytes(b"earlier\n")
+        with pytest.raises(error):
+            with traces.replacing(path) as tmp:
+                Path(tmp).write_bytes(b"half")
+                raise error
+        assert path.read_bytes() == b"earlier\n" if earlier else not path.exists()
+        assert_no_leftovers(tmp_path)
+
+    def test_a_block_that_fails_before_writing_raises_its_own_error(self, tmp_path):
+        with pytest.raises(RuntimeError, match="before the temp file"):
+            with traces.replacing(tmp_path / "t.csv"):
+                raise RuntimeError("before the temp file")
+        assert list(tmp_path.iterdir()) == []
+
+
 def simulate_csv(tmp_path, forks, model_name, engine, tau_count, n_max, *extra):
     """The CSV of one simulate run; forks then lists only the helpers started after it."""
     argv = ["simulate", "--model", model_name, "--engine", engine, "--tau-count", tau_count,
