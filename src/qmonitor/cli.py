@@ -20,7 +20,14 @@ Runs are reproducible: a fixed config plus seed yields byte-identical CSV
 and JSON, and SVG identical up to the version comment. Every file is written
 through traces.replacing into the output directory that _out_dir names, so
 a failed command leaves earlier outputs as they were. Exit codes: 0 ok,
-2 configuration error, 3 data error, 4 numerical failure.
+2 configuration error (an output that cannot be written included), 3 data
+error, 4 numerical failure.
+
+main returns the exit code and never ends the interpreter. A process runs
+it through process_main, which flushes stdout and stderr and ends with
+os._exit, skipping the interpreter's teardown (about 10 ms); every output is
+closed before main returns. atexit handlers do not run there (coverage's
+subprocess mode collects nothing, for one), so instrument main in process.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from typing import NoReturn
 
 import numpy as np
 
@@ -93,7 +101,7 @@ def _read_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
     try:
         loaded = parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
     if not loaded:
         raise ConfigError(f"config file not found: {path}")
@@ -517,8 +525,39 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # inputs raise ConfigError or DataError, so this is an output
+        return _cannot_write(exc)
     return 0
 
 
+def _cannot_write(exc: OSError) -> int:
+    """Report an output that cannot be written; return its exit code, 2."""
+    if exc.filename is None:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+    else:
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+    return 2
+
+
+def process_main(argv=None) -> NoReturn:
+    """Run main(argv), flush stdout and stderr, and end the process with os._exit.
+
+    An unflushable stdout (a full disk) is an unwritable output: one stderr
+    line and exit code 2. A SystemExit, a KeyboardInterrupt or an unexpected
+    exception raised by main leaves the normal way.
+    """
+    status = main(argv)
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        status = _cannot_write(exc)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    finally:  # an unflushable stderr has nowhere to report to
+        os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

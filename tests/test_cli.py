@@ -109,7 +109,7 @@ class TestSimulate:
         assert csv_path.read_bytes() == first_csv
         assert json_path.read_bytes() == first_json
 
-    def test_a_failed_csv_write_leaves_the_earlier_outputs(self, tmp_path, monkeypatch):
+    def test_a_failed_csv_write_leaves_the_earlier_outputs(self, tmp_path, monkeypatch, capsys):
         args = ["simulate", "--model", "two_qubit_bell", "--engine", "markov",
                 "--tau-count", 5, "--n-max", 8, "--out", tmp_path]
         assert run(args) == 0
@@ -123,8 +123,9 @@ class TestSimulate:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(traces, "_write_blocks", disk_full)
-        with pytest.raises(OSError, match="No space left"):
-            run([*args[:-2], "--gamma", 0.1, "--out", tmp_path])
+        capsys.readouterr()
+        assert run([*args[:-2], "--gamma", 0.1, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == "cannot write output: [Errno 28] No space left on device\n"
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == earlier
 
     def test_unknown_model_is_config_error(self, tmp_path):
@@ -266,6 +267,12 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path):
         assert run(["simulate", "--config", tmp_path / "nope.ini", "--out", tmp_path]) == 2
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(b"[run]\nmodel = caf\xe9\n")
+        assert run(["simulate", "--config", ini, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config file {ini}: 'utf-8' codec")
+
 
 class TestAnalyze:
     def test_regimes(self, tmp_path):
@@ -340,6 +347,23 @@ class TestAnalyze:
         monkeypatch.setattr(json, "dump", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run(args)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == earlier
+
+    def test_a_full_disk_during_the_summary_write_exits_2(self, tmp_path, monkeypatch, capsys):
+        args = ["analyze", "--model", "single_qubit", "--tau-count", 3, "--out", tmp_path]
+        assert run(args) == 0
+        path = tmp_path / "analyze_single_qubit.json"
+        earlier = path.read_bytes()
+
+        def disk_full(payload, fh, **kwargs):
+            fh.write("{")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", disk_full)
+        capsys.readouterr()
+        assert run(args) == 2
+        assert capsys.readouterr() == ("", "cannot write output: [Errno 28] No space left on device\n")
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == earlier
 
@@ -722,9 +746,8 @@ class TestOutDir:
                    [f"{MODEL}_closed_form_heatmap_psi_0.svg"]),
     }
 
-    @pytest.mark.parametrize("where", ["flag", "env", "default"])
-    @pytest.mark.parametrize("command", list(COMMANDS))
-    def test_every_writing_command_follows_the_rule(self, tmp_path, monkeypatch, command, where):
+    def command(self, tmp_path, command):
+        """The command's arguments, on a closed-form CSV written under tmp_path/data, and its files."""
         data = tmp_path / "data"
         argv = [
             "simulate", "--model", self.MODEL, "--engine", "closed_form",
@@ -733,7 +756,12 @@ class TestOutDir:
         assert run(argv) == 0
         csv_path = data / f"{self.MODEL}_closed_form.csv"
         args, names = self.COMMANDS[command]
-        args = [csv_path if a == "{csv}" else a for a in args]
+        return [csv_path if a == "{csv}" else a for a in args], names
+
+    @pytest.mark.parametrize("where", ["flag", "env", "default"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_writing_command_follows_the_rule(self, tmp_path, monkeypatch, command, where):
+        args, names = self.command(tmp_path, command)
         cwd = tmp_path / "cwd"
         cwd.mkdir()
         monkeypatch.chdir(cwd)
@@ -750,6 +778,16 @@ class TestOutDir:
         for other, directory in expected.items():
             if other != where:
                 assert not directory.exists()
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_an_unwritable_directory_exits_2_with_one_line(self, tmp_path, capsys, command):
+        args, _ = self.command(tmp_path, command)
+        data = sorted((tmp_path / "data").iterdir())
+        blocked = tmp_path / "data" / f"{self.MODEL}_closed_form.csv" / "out"  # under a file
+        capsys.readouterr()
+        assert run([*args, "--out", blocked]) == 2
+        assert capsys.readouterr() == ("", f"cannot write {blocked}: Not a directory\n")
+        assert sorted((tmp_path / "data").iterdir()) == data
 
 
 @pytest.mark.parametrize(
