@@ -8,9 +8,12 @@ decay rate from layer counts).
 
 Every engine is a function of (model, taus, n_max, gamma) that returns the
 finished, checked (T, n_max+1, dim) trace; simulate dispatches to one, writes
-the trace to the CSV as it is and summarises it. The CSV format belongs to
-qmonitor.traces. The commands call its reader through this module's own name
-read_trace_csv, the name that qmbench/tracing.py wraps.
+the trace to the CSV as it is and summarises it. Where the CSV writer splits
+a large trace with a forked helper, the helper computes its own half of the
+grid as well as writing it, for every engine but sample (see _simulate; on
+BLAS in the helper, traces._Helper). The CSV format belongs to
+qmonitor.traces. The commands call its reader through this module's own
+name read_trace_csv, the name that qmbench/tracing.py wraps.
 
 This module imports only traces and model (and through them linalg). Each
 command imports the modules it runs when it runs, and simulate imports only
@@ -21,7 +24,8 @@ and JSON, and SVG identical up to the version comment. Every file is written
 through traces.replacing into the output directory that _out_dir names, so
 a failed command leaves earlier outputs as they were. Exit codes: 0 ok,
 2 configuration error (an output that cannot be written included), 3 data
-error, 4 numerical failure.
+error, 4 numerical failure. A simulate trace too large to allocate is a
+configuration error that names its T x (n_max+1) x dim shape and bytes.
 
 main returns the exit code and never ends the interpreter. A process runs
 it through process_main, which flushes stdout and stderr and ends with
@@ -75,14 +79,15 @@ class RunConfig:
             raise ConfigError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
         if not (0.0 <= self.tau_start <= self.tau_stop <= 2.0 * math.pi + 1e-12):
             raise ConfigError("tau grid must satisfy 0 <= start <= stop <= 2*pi")
-        if self.tau_count < 1:
-            raise ConfigError("tau_count must be >= 1")
-        if self.n_max < 0:
-            raise ConfigError("n_max must be >= 0")
+        # tau_count, n_max and shots reach numpy as C longs
+        if not 1 <= self.tau_count < 2**63:
+            raise ConfigError("tau_count must lie in [1, 2**63)")
+        if not 0 <= self.n_max < 2**63:
+            raise ConfigError("n_max must lie in [0, 2**63)")
         if not (0.0 <= self.gamma <= 1.0):
             raise ConfigError("gamma must lie in [0, 1]")
-        if self.shots < 1:
-            raise ConfigError("shots must be >= 1")
+        if not 1 <= self.shots < 2**63:
+            raise ConfigError("shots must lie in [1, 2**63)")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must lie in [0, 2**64)")
 
@@ -210,17 +215,28 @@ def _summary(command: str, config_echo: dict, files: list[str], results: dict) -
 
 def cmd_simulate(cfg: RunConfig) -> dict:
     m = _build_model(cfg.model)
+    shape = (cfg.tau_count, cfg.n_max + 1, m.dim)
+    try:
+        if math.prod(shape) * 8 > sys.maxsize:  # numpy refuses such sizes with a ValueError
+            raise MemoryError
+        return _simulate(cfg, m)
+    except MemoryError:
+        raise ConfigError(f"not enough memory for the {' x '.join(map(str, shape))} trace "
+                          f"({math.prod(shape) * 8} bytes)") from None
+
+
+def _simulate(cfg: RunConfig, m: model_mod.Model) -> dict:
+    """Run cfg.engine over the tau grid, write the trace CSV and the summary.
+
+    exact, markov and closed_form compute each grid point from its own tau
+    alone, so the engine runs inside the CSV write, in each process of a
+    split write on that process's half of the grid. sample draws the whole
+    grid from one random stream, so it runs first and the write gets the
+    finished trace.
+    """
     taus = cfg.tau_grid()
     stderrs = None
-    if cfg.engine == "exact":
-        from . import evolve
-
-        values = evolve.run_exact(m, taus, cfg.n_max, cfg.gamma)
-    elif cfg.engine == "markov":
-        from . import markov
-
-        values = markov.run_chain(m, taus, cfg.n_max, cfg.gamma)
-    elif cfg.engine == "sample":
+    if cfg.engine == "sample":
         from . import evolve, sample
 
         values = sample.run_shots(m, taus, cfg.n_max, cfg.gamma, shots=cfg.shots, seed=cfg.seed)
@@ -228,19 +244,38 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         stderrs *= values
         stderrs /= cfg.shots
         np.sqrt(stderrs, out=stderrs)
+        blocks = values
     else:
-        from . import analytic
+        from . import evolve
 
-        if cfg.model not in analytic.CLOSED_FORMS:
-            raise ConfigError(
-                f"engine closed_form supports {sorted(analytic.CLOSED_FORMS)}, not {cfg.model!r}"
-            )
-        values = analytic.closed_form_trace(cfg.model, taus, cfg.n_max, cfg.gamma)
+        if cfg.engine == "exact":
+            engine = evolve.run_exact
+        elif cfg.engine == "markov":
+            from . import markov
+
+            engine = markov.run_chain
+        else:
+            from . import analytic
+
+            if cfg.model not in analytic.CLOSED_FORMS:
+                raise ConfigError(
+                    f"engine closed_form supports {sorted(analytic.CLOSED_FORMS)}, not {cfg.model!r}"
+                )
+
+            def engine(m, taus, n_max, gamma):
+                return analytic.closed_form_trace(cfg.model, taus, n_max, gamma)
+
+        # checked, and the model's cached spectrum and p0 computed, before a helper forks
+        evolve.check_run(taus, cfg.n_max, cfg.gamma)
+        m.measurement_eig, m.initial_distribution
+
+        def blocks(start, stop):
+            return engine(m, taus[start:stop], cfg.n_max, cfg.gamma)
 
     os.makedirs(cfg.out, exist_ok=True)
     key = f"{_model_key(cfg.model)}_{cfg.engine}"
     csv_path = os.path.join(cfg.out, f"{key}.csv")
-    traces.write_trace_csv(csv_path, m.basis.labels, taus, values, stderrs)
+    traces.write_trace_csv(csv_path, m.basis.labels, taus, blocks, stderrs, rows=cfg.n_max + 1)
     del stderrs  # freed before the sample check below builds an exact trace
 
     results: dict = {"rows": int(len(taus) * (cfg.n_max + 1)), "labels": list(m.basis.labels)}

@@ -14,14 +14,17 @@ so a failed or interrupted write leaves path's earlier bytes, or no file.
 
 Decimal text is most of their time, and threads cannot share it (the GIL),
 so a large trace's text is split with one helper process started by
-os.fork. The writer's helper formats grid points T//2..T-1 into the
-sibling file '<csv>.<helper pid>.part', which this process appends after
-its own half and removes; the reader's helper converts the lines from the
-file's middle byte on into shared anonymous mmaps. Both halves run the same
-block-range function as a one-process run, so the split never shows in the
-bytes or values. A trace of fewer than _FORK_MIN_CELLS cells stays in one
-process, and so does every trace where os.fork is missing or only one CPU
-is in os.sched_getaffinity(0). The helper is killed and reaped, and its part
+os.fork. The writer's helper gets grid points T//2..T-1 from the trace's
+source of blocks and formats them into the sibling file
+'<csv>.<helper pid>.part', which this process appends after its own half
+and removes. A source that computes its blocks (simulate's tau-pointwise
+engines) thus runs on both cores as well: each process computes only its
+half. The reader's helper converts the lines from the file's middle byte on
+into shared anonymous mmaps. Both halves run the same block-range function
+as a one-process run, so the split never shows in the bytes or values. A
+trace of fewer than _FORK_MIN_CELLS cells stays in one process, and so does
+every trace where os.fork is missing or only one CPU is in
+os.sched_getaffinity(0). The helper is killed and reaped, and its part
 file removed, on every path out.
 """
 
@@ -93,9 +96,15 @@ class _Helper:
 
     pid is None when work is None or fork fails; the caller then does all
     the work itself. The exit status is 0 when work() returns a true value
-    and 1 when it returns a false one or raises. Leaving the with block
-    kills and reaps a helper that wait() has not reaped, so no helper
-    outlives the block.
+    and 1 when it returns a false one or raises; the helper prints nothing.
+    Leaving the with block kills and reaps a helper that wait() has not
+    reaped, so no helper outlives the block.
+
+    work() may run BLAS code (the engines' matmul). Forking a process whose
+    BLAS keeps a thread pool is safe with OpenBLAS, the BLAS numpy ships:
+    it stops its pool in a pthread_atfork handler before the fork, so no
+    pool thread holds a lock that the helper inherits, and each process
+    starts a new pool when it next needs one.
     """
 
     def __init__(self, work=None):
@@ -107,7 +116,7 @@ class _Helper:
         with warnings.catch_warnings():
             # Python 3.12+ warns that a child forked from a process with threads
             # (OpenBLAS starts some) may deadlock on a lock one of them holds;
-            # the helper runs no BLAS code and only formats, parses and writes
+            # OpenBLAS stops its threads before the fork (see the docstring)
             warnings.filterwarnings("ignore", "This process .* is multi-threaded",
                                     DeprecationWarning)
             try:
@@ -156,8 +165,8 @@ def replacing(path):
         raise
 
 
-def _write_blocks(fh, taus, values, stderrs, start: int, stop: int) -> None:
-    """Write the rows of grid points start..stop-1 to fh.
+def _write_blocks(fh, taus, values, stderrs) -> None:
+    """Write the rows of every grid point of taus, with its block of values, to fh.
 
     A block fills a template of its rows: '\\0' where tau goes, the n digits,
     the cells of each column whose bits equal the previous block's, and a
@@ -165,15 +174,15 @@ def _write_blocks(fh, taus, values, stderrs, start: int, stop: int) -> None:
     columns change. A grid point puts '%.17g' % tau in once and %-formats
     only the slots; '%.17g' % x and format(x, '.17g') give the same digits,
     so every float round-trips exactly. Which columns repeat decides only
-    which cells are formatted once, never the text, so any range writes the
-    bytes that the whole grid writes for it.
+    which cells are formatted once, never the text, so any range of a grid
+    writes the bytes that the whole grid writes for it.
     """
 
     def block_at(i):
         return values[i] if stderrs is None else np.column_stack([values[i], stderrs[i]])
 
     key, cols = None, [b""] * (values.shape[2] * (1 if stderrs is None else 2))
-    for i in range(start, stop):
+    for i in range(len(taus)):
         block = block_at(i)
         prev, cols = cols, [col.tobytes() for col in block.T]  # bits: 0.0 and -0.0 differ
         same = [col == old for col, old in zip(cols, prev)]
@@ -186,43 +195,61 @@ def _write_blocks(fh, taus, values, stderrs, start: int, stop: int) -> None:
         fh.write(template.replace("\0", "%.17g" % taus[i]) % cells)
 
 
-def write_trace_csv(path, labels, taus, values, stderrs=None) -> None:
+def write_trace_csv(path, labels, taus, values, stderrs=None, *, rows=None) -> None:
     """Write one block of R rows per grid point of taus, through replacing(path).
 
-    values and stderrs are (T, R, N) stacks. Above _FORK_MIN_CELLS cells, a
-    forked helper writes blocks T//2..T-1 into the sibling file
-    '<path>.<helper pid>.part' while this process writes the header and
-    blocks 0..T//2-1; this process then reaps the helper, appends the part
-    file and removes it. Both halves, and the whole grid otherwise, go
-    through _write_blocks, so the bytes do not depend on the split. The
-    helper is killed and reaped, and the part file removed, on every path.
+    values is a (T, R, N) stack, or a function blocks(start, stop) that
+    returns the (stop-start, R, N) stack of grid points start..stop-1, with
+    R given as rows; stderrs, only with a stack, is a matching stack. Above
+    _FORK_MIN_CELLS cells, a forked helper takes blocks(T//2, T) and writes
+    it into the sibling file '<path>.<helper pid>.part' while this process
+    takes blocks(0, T//2) and writes the header and it; this process then
+    reaps the helper, appends the part file and removes it. Both halves, and
+    the whole grid otherwise, go through _write_blocks, so the bytes do not
+    depend on the split. If the helper fails, this process takes its half
+    itself, so an error of blocks propagates as in one process; if that
+    works, the write fails with an OSError. The helper is killed and
+    reaped, and the part file removed, on every path.
     """
     import shutil
 
     header = ["tau", "n", *labels]
     if stderrs is not None:
         header += [f"stderr_{k}" for k in range(len(labels))]
-    blocks = len(values)
-    if len(taus) != blocks:
-        raise ValueError(f"{len(taus)} taus for {blocks} blocks")
-    split = blocks // 2 if _forks(blocks * values.shape[1] * len(header)) else blocks
+    count = len(taus)
+    if callable(values):
+        blocks = values
+    else:
+        if len(values) != count:
+            raise ValueError(f"{count} taus for {len(values)} blocks")
+        rows = values.shape[1]
+
+        def blocks(start, stop):
+            return values[start:stop]
+
+    split = count // 2 if _forks(count * rows * len(header)) else count
+
+    def write(fh, start, stop):
+        errs = None if stderrs is None else stderrs[start:stop]
+        _write_blocks(fh, taus[start:stop], blocks(start, stop), errs)
 
     def write_second_half() -> bool:
         with open(f"{path}.{os.getpid()}.part", "w", encoding="utf-8", newline="") as part:
-            _write_blocks(part, taus, values, stderrs, split, blocks)
+            write(part, split, count)
         return True
 
-    helper = _Helper(write_second_half if 0 < split < blocks else None)
+    helper = _Helper(write_second_half if 0 < split < count else None)
     if helper.pid is None:
-        split = blocks
+        split = count
     part = f"{path}.{helper.pid}.part"
     try:
         with helper, replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
-            _write_blocks(fh, taus, values, stderrs, 0, split)
+            write(fh, 0, split)
             if helper.pid is not None:
                 if (status := helper.wait()) != 0:
-                    raise OSError(f"{path}: the helper writing blocks {split}..{blocks - 1} "
+                    blocks(split, count)  # raises what the helper met, if blocks failed there
+                    raise OSError(f"{path}: the helper writing blocks {split}..{count - 1} "
                                   f"exited with status {status}")
                 fh.flush()
                 with open(part, "rb") as src:

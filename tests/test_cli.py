@@ -998,6 +998,25 @@ class TestSeedRange:
         assert run(args) == 2
 
 
+class TestCountRanges:
+    """tau_count, n_max and shots reach numpy as C longs: 2**63 and up are config errors."""
+
+    @pytest.mark.parametrize("key, low", [("tau_count", 1), ("n_max", 0), ("shots", 1)])
+    def test_validate_takes_the_range_and_rejects_its_ends(self, key, low):
+        for value in (low, 2**63 - 1):
+            cli.RunConfig(**{key: value}).validate()
+        for value in (low - 1, 2**63):
+            with pytest.raises(cli.ConfigError, match=f"^{key} must lie in \\[{low}, 2\\*\\*63\\)$"):
+                cli.RunConfig(**{key: value}).validate()
+
+    def test_huge_shots_exit_2_with_one_line(self, tmp_path, capsys):
+        args = ["simulate", "--engine", "sample", "--tau-count", 2, "--n-max", 1,
+                "--shots", 10000000000000000000, "--out", tmp_path]
+        assert run(args) == 2
+        assert capsys.readouterr().err == "config error: shots must lie in [1, 2**63)\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSampleStreams:
     """A run with seed s draws from the one stream Philox(key=s)."""
 

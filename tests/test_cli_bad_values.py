@@ -1,10 +1,10 @@
 """Bad flag values through cli.main: a documented exit code, never a traceback.
 
 Every flag of every build_parser() command is drawn with a small good value
-or one of the bad ones: "", -1, nan, inf, 1e400, a directory, /dev/null/x
-and a file that is not UTF-8. Whatever the mix, a run exits 0 (ok), 2
-(configuration, argparse's usage errors included) or 3 (data), prints no
-traceback and leaves no temporary or part file. Each grid stays tiny: simulate
+or one of the bad ones: "", -1, nan, inf, 1e400, 10**19, a directory,
+/dev/null/x and a file that is not UTF-8. Whatever the mix, a run exits 0
+(ok), 2 (configuration, argparse's usage errors included) or 3 (data),
+prints no traceback and leaves no temporary or part file. Each grid stays tiny: simulate
 and analyze always get --tau-count and --n-max, as a value of at most 3 or
 as one that is rejected, so no draw allocates a large trace.
 """
@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from qmonitor import cli
 
-BAD = ("", "-1", "nan", "inf", "1e400", "DIR", "/dev/null/x", "NOT_UTF8")
+# 10**19: an int past the C long range of numpy's counts
+BAD = ("", "-1", "nan", "inf", "1e400", "10000000000000000000", "DIR", "/dev/null/x",
+       "NOT_UTF8")
 
 # the good values of each flag (by dest), besides its choices
 GOOD = {

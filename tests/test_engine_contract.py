@@ -112,3 +112,34 @@ def test_every_engine_rejects_an_empty_grid(bell, engine):
     for taus in ([], np.array([]), ()):
         with pytest.raises(ValueError, match="^taus must hold at least one grid point$"):
             run(taus)
+
+
+SPLIT_GRID = np.linspace(0.0, np.pi, 33)
+POINTWISE = ("exact", "markov", "closed_form")
+
+
+def pointwise_engine(engine, name):
+    """The engine as simulate calls it on a sub-grid: (m, taus, n_max, gamma) -> trace."""
+    if engine == "exact":
+        return evolve.run_exact
+    if engine == "markov":
+        return markov.run_chain
+    return lambda m, taus, n_max, gamma: analytic.closed_form_trace(name, taus, n_max, gamma)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.033])
+@pytest.mark.parametrize("engine, name", [
+    (engine, name) for engine in POINTWISE for name in MODELS
+    if engine != "closed_form" or name in analytic.CLOSED_FORMS
+])
+def test_a_sub_grid_gives_the_whole_grids_blocks_bit_for_bit(engine, name, gamma):
+    # simulate's split CSV write computes each half of the grid in its own process
+    m, run = MODELS[name], pointwise_engine(engine, name)
+    whole = run(m, SPLIT_GRID, N_MAX, gamma)
+    count = len(SPLIT_GRID)
+    for split in (1, count // 2, count - 1):
+        for start, stop in ((0, split), (split, count)):
+            part = run(m, SPLIT_GRID[start:stop], N_MAX, gamma)
+            assert part.tobytes() == whole[start:stop].tobytes(), (start, stop)
+    middle = run(m, SPLIT_GRID[5:9], N_MAX, gamma)
+    assert middle.tobytes() == whole[5:9].tobytes()

@@ -144,10 +144,10 @@ class TestWriter:
         parent = os.getpid()
         write_blocks = traces._write_blocks
 
-        def failing_in_the_parent(fh, taus, values, stderrs, start, stop):
+        def failing_in_the_parent(*args):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return write_blocks(fh, taus, values, stderrs, start, stop)
+            return write_blocks(*args)
 
         earlier = write_earlier(tmp_path / "t.csv")
         monkeypatch.setattr(traces, "_write_blocks", failing_in_the_parent)
@@ -165,6 +165,43 @@ class TestWriter:
             warnings.simplefilter("error")
             traces.write_trace_csv(tmp_path / "t.csv", ("a", "b", "c", "d"), SWEEP_TAUS, values)
         assert len(forks) == 1
+
+    def test_blas_in_the_helper_does_not_hang(self, tmp_path, monkeypatch, forks):
+        # OpenBLAS's thread pool is up in this process at every fork but the first; a
+        # helper that deadlocked on one of its locks would never be reaped
+        import signal
+
+        bell = model.build_model("two_qubit_bell")
+        engines = [evolve.run_exact, markov.run_chain]
+        want = [sweep_trace("exact")[0], sweep_trace("markov")[0]]
+
+        def timeout(signum, frame):
+            raise TimeoutError("a forked sweep-shape write took over 30 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for i in range(20):
+                    engine = engines[i % 2]
+                    signal.setitimer(signal.ITIMER_REAL, 30.0)
+                    traces.write_trace_csv(
+                        tmp_path / f"{i % 2}.csv", bell.basis.labels, SWEEP_TAUS,
+                        lambda start, stop: engine(bell, SWEEP_TAUS[start:stop], SWEEP_N, GAMMA),
+                        rows=SWEEP_N + 1,
+                    )
+                    signal.setitimer(signal.ITIMER_REAL, 0.0)
+                    assert len(forks) == i + 1
+                    assert_no_leftovers(tmp_path)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        for i, values in enumerate(want):
+            with monkeypatch.context() as mp:
+                mp.setattr(traces, "_forks", lambda cells: False)
+                traces.write_trace_csv(tmp_path / "serial.csv", bell.basis.labels, SWEEP_TAUS,
+                                       values)
+            assert (tmp_path / f"{i}.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 class TestReplacing:
@@ -360,3 +397,138 @@ class TestWhenToFork:
         assert cli.main([str(a) for a in argv]) == 0
         assert len(started) == 2  # the write and the read
         assert_no_leftovers(tmp_path)
+
+
+class TestSimulateSplit:
+    """simulate's exact, markov and closed_form engines run inside the split write.
+
+    Each process computes and writes its own half of the grid; sample, whose
+    one random stream covers the whole grid, runs first. A failure in either
+    half looks like the one-process run's: its exit code, its stderr line,
+    the earlier outputs, and no helper, part file or temporary file.
+    """
+
+    TAUS, N_MAX = 9, 12  # halves of 4 and 5 grid points, 13 rows each
+
+    def simulate(self, capsys, out, model_name="two_qubit_bell", engine="exact"):
+        """(exit code, stderr, {file name: bytes}) of one simulate run into out."""
+        argv = ["simulate", "--model", model_name, "--engine", engine, "--tau-count",
+                self.TAUS, "--n-max", self.N_MAX, "--gamma", GAMMA, "--out", out]
+        capsys.readouterr()
+        code = cli.main([str(a) for a in argv])
+        files = {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())}
+        return code, capsys.readouterr().err, files
+
+    def serial(self, monkeypatch, capsys, out, *args):
+        with monkeypatch.context() as mp:
+            mp.setattr(traces, "_forks", lambda cells: False)
+            return self.simulate(capsys, out, *args)
+
+    @pytest.mark.parametrize("engine, model_name", [
+        *((engine, name) for engine in ("exact", "markov", "closed_form")
+          for name in analytic.CLOSED_FORMS),
+        *((engine, str(path)) for engine in ("exact", "markov")
+          for path in sorted(DATA.glob("*.json"))),
+    ])
+    def test_each_process_computes_and_writes_its_half(self, tmp_path, monkeypatch, capsys,
+                                                       forks, engine, model_name):
+        parent, grids = os.getpid(), []
+        closed_form_trace = analytic.closed_form_trace
+        run_chain, run_exact = markov.run_chain, evolve.run_exact
+
+        def spy(run):
+            def engine_call(m, taus, *args):  # m is the model name for closed_form_trace
+                if os.getpid() == parent:
+                    grids.append(len(taus))
+                return run(m, taus, *args)
+            return engine_call
+
+        monkeypatch.setattr(evolve, "run_exact", spy(run_exact))
+        monkeypatch.setattr(markov, "run_chain", spy(run_chain))
+        monkeypatch.setattr(analytic, "closed_form_trace", spy(closed_form_trace))
+        forked = self.simulate(capsys, tmp_path, model_name, engine)
+        assert forked[0] == 0 and grids == [self.TAUS // 2] and len(forks) == 1
+        assert_no_leftovers(tmp_path)
+        grids.clear()
+        assert self.serial(monkeypatch, capsys, tmp_path, model_name, engine) == forked
+        assert grids == [self.TAUS] and len(forks) == 1
+
+    def test_sample_draws_the_whole_grid_first(self, tmp_path, monkeypatch, forks):
+        calls = []
+        run_shots = sample.run_shots
+        monkeypatch.setattr(sample, "run_shots",
+                            lambda m, taus, *args, **kw: calls.append(len(taus))
+                            or run_shots(m, taus, *args, **kw))
+        argv = ["simulate", "--model", "two_qubit_bell", "--engine", "sample", "--tau-count",
+                257, "--n-max", 256, "--gamma", GAMMA, "--seed", 7, "--out", tmp_path]
+        assert cli.main([str(a) for a in argv]) == 0
+        assert calls == [257] and len(forks) == 1
+        # the CSV is the one-process write of the whole grid's one stream
+        bell = model.build_model("two_qubit_bell")
+        values = run_shots(bell, SWEEP_TAUS, SWEEP_N, GAMMA, shots=8192, seed=7)
+        stderrs = np.sqrt(values * (1.0 - values) / 8192)
+        monkeypatch.setattr(traces, "_forks", lambda cells: False)
+        traces.write_trace_csv(tmp_path / "want.csv", bell.basis.labels, SWEEP_TAUS, values,
+                               stderrs)
+        got = (tmp_path / "two_qubit_bell_sample.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad", [[2], [6], [2, 6], [3, 4], [8]],
+                             ids=["parents_half", "helpers_half", "both", "across", "last"])
+    def test_an_engine_failure_in_either_half_reads_as_in_one_process(
+            self, tmp_path, monkeypatch, capsys, forks, bad):
+        out = tmp_path / "out"
+        earlier = self.simulate(capsys, out)
+        assert earlier[0] == 0
+        forks.clear()
+        grid = np.linspace(0.0, np.pi, self.TAUS)
+        run_exact = evolve.run_exact
+
+        def failing(m, taus, *args):
+            rows = run_exact(m, taus, *args)
+            rows[np.isin(taus, grid[bad]), 1, 0] = np.nan
+            return traces.check_trace(rows, taus)
+
+        monkeypatch.setattr(evolve, "run_exact", failing)
+        forked = self.simulate(capsys, out)
+        assert len(forks) == 1
+        assert_no_leftovers(out)
+        assert forked == self.serial(monkeypatch, capsys, out)
+        assert forked == (4, f"numerical failure: tau={grid[bad[0]]}: trace has non-finite "
+                             f"entries\n", earlier[2])
+
+    @pytest.mark.parametrize("engine, failing_rows", [
+        ("exact", 4), ("exact", 5), ("exact", 9), ("markov", 4), ("markov", 5), ("markov", 9),
+        ("sample", 9),  # sample allocates its whole grid, before the write
+    ])
+    def test_a_failed_allocation_exits_2_with_the_traces_size(
+            self, tmp_path, monkeypatch, capsys, forks, engine, failing_rows):
+        # rows 4: this process's half; 5: the helper's half; 9: the one-process grid
+        out = tmp_path / "out"
+        earlier = self.simulate(capsys, out, "two_qubit_bell", engine)
+        forks.clear()
+        empty = np.empty
+
+        def failing_empty(shape, *args, **kwargs):
+            if shape == (failing_rows, self.N_MAX + 1, 4):
+                raise MemoryError
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", failing_empty)
+        if failing_rows == self.TAUS:
+            got = self.serial(monkeypatch, capsys, out, "two_qubit_bell", engine)
+        else:
+            got = self.simulate(capsys, out, "two_qubit_bell", engine)
+        assert len(forks) == (failing_rows < self.TAUS)
+        assert got == (2, "config error: not enough memory for the 9 x 13 x 4 trace "
+                          "(3744 bytes)\n", earlier[2])
+        assert_no_leftovers(out)
+
+    def test_a_trace_past_numpys_sizes_is_refused_before_any_work(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        monkeypatch.setattr(cli.RunConfig, "tau_grid", None)  # never reached
+        argv = ["simulate", "--tau-count", 2**62, "--n-max", 0, "--out", tmp_path]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: not enough memory for the {2**62} x 1 x 2 trace ({2**66} bytes)\n")
+        assert list(tmp_path.iterdir()) == []
