@@ -24,8 +24,9 @@ and JSON, and SVG identical up to the version comment. Every file is written
 through traces.replacing into the output directory that _out_dir names, so
 a failed command leaves earlier outputs as they were. Exit codes: 0 ok,
 2 configuration error (an output that cannot be written included), 3 data
-error, 4 numerical failure. A simulate trace too large to allocate is a
-configuration error that names its T x (n_max+1) x dim shape and bytes.
+error, 4 numerical failure. Running out of memory is a configuration error:
+simulate names its trace's T x (n_max+1) x dim shape and bytes, and every
+other command says "not enough memory to run <command>".
 
 main returns the exit code and never ends the interpreter. A process runs
 it through process_main, which flushes stdout and stderr and ends with
@@ -41,8 +42,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -59,9 +59,8 @@ class ConfigError(Exception):
     """Bad configuration: unknown keys, invalid values, missing files."""
 
 
-@dataclass
-class RunConfig:
-    """Sweep configuration shared by simulate and analyze."""
+class RunConfig(NamedTuple):
+    """Sweep configuration shared by simulate and analyze; immutable once built."""
 
     model: str = "single_qubit"
     engine: str = "exact"
@@ -97,7 +96,7 @@ class RunConfig:
         return np.linspace(self.tau_start, self.tau_stop, self.tau_count)
 
 
-_CONFIG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+_CONFIG_TYPES = {name: type(value) for name, value in RunConfig._field_defaults.items()}
 
 
 def _read_config_file(path: str) -> dict:
@@ -285,7 +284,7 @@ def _simulate(cfg: RunConfig, m: model_mod.Model) -> dict:
         results["max_abs_dev_from_exact"] = float(np.max(np.abs(deviation, out=deviation)))
         results["five_sigma_bound"] = 5.0 / math.sqrt(cfg.shots)
 
-    summary = _summary("simulate", asdict(cfg), [csv_path], results)
+    summary = _summary("simulate", cfg._asdict(), [csv_path], results)
     summary_path = os.path.join(cfg.out, f"{key}_summary.json")
     summary["files"].append(summary_path)
     _write_json(summary_path, summary)
@@ -326,7 +325,7 @@ def cmd_analyze(cfg: RunConfig) -> dict:
     }
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"analyze_{_model_key(cfg.model)}.json")
-    summary = _summary("analyze", asdict(cfg), [path], results)
+    summary = _summary("analyze", cfg._asdict(), [path], results)
     _write_json(path, summary)
     print(f"wrote {path}")
     return summary
@@ -553,6 +552,9 @@ def main(argv=None) -> int:
         args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # simulate names its trace's size in a ConfigError instead
+        print(f"config error: not enough memory to run {args.command}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

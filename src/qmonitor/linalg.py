@@ -9,7 +9,7 @@ diagonalizing the coupled blocks of a Hamiltonian one at a time
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ def is_unitary(a: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
     return float(np.max(np.abs(adjoint(a) @ a - np.eye(a.shape[0])))) <= tol
 
 
-@dataclass(frozen=True)
-class HermitianEig:
+class HermitianEig(NamedTuple):
     """Spectral decomposition of a Hermitian matrix.
 
     Column k of ``eigenvectors`` is the (unit-norm) eigenvector of

@@ -21,7 +21,7 @@ cycles through p subsets forever, so the distribution never converges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ def _check_doubly_stochastic(mat: np.ndarray) -> None:
         raise ValueError("rows must sum to 1")
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """Closed classes of the kernel at one tau, their periods, and the regime they give."""
 
     kind: str

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -54,58 +53,53 @@ def check_labels(labels: tuple[str, ...]) -> tuple[str, ...]:
     return labels
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
+class MeasurementBasis(NamedTuple("MeasurementBasis", [
+        ("dim", int), ("v", np.ndarray), ("labels", tuple[str, ...])])):
     """An orthonormal measurement basis with human-readable outcome labels."""
 
-    dim: int
-    v: np.ndarray
-    labels: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = linalg.as_matrix(self.v)
-        if v.shape[0] != self.dim:
+    def __new__(cls, dim: int, v: np.ndarray, labels: tuple[str, ...]):
+        v = linalg.as_matrix(v)
+        if v.shape[0] != dim:
             raise ValueError("basis matrix does not match dim")
-        if len(self.labels) != self.dim:
+        if len(labels) != dim:
             raise ValueError("need one label per basis state")
         if not linalg.is_unitary(v):
             raise ValueError("basis matrix is not unitary")
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "labels", check_labels(tuple(str(s) for s in self.labels)))
+        return super().__new__(cls, dim, v, check_labels(tuple(str(s) for s in labels)))
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple("Model", [("dim", int), ("hamiltonian", np.ndarray),
+                                 ("basis", MeasurementBasis), ("initial_state", np.ndarray)])):
     """A Hamiltonian, a measurement basis, and an initial pure state.
 
-    The spectral decomposition of V^dag H V, the only one any propagator is
-    built from, is computed on first use and cached on the instance, so every
-    tau of a sweep shares it. Changing ``hamiltonian`` or ``basis.v`` in place
-    after first use is unsupported: the cached decomposition would go stale.
+    The fields cannot be reassigned. The spectral decomposition of V^dag H V,
+    the only one any propagator is built from, is computed on first use and
+    cached in the instance's ``__dict__``, so every tau of a sweep shares it;
+    each instance has its own cache, and a model rebuilt from the same arrays
+    computes it again. The arrays stay writable: changing ``hamiltonian`` or
+    ``basis.v`` in place after first use is unsupported, because the cached
+    decomposition would go stale.
     """
 
-    dim: int
-    hamiltonian: np.ndarray
-    basis: MeasurementBasis
-    initial_state: np.ndarray
-
-    def __post_init__(self):
-        h = linalg.require_hermitian(self.hamiltonian)
-        if h.shape[0] != self.dim or self.basis.dim != self.dim:
+    def __new__(cls, dim: int, hamiltonian: np.ndarray, basis: MeasurementBasis,
+                initial_state: np.ndarray):
+        h = linalg.require_hermitian(hamiltonian)
+        if h.shape[0] != dim or basis.dim != dim:
             raise ValueError("inconsistent dimensions")
         # By Gershgorin every eigenvalue of V^dag H V is at most dim * max|H_ij|, so
         # this keeps every sum in V^dag H V and every phase lambda tau (tau <= 2 pi) finite.
-        scale = 4.0 * math.pi * self.dim * float(np.max(np.abs(h)))
+        scale = 4.0 * math.pi * dim * float(np.max(np.abs(h)))
         if not math.isfinite(scale):
             raise ValueError(f"Hamiltonian entries overflow: 4 pi dim max|H_ij| = {scale}")
-        psi = np.asarray(self.initial_state, dtype=complex).reshape(-1)
-        if psi.shape[0] != self.dim:
+        psi = np.asarray(initial_state, dtype=complex).reshape(-1)
+        if psi.shape[0] != dim:
             raise ValueError("initial state has wrong length")
         norm = float(np.linalg.norm(psi))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"initial state is not normalized (norm {norm})")
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "initial_state", psi)
+        return super().__new__(cls, dim, h, basis, psi)
 
     @cached_property
     def measurement_eig(self) -> linalg.HermitianEig:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ class UnidentifiableDataError(ValueError):
     """The fit objective carries no information about gamma."""
 
 
-@dataclass(frozen=True)
-class NoiseFit:
+class NoiseFit(NamedTuple):
     """Fitted depolarizing strength with its residual and derived timescale."""
 
     gamma: float
@@ -33,18 +32,18 @@ class NoiseFit:
     fitted_on: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class HardwareProfile:
+class HardwareProfile(NamedTuple("HardwareProfile", [
+        ("dur_1q_ns", float), ("dur_cnot_ns", float), ("dur_readout_ns", float)])):
     """Gate and readout durations (ns), the inputs of cycle_duration."""
 
-    dur_1q_ns: float
-    dur_cnot_ns: float
-    dur_readout_ns: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("dur_1q_ns", "dur_cnot_ns", "dur_readout_ns"):
-            if getattr(self, name) <= 0:
+    def __new__(cls, dur_1q_ns: float, dur_cnot_ns: float, dur_readout_ns: float):
+        self = super().__new__(cls, dur_1q_ns, dur_cnot_ns, dur_readout_ns)
+        for name, value in zip(self._fields, self):
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
+        return self
 
 
 # Bundled default: gate and readout durations of a 7-qubit fixed-frequency
@@ -56,19 +55,18 @@ DEFAULT_HARDWARE = HardwareProfile(
 )
 
 
-@dataclass(frozen=True)
-class LayerCount:
+class LayerCount(NamedTuple("LayerCount", [
+        ("n_1q_layers", int), ("n_cnot_layers", int), ("n_meas_layers", int)])):
     """Non-parallelizable gate layers making up one protocol cycle."""
 
-    n_1q_layers: int
-    n_cnot_layers: int
-    n_meas_layers: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.n_1q_layers, self.n_cnot_layers) < 0:
+    def __new__(cls, n_1q_layers: int, n_cnot_layers: int, n_meas_layers: int = 1):
+        if min(n_1q_layers, n_cnot_layers) < 0:
             raise ValueError("layer counts must be non-negative")
-        if self.n_meas_layers < 1:
+        if n_meas_layers < 1:
             raise ValueError("each cycle needs at least one measurement layer")
+        return super().__new__(cls, n_1q_layers, n_cnot_layers, n_meas_layers)
 
 
 def tau_average(values: np.ndarray, taus) -> np.ndarray:
@@ -208,7 +206,7 @@ def decay_rate(gamma: float, dt_us: float) -> float:
 
 
 def hardware_profile_from_file(path) -> HardwareProfile:
-    """Load a HardwareProfile from a JSON object carrying the dataclass fields.
+    """Load a HardwareProfile from a JSON object that carries its three duration fields.
 
     Other keys, such as the error rates and coherence times of a full device
     characterization, are ignored.

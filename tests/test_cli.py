@@ -274,6 +274,31 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith(f"config error: config file {ini}: 'utf-8' codec")
 
 
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_the_summary_echoes_every_config_field_with_its_json_type(tmp_path, command):
+    # simulate takes its values from flags, analyze from a config file's text
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nmodel = two_qubit_bell\ntau_start = 0.5\ntau_stop = 1\n"
+                   "tau_count = 3\nn_max = 2\ngamma = 0\n")
+    flags = ["--model", "two_qubit_bell", "--engine", "sample", "--tau-start", 0.5,
+             "--tau-stop", 1, "--tau-count", 3, "--n-max", 2, "--gamma", 0.05,
+             "--shots", 64, "--seed", 5]
+    argv, name = {
+        "simulate": (flags, "two_qubit_bell_sample_summary.json"),
+        "analyze": (["--config", ini], "analyze_two_qubit_bell.json"),
+    }[command]
+    assert run([command, *argv, "--out", tmp_path]) == 0
+    config = json.loads((tmp_path / name).read_text())["config"]
+    expected = {
+        "model": "two_qubit_bell", "engine": "exact", "tau_start": 0.5, "tau_stop": 1.0,
+        "tau_count": 3, "n_max": 2, "gamma": 0.0, "shots": 8192, "seed": 0, "out": str(tmp_path),
+    }
+    if command == "simulate":
+        expected.update(engine="sample", gamma=0.05, shots=64, seed=5)
+    assert {key: (value, type(value)) for key, value in config.items()} == {
+        key: (value, type(value)) for key, value in expected.items()}
+
+
 class TestAnalyze:
     def test_regimes(self, tmp_path):
         assert (
@@ -788,6 +813,30 @@ class TestOutDir:
         assert run([*args, "--out", blocked]) == 2
         assert capsys.readouterr() == ("", f"cannot write {blocked}: Not a directory\n")
         assert sorted((tmp_path / "data").iterdir()) == data
+
+    @pytest.mark.parametrize("command, target", [
+        ("analyze", "qmonitor.markov.first_cycle"),
+        ("analyze", "json.dump"),  # inside the write, once the temporary file exists
+        ("fit-noise", "qmonitor.cli.read_trace_csv"),
+        ("fit-noise", "json.dump"),
+        ("render", "qmonitor.cli.read_trace_csv"),
+        ("render", "qmonitor.render.heatmap_svg"),
+    ])
+    def test_running_out_of_memory_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                                         command, target):
+        args, _ = self.command(tmp_path, command)
+        out = tmp_path / "out"
+        assert run([*args, "--out", out]) == 0
+        earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(target, out_of_memory)
+        capsys.readouterr()
+        assert run([*args, "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"config error: not enough memory to run {command}\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier  # no *.tmp
 
 
 @pytest.mark.parametrize(

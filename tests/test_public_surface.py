@@ -1,5 +1,5 @@
 """The benchmark's traced entry points resolve, and each command loads only the modules
-it runs."""
+it runs: never dataclasses, whose classes cost every process an exec each."""
 
 import importlib
 import importlib.util
@@ -31,7 +31,8 @@ def test_every_traced_entry_point_resolves(monkeypatch):
 
 
 def loaded_modules(tmp_path, code) -> set[str]:
-    """The qmonitor modules and configparser loaded in a fresh interpreter after code runs."""
+    """The qmonitor modules, configparser and dataclasses loaded in a fresh interpreter
+    after code runs."""
     report = "import sys; print('\\n' + ' '.join(sorted(sys.modules)))"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -40,7 +41,7 @@ def loaded_modules(tmp_path, code) -> set[str]:
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     loaded = set(done.stdout.splitlines()[-1].split())
-    return {m for m in loaded if m.startswith("qmonitor") or m == "configparser"}
+    return {m for m in loaded if m.startswith("qmonitor") or m in ("configparser", "dataclasses")}
 
 
 def run_cli(tmp_path, *argv) -> str:
@@ -59,10 +60,10 @@ def test_the_cli_module_loads_only_traces_model_and_linalg(tmp_path):
 
 SWEEP = ("--tau-count", 5, "--n-max", 6, "--shots", 16)
 ENGINES_UNUSED = {
-    "exact": {"markov", "sample", "analytic", "noisefit", "render", "configparser"},
-    "markov": {"sample", "analytic", "noisefit", "render"},
-    "sample": {"analytic", "noisefit", "render"},
-    "closed_form": {"markov", "sample", "noisefit", "render"},
+    "exact": {"markov", "sample", "analytic", "noisefit", "render", "configparser", "dataclasses"},
+    "markov": {"sample", "analytic", "noisefit", "render", "dataclasses"},
+    "sample": {"analytic", "noisefit", "render", "dataclasses"},
+    "closed_form": {"markov", "sample", "noisefit", "render", "dataclasses"},
 }
 
 
@@ -78,7 +79,7 @@ def test_simulate_loads_only_its_engine(tmp_path, engine):
 
 def test_analyze_loads_no_engine_but_markov(tmp_path):
     loaded = loaded_modules(tmp_path, run_cli(tmp_path, "analyze", *SWEEP[:4]))
-    assert unqualified(loaded) & {"sample", "analytic", "noisefit", "render"} == set()
+    assert unqualified(loaded) & {"sample", "analytic", "noisefit", "render", "dataclasses"} == set()
 
 
 def test_trace_readers_load_only_what_they_run(tmp_path):

@@ -22,6 +22,10 @@ class TestCachedPropagators:
             cached = linalg.unitary_from_eig(m.measurement_eig, tau)
             assert np.array_equal(cached, oracles.unitary_from_hamiltonian(h_meas, tau))
 
+    def test_a_second_access_returns_the_cached_object(self, m):
+        assert m.measurement_eig is m.measurement_eig
+        assert m.initial_distribution is m.initial_distribution
+
 
 def count_calls(monkeypatch, module, name, argv):
     calls = []
