@@ -52,7 +52,7 @@ from .traces import DataError, read_trace_csv
 
 ENV_OUT = "QMONITOR_OUT"
 ENGINES = ("exact", "markov", "closed_form", "sample")
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ConfigError(Exception):
@@ -279,10 +279,21 @@ def _simulate(cfg: RunConfig, m: model_mod.Model) -> dict:
 
     results: dict = {"rows": int(len(taus) * (cfg.n_max + 1)), "labels": list(m.basis.labels)}
     if cfg.engine == "sample":
-        deviation = evolve.run_exact(m, taus, cfg.n_max, cfg.gamma)
-        deviation -= values  # in place, so no trace-sized temporary
-        results["max_abs_dev_from_exact"] = float(np.max(np.abs(deviation, out=deviation)))
+        p = evolve.run_exact(m, taus, cfg.n_max, cfg.gamma)
+        deviation = values  # written, so its buffer takes |values - p|: no trace-sized temporary
+        deviation -= p
+        np.abs(deviation, out=deviation)
+        results["max_abs_dev_from_exact"] = float(np.max(deviation))
         results["five_sigma_bound"] = 5.0 / math.sqrt(cfg.shots)
+        # each cell's binomial standard error, with the variance floored at 1/shots;
+        # p (1 - p) as 1/4 - (p - 1/2)^2, in place, so no third trace is held
+        p -= 0.5
+        np.square(p, out=p)
+        np.subtract(0.25, p, out=p)
+        np.maximum(p, 1.0 / cfg.shots, out=p)
+        p /= cfg.shots
+        deviation /= np.sqrt(p, out=p)
+        results["max_abs_z"] = float(np.max(deviation))
 
     summary = _summary("simulate", cfg._asdict(), [csv_path], results)
     summary_path = os.path.join(cfg.out, f"{key}_summary.json")

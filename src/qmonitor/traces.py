@@ -12,10 +12,12 @@ goes through replacing: it is written under the sibling name
 '<path>.<pid>.tmp' and moved onto path with os.replace only once complete,
 so a failed or interrupted write leaves path's earlier bytes, or no file.
 
-Decimal text is most of their time, and threads cannot share it (the GIL),
-so a large trace's text is split with one helper process started by
-os.fork. The writer's helper gets grid points T//2..T-1 from the trace's
-source of blocks and formats them into the sibling file
+Decimal text is most of their time. The writer formats each distinct 64-bit
+pattern of a tau block once, since converged rows repeat their values.
+Threads cannot share the rest (the GIL), so a large trace's text is split
+with one helper process started by os.fork. The writer's helper gets grid
+points T//2..T-1 from the trace's source of blocks and formats them into
+the sibling file
 '<csv>.<helper pid>.part', which this process appends after its own half
 and removes. A source that computes its blocks (simulate's tau-pointwise
 engines) thus runs on both cores as well: each process computes only its
@@ -34,6 +36,7 @@ import contextlib
 import csv
 import itertools
 import os
+from operator import itemgetter
 
 import numpy as np
 
@@ -170,13 +173,18 @@ def _write_blocks(fh, taus, values, stderrs) -> None:
 
     A block fills a template of its rows: '\\0' where tau goes, the n digits,
     the cells of each column whose bits equal the previous block's, and a
-    ',%.17g' slot for every other cell. It is rebuilt when the repeated
-    columns change. A grid point puts '%.17g' % tau in once and %-formats
-    only the slots; '%.17g' % x and format(x, '.17g') give the same digits,
-    so every float round-trips exactly. Which columns repeat decides only
-    which cells are formatted once, never the text, so any range of a grid
-    writes the bytes that the whole grid writes for it.
+    ',%s' slot for every other cell. It is rebuilt when the repeated columns
+    change. A grid point puts '%.17g' % tau in once, reduces its slot cells
+    to their distinct 64-bit patterns (so 0.0 and -0.0 stay apart), formats
+    each of those once with '%.17g' and fills the slots from that text in
+    cell order. Converged rows repeat their values, so in the exact sweep
+    about half the slot cells reuse another cell's text. '%.17g' % x and
+    format(x, '.17g') give the same digits, so every float round-trips
+    exactly. Which cells repeat decides only which are formatted once, never
+    the text, so any range of a grid writes the bytes that the whole grid
+    writes for it.
     """
+    values = np.asarray(values, dtype=float)  # the cells are keyed on their 64 bits
 
     def block_at(i):
         return values[i] if stderrs is None else np.column_stack([values[i], stderrs[i]])
@@ -188,10 +196,14 @@ def _write_blocks(fh, taus, values, stderrs) -> None:
         same = [col == old for col, old in zip(cols, prev)]
         if key != same:
             key, slots = same, np.logical_not(same)
-            row = "".join(",%.17g" if s else ",%%.17g" for s in same)
+            row = "".join(",%.17g" if s else ",%%s" for s in same)
             text = "".join(f"\0,{n}{row}\n" for n in range(len(block)))
             template = text % tuple(block[:, same].ravel().tolist())
-        cells = tuple(block[:, slots].ravel().tolist())
+        bits, where = np.unique(block[:, slots].view(np.int64), return_inverse=True)
+        digits = ("%.17g," * len(bits) % tuple(bits.view(float).tolist())).split(",")
+        # itemgetter takes at least one index, and of one it returns that text,
+        # which % puts in the template's one slot
+        cells = itemgetter(*where.ravel().tolist())(digits) if where.size else ()
         fh.write(template.replace("\0", "%.17g" % taus[i]) % cells)
 
 

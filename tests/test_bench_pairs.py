@@ -1,0 +1,82 @@
+"""scripts/bench_pairs.py's summary of alternating parent/change benchmark pairs.
+
+The summary is checked on canned run.py results, so no process is started.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def result(**metrics):
+    """run.py's last line with these metric values."""
+    return {"correct": True, "attempted": 1, "failed": 0,
+            "metrics": {name: {"value": value, "unit": "-"} for name, value in metrics.items()}}
+
+
+def pair(workload, seed, parent, change):
+    first = "parent" if seed % 2 else "change"
+    return {"workload": workload, "seed": seed, "first": first,
+            "parent": result(**parent), "change": result(**change)}
+
+
+BETTER = {"wall_s": "lower", "success_rate": "higher"}
+PAIRS = [
+    pair("a", 1, {"wall_s": 1.0, "success_rate": 1.0}, {"wall_s": 0.9, "success_rate": 1.0}),
+    pair("a", 2, {"wall_s": 2.0, "success_rate": 0.5}, {"wall_s": 2.0, "success_rate": 1.0}),
+    pair("a", 3, {"wall_s": 3.0, "success_rate": 1.0}, {"wall_s": 3.5, "success_rate": 0.5}),
+    pair("a", 4, {"wall_s": 4.0, "success_rate": 1.0}, {"wall_s": 1.0, "success_rate": 1.0}),
+    pair("a", 5, {"wall_s": 5.0, "success_rate": 1.0}, {"wall_s": 4.0, "success_rate": 1.0}),
+    pair("b", 1, {"wall_s": 7.0, "peak_rss_mb": 30.0}, {"wall_s": 6.0, "peak_rss_mb": 31.0}),
+]
+
+
+def test_quartiles_medians_and_raw_values_per_side():
+    wall = bench_pairs.summarise(PAIRS, BETTER)["a"]["wall_s"]
+    # statistics.quantiles' default (exclusive) method on 1..5 and 0.9, 1, 2, 3.5, 4
+    assert wall["parent"] == {"q1": 1.5, "median": 3.0, "q3": 4.5,
+                              "values": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    assert wall["change"]["median"] == 2.0
+    assert (wall["change"]["q1"], wall["change"]["q3"]) == (pytest.approx(0.95), 3.75)
+    assert wall["change"]["values"] == [0.9, 2.0, 3.5, 1.0, 4.0]
+    assert wall["pairs"] == 5 and wall["better"] == "lower"
+
+
+def test_wins_follow_the_direction_and_a_tie_counts_for_neither():
+    summary = bench_pairs.summarise(PAIRS, BETTER)["a"]
+    # wall_s is lower-better: pairs 1, 4, 5 to the change, 3 to the parent, 2 a tie
+    assert (summary["wall_s"]["change_won"], summary["wall_s"]["parent_won"]) == (3, 1)
+    # success_rate is higher-better: pair 2 to the change, 3 to the parent, the rest ties
+    assert summary["success_rate"]["better"] == "higher"
+    assert (summary["success_rate"]["change_won"], summary["success_rate"]["parent_won"]) == (1, 1)
+
+
+def test_each_workload_is_summarised_on_its_own_pairs():
+    summary = bench_pairs.summarise(PAIRS, BETTER)
+    assert list(summary) == ["a", "b"]
+    b = summary["b"]
+    assert list(b) == ["wall_s", "peak_rss_mb"]
+    # one pair: every quartile is its value; an unlisted metric is lower-better
+    assert b["peak_rss_mb"]["parent"] == {"q1": 30.0, "median": 30.0, "q3": 30.0,
+                                          "values": [30.0]}
+    assert b["peak_rss_mb"]["better"] == "lower"
+    assert (b["peak_rss_mb"]["change_won"], b["peak_rss_mb"]["parent_won"]) == (0, 1)
+    assert (b["wall_s"]["change_won"], b["wall_s"]["parent_won"]) == (1, 0)
+
+
+def test_the_spread_is_printed_next_to_the_bound():
+    summary = bench_pairs.summarise(PAIRS, BETTER)
+    lines = bench_pairs.spread_lines(summary, {"wall_s": 0.25, "peak_rss_mb": 0.05})
+    assert len(lines) == 3  # a has no peak_rss_mb
+    a_wall, b_wall, b_rss = lines
+    assert a_wall.split()[:2] == ["a", "wall_s"]
+    assert "change won 3/5" in a_wall and "parent spread 1.0000 (bound 0.25)" in a_wall
+    assert b_rss.split()[:2] == ["b", "peak_rss_mb"]
+    assert "parent 30 change 31" in b_rss and "parent spread 0.0000 (bound 0.05)" in b_rss
+    assert "change won 1/1" in b_wall

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from qmonitor import cli, render, traces
 
+from conftest import ALL_MODEL_NAMES
+
 
 DATA = Path(__file__).parent / "data"
 SINGLET_TRIPLET_LABELS = ["psi_0", "psi_1", "psi_2", "psi_3"]
@@ -440,7 +442,7 @@ class TestComplexRing:
         assert run(args) == 0
         assert path.read_bytes() == first
         report = json.loads(path.read_text())
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         for entry in report["results"]["per_tau"]:
             assert entry["regime"] == "infinite_temperature"
             assert max(abs(x) for x in entry["eigenvalues_imag"]) > 1e-3
@@ -911,6 +913,15 @@ class TestTraceCsvFormat:
     D = np.array([[0.5, x / 2, 0.5 - x / 2] for x in VALUES])
     ZERO = ROWS.copy()
     ZERO[0, 0] = -0.0  # ROWS[0, 0] is 0.0
+    # the writer formats each distinct 64-bit pattern of a block's cells once
+    CONSTANT = A.copy()
+    CONSTANT[:, 1] = 0.125  # constant down n, and a new column against A
+    PAIRS = np.array([[x / 2, x / 2, 1.0 - x] for x in VALUES])  # two equal columns per row
+    SIGNED = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [-0.0, -0.0, 1.0]])
+    NEXT = np.array([[x, np.nextafter(x, 1.0), np.nextafter(x, -1.0)]
+                     for x in [0.1, 0.25, 1 / 3, 0.5, 5e-324, 1.0]])
+    ONE = np.array([[0.25, 0.5, 0.25]])
+    ONE_CHANGED = np.array([[0.25, 0.5, 0.125]])
     LAYOUTS = {
         # taus whose '%.17g' has an exponent or a sign
         "signed_and_exponent_taus": ([5e-324, 1e-300, -0.0], [ROWS] * 3),
@@ -918,14 +929,21 @@ class TestTraceCsvFormat:
         "column_constant_over_all_blocks": ([0.1, 0.2, 0.3, 0.4], [A, B, A, B]),
         "column_repeats_for_two_blocks_then_changes": ([0.1, 0.2, 0.3, 0.4], [A, B, A, D]),
         "zero_then_negative_zero": ([0.1, 0.2, 0.3], [ROWS, ZERO, ROWS]),
+        "column_constant_down_n_in_one_block": ([0.1, 0.2, 0.3], [A, CONSTANT, B]),
+        "two_columns_equal_in_one_row": ([0.1, 0.2], [PAIRS, PAIRS[::-1]]),
+        "zero_and_negative_zero_in_one_block": ([0.1, 0.2], [SIGNED, SIGNED[::-1]]),
+        "value_next_to_its_nextafter": ([0.1, 0.2], [NEXT, NEXT[:, ::-1]]),
+        "block_with_no_slot_cells": ([0.1, 0.2, 0.3], [A, A, B]),
+        # with stderrs that repeat from block to block, one slot cell either way
+        "one_row_block_with_one_slot_cell": ([0.1, 0.2], [ONE, ONE_CHANGED], [ONE, ONE]),
     }
 
     @pytest.mark.parametrize("with_stderr", [False, True])
     @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
     def test_layouts_match_the_per_cell_writer(self, tmp_path, layout, with_stderr):
-        taus, blocks = layout
+        taus, blocks, *errs = layout
         blocks = np.stack(blocks)
-        stderrs = blocks[:, :, ::-1] if with_stderr else None
+        stderrs = (np.stack(errs[0]) if errs else blocks[:, :, ::-1]) if with_stderr else None
         labels = ("g", "e,1", "f")[: blocks[0].shape[1]]
         traces.write_trace_csv(tmp_path / "got.csv", labels, taus, blocks, stderrs)
         self.reference(tmp_path / "want.csv", labels, taus, blocks, stderrs)
@@ -1031,6 +1049,75 @@ class TestSampleOnFixtures:
         assert results["max_abs_dev_from_exact"] <= results["five_sigma_bound"]
         assert run(args) == 0
         assert [p.read_bytes() for p in paths] == first
+
+
+class TestMaxAbsZ:
+    """max_abs_z is the largest |counts/shots - p| / sqrt(max(p (1 - p), 1/shots) / shots),
+    with p the exact engine's trace. five_sigma_bound is ten standard errors at
+    p = 1/2, so a sampler biased by 3 sigma in every row passes it; max_abs_z
+    flags it. FLAG_Z was fixed, with the pins' grid, before the first run."""
+
+    FLAG_Z = 5.0
+    PINNED = {  # (model, gamma): max_abs_z at 9 taus, n_max 16, 4096 shots, seed 3
+        ("single_qubit", 0.0): 3.3189887427515337,
+        ("single_qubit", 0.05): 2.2522383489670292,
+        ("two_qubit_singlet_triplet", 0.0): 3.3912252437578414,
+        ("two_qubit_singlet_triplet", 0.05): 2.9837193013663152,
+        ("two_qubit_bell", 0.0): 2.2733166849341755,
+        ("two_qubit_bell", 0.05): 2.476555253528042,
+        ("chain_dim8_seed67", 0.0): 2.97356682258983,
+        ("chain_dim8_seed67", 0.05): 3.200612903173866,
+        ("chain_dim16_seed0", 0.0): 3.4623133921793197,
+        ("chain_dim16_seed0", 0.05): 3.849640494864637,
+        ("ring3_chiral", 0.0): 3.081882300083717,
+        ("ring3_chiral", 0.05): 2.9004901875786575,
+        ("ring3_complex", 0.0): 2.8346344411221684,
+        ("ring3_complex", 0.05): 2.8300245317292925,
+    }
+
+    @staticmethod
+    def results(tmp_path, name, *flags):
+        source = name if name in ALL_MODEL_NAMES else DATA / f"{name}.json"
+        args = ["simulate", "--model", source, "--engine", "sample", *flags, "--out", tmp_path]
+        assert run(args) == 0
+        return json.loads((tmp_path / f"{name}_sample_summary.json").read_text())["results"]
+
+    @pytest.mark.parametrize("name, gamma", PINNED.keys(), ids=[f"{n}-{g}" for n, g in PINNED])
+    def test_pinned_on_the_models_and_fixtures(self, tmp_path, name, gamma):
+        results = self.results(tmp_path, name, "--tau-count", 9, "--n-max", 16, "--shots", 4096,
+                               "--gamma", gamma, "--seed", 3)
+        assert results["max_abs_z"] == pytest.approx(self.PINNED[name, gamma], rel=1e-9)
+        assert results["max_abs_z"] < self.FLAG_Z
+
+    BIASED_GRID = ("--tau-count", 17, "--n-max", 24, "--shots", 8192, "--gamma", 0.033,
+                   "--seed", 7)
+
+    def test_a_sampler_biased_by_three_sigma_passes_the_bound_and_is_flagged(self, tmp_path,
+                                                                             monkeypatch):
+        from qmonitor import evolve, sample
+
+        honest = self.results(tmp_path, "two_qubit_bell", *self.BIASED_GRID)
+        draw = sample.run_shots
+
+        def biased(m, taus, n_max, gamma, *, shots, seed):
+            """The honest draw with 3 sigma of each row's least likely outcome moved onto it
+            from its most likely one."""
+            values = draw(m, taus, n_max, gamma, shots=shots, seed=seed)
+            p = evolve.run_exact(m, taus, n_max, gamma)
+            low, high = p.argmin(axis=2)[..., None], p.argmax(axis=2)[..., None]
+            q = np.take_along_axis(p, low, axis=2)
+            shift = 3.0 * np.sqrt(np.maximum(q * (1.0 - q), 1.0 / shots) / shots)
+            np.put_along_axis(values, low, np.take_along_axis(values, low, axis=2) + shift, axis=2)
+            np.put_along_axis(values, high, np.take_along_axis(values, high, axis=2) - shift,
+                              axis=2)
+            return traces.check_trace(values)
+
+        monkeypatch.setattr(sample, "run_shots", biased)
+        got = self.results(tmp_path, "two_qubit_bell", *self.BIASED_GRID)
+        assert honest["max_abs_dev_from_exact"] <= honest["five_sigma_bound"]
+        assert honest["max_abs_z"] < self.FLAG_Z
+        assert got["max_abs_dev_from_exact"] <= got["five_sigma_bound"]
+        assert got["max_abs_z"] > self.FLAG_Z
 
 
 class TestSeedRange:

@@ -17,6 +17,8 @@ import pytest
 
 from qmonitor import analytic, cli, evolve, markov, model, sample, traces
 
+import test_cli
+
 DATA = Path(__file__).parent / "data"
 SWEEP_TAUS = np.linspace(0.0, np.pi, 257)  # the exact_sweep shape: 257 blocks of 257 rows
 SWEEP_N = 256
@@ -89,6 +91,10 @@ class TestWriter:
         assert forked == serial
         assert forked.count(b"\n") == 1 + 257 * 257
         assert (b"stderr_3" in forked) == (stderrs is not None)
+        # the per-cell writer: one format(x, '.17g') per cell, no distinct values shared
+        test_cli.TestTraceCsvFormat.reference(tmp_path / "want.csv", labels, SWEEP_TAUS, values,
+                                              stderrs)
+        assert forked == (tmp_path / "want.csv").read_bytes()
 
     @pytest.mark.parametrize("blocks", [1, 2, 3, 5, 7])
     def test_odd_and_tiny_grids(self, tmp_path, monkeypatch, forks, blocks):
