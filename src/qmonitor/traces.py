@@ -16,17 +16,16 @@ Decimal text is most of their time. The writer formats each distinct 64-bit
 pattern of a tau block once, since converged rows repeat their values.
 Threads cannot share the rest (the GIL), so a large trace's text is split
 with one helper process started by os.fork. The writer's helper gets grid
-points T//2..T-1 from the trace's source of blocks and formats them into
-the sibling file
-'<csv>.<helper pid>.part', which this process appends after its own half
-and removes. A source that computes its blocks (simulate's tau-pointwise
-engines) thus runs on both cores as well: each process computes only its
-half. The reader's helper converts the lines from the file's middle byte on
-into shared anonymous mmaps. Both halves run the same block-range function
-as a one-process run, so the split never shows in the bytes or values. A
-trace of fewer than _FORK_MIN_CELLS cells stays in one process, and so does
-every trace where os.fork is missing or only one CPU is in
-os.sched_getaffinity(0). The helper is killed and reaped, and its part
+points T//2..T-1 from the trace's source of blocks and formats them into the
+sibling file '<csv>.<helper pid>.part', which this process appends after its
+own half and removes. A source that computes its blocks (simulate's
+tau-pointwise engines) thus runs on both cores as well: each process
+computes only its half. The reader's helper converts the lines from the
+file's middle byte on into shared anonymous mmaps. Both halves run the same
+block-range function as a one-process run, so the split never shows in the
+bytes or values. A trace of fewer than _FORK_MIN_CELLS cells stays in one
+process, and so does every trace where os.fork is missing or only one CPU is
+in os.sched_getaffinity(0). The helper is killed and reaped, and its part
 file removed, on every path out.
 """
 
