@@ -14,7 +14,8 @@ and quartiles and the pairs each side won (a tie counts for neither), with
 run.py's machine() record and both revisions. The end-to-end metrics'
 spread (the parent's quartile distance over its median) is printed next to
 the bound BENCHMARK.json gives it. Exits 1 if a run fails or reports an
-incorrect result.
+incorrect result, and, with --trace 1, if a span's call count differs
+between the two sides of a pair, unless --expect-calls names that span.
 """
 
 from __future__ import annotations
@@ -85,6 +86,23 @@ def spread_lines(summary: dict, bounds: dict[str, float]) -> list[str]:
     return lines
 
 
+def call_count_changes(pairs: list[dict], expected: set[str]) -> list[str]:
+    """One line per pair and span whose .calls count differs between the sides.
+
+    A count only one side reports differs too; spans in expected are skipped.
+    """
+    changes = []
+    for pair in pairs:
+        metrics = [pair[side]["metrics"] for side in SIDES]
+        for name in dict.fromkeys(n for m in metrics for n in m if n.endswith(".calls")):
+            span = name.removesuffix(".calls")
+            counts = [m.get(name, {}).get("value") for m in metrics]
+            if span not in expected and counts[0] != counts[1]:
+                changes.append(f"{pair['workload']} seed {pair['seed']}: {span} calls "
+                               f"{counts[0]} (parent) != {counts[1]} (change)")
+    return changes
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
     """(run.py's result line, its run record) for one run on tree."""
     argv = [sys.executable, "qmbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -109,6 +127,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--expect-calls", action="append", default=[], metavar="SPAN",
+                        help="a span whose call count may change (repeatable; with --trace 1)")
     parser.add_argument("--parent-rev", help="the parent's revision (default: a checkout's HEAD)")
     parser.add_argument("--change-rev", help="the change's revision (default: a checkout's HEAD)")
     args = parser.parse_args(argv)
@@ -136,6 +156,8 @@ def main(argv: list[str] | None = None) -> int:
             pairs.append(pair)
             print(f"pair {i + 1} {workload} seed {seed} ({first} first) done", flush=True)
 
+    if args.trace:
+        problems += call_count_changes(pairs, set(args.expect_calls))
     summary = summarise(pairs, better)
     report = {
         "command": ["qmbench/run.py", "--seconds", args.seconds, "--trace", args.trace],

@@ -44,6 +44,10 @@ import os
 import sys
 from typing import NamedTuple, NoReturn
 
+# BLAS sees matrices of at most 16 x 16 here, where an OpenBLAS thread pool only spins.
+# One thread unless the caller chose a count; set before numpy loads (traces loads it too).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__, traces

@@ -112,3 +112,25 @@ def rotate_matrix(a: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {v.shape[0]}")
     av = np.sum(a[:, :, None] * v[None, :, :], axis=1)
     return np.sum(np.conj(v)[:, :, None] * av[:, None, :], axis=0)
+
+
+def components(support) -> list[tuple[tuple[int, ...], ...]]:
+    """Connected components of each (n, n) boolean support in a (..., n, n) stack, in C order.
+
+    The support, made symmetric and reflexive, is squared until it spans
+    paths of n - 1 edges. A component is the sorted tuple of its members,
+    and the components come in order of their first member.
+    """
+    support = np.asarray(support, dtype=bool)
+    n = support.shape[-1]
+    reach = support | np.swapaxes(support, -1, -2) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    blocks = []
+    # each state's component is named by its smallest member
+    for roots in reach.argmax(axis=-1).reshape(-1, n).tolist():
+        members: dict[int, list[int]] = {}
+        for i, root in enumerate(roots):
+            members.setdefault(root, []).append(i)
+        blocks.append(tuple(map(tuple, members.values())))
+    return blocks

@@ -163,14 +163,13 @@ def classify(l: np.ndarray) -> list[RegimeReport]:
     """Classes, periods and regime of every kernel in a (T, dim, dim) stack.
 
     The classes are the connected components of the support L > SUPPORT_TOL
-    made symmetric, read off its batched boolean powers; for a doubly
-    stochastic kernel they are its closed classes. A class's period is the
-    gcd of the lengths n <= dim of the directed walks that return to one of
-    its states: every simple cycle is at most dim long, so these lengths
-    suffice. One boolean walk over the stack gives them all. frozen: every
-    class is a single state. oscillatory: some class has period > 1.
-    infinite_temperature: one aperiodic class. partial: several aperiodic
-    classes.
+    made symmetric (``linalg.components``); for a doubly stochastic kernel
+    they are its closed classes. A class's period is the gcd of the lengths
+    n <= dim of the directed walks that return to one of its states: every
+    simple cycle is at most dim long, so these lengths suffice. One boolean
+    walk over the stack gives them all. frozen: every class is a single
+    state. oscillatory: some class has period > 1. infinite_temperature: one
+    aperiodic class. partial: several aperiodic classes.
     """
     l = np.asarray(l, dtype=float)
     if l.ndim != 3 or l.shape[1] != l.shape[2]:
@@ -184,19 +183,10 @@ def classify(l: np.ndarray) -> list[RegimeReport]:
         returns.append(np.diagonal(walk, axis1=1, axis2=2))
     lengths = np.arange(1, l.shape[-1] + 1)
     state_periods = np.gcd.reduce(np.where(np.stack(returns, axis=-1), lengths, 0), axis=-1)
-    # squared until it spans paths of dim - 1 edges: reach[t, i, j] iff i and j share a class
-    reach = support | np.swapaxes(support, 1, 2) | np.eye(l.shape[-1], dtype=bool)
-    for _ in range((l.shape[-1] - 1).bit_length()):
-        reach = reach @ reach
-    reports = []
-    # each state's class is named by its smallest member, so classes come in first-index order
-    for roots, periods in zip(reach.argmax(axis=-1).tolist(), state_periods.tolist()):
-        members: dict[int, list[int]] = {}
-        for i, root in enumerate(roots):
-            members.setdefault(root, []).append(i)
-        classes = tuple(tuple(c) for c in members.values())
-        reports.append(_report(classes, tuple(math.gcd(*(periods[i] for i in c)) for c in classes)))
-    return reports
+    return [
+        _report(classes, tuple(math.gcd(*(periods[i] for i in c)) for c in classes))
+        for classes, periods in zip(linalg.components(support), state_periods.tolist())
+    ]
 
 
 def class_masses(classes: tuple[tuple[int, ...], ...], p: np.ndarray) -> list[float]:

@@ -212,31 +212,12 @@ def detect_blocks(
     """Connected components of the coupling graph |h_kk'| > threshold (k != k').
 
     Each component is a sorted tuple of indices, and the components are
-    ordered by their first index. Singleton components are allowed; the
-    partition always covers all indices.
+    ordered by their first index (``linalg.components``). Singleton
+    components are allowed; the partition always covers all indices.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    h = linalg.as_matrix(h_in_basis)
-    n = h.shape[0]
-    seen = [False] * n
-    blocks: list[tuple[int, ...]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and i != j and abs(h[i, j]) > threshold:
-                    seen[j] = True
-                    stack.append(j)
-        blocks.append(tuple(sorted(comp)))
-    blocks.sort(key=lambda b: b[0])
-    return tuple(blocks)
+    return linalg.components(np.abs(linalg.as_matrix(h_in_basis)) > threshold)[0]
 
 
 def _complex_array(obj, name: str) -> np.ndarray:

@@ -35,6 +35,7 @@ import contextlib
 import csv
 import itertools
 import os
+import warnings
 from operator import itemgetter
 
 import numpy as np
@@ -97,28 +98,27 @@ class _Helper:
     """One forked process that runs work() and leaves with os._exit.
 
     pid is None when work is None or fork fails; the caller then does all
-    the work itself. The exit status is 0 when work() returns a true value
-    and 1 when it returns a false one or raises; the helper prints nothing.
-    Leaving the with block kills and reaps a helper that wait() has not
-    reaped, so no helper outlives the block.
+    the work itself. The exit status is 0 when work() returns and 1 when it
+    raises; the helper prints nothing. Leaving the with block kills and
+    reaps a helper that wait() has not reaped, so no helper outlives the
+    block.
 
-    work() may run BLAS code (the engines' matmul). Forking a process whose
-    BLAS keeps a thread pool is safe with OpenBLAS, the BLAS numpy ships:
-    it stops its pool in a pthread_atfork handler before the fork, so no
-    pool thread holds a lock that the helper inherits, and each process
-    starts a new pool when it next needs one.
+    work() may run BLAS code (the engines' matmul). A CLI process runs
+    OpenBLAS, the BLAS numpy ships, on one thread (qmonitor.cli), so there
+    is no thread pool at the fork. A caller that sets more threads has a
+    pool, which OpenBLAS stops in a pthread_atfork handler before the fork,
+    so no pool thread holds a lock that the helper inherits; the warning
+    filter below is for such callers.
     """
 
     def __init__(self, work=None):
-        import warnings
-
         self.pid = self._running = None
         if work is None:
             return
         with warnings.catch_warnings():
             # Python 3.12+ warns that a child forked from a process with threads
-            # (OpenBLAS starts some) may deadlock on a lock one of them holds;
-            # OpenBLAS stops its threads before the fork (see the docstring)
+            # (an OpenBLAS pool of more than one) may deadlock on a lock one of them
+            # holds; OpenBLAS stops its threads before the fork (see the docstring)
             warnings.filterwarnings("ignore", "This process .* is multi-threaded",
                                     DeprecationWarning)
             try:
@@ -128,7 +128,8 @@ class _Helper:
         if pid == 0:  # the helper: touches none of the parent's open file objects
             status = 1
             try:
-                status = 0 if work() else 1
+                work()
+                status = 0
             finally:
                 os._exit(status)
         self.pid = self._running = pid
@@ -244,10 +245,9 @@ def write_trace_csv(path, labels, taus, values, stderrs=None, *, rows=None) -> N
         errs = None if stderrs is None else stderrs[start:stop]
         _write_blocks(fh, taus[start:stop], blocks(start, stop), errs)
 
-    def write_second_half() -> bool:
+    def write_second_half():
         with open(f"{path}.{os.getpid()}.part", "w", encoding="utf-8", newline="") as part:
             write(part, split, count)
-        return True
 
     helper = _Helper(write_second_half if 0 < split < count else None)
     if helper.pid is None:
@@ -271,21 +271,23 @@ def write_trace_csv(path, labels, taus, values, stderrs=None, *, rows=None) -> N
                 os.remove(part)
 
 
-def _count_lines(path) -> tuple[int, int, int] | None:
-    """(lines, split, offset) of a file without carriage returns, else None.
+def _count_lines(path) -> tuple[int, int, int]:
+    """(lines, split, offset) of a file in which every line ends with '\\n' alone.
 
     lines counts the '\\n'-ended lines, a last line without its newline
-    included: without '\\r', where the text reader also ends a line, these
-    are the lines it yields. split is the index of the first line that
-    starts at or past the file's middle byte, and offset the byte it starts
-    at (lines and the file size when no line does).
+    included: these are the lines the text reader yields. split is the index
+    of the first line that starts at or past the file's middle byte, and
+    offset the byte it starts at (lines and the file size when no line
+    does). A carriage return, where the text reader also ends a line, raises
+    DataError with its line number.
     """
     count, last, pos, split = 0, b"\n", 0, None
     with open(path, "rb") as raw:
         middle = os.fstat(raw.fileno()).st_size // 2
         for data in iter(lambda: raw.read(1 << 16), b""):
-            if b"\r" in data:
-                return None
+            if (cr := data.find(b"\r")) >= 0:
+                line = count + data.count(b"\n", 0, cr) + 1
+                raise DataError(f"{path}:{line}: a carriage return; lines end with \\n alone")
             if split is None and pos + len(data) >= middle:
                 end = data.find(b"\n", max(middle - 1 - pos, 0))
                 if end >= 0:
@@ -296,127 +298,124 @@ def _count_lines(path) -> tuple[int, int, int] | None:
     return count, line, offset
 
 
-def _convert(lines, keys: np.ndarray, values: np.ndarray, ncol: int, n_states: int) -> bool:
-    """Convert lines into keys and values; whether they were len(keys) rows in the writer's layout.
+def _bad_line(path, lineno: int, lines: list[str], dtype: np.dtype) -> str:
+    """The message naming the first of lines, numbered from lineno, that numpy rejects or skips.
 
-    That layout, row by row: no quotes and no carriage returns, exactly ncol
-    fields, n written as digits. Lines are read in chunks of _CHUNK_ROWS,
-    and numpy's C parser converts each chunk's tau, n and outcome columns
-    into its slice of keys and values; the stderr columns are never
-    converted. The comma count goes first, because loadtxt skips blank
-    lines. Spellings that float() accepts and loadtxt rejects (1_0,
-    non-ASCII digits) return False.
+    A line with fewer columns than the header, or a cell that float() (int()
+    for n) rejects, is named with that error before any earlier line that
+    only numpy rejects (too many columns, or a spelling such as 1_0).
     """
-    usecols = range(2 + n_states)
-    start = 0
-    for chunk_lines in iter(lambda: list(itertools.islice(lines, _CHUNK_ROWS)), []):
-        stop = start + len(chunk_lines)
-        if stop > len(keys):
-            return False
-        text = "".join(chunk_lines)
-        # float() rejects the separators \x1c-\x1f around a number; loadtxt strips them
-        if any(c in text for c in '"\r\x1c\x1d\x1e\x1f'):
-            return False
-        if set(map(str.count, chunk_lines, itertools.repeat(","))) != {ncol - 1}:
-            return False
-        n_digits = "".join(line.split(",", 2)[1] for line in chunk_lines)
-        if not (n_digits.isascii() and n_digits.isdigit()):
-            return False
+    n_states = dtype["p"].shape[0]
+    ncol = 2 + n_states + dtype["stderr"].shape[0]
+    bad = []
+    for k, line in enumerate(lines, lineno):
+        row = line.rstrip("\n").split(",")
+        if len(row) < ncol:
+            return f"{path}:{k}: too few columns"
         try:
-            chunk = np.loadtxt(chunk_lines, delimiter=",", comments=None, ndmin=2, usecols=usecols)
-        except ValueError:
-            return False
-        keys[start:stop] = chunk[:, :2]
-        values[start:stop] = chunk[:, 2:]
-        start = stop
-    return start == len(keys)
+            np.loadtxt([line], delimiter=",", comments=None, dtype=dtype)
+            continue
+        except ValueError as exc:
+            bad.append(f"{path}:{k}: {str(exc).partition(' at row ')[0]}")
+        try:
+            float(row[0]), int(row[1]), list(map(float, row[2 : 2 + n_states]))
+        except ValueError as exc:
+            return f"{path}:{k}: {exc}"
+    return bad[0] if bad else f"{path}: changed while it was read"
 
 
-def _read_body_fast(
-    fh, path, n_lines: int, split: int, offset: int, ncol: int, n_states: int
-) -> tuple[list[float], np.ndarray] | None:
-    """(taus, (T, R, n_states) values) of an n_lines-line body in the writer's layout, else None.
+def _convert(lines, keys: np.ndarray, values: np.ndarray, dtype: np.dtype, path, lineno: int):
+    """Convert the next len(keys) lines, numbered from lineno, into keys and values.
 
-    Besides _convert's row layout, that layout has n running 0..R-1 in
-    every block, one tau per block and no tau in two blocks. The (tau, n)
-    keys and the values are allocated once at their final size, in shared
-    anonymous mmaps, so no other trace-sized array exists. Above
-    _FORK_MIN_CELLS cells, a forked helper converts body lines split..
-    n_lines-1, which start at byte offset, into its rows of both while this
-    process converts the lines before; otherwise this process converts them
-    all. Either half out of layout returns None.
+    numpy's C parser converts each chunk of _CHUNK_ROWS lines into records
+    of dtype, one per row, with exactly one field per column; a stderr cell
+    is kept as its first character only, so it is never converted. A chunk
+    numpy rejects, or in which it skips a blank line, raises DataError
+    naming the line (_bad_line).
     """
+    for start in range(0, len(keys), _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, len(keys))
+        chunk_lines = list(itertools.islice(lines, stop - start))
+        try:
+            with warnings.catch_warnings():  # numpy warns of a chunk of blank lines only
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(chunk_lines, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+        except ValueError:
+            rows = None
+        if rows is None or len(rows) != stop - start:
+            raise DataError(_bad_line(path, lineno + start, chunk_lines, dtype))
+        keys[start:stop, 0] = rows["tau"]
+        keys[start:stop, 1] = rows["n"]
+        values[start:stop] = rows["p"]
+
+
+def _read_body(fh, path, head: int, dtype: np.dtype) -> tuple[list[float], np.ndarray]:
+    """(taus, (T, R, N) values) of the body lines of fh that follow head header lines.
+
+    The (tau, n) keys and the values are allocated once at their final
+    size, in shared anonymous mmaps, so no other trace-sized array exists.
+    Above _FORK_MIN_CELLS cells, a forked helper converts the body lines
+    from the file's middle byte on (_count_lines) into its rows of both
+    while this process converts the lines before; if it fails, this process
+    converts them again, so a bad line raises the one-process error. R is
+    the index of the second row with n = 0. The first row out of its
+    block's place, or of a tau that an earlier block had (0.0 is -0.0), is
+    named.
+    """
+    lines, split, offset = _count_lines(path)
+    n_lines, split = lines - head, split - head
     if n_lines < 1:
-        return None
+        raise DataError(f"{path}: no data rows")
     import io
     import mmap
 
+    n_states = dtype["p"].shape[0]
     keys = np.frombuffer(mmap.mmap(-1, n_lines * 2 * 8)).reshape(n_lines, 2)
     values = np.frombuffer(mmap.mmap(-1, n_lines * n_states * 8)).reshape(n_lines, n_states)
+    ncol = 2 + n_states + dtype["stderr"].shape[0]
     if not (0 < split < n_lines and _forks(n_lines * ncol)):
         split = n_lines
 
-    def convert_second_half() -> bool:
+    def convert_second_half():
         with open(path, "rb") as raw:
             raw.seek(offset)
             text = io.TextIOWrapper(raw, encoding="utf-8", newline="")
-            return _convert(text, keys[split:], values[split:], ncol, n_states)
+            _convert(text, keys[split:], values[split:], dtype, path, head + 1 + split)
 
     with _Helper(convert_second_half if split < n_lines else None) as helper:
         if helper.pid is None:
             split = n_lines
-        if not _convert(itertools.islice(fh, split), keys[:split], values[:split], ncol, n_states):
-            return None
+        _convert(fh, keys[:split], values[:split], dtype, path, head + 1)
         if helper.pid is not None and helper.wait() != 0:
-            return None
-    starts = np.flatnonzero(keys[:, 1] == 0)
-    block = int(starts[1]) if len(starts) > 1 else n_lines
+            convert_second_half()
+    later_zero = keys[1:, 1] == 0
+    block = int(later_zero.argmax()) + 1 if later_zero.any() else n_lines
+    rows = keys[: n_lines - n_lines % block].reshape(-1, block, 2)
+    bad = rows[:, :, 1] != np.arange(block)
+    bad[:, 1:] |= rows[:, 1:, 0] != rows[:, :1, 0]
+    taus = rows[:, 0, 0].tolist()
+    if not bad.any() and len(set(taus)) < len(taus):  # the first row of a repeated tau
+        bad[next(i for i, tau in enumerate(taus) if tau in taus[:i]), 0] = True
+    if bad.any():
+        raise DataError(f"{path}:{head + 1 + int(bad.argmax())}: "
+                        "n values must be contiguous from 0")
     if n_lines % block:
-        return None
-    keys = keys.reshape(-1, block, 2)
-    taus = keys[:, 0, 0].tolist()
-    if not (
-        np.all(keys[:, :, 1] == np.arange(block))
-        and np.all(keys[:, :, 0] == keys[:, :1, 0])
-        and len(set(taus)) == len(taus)  # the line parser's dict keys: -0.0 == 0.0
-    ):
-        return None
-    return taus, values.reshape(len(taus), block, n_states)
-
-
-def _read_body_rows(path, reader, n_states: int) -> tuple[list[float], np.ndarray]:
-    """Parse the body row by row into (taus, (T, R, n_states) values), naming the first bad line."""
-    per_tau: dict[float, list[list[float]]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) < 2 + n_states:
-            raise DataError(f"{path}:{lineno}: too few columns")
-        try:
-            tau = float(row[0])
-            n = int(row[1])
-            vals = [float(x) for x in row[2 : 2 + n_states]]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        rows = per_tau.setdefault(tau, [])
-        if n != len(rows):
-            raise DataError(f"{path}:{lineno}: n values must be contiguous from 0")
-        rows.append(vals)
-    if not per_tau:
-        raise DataError(f"{path}: no data rows")
-    if len({len(rows) for rows in per_tau.values()}) != 1:
         raise DataError(f"{path}: tau blocks have differing n ranges")
-    return list(per_tau), np.array(list(per_tau.values()), dtype=float)
+    return taus, values.reshape(-1, block, n_states)
 
 
 def read_trace_csv(path) -> tuple[list[str], list[float], np.ndarray]:
     """Parse a simulate CSV back into (labels, taus, (T, n_max+1, N) values).
 
-    stderr columns, when present, must be stderr_0..stderr_{N-1} after the
-    outcome columns; their values are not even converted. Raises DataError
-    on any structural problem and on any block that check_trace rejects. A
-    body in the writer's own layout is parsed in chunks straight into the
-    result, so the reader holds the values, the (tau, n) keys and one chunk;
-    any other body is parsed again line by line, which accepts the same
-    files and names the first bad line.
+    The one accepted layout is the writer's: the header tau, n, the N
+    outcome labels and optionally stderr_0..stderr_{N-1}; then blocks of
+    rows tau, n, N values (and N stderr values), each line ending with
+    '\\n' alone, n an integer running 0..R-1 in every block, one tau per
+    block and no tau in two blocks. The body is parsed in chunks straight
+    into the result, so the reader holds the values, the (tau, n) keys and
+    one chunk; the stderr values are dropped. Raises DataError on any
+    structural problem, naming the first bad line where there is one, and
+    on any block that check_trace rejects.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -440,23 +439,14 @@ def read_trace_csv(path) -> tuple[list[str], list[float], np.ndarray]:
                 check_labels(tuple(labels))
             except ValueError as exc:
                 raise DataError(f"{path}: {exc}") from exc
-            body, scan = None, _count_lines(path)
-            if scan is not None:
-                lines, split, offset = scan
-                head = reader.line_num
-                body = _read_body_fast(
-                    fh, path, lines - head, split - head, offset, len(header), n_states
-                )
-            if body is None:
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
-                body = _read_body_rows(path, reader, n_states)
-            taus, values = body
+            dtype = np.dtype([("tau", "f8"), ("n", "i8"), ("p", "f8", n_states),
+                              ("stderr", "U1", len(columns) - n_states)])
+            taus, values = _read_body(fh, path, reader.line_num, dtype)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    except UnicodeDecodeError as exc:  # its position counts from the text reader's last read
+        bad = exc.object[exc.start:exc.end]
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason} {bad!r}") from exc
     try:
         check_trace(values, taus)
     except ValueError as exc:

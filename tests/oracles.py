@@ -5,17 +5,19 @@ no use for: a propagator built from a fresh decomposition of H, the Born law
 of a pure state, a density matrix validator, the large-n limits of the
 two-qubit models, outcome projectors in computational coordinates, a
 per-shot sampler, the magnetization of a two-state count block, and the
-scalar hex colour of the render ramp.
+scalar hex colour of the render ramp, a breadth-first search for the blocks
+of a coupling matrix, and a line-by-line trace CSV parser.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from typing import Literal
 
 import numpy as np
 
-from qmonitor import linalg, markov, render
+from qmonitor import linalg, markov, render, traces
 from qmonitor.model import MeasurementBasis
 
 Parity = Literal["even", "odd", "generic"]
@@ -154,3 +156,69 @@ def limit_probs(model_kind: str, tau: float, parity: Parity = "generic") -> np.n
             return np.array([0.0, 0.5, 0.5, 0.0])
         return None
     raise ValueError(f"no closed-form limits for model kind {model_kind!r}")
+
+
+def bfs_blocks(h: np.ndarray, threshold: float) -> tuple[tuple[int, ...], ...]:
+    """Connected components of |h_kk'| > threshold for a symmetric |h|, one search per component.
+
+    Each component is a sorted tuple, and the components come in order of
+    their first index.
+    """
+    h = np.asarray(h)
+    n = h.shape[0]
+    seen = [False] * n
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack, comp = [start], []
+        seen[start] = True
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in range(n):
+                if not seen[j] and i != j and abs(h[i, j]) > threshold:
+                    seen[j] = True
+                    stack.append(j)
+        blocks.append(tuple(sorted(comp)))
+    return tuple(blocks)
+
+
+def read_trace_rows(path) -> tuple[list[str], list[float], np.ndarray]:
+    """(labels, taus, values) of a trace CSV parsed line by line with the csv module.
+
+    Rows are grouped by tau, in the order the taus first appear, and
+    columns past the outcomes are ignored. Raises traces.DataError naming
+    the first line with too few columns, a tau or value that float()
+    rejects, an n that int() rejects, or an n out of turn in its tau's
+    block; then for blocks of unequal length, and for any block that
+    check_trace rejects. Header checks are left to the reader.
+    """
+    per_tau: dict[float, list[list[float]]] = {}
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        columns = next(reader)[2:]
+        n_states = next((k for k, c in enumerate(columns) if c.startswith("stderr_")),
+                        len(columns))
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) < 2 + n_states:
+                raise traces.DataError(f"{path}:{lineno}: too few columns")
+            try:
+                tau, n = float(row[0]), int(row[1])
+                vals = [float(x) for x in row[2 : 2 + n_states]]
+            except ValueError as exc:
+                raise traces.DataError(f"{path}:{lineno}: {exc}") from exc
+            rows = per_tau.setdefault(tau, [])
+            if n != len(rows):
+                raise traces.DataError(f"{path}:{lineno}: n values must be contiguous from 0")
+            rows.append(vals)
+    if not per_tau:
+        raise traces.DataError(f"{path}: no data rows")
+    if len({len(rows) for rows in per_tau.values()}) != 1:
+        raise traces.DataError(f"{path}: tau blocks have differing n ranges")
+    taus, values = list(per_tau), np.array(list(per_tau.values()), dtype=float)
+    try:
+        traces.check_trace(values, taus)
+    except ValueError as exc:
+        raise traces.DataError(f"{path}: {exc}") from exc
+    return columns[:n_states], taus, values

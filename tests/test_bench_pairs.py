@@ -80,3 +80,30 @@ def test_the_spread_is_printed_next_to_the_bound():
     assert b_rss.split()[:2] == ["b", "peak_rss_mb"]
     assert "parent 30 change 31" in b_rss and "parent spread 0.0000 (bound 0.05)" in b_rss
     assert "change won 1/1" in b_wall
+
+
+def traced(workload, seed, parent, change):
+    """A pair whose sides report these .calls counts."""
+    return pair(workload, seed, {f"{span}.calls": n for span, n in parent.items()},
+                {f"{span}.calls": n for span, n in change.items()})
+
+
+def test_the_call_count_gate_names_each_changed_span():
+    pairs = [
+        traced("a", 1, {"cli": 2, "cli.read_trace_csv": 1}, {"cli": 2, "cli.read_trace_csv": 1}),
+        traced("a", 2, {"cli": 2, "cli.read_trace_csv": 1}, {"cli": 2, "cli.read_trace_csv": 2}),
+        # a span only one side reports has changed its count too
+        traced("b", 1, {"cli": 3}, {"cli": 3, "markov.classify": 1}),
+    ]
+    assert bench_pairs.call_count_changes(pairs, set()) == [
+        "a seed 2: cli.read_trace_csv calls 1 (parent) != 2 (change)",
+        "b seed 1: markov.classify calls None (parent) != 1 (change)",
+    ]
+    assert bench_pairs.call_count_changes(pairs, {"cli.read_trace_csv"}) == [
+        "b seed 1: markov.classify calls None (parent) != 1 (change)",
+    ]
+    assert bench_pairs.call_count_changes(pairs[:1], set()) == []
+
+
+def test_metrics_other_than_call_counts_never_trip_the_gate():
+    assert bench_pairs.call_count_changes(PAIRS, set()) == []

@@ -246,7 +246,7 @@ class TestClassify:
         grids += [np.linspace(0.0, 2 * np.pi, 65), [TAU_CHIRAL, TAU_CHIRAL + 1e-5]]
         l = markov.build_transition_matrix(m, np.concatenate(grids))
         # the reference walks one kernel's symmetrised support at a time
-        want = [model.detect_blocks(np.maximum(k, k.T), markov.SUPPORT_TOL) for k in l]
+        want = [oracles.bfs_blocks(np.maximum(k, k.T), markov.SUPPORT_TOL) for k in l]
         assert [r.classes for r in markov.classify(l)] == want
 
     def test_one_call_classifies_the_stack(self, singlet_triplet):

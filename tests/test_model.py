@@ -131,6 +131,24 @@ class TestDetectBlocks:
         mapped = sorted(tuple(sorted(int(inv[i]) for i in b)) for b in blocks)
         assert mapped == sorted(permuted)
 
+    @given(st.integers(min_value=1, max_value=9), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_the_blocks_of_the_breadth_first_search(self, n, data):
+        # couplings above, at and below the threshold, in a Hermitian matrix
+        levels = st.sampled_from([0.0, 1e-12, 1e-10, 2e-10, 0.3j, -1.0])
+        h = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            for j in range(i, n):
+                h[i, j] = data.draw(levels)
+                h[j, i] = np.conj(h[i, j])
+        assert model.detect_blocks(h) == oracles.bfs_blocks(h, 1e-10)
+
+    def test_one_call_finds_the_blocks_of_a_stack(self):
+        rng = np.random.default_rng(4)
+        stack = rng.random((3, 2, 7, 7)) < 0.15
+        want = [oracles.bfs_blocks(s | s.T, 0.5) for s in stack.reshape(-1, 7, 7)]
+        assert linalg.components(stack) == want
+
     def test_idempotent(self, singlet_triplet):
         h = model.hamiltonian_in_basis(singlet_triplet)
         assert model.detect_blocks(h) == model.detect_blocks(h)

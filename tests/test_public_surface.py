@@ -98,3 +98,23 @@ def test_a_config_file_loads_configparser(tmp_path):
     loaded = loaded_modules(tmp_path, run_cli(tmp_path, "simulate", "--config", ini))
     assert "configparser" in loaded
 
+
+
+def blas_threads(tmp_path, **env) -> int:
+    """The threads of a fresh process that imported the CLI, after one BLAS matmul."""
+    code = ("import os; import qmonitor.cli; import numpy as np; a = np.ones((64, 64)); a @ a; "
+            "print(len(os.listdir('/proc/self/task')))")
+    full = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), full.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env={**full, **env},
+                          capture_output=True, text=True, timeout=120, check=True)
+    return int(done.stdout)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads are counted in /proc")
+def test_a_cli_process_runs_blas_on_one_thread_unless_told_otherwise(tmp_path):
+    # the matrices are at most 16 x 16, where a BLAS thread pool only spins
+    assert blas_threads(tmp_path) == 1
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a second BLAS thread needs a second CPU")
+    assert blas_threads(tmp_path, OPENBLAS_NUM_THREADS="2") == 2

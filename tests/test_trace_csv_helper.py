@@ -3,9 +3,10 @@
 write_trace_csv and read_trace_csv split the text of a large trace between
 this process and one forked helper. The split must not show: the forked
 write equals the one-process write byte for byte, the forked read gives the
-line parser's values bit for bit and its DataError word for word, and no
-helper process, part file or temporary file outlives a call, on success or
-failure. A failed write leaves the target's earlier bytes.
+values of the line-by-line oracle (oracles.read_trace_rows) bit for bit and
+the one-process DataError word for word, and no helper process, part file or
+temporary file outlives a call, on success or failure. A failed write leaves
+the target's earlier bytes.
 """
 
 import os
@@ -17,6 +18,7 @@ import pytest
 
 from qmonitor import analytic, cli, evolve, markov, model, sample, traces
 
+import oracles
 import test_cli
 
 DATA = Path(__file__).parent / "data"
@@ -257,18 +259,17 @@ def chain_csv(tmp_path, forks, tau_count=17, n_max=60):
                         n_max)
 
 
-def read_outcome(path):
+def read_outcome(path, read=cli.read_trace_csv):
     try:
-        labels, taus, values = cli.read_trace_csv(path)
+        labels, taus, values = read(path)
     except cli.DataError as exc:
         return ("error", str(exc))
     return ("ok", labels, [tau.hex() for tau in taus], values.shape, values.tobytes())
 
 
-def line_parser_outcome(path, monkeypatch):
-    with monkeypatch.context() as mp:
-        mp.setattr(traces, "_read_body_fast", lambda *args: None)
-        return read_outcome(path)
+def line_parser_outcome(path):
+    """The outcome of the line-by-line oracle parser."""
+    return read_outcome(path, oracles.read_trace_rows)
 
 
 def second_half_line(path):
@@ -281,19 +282,19 @@ def second_half_line(path):
 
 class TestReader:
     @pytest.mark.parametrize("tau_count, n_max", [(17, 60), (8, 33), (1, 200)])
-    def test_values_are_the_line_parsers(self, tmp_path, monkeypatch, forks, tau_count, n_max):
+    def test_values_are_the_line_parsers(self, tmp_path, forks, tau_count, n_max):
         path = chain_csv(tmp_path, forks, tau_count, n_max)
         got = read_outcome(path)
         assert len(forks) == 1
         assert got[0] == "ok" and got[3] == (tau_count, n_max + 1, 8)
-        assert got == line_parser_outcome(path, monkeypatch)
+        assert got == line_parser_outcome(path)
         assert_no_leftovers(tmp_path)
 
-    def test_stderr_columns(self, tmp_path, monkeypatch, forks):
+    def test_stderr_columns(self, tmp_path, forks):
         path = simulate_csv(tmp_path, forks, "two_qubit_bell", "sample", 33, 40, "--shots", 64)
         got = read_outcome(path)
         assert len(forks) == 1 and got[0] == "ok"
-        assert got == line_parser_outcome(path, monkeypatch)
+        assert got == line_parser_outcome(path)
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -317,7 +318,7 @@ class TestReader:
         with monkeypatch.context() as mp:
             mp.setattr(traces, "_forks", lambda cells: False)
             assert read_outcome(path) == got
-        assert got == line_parser_outcome(path, monkeypatch)
+        assert got == line_parser_outcome(path)
         assert_no_leftovers(tmp_path)
 
     def test_bytes_that_are_not_utf8_in_the_helpers_half(self, tmp_path, monkeypatch, forks):
@@ -334,9 +335,9 @@ class TestReader:
             assert read_outcome(path) == got
         assert_no_leftovers(tmp_path)
 
-    def test_a_failing_helper_falls_back_to_the_line_parser(self, tmp_path, monkeypatch, forks):
+    def test_a_failing_helper_has_its_half_converted_here(self, tmp_path, monkeypatch, forks):
         path = chain_csv(tmp_path, forks)
-        want = line_parser_outcome(path, monkeypatch)
+        want = line_parser_outcome(path)
         parent = os.getpid()
         convert = traces._convert
 
@@ -350,27 +351,26 @@ class TestReader:
         assert len(forks) == 1
         assert_no_leftovers(tmp_path)
 
+    def test_a_killed_helper_has_its_half_converted_here(self, tmp_path, monkeypatch, forks):
+        # a signal, not an exception, ends the helper: this process reads its half again
+        import signal
 
-    def test_a_half_the_helper_rejects_sends_the_file_to_the_line_parser(self, tmp_path,
-                                                                         monkeypatch, forks):
-        # the helper converts every row, then reports them out of layout
         path = chain_csv(tmp_path, forks)
         parent = os.getpid()
-        convert, read_body_fast = traces._convert, traces._read_body_fast
-        bodies = []
+        convert = traces._convert
+        halves = []
 
-        def rejecting_in_the_helper(*args):
-            return convert(*args) and os.getpid() == parent
+        def killed_in_the_helper(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            halves.append(len(args[1]))
+            return convert(*args)
 
-        def spy(*args):
-            bodies.append(read_body_fast(*args))
-            return bodies[-1]
-
-        monkeypatch.setattr(traces, "_convert", rejecting_in_the_helper)
-        monkeypatch.setattr(traces, "_read_body_fast", spy)
+        monkeypatch.setattr(traces, "_convert", killed_in_the_helper)
         got = read_outcome(path)
-        assert bodies == [None] and len(forks) == 1
-        assert got == line_parser_outcome(path, monkeypatch)
+        assert len(forks) == 1 and len(halves) == 2 and sum(halves) == 17 * 61
+        assert got == line_parser_outcome(path)
+        assert_no_leftovers(tmp_path)
 
 
 class TestWhenToFork:
