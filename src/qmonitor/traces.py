@@ -413,9 +413,9 @@ def read_trace_csv(path) -> tuple[list[str], list[float], np.ndarray]:
     '\\n' alone, n an integer running 0..R-1 in every block, one tau per
     block and no tau in two blocks. The body is parsed in chunks straight
     into the result, so the reader holds the values, the (tau, n) keys and
-    one chunk; the stderr values are dropped. Raises DataError on any
-    structural problem, naming the first bad line where there is one, and
-    on any block that check_trace rejects.
+    one chunk; the stderr cells are counted, never converted. Raises
+    DataError on any structural problem, naming the first bad line where
+    there is one, and on any block that check_trace rejects.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
