@@ -298,33 +298,35 @@ def _count_lines(path) -> tuple[int, int, int]:
     return count, line, offset
 
 
-def _bad_line(path, lineno: int, lines: list[str], dtype: np.dtype) -> str:
-    """The message naming the first of lines, numbered from lineno, that numpy rejects or skips.
+def _bad_line(path, lineno: int, lines: list[str], dtype: np.dtype, n_states: int,
+              ncol: int) -> str:
+    """The message naming the first bad line of lines, numbered from lineno.
 
-    A line with fewer columns than the header, or a cell that float() (int()
-    for n) rejects, is named with that error before any earlier line that
-    only numpy rejects (too many columns, or a spelling such as 1_0).
+    Python's rules come first: a line with fewer than ncol columns (a blank
+    one included), or a tau, value or n that float() (int() for n) rejects.
+    Then a line with more columns, and last one that only numpy rejects (a
+    spelling such as 1_0), in numpy's words.
     """
-    n_states = dtype["p"].shape[0]
-    ncol = 2 + n_states + dtype["stderr"].shape[0]
-    bad = []
-    for k, line in enumerate(lines, lineno):
-        row = line.rstrip("\n").split(",")
-        if len(row) < ncol:
-            return f"{path}:{k}: too few columns"
+    rows = [line.rstrip("\n").split(",") for line in lines]
+    for k, row in enumerate(rows, lineno):
         try:
-            np.loadtxt([line], delimiter=",", comments=None, dtype=dtype)
-            continue
-        except ValueError as exc:
-            bad.append(f"{path}:{k}: {str(exc).partition(' at row ')[0]}")
-        try:
+            if len(row) < ncol:
+                raise ValueError("too few columns")
             float(row[0]), int(row[1]), list(map(float, row[2 : 2 + n_states]))
         except ValueError as exc:
             return f"{path}:{k}: {exc}"
-    return bad[0] if bad else f"{path}: changed while it was read"
+    for k, (line, row) in enumerate(zip(lines, rows), lineno):
+        try:
+            if len(row) > ncol:
+                raise ValueError("too many columns")
+            np.loadtxt([line], delimiter=",", comments=None, dtype=dtype)
+        except ValueError as exc:
+            return f"{path}:{k}: {str(exc).partition(' at row ')[0]}"
+    return f"{path}: changed while it was read"
 
 
-def _convert(lines, keys: np.ndarray, values: np.ndarray, dtype: np.dtype, path, lineno: int):
+def _convert(lines, keys: np.ndarray, values: np.ndarray, dtype: np.dtype, path, lineno: int,
+             ncol: int) -> None:
     """Convert the next len(keys) lines, numbered from lineno, into keys and values.
 
     numpy's C parser converts each chunk of _CHUNK_ROWS lines into records
@@ -335,21 +337,25 @@ def _convert(lines, keys: np.ndarray, values: np.ndarray, dtype: np.dtype, path,
     """
     for start in range(0, len(keys), _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, len(keys))
-        chunk_lines = list(itertools.islice(lines, stop - start))
+        chunk = list(itertools.islice(lines, stop - start))
         try:
-            with warnings.catch_warnings():  # numpy warns of a chunk of blank lines only
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(chunk_lines, delimiter=",", comments=None, ndmin=1, dtype=dtype)
-        except ValueError:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a chunk of blank lines
+                # numpy from 1.23 until it dropped the fallback reads an integer field
+                # through float with only this warning, so n written as 1.5 read as 1
+                warnings.filterwarnings("error", "loadtxt.*integer via a float",
+                                        DeprecationWarning)
+                rows = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+        except (ValueError, DeprecationWarning):
             rows = None
         if rows is None or len(rows) != stop - start:
-            raise DataError(_bad_line(path, lineno + start, chunk_lines, dtype))
+            raise DataError(_bad_line(path, lineno + start, chunk, dtype, values.shape[1], ncol))
         keys[start:stop, 0] = rows["tau"]
         keys[start:stop, 1] = rows["n"]
         values[start:stop] = rows["p"]
 
 
-def _read_body(fh, path, head: int, dtype: np.dtype) -> tuple[list[float], np.ndarray]:
+def _read_body(fh, path, head: int, n_states: int, ncol: int) -> tuple[list[float], np.ndarray]:
     """(taus, (T, R, N) values) of the body lines of fh that follow head header lines.
 
     The (tau, n) keys and the values are allocated once at their final
@@ -359,8 +365,8 @@ def _read_body(fh, path, head: int, dtype: np.dtype) -> tuple[list[float], np.nd
     while this process converts the lines before; if it fails, this process
     converts them again, so a bad line raises the one-process error. R is
     the index of the second row with n = 0. The first row out of its
-    block's place, or of a tau that an earlier block had (0.0 is -0.0), is
-    named.
+    block's place, a short last block's included, or of a tau that an
+    earlier block had (0.0 is -0.0), is named.
     """
     lines, split, offset = _count_lines(path)
     n_lines, split = lines - head, split - head
@@ -369,10 +375,10 @@ def _read_body(fh, path, head: int, dtype: np.dtype) -> tuple[list[float], np.nd
     import io
     import mmap
 
-    n_states = dtype["p"].shape[0]
+    dtype = np.dtype([("tau", "f8"), ("n", "i8"), ("p", "f8", n_states),
+                      ("stderr", "U1", ncol - 2 - n_states)])
     keys = np.frombuffer(mmap.mmap(-1, n_lines * 2 * 8)).reshape(n_lines, 2)
     values = np.frombuffer(mmap.mmap(-1, n_lines * n_states * 8)).reshape(n_lines, n_states)
-    ncol = 2 + n_states + dtype["stderr"].shape[0]
     if not (0 < split < n_lines and _forks(n_lines * ncol)):
         split = n_lines
 
@@ -380,22 +386,22 @@ def _read_body(fh, path, head: int, dtype: np.dtype) -> tuple[list[float], np.nd
         with open(path, "rb") as raw:
             raw.seek(offset)
             text = io.TextIOWrapper(raw, encoding="utf-8", newline="")
-            _convert(text, keys[split:], values[split:], dtype, path, head + 1 + split)
+            _convert(text, keys[split:], values[split:], dtype, path, head + 1 + split, ncol)
 
     with _Helper(convert_second_half if split < n_lines else None) as helper:
         if helper.pid is None:
             split = n_lines
-        _convert(fh, keys[:split], values[:split], dtype, path, head + 1)
+        _convert(fh, keys[:split], values[:split], dtype, path, head + 1, ncol)
         if helper.pid is not None and helper.wait() != 0:
             convert_second_half()
     later_zero = keys[1:, 1] == 0
     block = int(later_zero.argmax()) + 1 if later_zero.any() else n_lines
-    rows = keys[: n_lines - n_lines % block].reshape(-1, block, 2)
-    bad = rows[:, :, 1] != np.arange(block)
-    bad[:, 1:] |= rows[:, 1:, 0] != rows[:, :1, 0]
-    taus = rows[:, 0, 0].tolist()
+    place = np.resize(np.arange(block, dtype=np.int32), n_lines)
+    bad = keys[:, 1] != place
+    bad[1:] |= (place[1:] != 0) & (keys[1:, 0] != keys[:-1, 0])
+    taus = keys[::block, 0].tolist()
     if not bad.any() and len(set(taus)) < len(taus):  # the first row of a repeated tau
-        bad[next(i for i, tau in enumerate(taus) if tau in taus[:i]), 0] = True
+        bad[block * next(i for i, tau in enumerate(taus) if tau in taus[:i])] = True
     if bad.any():
         raise DataError(f"{path}:{head + 1 + int(bad.argmax())}: "
                         "n values must be contiguous from 0")
@@ -439,9 +445,7 @@ def read_trace_csv(path) -> tuple[list[str], list[float], np.ndarray]:
                 check_labels(tuple(labels))
             except ValueError as exc:
                 raise DataError(f"{path}: {exc}") from exc
-            dtype = np.dtype([("tau", "f8"), ("n", "i8"), ("p", "f8", n_states),
-                              ("stderr", "U1", len(columns) - n_states)])
-            taus, values = _read_body(fh, path, reader.line_num, dtype)
+            taus, values = _read_body(fh, path, reader.line_num, n_states, len(header))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:  # its position counts from the text reader's last read
