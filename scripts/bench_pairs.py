@@ -16,19 +16,33 @@ spread (the parent's quartile distance over its median) is printed next to
 the bound BENCHMARK.json gives it. Exits 1 if a run fails or reports an
 incorrect result, and, with --trace 1, if a span's call count differs
 between the two sides of a pair, unless --expect-calls names that span.
+
+Before and after each pair the machine is calibrated, and the record kept
+with the pair: the fastest of CALIBRATION_RUNS fresh `python -c pass` and
+`python -c "import numpy"` processes, os.getloadavg(), and a pure
+Python loop timed alone and as the slower of two copies run at once. Their
+ratio, the contention, is about 1 where two processes get a core each and
+about 2 where they share one; it says whether work split between two
+processes can save wall time on this machine.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+CALIBRATION_RUNS = 5
+# a pure Python loop that prints its own run time, so start-up is not counted
+LOOP = ("import time\nstart = time.perf_counter()\nfor _ in range(3_000_000):\n    pass\n"
+        "print(time.perf_counter() - start)")
 
 
 def quartiles(values: list[float]) -> dict:
@@ -103,6 +117,61 @@ def call_count_changes(pairs: list[dict], expected: set[str]) -> list[str]:
     return changes
 
 
+def fresh_seconds(code: str, runs: int) -> float:
+    """The least wall time of runs fresh `python -c code` processes."""
+    best = math.inf
+    for _ in range(runs):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, timeout=60)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def loop_seconds(copies: int) -> float:
+    """The slowest LOOP time of this many copies started at once."""
+    procs = [subprocess.Popen([sys.executable, "-c", LOOP], stdout=subprocess.PIPE, text=True)
+             for _ in range(copies)]
+    return max(float(proc.communicate(timeout=60)[0]) for proc in procs)
+
+
+def calibrate(runs: int) -> dict:
+    """The machine's start-up floors, load and contention at this moment."""
+    alone, two = loop_seconds(1), loop_seconds(2)
+    return {
+        "python_pass_s": fresh_seconds("pass", runs),
+        "import_numpy_s": fresh_seconds("import numpy", runs),
+        "loadavg": list(os.getloadavg()),
+        "loop_alone_s": alone,
+        "loop_two_at_once_s": two,
+        "contention": two / alone,
+    }
+
+
+def calibration_lines(pairs: list[dict]) -> list[str]:
+    """One line per workload: the range of each calibration value over its pairs.
+
+    Where the runs report wall_s (end to end), each side's median is also
+    given in units of the median `import numpy` floor, so that runs from
+    different times or machines can be read side by side.
+    """
+    lines = []
+    for workload in dict.fromkeys(pair["workload"] for pair in pairs):
+        runs = [pair for pair in pairs if pair["workload"] == workload]
+        records = [pair["calibration"][when] for pair in runs for when in ("before", "after")]
+        ranges = [(name, [record[name] for record in records])
+                  for name in ("python_pass_s", "import_numpy_s", "contention")]
+        ranges.append(("loadavg_1min", [record["loadavg"][0] for record in records]))
+        line = f"{workload:16s} calibration " + "  ".join(
+            f"{name} {min(values):.4g}..{max(values):.4g}" for name, values in ranges)
+        if all("wall_s" in pair[side]["metrics"] for pair in runs for side in SIDES):
+            floor = statistics.median(record["import_numpy_s"] for record in records)
+            walls = [statistics.median(pair[side]["metrics"]["wall_s"]["value"] for pair in runs)
+                     / floor for side in SIDES]
+            line += f"  wall_s/import_numpy parent {walls[0]:.3g} change {walls[1]:.3g}"
+        lines.append(line)
+    return lines
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
     """(run.py's result line, its run record) for one run on tree."""
     argv = [sys.executable, "qmbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -147,12 +216,14 @@ def main(argv: list[str] | None = None) -> int:
         first = SIDES[i % 2]  # pair i + 1: the parent first when that is odd
         for workload in workloads:
             pair = {"workload": workload, "seed": seed, "first": first}
+            before = calibrate(CALIBRATION_RUNS)
             for side in (first, *(s for s in SIDES if s != first)):
                 result, record = run_once(trees[side], workload, seed, args.seconds, args.trace)
                 pair[side] = result
                 machines.setdefault(side, record["machine"])
                 if not result["correct"] or result["failed"]:
                     problems.append(f"{side} {workload} seed {seed}: {result['failed']} failed")
+            pair["calibration"] = {"before": before, "after": calibrate(CALIBRATION_RUNS)}
             pairs.append(pair)
             print(f"pair {i + 1} {workload} seed {seed} ({first} first) done", flush=True)
 
@@ -174,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         "summary": summary,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-    for line in spread_lines(summary, bounds):
+    for line in spread_lines(summary, bounds) + calibration_lines(pairs):
         print(line)
     print(f"wrote {args.out}")
     for problem in problems:

@@ -8,12 +8,11 @@ decay rate from layer counts).
 
 Every engine is a function of (model, taus, n_max, gamma) that returns the
 finished, checked (T, n_max+1, dim) trace; simulate dispatches to one, writes
-the trace to the CSV as it is and summarises it. Where the CSV writer splits
-a large trace with a forked helper, the helper computes its own half of the
-grid as well as writing it, for every engine but sample (see _simulate; on
-BLAS in the helper, traces._Helper). The CSV format belongs to
-qmonitor.traces. The commands call its reader through this module's own
-name read_trace_csv, the name that qmbench/tracing.py wraps.
+the trace to the CSV as it is and summarises it. exact, markov and
+closed_form run inside the CSV write, one bounded range of the grid at a
+time, so the trace is never held whole (see _simulate). The CSV format
+belongs to qmonitor.traces. The commands call its reader through this
+module's own name read_trace_csv, the name that qmbench/tracing.py wraps.
 
 This module imports only traces and model (and through them linalg). Each
 command imports the modules it runs when it runs, and simulate imports only
@@ -232,10 +231,9 @@ def _simulate(cfg: RunConfig, m: model_mod.Model) -> dict:
     """Run cfg.engine over the tau grid, write the trace CSV and the summary.
 
     exact, markov and closed_form compute each grid point from its own tau
-    alone, so the engine runs inside the CSV write, in each process of a
-    split write on that process's half of the grid. sample draws the whole
-    grid from one random stream, so it runs first and the write gets the
-    finished trace.
+    alone, so the engine runs inside the CSV write, on one range of the grid
+    at a time (traces.write_trace_csv). sample draws the whole grid from one
+    random stream, so it runs first and the write gets the finished trace.
     """
     taus = cfg.tau_grid()
     stderrs = None
@@ -267,10 +265,6 @@ def _simulate(cfg: RunConfig, m: model_mod.Model) -> dict:
 
             def engine(m, taus, n_max, gamma):
                 return analytic.closed_form_trace(cfg.model, taus, n_max, gamma)
-
-        # checked, and the model's cached spectrum and p0 computed, before a helper forks
-        evolve.check_run(taus, cfg.n_max, cfg.gamma)
-        m.measurement_eig, m.initial_distribution
 
         def blocks(start, stop):
             return engine(m, taus[start:stop], cfg.n_max, cfg.gamma)
@@ -312,7 +306,6 @@ def cmd_analyze(cfg: RunConfig) -> dict:
     from . import markov
 
     m = _build_model(cfg.model)
-    h_blocks = model_mod.detect_blocks(model_mod.hamiltonian_in_basis(m))
     p0 = m.initial_distribution
     taus = cfg.tau_grid()
     kernels = markov.build_transition_matrix(m, taus)
@@ -334,7 +327,7 @@ def cmd_analyze(cfg: RunConfig) -> dict:
         for tau, lam, report, limit in zip(taus.tolist(), eigenvalues, reports, limits)
     ]
     results = {
-        "hamiltonian_blocks": [list(b) for b in h_blocks],
+        "hamiltonian_blocks": [list(b) for b in m.hamiltonian_blocks],
         "initial_distribution": [float(x) for x in p0],
         "per_tau": per_tau,
     }

@@ -74,13 +74,13 @@ class Model(NamedTuple("Model", [("dim", int), ("hamiltonian", np.ndarray),
                                  ("basis", MeasurementBasis), ("initial_state", np.ndarray)])):
     """A Hamiltonian, a measurement basis, and an initial pure state.
 
-    The fields cannot be reassigned. The spectral decomposition of V^dag H V,
-    the only one any propagator is built from, is computed on first use and
-    cached in the instance's ``__dict__``, so every tau of a sweep shares it;
-    each instance has its own cache, and a model rebuilt from the same arrays
-    computes it again. The arrays stay writable: changing ``hamiltonian`` or
-    ``basis.v`` in place after first use is unsupported, because the cached
-    decomposition would go stale.
+    The fields cannot be reassigned. The blocks of V^dag H V and its spectral
+    decomposition, the only one any propagator is built from, are computed
+    on first use and cached in the instance's ``__dict__``, so every tau of
+    a sweep and every command step shares them; each instance has its own
+    cache, and a model rebuilt from the same arrays computes them again. The
+    arrays stay writable: changing ``hamiltonian`` or ``basis.v`` in place
+    after first use is unsupported, because the cached values would go stale.
     """
 
     def __new__(cls, dim: int, hamiltonian: np.ndarray, basis: MeasurementBasis,
@@ -102,20 +102,35 @@ class Model(NamedTuple("Model", [("dim", int), ("hamiltonian", np.ndarray),
         return super().__new__(cls, dim, h, basis, psi)
 
     @cached_property
+    def _measurement_hamiltonian(self) -> np.ndarray:
+        """hamiltonian_in_basis(self), read-only."""
+        h = hamiltonian_in_basis(self)
+        h.flags.writeable = False
+        return h
+
+    @cached_property
+    def hamiltonian_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """``detect_blocks`` of V^dag H V at its default threshold.
+
+        These are the outcome sets that the Hamiltonian and the measurement
+        share: couplings of at most 1e-10 are treated as zero.
+        """
+        return detect_blocks(self._measurement_hamiltonian)
+
+    @cached_property
     def measurement_eig(self) -> linalg.HermitianEig:
         """Decomposition of V^dag H V, the Hamiltonian in measurement coordinates.
 
-        Assembled block by block over ``detect_blocks`` at its default
-        threshold, so couplings of at most 1e-10 are treated as zero. The
-        eigenpairs come grouped by block: column k is supported on the block
-        that contains outcome k, and every entry outside that block is an
-        exact zero. A 1x1 block is its own eigenpair; only larger blocks reach
+        Assembled block by block over ``hamiltonian_blocks``. The eigenpairs
+        come grouped by block: column k is supported on the block that
+        contains outcome k, and every entry outside that block is an exact
+        zero. A 1x1 block is its own eigenpair; only larger blocks reach
         ``linalg.eig_hermitian``.
         """
-        h = hamiltonian_in_basis(self)
+        h = self._measurement_hamiltonian
         eigenvalues = np.real(np.diag(h)).copy()
         eigenvectors = np.eye(self.dim, dtype=complex)
-        for block in detect_blocks(h):
+        for block in self.hamiltonian_blocks:
             if len(block) > 1:
                 dec = linalg.eig_hermitian(h[np.ix_(block, block)])
                 eigenvalues[list(block)] = dec.eigenvalues

@@ -13,20 +13,12 @@ goes through replacing: it is written under the sibling name
 so a failed or interrupted write leaves path's earlier bytes, or no file.
 
 Decimal text is most of their time. The writer formats each distinct 64-bit
-pattern of a tau block once, since converged rows repeat their values.
-Threads cannot share the rest (the GIL), so a large trace's text is split
-with one helper process started by os.fork. The writer's helper gets grid
-points T//2..T-1 from the trace's source of blocks and formats them into the
-sibling file '<csv>.<helper pid>.part', which this process appends after its
-own half and removes. A source that computes its blocks (simulate's
-tau-pointwise engines) thus runs on both cores as well: each process
-computes only its half. The reader's helper converts the lines from the
-file's middle byte on into shared anonymous mmaps. Both halves run the same
-block-range function as a one-process run, so the split never shows in the
-bytes or values. A trace of fewer than _FORK_MIN_CELLS cells stays in one
-process, and so does every trace where os.fork is missing or only one CPU is
-in os.sched_getaffinity(0). The helper is killed and reaped, and its part
-file removed, on every path out.
+pattern of a tau block once, since converged rows repeat their values. It
+takes the grid in consecutive ranges of at most _CHUNK_CELLS value cells,
+so a source that computes its blocks (simulate's tau-pointwise engines)
+never holds more than one range of the trace. The reader converts the body
+in chunks of _CHUNK_ROWS lines straight into arrays of the trace's final
+size. Both run in the calling process.
 """
 
 from __future__ import annotations
@@ -44,12 +36,14 @@ from .model import check_labels
 
 ROW_SUM_TOL = 1e-12
 _CHUNK_ROWS = 512
-# A trace of fewer CSV cells (rows x columns) has its text written and read by
-# one process. Starting and reaping the helper costs about 2 ms; on a 2-vCPU
-# x86-64 machine the split broke even near 25k cells (Bell, 65 x 65 x 6 cells:
-# write 4.2 -> 4.0 ms, read 6.3 -> 5.8 ms) and lost below (33 x 65 x 6: write
-# 2.4 -> 4.4 ms), so the floor sits above the crossover.
-_FORK_MIN_CELLS = 40_000
+# The writer asks a source of blocks for at most this many value cells (rows x
+# outcomes, 1 MiB of floats) at a time, and always for at least one grid point.
+# Each call pays the engine's set-up (a cycle loop in exact), so smaller chunks
+# cost time and larger ones memory. On a 2-vCPU x86-64 machine the exact_sweep
+# peak RSS read 31.95, 32.20, 32.72 and 33.82 MB at 32k, 64k, 128k and 256k
+# cells (33.07 with the grid split between two processes), and the engine and
+# write of that sweep took 86, 80, 75 and 72 ms in process.
+_CHUNK_CELLS = 131_072
 
 
 class DataError(Exception):
@@ -78,77 +72,6 @@ def check_trace(values, taus=None) -> np.ndarray:
             continue
         raise ValueError(problem if taus is None else f"tau={taus[i]}: {problem}")
     return values
-
-
-def _forks(cells: int) -> bool:
-    """Whether the CSV text of this many cells is split with a forked helper.
-
-    Not below _FORK_MIN_CELLS, where starting and reaping the helper costs
-    more than half the text saves; not where os.fork is missing or this
-    process may run on one CPU only.
-    """
-    if cells < _FORK_MIN_CELLS or not hasattr(os, "fork"):
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
-
-
-class _Helper:
-    """One forked process that runs work() and leaves with os._exit.
-
-    pid is None when work is None or fork fails; the caller then does all
-    the work itself. The exit status is 0 when work() returns and 1 when it
-    raises; the helper prints nothing. Leaving the with block kills and
-    reaps a helper that wait() has not reaped, so no helper outlives the
-    block.
-
-    work() may run BLAS code (the engines' matmul). A CLI process runs
-    OpenBLAS, the BLAS numpy ships, on one thread (qmonitor.cli), so there
-    is no thread pool at the fork. A caller that sets more threads has a
-    pool, which OpenBLAS stops in a pthread_atfork handler before the fork,
-    so no pool thread holds a lock that the helper inherits; the warning
-    filter below is for such callers.
-    """
-
-    def __init__(self, work=None):
-        self.pid = self._running = None
-        if work is None:
-            return
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that a child forked from a process with threads
-            # (an OpenBLAS pool of more than one) may deadlock on a lock one of them
-            # holds; OpenBLAS stops its threads before the fork (see the docstring)
-            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                    DeprecationWarning)
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare
-                return
-        if pid == 0:  # the helper: touches none of the parent's open file objects
-            status = 1
-            try:
-                work()
-                status = 0
-            finally:
-                os._exit(status)
-        self.pid = self._running = pid
-
-    def wait(self) -> int:
-        """Reap the helper and return its exit status (negative: the signal that ended it)."""
-        status = os.waitpid(self._running, 0)[1]
-        self._running = None
-        return os.waitstatus_to_exitcode(status)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._running is not None:
-            import signal
-
-            os.kill(self._running, signal.SIGKILL)
-            self.wait()
 
 
 @contextlib.contextmanager
@@ -212,19 +135,13 @@ def write_trace_csv(path, labels, taus, values, stderrs=None, *, rows=None) -> N
 
     values is a (T, R, N) stack, or a function blocks(start, stop) that
     returns the (stop-start, R, N) stack of grid points start..stop-1, with
-    R given as rows; stderrs, only with a stack, is a matching stack. Above
-    _FORK_MIN_CELLS cells, a forked helper takes blocks(T//2, T) and writes
-    it into the sibling file '<path>.<helper pid>.part' while this process
-    takes blocks(0, T//2) and writes the header and it; this process then
-    reaps the helper, appends the part file and removes it. Both halves, and
-    the whole grid otherwise, go through _write_blocks, so the bytes do not
-    depend on the split. If the helper fails, this process takes its half
-    itself, so an error of blocks propagates as in one process; if that
-    works, the write fails with an OSError. The helper is killed and
-    reaped, and the part file removed, on every path.
+    R given as rows; stderrs, only with a stack, is a matching stack. After
+    the header, the grid is taken in consecutive ranges of at most
+    _CHUNK_CELLS value cells (R x N per grid point), and at least one grid
+    point; each range goes through _write_blocks, whose bytes do not depend
+    on the ranges. A computed grid is therefore held one range at a time,
+    and an error of blocks in any range propagates, leaving path as it was.
     """
-    import shutil
-
     header = ["tau", "n", *labels]
     if stderrs is not None:
         header += [f"stderr_{k}" for k in range(len(labels))]
@@ -239,63 +156,31 @@ def write_trace_csv(path, labels, taus, values, stderrs=None, *, rows=None) -> N
         def blocks(start, stop):
             return values[start:stop]
 
-    split = count // 2 if _forks(count * rows * len(header)) else count
-
-    def write(fh, start, stop):
-        errs = None if stderrs is None else stderrs[start:stop]
-        _write_blocks(fh, taus[start:stop], blocks(start, stop), errs)
-
-    def write_second_half():
-        with open(f"{path}.{os.getpid()}.part", "w", encoding="utf-8", newline="") as part:
-            write(part, split, count)
-
-    helper = _Helper(write_second_half if 0 < split < count else None)
-    if helper.pid is None:
-        split = count
-    part = f"{path}.{helper.pid}.part"
-    try:
-        with helper, replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(header)
-            write(fh, 0, split)
-            if helper.pid is not None:
-                if (status := helper.wait()) != 0:
-                    blocks(split, count)  # raises what the helper met, if blocks failed there
-                    raise OSError(f"{path}: the helper writing blocks {split}..{count - 1} "
-                                  f"exited with status {status}")
-                fh.flush()
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer, 1 << 16)
-    finally:
-        if helper.pid is not None:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(part)
+    step = max(1, _CHUNK_CELLS // (rows * len(labels)))
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            errs = None if stderrs is None else stderrs[start:stop]
+            _write_blocks(fh, taus[start:stop], blocks(start, stop), errs)
 
 
-def _count_lines(path) -> tuple[int, int, int]:
-    """(lines, split, offset) of a file in which every line ends with '\\n' alone.
+def _count_lines(path) -> int:
+    """The number of lines of a file in which every line ends with '\\n' alone.
 
-    lines counts the '\\n'-ended lines, a last line without its newline
-    included: these are the lines the text reader yields. split is the index
-    of the first line that starts at or past the file's middle byte, and
-    offset the byte it starts at (lines and the file size when no line
-    does). A carriage return, where the text reader also ends a line, raises
-    DataError with its line number.
+    It counts the '\\n'-ended lines, a last line without its newline
+    included: these are the lines the text reader yields. A carriage
+    return, where the text reader also ends a line, raises DataError with
+    its line number.
     """
-    count, last, pos, split = 0, b"\n", 0, None
+    count, last = 0, b"\n"
     with open(path, "rb") as raw:
-        middle = os.fstat(raw.fileno()).st_size // 2
         for data in iter(lambda: raw.read(1 << 16), b""):
             if (cr := data.find(b"\r")) >= 0:
                 line = count + data.count(b"\n", 0, cr) + 1
                 raise DataError(f"{path}:{line}: a carriage return; lines end with \\n alone")
-            if split is None and pos + len(data) >= middle:
-                end = data.find(b"\n", max(middle - 1 - pos, 0))
-                if end >= 0:
-                    split = (count + data.count(b"\n", 0, end + 1), pos + end + 1)
-            count, last, pos = count + data.count(b"\n"), data[-1:], pos + len(data)
-    count += last != b"\n"
-    line, offset = split or (count, pos)
-    return count, line, offset
+            count, last = count + data.count(b"\n"), data[-1:]
+    return count + (last != b"\n")
 
 
 def _bad_line(path, lineno: int, lines: list[str], dtype: np.dtype, n_states: int,
@@ -321,7 +206,7 @@ def _bad_line(path, lineno: int, lines: list[str], dtype: np.dtype, n_states: in
                 raise ValueError("too many columns")
             np.loadtxt([line], delimiter=",", comments=None, dtype=dtype)
         except ValueError as exc:
-            return f"{path}:{k}: {str(exc).partition(' at row ')[0]}"
+            return f"{path}:{k}: {str(exc).split(' at row ')[0]}"
     return f"{path}: changed while it was read"
 
 
@@ -359,41 +244,21 @@ def _read_body(fh, path, head: int, n_states: int, ncol: int) -> tuple[list[floa
     """(taus, (T, R, N) values) of the body lines of fh that follow head header lines.
 
     The (tau, n) keys and the values are allocated once at their final
-    size, in shared anonymous mmaps, so no other trace-sized array exists.
-    Above _FORK_MIN_CELLS cells, a forked helper converts the body lines
-    from the file's middle byte on (_count_lines) into its rows of both
-    while this process converts the lines before; if it fails, this process
-    converts them again, so a bad line raises the one-process error. R is
-    the index of the second row with n = 0. The first row out of its
-    block's place, a short last block's included, or of a tau that an
-    earlier block had (0.0 is -0.0), is named.
+    size, in anonymous mmaps, and _convert fills them chunk by chunk, so no
+    other trace-sized array exists. R is the index of the second row with
+    n = 0. The first row out of its block's place, a short last block's
+    included, or of a tau that an earlier block had (0.0 is -0.0), is named.
     """
-    lines, split, offset = _count_lines(path)
-    n_lines, split = lines - head, split - head
+    n_lines = _count_lines(path) - head
     if n_lines < 1:
         raise DataError(f"{path}: no data rows")
-    import io
     import mmap
 
     dtype = np.dtype([("tau", "f8"), ("n", "i8"), ("p", "f8", n_states),
                       ("stderr", "U1", ncol - 2 - n_states)])
     keys = np.frombuffer(mmap.mmap(-1, n_lines * 2 * 8)).reshape(n_lines, 2)
     values = np.frombuffer(mmap.mmap(-1, n_lines * n_states * 8)).reshape(n_lines, n_states)
-    if not (0 < split < n_lines and _forks(n_lines * ncol)):
-        split = n_lines
-
-    def convert_second_half():
-        with open(path, "rb") as raw:
-            raw.seek(offset)
-            text = io.TextIOWrapper(raw, encoding="utf-8", newline="")
-            _convert(text, keys[split:], values[split:], dtype, path, head + 1 + split, ncol)
-
-    with _Helper(convert_second_half if split < n_lines else None) as helper:
-        if helper.pid is None:
-            split = n_lines
-        _convert(fh, keys[:split], values[:split], dtype, path, head + 1, ncol)
-        if helper.pid is not None and helper.wait() != 0:
-            convert_second_half()
+    _convert(fh, keys, values, dtype, path, head + 1, ncol)
     later_zero = keys[1:, 1] == 0
     block = int(later_zero.argmax()) + 1 if later_zero.any() else n_lines
     place = np.resize(np.arange(block, dtype=np.int32), n_lines)

@@ -107,3 +107,52 @@ def test_the_call_count_gate_names_each_changed_span():
 
 def test_metrics_other_than_call_counts_never_trip_the_gate():
     assert bench_pairs.call_count_changes(PAIRS, set()) == []
+
+
+@pytest.fixture
+def no_process(monkeypatch):
+    """Fail any attempt of bench_pairs to start a process."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", refuse)
+    monkeypatch.setattr(bench_pairs.subprocess, "Popen", refuse)
+
+
+def test_calibrate_records_the_floors_the_load_and_the_contention(monkeypatch, no_process):
+    floors = {"pass": 0.02, "import numpy": 0.07}
+    monkeypatch.setattr(bench_pairs, "fresh_seconds", lambda code, runs: floors[code])
+    monkeypatch.setattr(bench_pairs, "loop_seconds", lambda copies: {1: 0.5, 2: 0.9}[copies])
+    monkeypatch.setattr(bench_pairs.os, "getloadavg", lambda: (1.25, 0.5, 0.25))
+    assert bench_pairs.calibrate(3) == {
+        "python_pass_s": 0.02, "import_numpy_s": 0.07, "loadavg": [1.25, 0.5, 0.25],
+        "loop_alone_s": 0.5, "loop_two_at_once_s": 0.9, "contention": pytest.approx(1.8),
+    }
+
+
+def calibration(pass_s, contention, load):
+    return {"python_pass_s": pass_s, "import_numpy_s": 0.1, "loadavg": [load, 0.0, 0.0],
+            "loop_alone_s": 1.0, "loop_two_at_once_s": contention, "contention": contention}
+
+
+def test_the_calibration_range_is_printed_per_workload(no_process):
+    pairs = [
+        {**PAIRS[0], "calibration": {"before": calibration(0.05, 1.9, 1.0),
+                                     "after": calibration(0.04, 2.0, 1.5)}},
+        {**PAIRS[1], "calibration": {"before": calibration(0.06, 1.1, 0.5),
+                                     "after": calibration(0.05, 1.8, 1.0)}},
+        {**PAIRS[5], "calibration": {"before": calibration(0.03, 1.0, 0.0),
+                                     "after": calibration(0.03, 1.0, 0.0)}},
+    ]
+    a, b = bench_pairs.calibration_lines(pairs)
+    assert a.split()[:2] == ["a", "calibration"]
+    assert "python_pass_s 0.04..0.06" in a and "import_numpy_s 0.1..0.1" in a
+    assert "contention 1.1..2" in a and "loadavg_1min 0.5..1.5" in a
+    assert "contention 1..1" in b and "loadavg_1min 0..0" in b
+    # the median wall_s over the median import numpy floor, 0.1 s
+    assert a.endswith("wall_s/import_numpy parent 15 change 14.5")
+    assert b.endswith("wall_s/import_numpy parent 70 change 60")
+    # a traced run reports no wall_s, and its line ends with the load
+    traced_pair = {**traced("a", 1, {"cli": 1}, {"cli": 1}),
+                   "calibration": pairs[0]["calibration"]}
+    assert bench_pairs.calibration_lines([traced_pair])[0].endswith("loadavg_1min 1..1.5")

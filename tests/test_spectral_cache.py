@@ -52,6 +52,21 @@ class TestDiagonalizeOnce:
         argv = ["analyze", "--model", "two_qubit_bell", "--tau-count", 17, "--out", tmp_path]
         assert count_calls(monkeypatch, markov, name, argv) == 1
 
+    def test_analyze_rotates_the_hamiltonian_and_finds_its_blocks_once(self, tmp_path,
+                                                                        monkeypatch):
+        calls = []
+        components = linalg.components
+
+        def counting(support):
+            if support.ndim == 2:  # the Hamiltonian's; classify passes a stack of kernels
+                calls.append("components")
+            return components(support)
+
+        monkeypatch.setattr(linalg, "components", counting)
+        argv = ["analyze", "--model", "two_qubit_bell", "--tau-count", 17, "--out", tmp_path]
+        assert count_calls(monkeypatch, model, "hamiltonian_in_basis", argv) == 1
+        assert calls == ["components"]
+
     def test_exact_sweep_diagonalizes_once(self, tmp_path, monkeypatch):
         argv = ["simulate", "--engine", "exact", "--tau-count", 17, "--out", tmp_path]
         assert count_calls(monkeypatch, linalg, "eig_hermitian", argv) == 1

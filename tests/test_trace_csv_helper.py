@@ -1,16 +1,17 @@
-"""The forked helper that writes or reads the second half of a trace CSV.
+"""The trace CSV, written and read in one process with the grid in bounded chunks.
 
-write_trace_csv and read_trace_csv split the text of a large trace between
-this process and one forked helper. The split must not show: the forked
-write equals the one-process write byte for byte, the forked read gives the
-values of the line-by-line oracle (oracles.read_trace_rows) bit for bit and
-the one-process DataError word for word, and no helper process, part file or
-temporary file outlives a call, on success or failure. A failed write leaves
-the target's earlier bytes.
+write_trace_csv takes the grid in consecutive ranges of at most
+traces._CHUNK_CELLS value cells, and simulate's exact, markov and
+closed_form engines compute one range at a time inside the write. The
+ranges must not show: every chunk size writes the bytes of the per-cell
+writer (test_cli.TestTraceCsvFormat.reference), an error in any range fails
+the write and the command as a one-call run would, and leaves the target's
+earlier bytes and no temporary file. No command starts a process, and a
+computed trace is held one chunk at a time. The reader gives the values of
+the line-by-line oracle (oracles.read_trace_rows) bit for bit.
 """
 
 import os
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,104 +21,119 @@ from qmonitor import analytic, cli, evolve, markov, model, sample, traces
 
 import oracles
 import test_cli
+from test_render_memory import traced_cli_peak
 
 DATA = Path(__file__).parent / "data"
 SWEEP_TAUS = np.linspace(0.0, np.pi, 257)  # the exact_sweep shape: 257 blocks of 257 rows
 SWEEP_N = 256
 GAMMA = 0.033
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the helpers started, with the size floor and CPU count out of the way."""
-    started = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            started.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(traces, "_forks", lambda cells: True)
-    return started
+BELL = model.build_model("two_qubit_bell")
+# grid points per chunk: one, two, seven and the whole sweep grid
+POINTS = [1, 2, 7, 257]
 
 
 def assert_no_leftovers(directory):
-    assert not list(Path(directory).glob("*.part"))
-    assert not list(Path(directory).glob("*.tmp"))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert not list(Path(directory).rglob("*.tmp"))
+
+
+def set_chunk(monkeypatch, points, rows, dim):
+    """Make a chunk hold exactly this many grid points of rows x dim value cells."""
+    monkeypatch.setattr(traces, "_CHUNK_CELLS", points * rows * dim)
 
 
 def write_earlier(path):
-    """Write a small one-process trace to path and return its bytes."""
+    """Write a small trace to path and return its bytes."""
     traces.write_trace_csv(path, ("a", "b"), [0.0], np.array([[[1.0, 0.0], [0.5, 0.5]]]))
     return path.read_bytes()
 
 
-def write_both(tmp_path, monkeypatch, forks, labels, taus, values, stderrs=None):
-    """(bytes of the forked write, bytes of the one-process write)."""
-    traces.write_trace_csv(tmp_path / "forked.csv", labels, taus, values, stderrs)
-    assert len(forks) == (len(values) > 1)
-    assert_no_leftovers(tmp_path)
-    with monkeypatch.context() as mp:
-        mp.setattr(traces, "_forks", lambda cells: False)
-        traces.write_trace_csv(tmp_path / "serial.csv", labels, taus, values, stderrs)
-    assert len(forks) == (len(values) > 1)
-    return (tmp_path / "forked.csv").read_bytes(), (tmp_path / "serial.csv").read_bytes()
+def reference_bytes(path, labels, taus, values, stderrs=None):
+    """The bytes of the per-cell writer, one format(x, '.17g') per cell."""
+    test_cli.TestTraceCsvFormat.reference(path, labels, taus, values, stderrs)
+    return path.read_bytes()
 
 
-def sweep_trace(engine):
-    """(values, stderrs) of one engine on the Bell sweep grid, as simulate writes them."""
-    bell = model.build_model("two_qubit_bell")
+def run_engine(engine, taus):
+    """One engine on the Bell model over taus, as simulate calls it."""
     if engine == "exact":
-        return evolve.run_exact(bell, SWEEP_TAUS, SWEEP_N, GAMMA), None
+        return evolve.run_exact(BELL, taus, SWEEP_N, GAMMA)
     if engine == "markov":
-        return markov.run_chain(bell, SWEEP_TAUS, SWEEP_N, GAMMA), None
-    if engine == "closed_form":
-        return analytic.closed_form_trace("two_qubit_bell", SWEEP_TAUS, SWEEP_N, GAMMA), None
-    values = sample.run_shots(bell, SWEEP_TAUS, SWEEP_N, GAMMA, shots=1024, seed=7)
+        return markov.run_chain(BELL, taus, SWEEP_N, GAMMA)
+    return analytic.closed_form_trace("two_qubit_bell", taus, SWEEP_N, GAMMA)
+
+
+def sample_trace():
+    """(values, stderrs) of sample on the Bell sweep grid, as simulate writes them."""
+    values = sample.run_shots(BELL, SWEEP_TAUS, SWEEP_N, GAMMA, shots=1024, seed=7)
     return values, np.sqrt(values * (1.0 - values) / 1024)
 
 
+@pytest.fixture(scope="module")
+def sweep_references(tmp_path_factory):
+    """{engine: (the sweep-shape bytes of the per-cell writer, sample's trace or None)}."""
+    directory = tmp_path_factory.mktemp("references")
+    labels = BELL.basis.labels
+    got = {}
+    for engine in ("exact", "markov", "closed_form"):
+        values = run_engine(engine, SWEEP_TAUS)
+        want = reference_bytes(directory / f"{engine}.csv", labels, SWEEP_TAUS, values)
+        got[engine] = want, None
+    trace = sample_trace()
+    got["sample"] = reference_bytes(directory / "sample.csv", labels, SWEEP_TAUS, *trace), trace
+    return got
+
+
 class TestWriter:
+    @pytest.mark.parametrize("points", POINTS)
     @pytest.mark.parametrize("engine", ["exact", "markov", "sample", "closed_form"])
-    def test_sweep_shape_bytes_do_not_depend_on_the_split(self, tmp_path, monkeypatch, forks,
-                                                          engine):
-        values, stderrs = sweep_trace(engine)
-        labels = model.build_model("two_qubit_bell").basis.labels
-        forked, serial = write_both(tmp_path, monkeypatch, forks, labels, SWEEP_TAUS, values,
-                                    stderrs)
-        assert forked == serial
-        assert forked.count(b"\n") == 1 + 257 * 257
-        assert (b"stderr_3" in forked) == (stderrs is not None)
-        # the per-cell writer: one format(x, '.17g') per cell, no distinct values shared
-        test_cli.TestTraceCsvFormat.reference(tmp_path / "want.csv", labels, SWEEP_TAUS, values,
-                                              stderrs)
-        assert forked == (tmp_path / "want.csv").read_bytes()
+    def test_sweep_shape_bytes_do_not_depend_on_the_split(self, tmp_path, monkeypatch,
+                                                          sweep_references, engine, points):
+        set_chunk(monkeypatch, points, SWEEP_N + 1, 4)
+        want, trace = sweep_references[engine]
+        labels = BELL.basis.labels
+        ranges = []
+        if trace is None:  # computed one range at a time, as simulate does
 
+            def blocks(start, stop):
+                ranges.append((start, stop))
+                return run_engine(engine, SWEEP_TAUS[start:stop])
+
+            traces.write_trace_csv(tmp_path / "t.csv", labels, SWEEP_TAUS, blocks,
+                                   rows=SWEEP_N + 1)
+            starts = range(0, 257, points)
+            assert ranges == [(start, min(start + points, 257)) for start in starts]
+        else:
+            traces.write_trace_csv(tmp_path / "t.csv", labels, SWEEP_TAUS, *trace)
+        got = (tmp_path / "t.csv").read_bytes()
+        assert got.count(b"\n") == 1 + 257 * 257
+        assert (b"stderr_3" in got) == (trace is not None)
+        assert got == want
+
+    @pytest.mark.parametrize("points", POINTS)
     @pytest.mark.parametrize("blocks", [1, 2, 3, 5, 7])
-    def test_odd_and_tiny_grids(self, tmp_path, monkeypatch, forks, blocks):
+    def test_odd_and_tiny_grids(self, tmp_path, monkeypatch, blocks, points):
+        set_chunk(monkeypatch, points, 10, 4)
         taus = np.linspace(0.1, 3.0, blocks)
-        values = markov.run_chain(model.build_model("two_qubit_bell"), taus, 9, GAMMA)
-        forked, serial = write_both(tmp_path, monkeypatch, forks, ("a", "b", "c", "d"), taus,
-                                    values)
-        assert forked == serial
+        values = markov.run_chain(BELL, taus, 9, GAMMA)
+        labels = ("a", "b", "c", "d")
+        traces.write_trace_csv(tmp_path / "t.csv", labels, taus, values)
+        want = reference_bytes(tmp_path / "want.csv", labels, taus, values)
+        assert (tmp_path / "t.csv").read_bytes() == want
 
+    @pytest.mark.parametrize("points", POINTS)
     @pytest.mark.parametrize(
         "repeats",
         [
-            # blocks 0..3 and their copied columns; the helper starts at block 2
+            # blocks 0..3 and their copied columns; with two points a chunk starts at block 2
             ((), (0,), (0, 1), ()),  # the middle block changes which columns repeat
             ((), (0, 1, 2), (0, 1, 2), (1,)),  # a whole block repeats across the split
             ((), (), (), ()),
         ],
         ids=["middle_block_changes_the_repeats", "block_repeats_across_the_split", "none"],
     )
-    def test_repeated_columns_across_the_split(self, tmp_path, monkeypatch, forks, repeats):
+    def test_repeated_columns_across_the_split(self, tmp_path, monkeypatch, repeats, points):
         rows = 6
+        set_chunk(monkeypatch, points, rows, 3)
         rng = np.random.default_rng(5)
         values = np.empty((len(repeats), rows, 3))
         for i, copied in enumerate(repeats):
@@ -125,91 +141,30 @@ class TestWriter:
             for c in copied:
                 values[i, :, c] = values[i - 1, :, c]
         taus = [0.5, 1.0, 1.5, 2.0]
-        forked, serial = write_both(tmp_path, monkeypatch, forks, ("a", "b", "c"), taus, values)
-        assert forked == serial
+        traces.write_trace_csv(tmp_path / "t.csv", ("a", "b", "c"), taus, values)
+        want = reference_bytes(tmp_path / "want.csv", ("a", "b", "c"), taus, values)
+        assert (tmp_path / "t.csv").read_bytes() == want
 
-    def test_a_failing_helper_fails_the_write_and_leaves_nothing(self, tmp_path, monkeypatch,
-                                                                 forks):
-        parent = os.getpid()
-        write_blocks = traces._write_blocks
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_an_error_in_a_later_chunk_leaves_the_earlier_bytes(self, tmp_path, monkeypatch,
+                                                                error):
+        set_chunk(monkeypatch, 2, 10, 4)
+        taus = np.linspace(0.1, 3.0, 7)
+        ranges = []
 
-        def failing_in_the_helper(*args):
-            if os.getpid() != parent:
-                raise RuntimeError("the helper fails")
-            return write_blocks(*args)
-
-        earlier = write_earlier(tmp_path / "t.csv")
-        monkeypatch.setattr(traces, "_write_blocks", failing_in_the_helper)
-        values, _ = sweep_trace("markov")
-        with pytest.raises(OSError, match="helper writing blocks 128..256 exited with status 1"):
-            traces.write_trace_csv(tmp_path / "t.csv", ("a", "b", "c", "d"), SWEEP_TAUS, values)
-        assert len(forks) == 1
-        assert (tmp_path / "t.csv").read_bytes() == earlier
-        assert_no_leftovers(tmp_path)
-
-    def test_a_failing_parent_kills_the_helper_and_leaves_nothing(self, tmp_path, monkeypatch,
-                                                                  forks):
-        parent = os.getpid()
-        write_blocks = traces._write_blocks
-
-        def failing_in_the_parent(*args):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            return write_blocks(*args)
+        def blocks(start, stop):
+            ranges.append((start, stop))
+            if start == 4:
+                raise error("the third chunk fails")
+            return markov.run_chain(BELL, taus[start:stop], 9, GAMMA)
 
         earlier = write_earlier(tmp_path / "t.csv")
-        monkeypatch.setattr(traces, "_write_blocks", failing_in_the_parent)
-        values, _ = sweep_trace("markov")
-        with pytest.raises(KeyboardInterrupt):
-            traces.write_trace_csv(tmp_path / "t.csv", ("a", "b", "c", "d"), SWEEP_TAUS, values)
-        assert len(forks) == 1
+        with pytest.raises(error, match="the third chunk fails"):
+            traces.write_trace_csv(tmp_path / "t.csv", ("a", "b", "c", "d"), taus, blocks,
+                                   rows=10)
+        assert ranges == [(0, 2), (2, 4), (4, 6)]
         assert (tmp_path / "t.csv").read_bytes() == earlier
         assert_no_leftovers(tmp_path)
-
-    def test_no_fork_warning_reaches_the_caller(self, tmp_path, forks):
-        # Python 3.12+ warns on fork() from a process with threads, as OpenBLAS makes it
-        values, _ = sweep_trace("markov")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            traces.write_trace_csv(tmp_path / "t.csv", ("a", "b", "c", "d"), SWEEP_TAUS, values)
-        assert len(forks) == 1
-
-    def test_blas_in_the_helper_does_not_hang(self, tmp_path, monkeypatch, forks):
-        # OpenBLAS's thread pool is up in this process at every fork but the first; a
-        # helper that deadlocked on one of its locks would never be reaped
-        import signal
-
-        bell = model.build_model("two_qubit_bell")
-        engines = [evolve.run_exact, markov.run_chain]
-        want = [sweep_trace("exact")[0], sweep_trace("markov")[0]]
-
-        def timeout(signum, frame):
-            raise TimeoutError("a forked sweep-shape write took over 30 s")
-
-        previous = signal.signal(signal.SIGALRM, timeout)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                for i in range(20):
-                    engine = engines[i % 2]
-                    signal.setitimer(signal.ITIMER_REAL, 30.0)
-                    traces.write_trace_csv(
-                        tmp_path / f"{i % 2}.csv", bell.basis.labels, SWEEP_TAUS,
-                        lambda start, stop: engine(bell, SWEEP_TAUS[start:stop], SWEEP_N, GAMMA),
-                        rows=SWEEP_N + 1,
-                    )
-                    signal.setitimer(signal.ITIMER_REAL, 0.0)
-                    assert len(forks) == i + 1
-                    assert_no_leftovers(tmp_path)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-        for i, values in enumerate(want):
-            with monkeypatch.context() as mp:
-                mp.setattr(traces, "_forks", lambda cells: False)
-                traces.write_trace_csv(tmp_path / "serial.csv", bell.basis.labels, SWEEP_TAUS,
-                                       values)
-            assert (tmp_path / f"{i}.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 class TestReplacing:
@@ -245,18 +200,16 @@ class TestReplacing:
         assert list(tmp_path.iterdir()) == []
 
 
-def simulate_csv(tmp_path, forks, model_name, engine, tau_count, n_max, *extra):
-    """The CSV of one simulate run; forks then lists only the helpers started after it."""
+def simulate_csv(tmp_path, model_name, engine, tau_count, n_max, *extra):
+    """The CSV of one simulate run."""
     argv = ["simulate", "--model", model_name, "--engine", engine, "--tau-count", tau_count,
             "--n-max", n_max, "--out", tmp_path, *extra]
     assert cli.main([str(a) for a in argv]) == 0
-    forks.clear()
     return tmp_path / f"{cli._model_key(str(model_name))}_{engine}.csv"
 
 
-def chain_csv(tmp_path, forks, tau_count=17, n_max=60):
-    return simulate_csv(tmp_path, forks, DATA / "chain_dim8_seed67.json", "markov", tau_count,
-                        n_max)
+def chain_csv(tmp_path, tau_count=17, n_max=60):
+    return simulate_csv(tmp_path, DATA / "chain_dim8_seed67.json", "markov", tau_count, n_max)
 
 
 def read_outcome(path, read=cli.read_trace_csv):
@@ -272,28 +225,27 @@ def line_parser_outcome(path):
     return read_outcome(path, oracles.read_trace_rows)
 
 
-def second_half_line(path):
-    """The 1-based number of a body line that the helper reads, with its text."""
-    lines, split, _ = traces._count_lines(path)
-    assert 1 < split < lines
-    number = (split + lines) // 2 + 1
-    return number, path.read_text().splitlines()[number - 1]
+def late_line(path):
+    """The 1-based number of a body line past the reader's first chunk, with its text."""
+    lines = path.read_text().splitlines()
+    number = (traces._CHUNK_ROWS + len(lines)) // 2 + 1
+    assert traces._CHUNK_ROWS + 1 < number < len(lines)
+    return number, lines[number - 1]
 
 
 class TestReader:
     @pytest.mark.parametrize("tau_count, n_max", [(17, 60), (8, 33), (1, 200)])
-    def test_values_are_the_line_parsers(self, tmp_path, forks, tau_count, n_max):
-        path = chain_csv(tmp_path, forks, tau_count, n_max)
+    def test_values_are_the_line_parsers(self, tmp_path, tau_count, n_max):
+        path = chain_csv(tmp_path, tau_count, n_max)
         got = read_outcome(path)
-        assert len(forks) == 1
         assert got[0] == "ok" and got[3] == (tau_count, n_max + 1, 8)
         assert got == line_parser_outcome(path)
         assert_no_leftovers(tmp_path)
 
-    def test_stderr_columns(self, tmp_path, forks):
-        path = simulate_csv(tmp_path, forks, "two_qubit_bell", "sample", 33, 40, "--shots", 64)
+    def test_stderr_columns(self, tmp_path):
+        path = simulate_csv(tmp_path, "two_qubit_bell", "sample", 33, 40, "--shots", 64)
         got = read_outcome(path)
-        assert len(forks) == 1 and got[0] == "ok"
+        assert got[0] == "ok"
         assert got == line_parser_outcome(path)
 
     @pytest.mark.parametrize(
@@ -305,116 +257,61 @@ class TestReader:
         ],
         ids=["short_row", "n_written_as_float", "bad_cell"],
     )
-    def test_a_bad_line_in_the_helpers_half_gives_the_serial_error(self, tmp_path, monkeypatch,
-                                                                   forks, edit, message):
-        path = chain_csv(tmp_path, forks)
-        number, line = second_half_line(path)
+    def test_a_bad_line_past_the_first_chunk_is_named(self, tmp_path, edit, message):
+        path = chain_csv(tmp_path)
+        number, line = late_line(path)
         lines = path.read_text().splitlines(keepends=True)
         lines[number - 1] = edit(*line.split(",", 2)) + "\n"
         path.write_text("".join(lines))
         got = read_outcome(path)
-        assert len(forks) == 1
         assert got[0] == "error" and got[1].startswith(f"{path}:{number}: {message}")
-        with monkeypatch.context() as mp:
-            mp.setattr(traces, "_forks", lambda cells: False)
-            assert read_outcome(path) == got
         assert got == line_parser_outcome(path)
         assert_no_leftovers(tmp_path)
 
-    def test_bytes_that_are_not_utf8_in_the_helpers_half(self, tmp_path, monkeypatch, forks):
-        path = chain_csv(tmp_path, forks)
-        number, line = second_half_line(path)
+    def test_bytes_that_are_not_utf8_past_the_first_chunk(self, tmp_path):
+        path = chain_csv(tmp_path)
+        number, line = late_line(path)
         data = path.read_bytes()
         at = data.index(line.encode()) + len(line) - 2
         path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
         got = read_outcome(path)
-        assert len(forks) == 1
         assert got[0] == "error" and "not UTF-8 text" in got[1]
-        with monkeypatch.context() as mp:
-            mp.setattr(traces, "_forks", lambda cells: False)
-            assert read_outcome(path) == got
-        assert_no_leftovers(tmp_path)
-
-    def test_a_failing_helper_has_its_half_converted_here(self, tmp_path, monkeypatch, forks):
-        path = chain_csv(tmp_path, forks)
-        want = line_parser_outcome(path)
-        parent = os.getpid()
-        convert = traces._convert
-
-        def failing_in_the_helper(*args):
-            if os.getpid() != parent:
-                raise MemoryError
-            return convert(*args)
-
-        monkeypatch.setattr(traces, "_convert", failing_in_the_helper)
-        assert read_outcome(path) == want
-        assert len(forks) == 1
-        assert_no_leftovers(tmp_path)
-
-    def test_a_killed_helper_has_its_half_converted_here(self, tmp_path, monkeypatch, forks):
-        # a signal, not an exception, ends the helper: this process reads its half again
-        import signal
-
-        path = chain_csv(tmp_path, forks)
-        parent = os.getpid()
-        convert = traces._convert
-        halves = []
-
-        def killed_in_the_helper(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            halves.append(len(args[1]))
-            return convert(*args)
-
-        monkeypatch.setattr(traces, "_convert", killed_in_the_helper)
-        got = read_outcome(path)
-        assert len(forks) == 1 and len(halves) == 2 and sum(halves) == 17 * 61
-        assert got == line_parser_outcome(path)
         assert_no_leftovers(tmp_path)
 
 
-class TestWhenToFork:
-    def test_the_size_floor(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert not traces._forks(traces._FORK_MIN_CELLS - 1)
-        assert traces._forks(traces._FORK_MIN_CELLS)
+def test_no_command_starts_a_process(tmp_path, monkeypatch):
+    started = []
 
-    def test_one_cpu_stays_serial(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-        assert not traces._forks(10 * traces._FORK_MIN_CELLS)
+    def fork():
+        started.append("fork")
+        raise OSError("a process was started")
 
-    def test_no_fork_stays_serial(self, monkeypatch):
-        monkeypatch.delattr(os, "fork")
-        assert not traces._forks(10 * traces._FORK_MIN_CELLS)
-
-    def test_the_noise_roundtrip_csvs_stay_serial(self):
-        # 33 taus x 33 rows of tau, n, 4 outcomes and 4 stderr columns
-        assert 33 * 33 * 10 < traces._FORK_MIN_CELLS
-
-    def test_a_sweep_command_leaves_no_helper_and_no_part_file(self, tmp_path, monkeypatch):
-        started = []
-        real_fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: started.append(1) or real_fork())
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        argv = ["simulate", "--model", "two_qubit_bell", "--engine", "exact", "--tau-count",
-                257, "--n-max", 256, "--gamma", GAMMA, "--out", tmp_path]
+    monkeypatch.setattr(os, "fork", fork)
+    for engine in ("exact", "markov", "closed_form", "sample"):
+        simulate_csv(tmp_path, "two_qubit_bell", engine, 257, SWEEP_N, "--gamma", GAMMA,
+                     "--seed", 7)
+    argvs = [
+        ["render", tmp_path / "two_qubit_bell_markov.csv", "--out", tmp_path],
+        ["fit-noise", tmp_path / "two_qubit_bell_sample.csv", "--model", "two_qubit_bell",
+         "--out", tmp_path],
+        ["analyze", "--model", "two_qubit_bell", "--tau-count", 257, "--out", tmp_path],
+    ]
+    for argv in argvs:
         assert cli.main([str(a) for a in argv]) == 0
-        argv = ["render", tmp_path / "two_qubit_bell_exact.csv", "--out", tmp_path]
-        assert cli.main([str(a) for a in argv]) == 0
-        assert len(started) == 2  # the write and the read
-        assert_no_leftovers(tmp_path)
+    assert started == []
+    assert_no_leftovers(tmp_path)
 
 
 class TestSimulateSplit:
-    """simulate's exact, markov and closed_form engines run inside the split write.
+    """simulate's exact, markov and closed_form engines run inside the chunked write.
 
-    Each process computes and writes its own half of the grid; sample, whose
-    one random stream covers the whole grid, runs first. A failure in either
-    half looks like the one-process run's: its exit code, its stderr line,
-    the earlier outputs, and no helper, part file or temporary file.
+    The engine computes one chunk of the grid at a time; sample, whose one
+    random stream covers the whole grid, runs first. A failure in any chunk
+    looks like the one-chunk run's: its exit code, its stderr line, the
+    earlier outputs, and no temporary file.
     """
 
-    TAUS, N_MAX = 9, 12  # halves of 4 and 5 grid points, 13 rows each
+    TAUS, N_MAX = 9, 12  # with two grid points per chunk: 2, 2, 2, 2 and 1 of 13 rows each
 
     def simulate(self, capsys, out, model_name="two_qubit_bell", engine="exact"):
         """(exit code, stderr, {file name: bytes}) of one simulate run into out."""
@@ -425,41 +322,40 @@ class TestSimulateSplit:
         files = {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())}
         return code, capsys.readouterr().err, files
 
-    def serial(self, monkeypatch, capsys, out, *args):
+    def chunked(self, monkeypatch, capsys, out, *args, points=2):
+        """simulate with this many grid points per chunk (the Bell model's dimension, 4)."""
         with monkeypatch.context() as mp:
-            mp.setattr(traces, "_forks", lambda cells: False)
+            set_chunk(mp, points, self.N_MAX + 1, 4)
             return self.simulate(capsys, out, *args)
 
-    @pytest.mark.parametrize("engine, model_name", [
-        *((engine, name) for engine in ("exact", "markov", "closed_form")
-          for name in analytic.CLOSED_FORMS),
-        *((engine, str(path)) for engine in ("exact", "markov")
-          for path in sorted(DATA.glob("*.json"))),
-    ])
-    def test_each_process_computes_and_writes_its_half(self, tmp_path, monkeypatch, capsys,
-                                                       forks, engine, model_name):
-        parent, grids = os.getpid(), []
-        closed_form_trace = analytic.closed_form_trace
-        run_chain, run_exact = markov.run_chain, evolve.run_exact
+    def test_a_trace_held_one_chunk_at_a_time(self, tmp_path):
+        # Bell exact at 257 x 1025 is 18 chunks; the bound was fixed before the first run
+        # (a one-process write without chunks held 0.58 x payload, one half of the trace)
+        argv = ["simulate", "--model", "two_qubit_bell", "--engine", "exact", "--tau-count",
+                257, "--n-max", 1024, "--gamma", GAMMA, "--out", tmp_path]
+        payload = 257 * 1025 * 4 * 8  # every outcome cell as a float64
+        points = traces._CHUNK_CELLS // (1025 * 4)
+        assert -(-257 // points) >= 8
+        code, peak = traced_cli_peak(argv)
+        assert code == 0
+        assert peak <= 0.25 * payload
 
-        def spy(run):
-            def engine_call(m, taus, *args):  # m is the model name for closed_form_trace
-                if os.getpid() == parent:
-                    grids.append(len(taus))
-                return run(m, taus, *args)
-            return engine_call
+    def test_the_engine_runs_once_per_chunk(self, tmp_path, monkeypatch, capsys):
+        grids = []
+        run_exact = evolve.run_exact
 
-        monkeypatch.setattr(evolve, "run_exact", spy(run_exact))
-        monkeypatch.setattr(markov, "run_chain", spy(run_chain))
-        monkeypatch.setattr(analytic, "closed_form_trace", spy(closed_form_trace))
-        forked = self.simulate(capsys, tmp_path, model_name, engine)
-        assert forked[0] == 0 and grids == [self.TAUS // 2] and len(forks) == 1
-        assert_no_leftovers(tmp_path)
+        def counting(m, taus, *args):
+            grids.append(len(taus))
+            return run_exact(m, taus, *args)
+
+        monkeypatch.setattr(evolve, "run_exact", counting)
+        chunked = self.chunked(monkeypatch, capsys, tmp_path)
+        assert chunked[0] == 0 and grids == [2, 2, 2, 2, 1]
         grids.clear()
-        assert self.serial(monkeypatch, capsys, tmp_path, model_name, engine) == forked
-        assert grids == [self.TAUS] and len(forks) == 1
+        assert self.simulate(capsys, tmp_path) == chunked
+        assert grids == [self.TAUS]
 
-    def test_sample_draws_the_whole_grid_first(self, tmp_path, monkeypatch, forks):
+    def test_sample_draws_the_whole_grid_first(self, tmp_path, monkeypatch):
         calls = []
         run_shots = sample.run_shots
         monkeypatch.setattr(sample, "run_shots",
@@ -468,25 +364,21 @@ class TestSimulateSplit:
         argv = ["simulate", "--model", "two_qubit_bell", "--engine", "sample", "--tau-count",
                 257, "--n-max", 256, "--gamma", GAMMA, "--seed", 7, "--out", tmp_path]
         assert cli.main([str(a) for a in argv]) == 0
-        assert calls == [257] and len(forks) == 1
-        # the CSV is the one-process write of the whole grid's one stream
-        bell = model.build_model("two_qubit_bell")
-        values = run_shots(bell, SWEEP_TAUS, SWEEP_N, GAMMA, shots=8192, seed=7)
+        assert calls == [257]
+        # the CSV is the per-cell write of the whole grid's one stream
+        values = run_shots(BELL, SWEEP_TAUS, SWEEP_N, GAMMA, shots=8192, seed=7)
         stderrs = np.sqrt(values * (1.0 - values) / 8192)
-        monkeypatch.setattr(traces, "_forks", lambda cells: False)
-        traces.write_trace_csv(tmp_path / "want.csv", bell.basis.labels, SWEEP_TAUS, values,
+        want = reference_bytes(tmp_path / "want.csv", BELL.basis.labels, SWEEP_TAUS, values,
                                stderrs)
-        got = (tmp_path / "two_qubit_bell_sample.csv").read_bytes()
-        assert got == (tmp_path / "want.csv").read_bytes()
+        assert (tmp_path / "two_qubit_bell_sample.csv").read_bytes() == want
 
-    @pytest.mark.parametrize("bad", [[2], [6], [2, 6], [3, 4], [8]],
-                             ids=["parents_half", "helpers_half", "both", "across", "last"])
-    def test_an_engine_failure_in_either_half_reads_as_in_one_process(
-            self, tmp_path, monkeypatch, capsys, forks, bad):
+    @pytest.mark.parametrize("bad", [[1], [6], [2, 6], [3, 4], [8]],
+                             ids=["first_chunk", "later_chunk", "two_chunks", "across", "last"])
+    def test_an_engine_failure_in_any_chunk_reads_as_in_one_call(
+            self, tmp_path, monkeypatch, capsys, bad):
         out = tmp_path / "out"
         earlier = self.simulate(capsys, out)
         assert earlier[0] == 0
-        forks.clear()
         grid = np.linspace(0.0, np.pi, self.TAUS)
         run_exact = evolve.run_exact
 
@@ -496,23 +388,21 @@ class TestSimulateSplit:
             return traces.check_trace(rows, taus)
 
         monkeypatch.setattr(evolve, "run_exact", failing)
-        forked = self.simulate(capsys, out)
-        assert len(forks) == 1
+        chunked = self.chunked(monkeypatch, capsys, out)
         assert_no_leftovers(out)
-        assert forked == self.serial(monkeypatch, capsys, out)
-        assert forked == (4, f"numerical failure: tau={grid[bad[0]]}: trace has non-finite "
-                             f"entries\n", earlier[2])
+        assert chunked == self.simulate(capsys, out)
+        assert chunked == (4, f"numerical failure: tau={grid[bad[0]]}: trace has non-finite "
+                              f"entries\n", earlier[2])
 
     @pytest.mark.parametrize("engine, failing_rows", [
-        ("exact", 4), ("exact", 5), ("exact", 9), ("markov", 4), ("markov", 5), ("markov", 9),
+        ("exact", 2), ("exact", 1), ("exact", 9), ("markov", 2), ("markov", 1), ("markov", 9),
         ("sample", 9),  # sample allocates its whole grid, before the write
     ])
     def test_a_failed_allocation_exits_2_with_the_traces_size(
-            self, tmp_path, monkeypatch, capsys, forks, engine, failing_rows):
-        # rows 4: this process's half; 5: the helper's half; 9: the one-process grid
+            self, tmp_path, monkeypatch, capsys, engine, failing_rows):
+        # rows 2: the first chunk; 1: the last chunk; 9: the whole grid in one chunk
         out = tmp_path / "out"
         earlier = self.simulate(capsys, out, "two_qubit_bell", engine)
-        forks.clear()
         empty = np.empty
 
         def failing_empty(shape, *args, **kwargs):
@@ -522,10 +412,9 @@ class TestSimulateSplit:
 
         monkeypatch.setattr(np, "empty", failing_empty)
         if failing_rows == self.TAUS:
-            got = self.serial(monkeypatch, capsys, out, "two_qubit_bell", engine)
-        else:
             got = self.simulate(capsys, out, "two_qubit_bell", engine)
-        assert len(forks) == (failing_rows < self.TAUS)
+        else:
+            got = self.chunked(monkeypatch, capsys, out, "two_qubit_bell", engine)
         assert got == (2, "config error: not enough memory for the 9 x 13 x 4 trace "
                           "(3744 bytes)\n", earlier[2])
         assert_no_leftovers(out)

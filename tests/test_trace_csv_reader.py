@@ -245,22 +245,15 @@ class TestBadLines:
     # body line 1 is file line 2, so a chunk's last line is its first line + CHUNK - 1
     CHUNK = traces._CHUNK_ROWS
 
+    @pytest.mark.parametrize("chunk", [1, 2])
     @pytest.mark.parametrize("step", [-1, 0, 1, 2])
-    @pytest.mark.parametrize("forked", [False, True], ids=["one_process", "helpers_half"])
-    def test_a_bad_line_at_a_chunk_edge_is_named(self, tmp_path, monkeypatch, step, forked):
+    def test_a_bad_line_at_a_chunk_edge_is_named(self, tmp_path, step, chunk):
         path, lines = chain_lines(tmp_path, n_max=80)
-        forks = []
-        real_fork = traces.os.fork
-        monkeypatch.setattr(traces.os, "fork", lambda: forks.append(1) or real_fork())
-        monkeypatch.setattr(traces, "_forks", lambda cells: forked)
-        # the last line of the first chunk of this process, or of the helper, which
-        # starts at the first line past the middle byte
-        first = traces._count_lines(path)[1] + 1 if forked else 2
-        number = first + self.CHUNK - 1 + step
+        # the last line of the first or the second chunk; the first starts at file line 2
+        number = 2 + chunk * self.CHUNK - 1 + step
         assert number < len(lines)
         tau, n, rest = lines[number - 1].split(",", 2)
         got = read_with_lines(path, lines, {number: f"{tau},{n}.0,{rest}"})
-        assert len(forks) == forked
         assert got == ("error", f"{path}:{number}: invalid literal for int() with base 10: "
                                 f"'{n}.0'")
 
