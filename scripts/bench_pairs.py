@@ -13,9 +13,11 @@ every run's metrics, and for each workload and metric both sides' medians
 and quartiles and the pairs each side won (a tie counts for neither), with
 run.py's machine() record and both revisions. The end-to-end metrics'
 spread (the parent's quartile distance over its median) is printed next to
-the bound BENCHMARK.json gives it. Exits 1 if a run fails or reports an
-incorrect result, and, with --trace 1, if a span's call count differs
-between the two sides of a pair, unless --expect-calls names that span.
+the bound BENCHMARK.json gives it, and the line says when the change is
+worse by more than the bound or the spread is too wide to judge. Exits 1
+if a run fails or reports an incorrect result, and, with --trace 1, if a
+span's call count differs between the two sides of a pair, unless
+--expect-calls names that span.
 
 Before and after each pair the machine is calibrated, and the record kept
 with the pair: the fastest of CALIBRATION_RUNS fresh `python -c pass` and
@@ -83,20 +85,36 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
 
 
 def spread_lines(summary: dict, bounds: dict[str, float]) -> list[str]:
-    """One line per workload and bounded metric: both medians and the parent's spread."""
+    """One line per workload and bounded metric: both medians and the parent's spread.
+
+    The spread (the parent's quartile distance) and the bound are fractions of
+    the parent's median. A line ends with "worse" when the change's median is
+    worse than the parent's by more than the bound. Otherwise it ends with
+    "unresolved" when the spread is wider than the bound, unless every change
+    run beats every parent run: the medians cannot be told apart then.
+    """
     lines = []
     for workload, metrics in summary.items():
         for name, bound in bounds.items():
             if name not in metrics:
                 continue
             m = metrics[name]
-            parent = m["parent"]
+            parent, change = m["parent"], m["change"]
             spread = (parent["q3"] - parent["q1"]) / parent["median"] if parent["median"] else 0.0
-            lines.append(
+            sign = -1.0 if m["better"] == "higher" else 1.0  # sign * value is lower-better
+            loss = sign * (change["median"] - parent["median"])
+            every_run_won = (max(sign * v for v in change["values"])
+                             < min(sign * v for v in parent["values"]))
+            line = (
                 f"{workload:16s} {name:12s} parent {parent['median']:.6g} change "
-                f"{m['change']['median']:.6g}  change won {m['change_won']}/{m['pairs']}  "
+                f"{change['median']:.6g}  change won {m['change_won']}/{m['pairs']}  "
                 f"parent spread {spread:.4f} (bound {bound})"
             )
+            if loss > bound * abs(parent["median"]):
+                line += "  worse"
+            elif spread > bound and not every_run_won:
+                line += "  unresolved"
+            lines.append(line)
     return lines
 
 

@@ -14,9 +14,9 @@ time, so the trace is never held whole (see _simulate). The CSV format
 belongs to qmonitor.traces. The commands call its reader through this
 module's own name read_trace_csv, the name that qmbench/tracing.py wraps.
 
-This module imports only traces and model (and through them linalg). Each
-command imports the modules it runs when it runs, and simulate imports only
-its engine's, so a process loads and compiles no code its command skips.
+This module imports only traces, model and linalg. Each command imports the
+modules it runs when it runs, and simulate imports only its engine's, so a
+process loads and compiles no code its command skips.
 
 Runs are reproducible: a fixed config plus seed yields byte-identical CSV
 and JSON, and SVG identical up to the version comment. Every file is written
@@ -49,7 +49,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import __version__, traces
+from . import __version__, linalg, traces
 from . import model as model_mod
 from .traces import DataError, read_trace_csv
 
@@ -434,8 +434,6 @@ def cmd_render(args: argparse.Namespace) -> dict:
         svg = render.lines_svg(taus, series, title=f"{column} vs tau", ylabel=column)
         name = f"{stem}_lines_{_model_key(column)}.svg"
     elif args.kind == "rho_grid":
-        from . import evolve
-
         if not args.model:
             raise ConfigError("rho_grid rendering requires --model")
         m = _build_model(args.model)
@@ -449,7 +447,7 @@ def cmd_render(args: argparse.Namespace) -> dict:
             raise DataError(f"n={args.n} outside 0..{n_rows - 1}")
         probs = values[matches[0], args.n]
         rho_meas = np.diag(probs.astype(complex))
-        rho_comp = evolve.rho_in_basis(rho_meas, m.basis, "to_computational")
+        rho_comp = linalg.rotate_matrix(rho_meas, linalg.adjoint(m.basis.v))
         svg = render.rho_grid_svg(
             rho_comp,
             rho_meas,

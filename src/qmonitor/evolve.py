@@ -1,41 +1,28 @@
-"""Exact density-matrix propagation of the measurement protocol.
+"""The measurement cycle of the protocol, and the exact engine that iterates it.
 
-One protocol cycle is: unitary evolution for a time tau, projective
-dephasing onto the measurement basis, and (optionally) a depolarizing
-admixture of the completely mixed state with weight gamma. States are plain
-complex128 density matrices.
-
-run_exact propagates a whole tau grid at once, in measurement coordinates:
-it builds W(tau) = exp(-i V^dag H V tau) for every grid point in one batched
-step from the block-wise decomposition ``Model.measurement_eig``, so every
-cross-block entry of W is an exact zero, and it rotates the initial state
-into the measurement basis once. A cycle keeps only the real diagonal of
-W rho W^dag (the projective dephasing), computed as sum_j (W rho)_kj
-conj(W_kj), and mixes it with the uniform distribution (the depolarizing
-channel). The first cycle starts from the full initial density matrix, so
-its coherences are propagated as such: the engine is independent of the
-Markov reduction, and the tests use it as the oracle for the other engines.
-After it the dephased state is diagonal, so each later W rho is W with its
-columns scaled by the populations.
+A cycle is unitary evolution for a time tau, a projective measurement in the
+basis V and, optionally, a depolarizing admixture of the completely mixed
+state with weight gamma. A measurement leaves the state diagonal in its basis,
+so each cycle after the first exactly maps the outcome distribution p to p L,
+with the kernel L[k, k'] = |<phi_k'| U(tau) |phi_k>|^2 = P(k -> k'). The first
+starts from the coherent initial state and gives p1 = |V^dag U psi|^2.
+first_cycle computes (p1, L) for a whole tau grid from one batched
+W = exp(-i V^dag H V tau), built block by block from ``Model.measurement_eig``,
+so cross-block entries of W and L are exact zeros. Every engine advances
+these stacks: run_exact applies p L and the depolarizing channel each cycle,
+markov.run_chain folds the channel in afterwards (noisy_closed_form), and
+sample.run_shots draws outcome counts from them.
 """
 
 from __future__ import annotations
 
-from typing import Literal
-
 import numpy as np
 
 from . import linalg
-from .model import MeasurementBasis, Model
+from .model import Model
 from .traces import check_trace
 
-Direction = Literal["to_measurement", "to_computational"]
-
-
-def initial_density(m: Model) -> np.ndarray:
-    """The pure-state density matrix of the model's initial state."""
-    psi = m.initial_state
-    return np.outer(psi, np.conj(psi))
+STOCHASTIC_TOL = 1e-12
 
 
 def _check_gamma(gamma: float) -> float:
@@ -61,28 +48,64 @@ def check_run(taus, n_max: int = 0, gamma: float = 0.0) -> tuple[np.ndarray, flo
     return taus, _check_gamma(gamma)
 
 
+def _check_doubly_stochastic(mat: np.ndarray) -> None:
+    """Reject a kernel, or a stack of kernels, that is not doubly stochastic."""
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("entries must be finite")
+    if np.min(mat) < -STOCHASTIC_TOL or np.max(mat) > 1.0 + STOCHASTIC_TOL:
+        raise ValueError("entries must be probabilities")
+    if np.max(np.abs(mat.sum(axis=-2) - 1.0)) > STOCHASTIC_TOL:
+        raise ValueError("columns must sum to 1")
+    if np.max(np.abs(mat.sum(axis=-1) - 1.0)) > STOCHASTIC_TOL:
+        raise ValueError("rows must sum to 1")
+
+
+def _kernel(u_meas: np.ndarray) -> np.ndarray:
+    """Kernels L[..., k, k'] = |u_meas[..., k', k]|^2 of one U or a stack, rows normalised.
+
+    Rounding leaves row sums a few ulp off 1, which a chain would compound into
+    a drift of the total probability. A dark row is an exact unit vector.
+    """
+    mat = np.abs(np.swapaxes(u_meas, -1, -2)) ** 2
+    return mat / mat.sum(axis=-1, keepdims=True)
+
+
+def first_cycle(m: Model, taus) -> tuple[np.ndarray, np.ndarray]:
+    """(T, dim) first-cycle distributions p1 and (T, dim, dim) kernels L of a tau grid.
+
+    Both come from one batched U. p1 = |U_meas V^dag psi|^2 keeps the coherences
+    that the Born distribution p0 drops; without noise, row n >= 1 of a trace is
+    p1 L^(n-1). Raises ValueError unless every kernel is doubly stochastic.
+    """
+    taus, _ = check_run(taus)
+    u_meas = linalg.unitary_from_eig(m.measurement_eig, taus)
+    psi_meas = linalg.adjoint(m.basis.v) @ m.initial_state
+    l = _kernel(u_meas)
+    _check_doubly_stochastic(l)
+    return np.abs(u_meas @ psi_meas) ** 2, l
+
+
 def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> np.ndarray:
     """Propagate the initial state over a tau grid for n_max cycles each.
 
     Returns the checked (T, n_max+1, dim) trace in grid order. Row 0 of a
     block is ``m.initial_distribution``, the Born law of the bare initial state;
-    row n >= 1 is the distribution after n cycles. Every grid point advances
-    together, one batched step per cycle: W rho with the full initial rho for
-    the coherent first cycle, then W diag(pops) with the populations pops.
+    row n >= 1 is the distribution after n cycles: p1 for the coherent first
+    cycle, then p L, each followed by the depolarizing channel. Every grid
+    point advances together, one batched product per cycle.
     """
     taus, gamma = check_run(taus, n_max, gamma)
-    dim = m.dim
-    w = linalg.unitary_from_eig(m.measurement_eig, taus)
-    w_conj = np.conj(w)
-    rows = np.empty((len(taus), n_max + 1, dim), dtype=float)
+    p1, l = first_cycle(m, taus)
+    rows = np.empty((len(taus), n_max + 1, m.dim))
     rows[:, 0] = m.initial_distribution
-    w_rho = w @ rho_in_basis(initial_density(m), m.basis, "to_measurement")
+    p = p1[:, None, :]
     for n in range(1, n_max + 1):
-        pops = np.real(np.einsum("tkj,tkj->tk", w_rho, w_conj))  # diag(W rho W^dag)
+        if n > 1:
+            p = p @ l
         if gamma != 0.0:
-            pops = (1.0 - gamma) * pops + gamma / dim
-        rows[:, n] = pops
-        np.multiply(w, pops[:, None, :], out=w_rho)  # W diag(pops)
+            p *= 1.0 - gamma
+            p += gamma / m.dim
+        rows[:, n] = p[:, 0]
     return check_trace(rows)
 
 
@@ -100,16 +123,3 @@ def noisy_closed_form(values: np.ndarray, gamma: float) -> np.ndarray:
         values *= survival[:, None]
         values += ((1.0 - survival) / values.shape[-1])[:, None]
     return check_trace(values)
-
-
-def rho_in_basis(rho: np.ndarray, basis: MeasurementBasis, direction: Direction) -> np.ndarray:
-    """Re-express a density matrix between computational and measurement coordinates."""
-    rho = linalg.as_matrix(rho)
-    if rho.shape[0] != basis.dim:
-        raise ValueError("dimension mismatch")
-    v = basis.v
-    if direction == "to_measurement":
-        return linalg.rotate_matrix(rho, v)
-    if direction == "to_computational":
-        return linalg.rotate_matrix(rho, linalg.adjoint(v))
-    raise ValueError(f"unknown direction {direction!r}")

@@ -1,12 +1,12 @@
-"""Markov-chain reduction of the measurement protocol.
+"""The classical chain of the measurement protocol, and its long-time analysis.
 
 Between consecutive measurements the outcome statistics follow a classical
 Markov chain with kernel L[k, k'] = |<phi_k'| U(tau) |phi_k>|^2 = P(k -> k').
 Distributions are row vectors and advance as p L. The kernel of a unitary is
 doubly stochastic. It is symmetric when V^dag H V is real and in general not
-when it is complex; everything here accepts both.
-
-run_chain, the markov engine, fills a trace from one first_cycle call.
+when it is complex; everything here accepts both. run_chain, the markov
+engine, fills a trace p0, p1, p1 L, ... from one ``evolve.first_cycle`` call,
+which owns the measurement cycle, and folds the depolarizing channel in after.
 
 The analysis takes the (T, dim, dim) kernel stack of a whole tau grid and
 reads the long-time behaviour from each kernel's support, the entries above
@@ -26,9 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import evolve, linalg
+from .evolve import STOCHASTIC_TOL
 from .model import Model
 
-STOCHASTIC_TOL = 1e-12
 # Kernel entries of at most this size count as absent from the support. Near a
 # resonance tau* the vanishing entries grow as (tau - tau*)^2, so the resonant
 # classes hold over a window of about sqrt(SUPPORT_TOL) around tau*.
@@ -40,18 +40,6 @@ KIND_INFINITE_TEMPERATURE = "infinite_temperature"
 KIND_PARTIAL = "partial"
 
 
-def _check_doubly_stochastic(mat: np.ndarray) -> None:
-    """Reject a kernel, or a stack of kernels, that is not doubly stochastic."""
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("entries must be finite")
-    if np.min(mat) < -STOCHASTIC_TOL or np.max(mat) > 1.0 + STOCHASTIC_TOL:
-        raise ValueError("entries must be probabilities")
-    if np.max(np.abs(mat.sum(axis=-2) - 1.0)) > STOCHASTIC_TOL:
-        raise ValueError("columns must sum to 1")
-    if np.max(np.abs(mat.sum(axis=-1) - 1.0)) > STOCHASTIC_TOL:
-        raise ValueError("rows must sum to 1")
-
-
 class RegimeReport(NamedTuple):
     """Closed classes of the kernel at one tau, their periods, and the regime they give."""
 
@@ -61,35 +49,9 @@ class RegimeReport(NamedTuple):
     details: str
 
 
-def _kernel(u_meas: np.ndarray) -> np.ndarray:
-    """Kernels L[..., k, k'] = |u_meas[..., k', k]|^2 of one U or a stack, rows normalised.
-
-    Rounding leaves row sums a few ulp off 1, which propagate would compound
-    into a drift of the total probability. Cross-block entries of U are exact
-    zeros (``Model.measurement_eig``), so a dark row is an exact unit vector.
-    """
-    mat = np.abs(np.swapaxes(u_meas, -1, -2)) ** 2
-    return mat / mat.sum(axis=-1, keepdims=True)
-
-
 def build_transition_matrix(m: Model, taus) -> np.ndarray:
-    """The (T, dim, dim) kernels L(tau) of a tau grid, from ``first_cycle``."""
-    return first_cycle(m, taus)[1]
-
-
-def first_cycle(m: Model, taus) -> tuple[np.ndarray, np.ndarray]:
-    """(T, dim) first-cycle distributions p1 and (T, dim, dim) kernels L of a tau grid.
-
-    Both come from one batched U. p1 = |U_meas V^dag psi|^2 keeps the
-    coherences that the Born distribution p0 drops; row n >= 1 of a trace is
-    p1 L^(n-1). Raises ValueError unless every kernel is doubly stochastic.
-    """
-    taus, _ = evolve.check_run(taus)
-    u_meas = linalg.unitary_from_eig(m.measurement_eig, taus)
-    psi_meas = linalg.adjoint(m.basis.v) @ m.initial_state
-    l = _kernel(u_meas)
-    _check_doubly_stochastic(l)
-    return np.abs(u_meas @ psi_meas) ** 2, l
+    """The (T, dim, dim) kernels L(tau) of a tau grid, from ``evolve.first_cycle``."""
+    return evolve.first_cycle(m, taus)[1]
 
 
 def spectrum(l: np.ndarray) -> np.ndarray:
@@ -135,7 +97,7 @@ def run_chain(m: Model, taus, n_max: int, gamma: float = 0.0) -> np.ndarray:
     A nonzero gamma is folded in by ``evolve.noisy_closed_form``.
     """
     taus, gamma = evolve.check_run(taus, n_max, gamma)
-    p1, l = first_cycle(m, taus)
+    p1, l = evolve.first_cycle(m, taus)
     values = np.empty((len(l), n_max + 1, m.dim))
     values[:, 0] = m.initial_distribution
     if n_max > 0:
@@ -174,7 +136,7 @@ def classify(l: np.ndarray) -> list[RegimeReport]:
     l = np.asarray(l, dtype=float)
     if l.ndim != 3 or l.shape[1] != l.shape[2]:
         raise ValueError(f"expected a (T, dim, dim) kernel stack, got shape {l.shape}")
-    _check_doubly_stochastic(l)
+    evolve._check_doubly_stochastic(l)
     support = l > SUPPORT_TOL
     walk = support
     returns = [np.diagonal(walk, axis1=1, axis2=2)]  # returns[n - 1][t, i]: i -> i in n steps

@@ -27,7 +27,7 @@ seeds never share a stream. Each draw covers the whole grid, in this order:
 So a grid point's counts depend on the grid around it, though not their
 law, and different grid points stay independent. p0 is
 Model.initial_distribution; the stacks of p1 and L come from one
-markov.first_cycle call. Reruns with one seed and one grid are
+evolve.first_cycle call. Reruns with one seed and one grid are
 byte-identical within one numpy version only, since NEP 19 does not promise
 stable Generator.multinomial streams across versions.
 """
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import evolve, markov
+from . import evolve
 from .model import Model
 from .traces import check_trace
 
@@ -69,7 +69,7 @@ def run_shots(
     if shots < 1:
         raise ValueError("shots must be >= 1")
     dim = m.dim
-    p1, l = markov.first_cycle(m, taus)
+    p1, l = evolve.first_cycle(m, taus)
     first = _pvals((1.0 - gamma) * p1 + gamma / dim)
     kernels = _pvals((1.0 - gamma) * l + gamma / dim)
 

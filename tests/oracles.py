@@ -2,7 +2,7 @@
 
 Each one is an independent oracle or a convenience the package itself has
 no use for: a propagator built from a fresh decomposition of H, the Born law
-of a pure state, a density matrix validator, the large-n limits of the
+and the density matrix of a pure state, a density matrix validator, the large-n limits of the
 two-qubit models, outcome projectors in computational coordinates, a
 per-shot sampler, the magnetization of a two-state count block, and the
 scalar hex colour of the render ramp, a breadth-first search for the blocks
@@ -17,8 +17,8 @@ from typing import Literal
 
 import numpy as np
 
-from qmonitor import linalg, markov, render, traces
-from qmonitor.model import MeasurementBasis
+from qmonitor import evolve, linalg, render, traces
+from qmonitor.model import MeasurementBasis, Model
 
 Parity = Literal["even", "odd", "generic"]
 
@@ -35,6 +35,12 @@ def born_probabilities(psi: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
     """Outcome distribution |<phi_k|psi>|^2 of a pure state."""
     amps = linalg.adjoint(basis.v) @ np.asarray(psi, dtype=complex).reshape(-1)
     return np.abs(amps) ** 2
+
+
+def initial_density(m: Model) -> np.ndarray:
+    """The pure-state density matrix of the model's initial state."""
+    psi = m.initial_state
+    return np.outer(psi, np.conj(psi))
 
 
 def check_density(rho: np.ndarray, trace_tol: float = 1e-12) -> np.ndarray:
@@ -93,7 +99,7 @@ def walk_shots(m, tau: float, n_max: int, gamma: float, *, shots: int, seed: int
     rng = np.random.default_rng([seed, 0])
     dim = m.dim
     cum_p0 = np.cumsum(born_probabilities(m.initial_state, m.basis))
-    p1, l = markov.first_cycle(m, [tau])
+    p1, l = evolve.first_cycle(m, [tau])
     cum_p1, cum_rows = np.cumsum(p1[0]), np.cumsum(l[0], axis=1)
 
     def pick(cum, u):

@@ -82,6 +82,42 @@ def test_the_spread_is_printed_next_to_the_bound():
     assert "change won 1/1" in b_wall
 
 
+def runs(workload, parent, change):
+    """One pair per run: in pair i each side reports the i-th value of each metric."""
+    count = len(next(iter(parent.values())))
+    return [pair(workload, i + 1, {name: values[i] for name, values in parent.items()},
+                 {name: values[i] for name, values in change.items()}) for i in range(count)]
+
+
+def test_a_line_says_when_the_change_is_worse_or_cannot_be_judged(no_process):
+    wide = [1.0, 1.2, 1.4, 1.6, 1.8]  # median 1.4, quartiles 1.1 and 1.7: spread 0.43
+    pairs = [
+        # better in the median, but not in every run: unresolved
+        *runs("noisy", {"wall_s": wide}, {"wall_s": [1.0, 1.2, 1.3, 1.5, 1.7]}),
+        # every change run beats every parent run: judged, though the spread is wide
+        *runs("clear", {"wall_s": wide}, {"wall_s": [0.5, 0.6, 0.7, 0.8, 0.9]}),
+        # worse by 30% against a 25% bound, with no spread
+        *runs("slow", {"wall_s": [1.0] * 5}, {"wall_s": [1.3] * 5}),
+        # worse by 20%, or 1 MB against a 1.5 MB bound, with no spread: neither
+        *runs("within", {"wall_s": [1.0] * 5, "peak_rss_mb": [30.0] * 5},
+              {"wall_s": [1.2] * 5, "peak_rss_mb": [31.0] * 5}),
+        # success_rate is higher-better: a 10% fall is worse against a 1% bound
+        *runs("failing", {"success_rate": [1.0] * 5}, {"success_rate": [0.9] * 5}),
+    ]
+    summary = bench_pairs.summarise(pairs, BETTER)
+    lines = bench_pairs.spread_lines(summary, {"wall_s": 0.25, "peak_rss_mb": 0.05,
+                                               "success_rate": 0.01})
+    ends = {tuple(line.split()[:2]): line.split()[-1] for line in lines}
+    assert ends == {
+        ("noisy", "wall_s"): "unresolved",
+        ("clear", "wall_s"): "0.25)",
+        ("slow", "wall_s"): "worse",
+        ("within", "wall_s"): "0.25)",
+        ("within", "peak_rss_mb"): "0.05)",
+        ("failing", "success_rate"): "worse",
+    }
+
+
 def traced(workload, seed, parent, change):
     """A pair whose sides report these .calls counts."""
     return pair(workload, seed, {f"{span}.calls": n for span, n in parent.items()},

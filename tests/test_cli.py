@@ -817,7 +817,7 @@ class TestOutDir:
         assert sorted((tmp_path / "data").iterdir()) == data
 
     @pytest.mark.parametrize("command, target", [
-        ("analyze", "qmonitor.markov.first_cycle"),
+        ("analyze", "qmonitor.evolve.first_cycle"),
         ("analyze", "json.dump"),  # inside the write, once the temporary file exists
         ("fit-noise", "qmonitor.cli.read_trace_csv"),
         ("fit-noise", "json.dump"),

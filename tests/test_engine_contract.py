@@ -80,7 +80,7 @@ def test_chain_and_closed_forms_check_gamma_before_any_work(bell, monkeypatch):
     def reached(*args):
         raise AssertionError("the trace was computed before the gamma check")
 
-    monkeypatch.setattr(markov, "first_cycle", reached)
+    monkeypatch.setattr(evolve, "first_cycle", reached)
     monkeypatch.setitem(analytic.CLOSED_FORMS, "two_qubit_bell", reached)
     with pytest.raises(ValueError, match="gamma"):
         markov.run_chain(bell, GRID, N_MAX, 1.5)
@@ -105,7 +105,7 @@ def test_every_engine_rejects_an_empty_grid(bell, engine):
     run = {
         "exact": lambda taus: evolve.run_exact(bell, taus, N_MAX),
         "markov": lambda taus: markov.run_chain(bell, taus, N_MAX),
-        "first_cycle": lambda taus: markov.first_cycle(bell, taus),
+        "first_cycle": lambda taus: evolve.first_cycle(bell, taus),
         "sample": lambda taus: sample.run_shots(bell, taus, N_MAX, shots=64, seed=3),
         "closed_form": lambda taus: analytic.closed_form_trace("two_qubit_bell", taus, N_MAX),
     }[engine]

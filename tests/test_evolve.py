@@ -15,18 +15,18 @@ DATA = Path(__file__).parent / "data"
 
 class TestCycle:
     def test_zeno_frozen(self, single_qubit):
-        rho0 = evolve.initial_density(single_qubit)
+        rho0 = oracles.initial_density(single_qubit)
         out = cycle(rho0, single_qubit, 0.0)
         assert np.max(np.abs(out - rho0)) < 1e-14
 
     def test_half_pi_splits_evenly(self, single_qubit):
-        rho0 = evolve.initial_density(single_qubit)
+        rho0 = oracles.initial_density(single_qubit)
         out = cycle(rho0, single_qubit, np.pi / 2)
         # |<0|U|0>|^2 = cos^2(pi/4) = 1/2
         assert np.max(np.abs(out - np.eye(2) / 2)) < 1e-14
 
     def test_full_depolarization(self, bell):
-        rho0 = evolve.initial_density(bell)
+        rho0 = oracles.initial_density(bell)
         out = cycle(rho0, bell, 1.234, gamma=1.0)
         assert np.max(np.abs(out - np.eye(4) / 4)) < 1e-14
 
@@ -35,7 +35,7 @@ class TestCycle:
             cycle(np.eye(2) / 2, bell, 0.5)
 
     def test_gamma_range(self, single_qubit):
-        rho0 = evolve.initial_density(single_qubit)
+        rho0 = oracles.initial_density(single_qubit)
         with pytest.raises(ValueError, match="gamma"):
             cycle(rho0, single_qubit, 0.5, gamma=1.5)
 
@@ -50,7 +50,7 @@ class TestCycle:
     @pytest.mark.parametrize("m", all_models(), ids=lambda m: f"dim{m.dim}")
     @pytest.mark.parametrize("tau", [0.7, np.pi / 4])
     def test_output_is_valid_density(self, m, tau):
-        rho = evolve.initial_density(m)
+        rho = oracles.initial_density(m)
         for _ in range(5):
             rho = cycle(rho, m, tau, gamma=0.05)
         oracles.check_density(rho)
@@ -58,8 +58,8 @@ class TestCycle:
     @pytest.mark.parametrize("m", all_models(), ids=lambda m: f"dim{m.dim}")
     @pytest.mark.parametrize("tau", TAU_GRID)
     def test_state_diagonal_in_measurement_basis(self, m, tau):
-        rho = cycle(evolve.initial_density(m), m, tau)
-        w = evolve.rho_in_basis(rho, m.basis, "to_measurement")
+        rho = cycle(oracles.initial_density(m), m, tau)
+        w = linalg.rotate_matrix(rho, m.basis.v)
         off = w - np.diag(np.diag(w))
         assert np.max(np.abs(off)) < 1e-12
 
@@ -97,9 +97,9 @@ class TestRunExact:
 
 
 class TestRunExactMatchesCycle:
-    """run_exact works in measurement coordinates (W = V^dag U V, real diagonal,
-    depolarizing); the computational-coordinate cycle, iterated one density
-    matrix at a time, is its independent reference."""
+    """run_exact advances the first-cycle distribution with the kernel and the
+    depolarizing channel, in measurement coordinates; the computational-coordinate
+    cycle, iterated one density matrix at a time, is its independent reference."""
 
     ORACLE_TAUS = [0.0, 0.4, 1.3, np.pi]
     N_MAX = 12
@@ -114,11 +114,11 @@ class TestRunExactMatchesCycle:
         m = model.build_model(str(path) if path.exists() else name)
         traces = evolve.run_exact(m, self.ORACLE_TAUS, self.N_MAX, gamma)
         for tau, trace in zip(self.ORACLE_TAUS, traces):
-            rho = evolve.initial_density(m)
+            rho = oracles.initial_density(m)
             rows = [oracles.born_probabilities(m.initial_state, m.basis)]
             for _ in range(self.N_MAX):
                 rho = cycle(rho, m, tau, gamma)
-                rows.append(np.real(np.diag(evolve.rho_in_basis(rho, m.basis, "to_measurement"))))
+                rows.append(np.real(np.diag(linalg.rotate_matrix(rho, m.basis.v))))
             assert np.max(np.abs(trace - np.array(rows))) <= 1e-12
 
 
@@ -163,17 +163,19 @@ class TestNoisyClosedForm:
 
 
 class TestRhoInBasis:
+    """linalg.rotate_matrix between the two coordinates, as render --kind rho_grid uses it."""
+
     def test_mixed_state_invariant(self, bell):
         mixed = np.eye(4, dtype=complex) / 4
-        for direction in ("to_measurement", "to_computational"):
-            out = evolve.rho_in_basis(mixed, bell.basis, direction)
+        for v in (bell.basis.v, linalg.adjoint(bell.basis.v)):
+            out = linalg.rotate_matrix(mixed, v)
             assert np.max(np.abs(out - mixed)) < 1e-14
 
     def test_partial_limit_in_computational_basis(self, singlet_triplet):
         # (|psi_0><psi_0| + |psi_1><psi_1| + |psi_3><psi_3|)/3 by hand:
         # diag(1/3, 1/6, 1/6, 1/3) with 1/6 on the (01,10) coherences
         rho_meas = np.diag(np.array([1 / 3, 1 / 3, 0.0, 1 / 3], dtype=complex))
-        got = evolve.rho_in_basis(rho_meas, singlet_triplet.basis, "to_computational")
+        got = linalg.rotate_matrix(rho_meas, linalg.adjoint(singlet_triplet.basis.v))
         expected = np.diag([1 / 3, 1 / 6, 1 / 6, 1 / 3]).astype(complex)
         expected[1, 2] = expected[2, 1] = 1 / 6
         assert np.max(np.abs(got - expected)) < 1e-14
@@ -181,31 +183,27 @@ class TestRhoInBasis:
     def test_diagonal_equals_projector_sum(self, bell):
         probs = np.array([0.1, 0.2, 0.3, 0.4])
         rho_meas = np.diag(probs.astype(complex))
-        got = evolve.rho_in_basis(rho_meas, bell.basis, "to_computational")
+        got = linalg.rotate_matrix(rho_meas, linalg.adjoint(bell.basis.v))
         expected = sum(p * oracles.projector(bell.basis, k) for k, p in enumerate(probs))
         assert np.max(np.abs(got - expected)) < 1e-14
 
     def test_round_trip(self, singlet_triplet):
-        rho = cycle(evolve.initial_density(singlet_triplet), singlet_triplet, 0.9)
-        there = evolve.rho_in_basis(rho, singlet_triplet.basis, "to_measurement")
-        back = evolve.rho_in_basis(there, singlet_triplet.basis, "to_computational")
+        rho = cycle(oracles.initial_density(singlet_triplet), singlet_triplet, 0.9)
+        there = linalg.rotate_matrix(rho, singlet_triplet.basis.v)
+        back = linalg.rotate_matrix(there, linalg.adjoint(singlet_triplet.basis.v))
         assert np.max(np.abs(back - rho)) < 1e-13
 
     def test_spectrum_preserved(self, bell):
-        rho = cycle(evolve.initial_density(bell), bell, 0.8, gamma=0.2)
-        w = evolve.rho_in_basis(rho, bell.basis, "to_measurement")
+        rho = cycle(oracles.initial_density(bell), bell, 0.8, gamma=0.2)
+        w = linalg.rotate_matrix(rho, bell.basis.v)
         a = linalg.eig_hermitian(rho).eigenvalues
         b = linalg.eig_hermitian(w).eigenvalues
         assert np.max(np.abs(a - b)) < 1e-12
 
-    def test_unknown_direction(self, bell):
-        with pytest.raises(ValueError):
-            evolve.rho_in_basis(np.eye(4) / 4, bell.basis, "sideways")
-
 
 class TestCheckDensity:
     def test_accepts_valid(self, bell):
-        oracles.check_density(evolve.initial_density(bell))
+        oracles.check_density(oracles.initial_density(bell))
 
     def test_rejects_traceless(self):
         with pytest.raises(ValueError, match="trace"):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmonitor import cli, evolve, linalg, markov, model
+from qmonitor import analytic, cli, evolve, linalg, markov, model
 
 import oracles
-from conftest import ALL_MODEL_NAMES, kernel, taus, three_level_model
+from conftest import ALL_MODEL_NAMES, cycle, kernel, taus, three_level_model
 from test_render_memory import traced_cli_peak
 
 DATA = Path(__file__).parent / "data"
@@ -63,9 +63,9 @@ class TestGridAgreement:
 def test_grid_kernels_are_bitwise_the_per_point_kernels(m):
     """A kernel sliced from the grid's stack is bitwise the kernel of a scalar U(tau)."""
     grid = GRIDS["grid"]
-    _, l = markov.first_cycle(m, grid)
+    _, l = evolve.first_cycle(m, grid)
     for i, tau in enumerate(grid):
-        assert np.array_equal(l[i], markov._kernel(linalg.unitary_from_eig(m.measurement_eig, tau)))
+        assert np.array_equal(l[i], evolve._kernel(linalg.unitary_from_eig(m.measurement_eig, tau)))
 
 
 _unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)
@@ -92,12 +92,40 @@ def random_models(draw, max_dim: int = 6):
 @given(random_models(), st.lists(taus, min_size=1, max_size=4), st.sampled_from([0.0, 0.05]))
 @settings(max_examples=60, deadline=None)
 def test_random_models_exact_is_first_cycle_then_chain(m, grid, gamma):
-    _, l = markov.first_cycle(m, grid)
+    """run_exact is the first cycle and the chain by construction; the density
+    matrix cycle in computational coordinates, from its own decomposition of H,
+    checks it."""
+    _, l = evolve.first_cycle(m, grid)
     assert np.max(np.abs(l.sum(axis=-1) - 1.0)) <= 1e-12
     assert np.max(np.abs(l.sum(axis=-2) - 1.0)) <= 1e-12
     assert l.min() >= 0.0 and l.max() <= 1.0 + 1e-12
     traces = evolve.run_exact(m, grid, N_MAX, gamma)
-    assert np.max(np.abs(traces - markov.run_chain(m, grid, N_MAX, gamma))) < 1e-12
+    for tau, trace in zip(grid, traces):
+        rho = oracles.initial_density(m)
+        rows = [oracles.born_probabilities(m.initial_state, m.basis)]
+        for _ in range(N_MAX):
+            rho = cycle(rho, m, tau, gamma)
+            rows.append(np.real(np.diag(linalg.rotate_matrix(rho, m.basis.v))))
+        assert np.max(np.abs(trace - np.array(rows))) < 1e-12
+
+
+EVERY_MODEL = [*ALL_MODEL_NAMES, *sorted(str(path) for path in DATA.glob("*.json"))]
+
+
+@pytest.mark.parametrize("name", EVERY_MODEL, ids=lambda name: Path(name).stem)
+def test_exact_is_bitwise_the_chain_without_noise(name):
+    """Both engines advance one (p1, L) with one batched product per cycle."""
+    m = model.build_model(name)
+    grid = np.linspace(0.0, np.pi, 129)
+    assert np.array_equal(evolve.run_exact(m, grid, 64), markov.run_chain(m, grid, 64))
+
+
+@pytest.mark.parametrize("name", ALL_MODEL_NAMES)
+@pytest.mark.parametrize("gamma", [0.0, 0.033])
+def test_exact_meets_the_closed_forms_at_the_sweep_shape(name, gamma):
+    grid = np.linspace(0.0, np.pi, 257)
+    exact = evolve.run_exact(model.build_model(name), grid, 256, gamma)
+    assert np.max(np.abs(exact - analytic.closed_form_trace(name, grid, 256, gamma))) <= 3e-14
 
 
 class TestGridShape:
@@ -107,7 +135,7 @@ class TestGridShape:
 
     def test_first_cycle_rejects_a_scalar_tau(self, single_qubit):
         with pytest.raises(ValueError, match="1-D"):
-            markov.first_cycle(single_qubit, 0.5)
+            evolve.first_cycle(single_qubit, 0.5)
 
     def test_n_max_zero_gives_the_born_row_everywhere(self, bell):
         traces = evolve.run_exact(bell, [0.0, 0.9, 2.0], 0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from qmonitor import markov, model
+from qmonitor import evolve, markov, model
 
 import oracles
 from conftest import ALL_MODEL_NAMES, all_models, kernel, start_rows, taus
@@ -75,11 +75,11 @@ class TestBuildTransitionMatrix:
         grid = [0.0, 0.7, np.pi]
         l = markov.build_transition_matrix(bell, grid)
         assert l.shape == (3, 4, 4)
-        assert np.array_equal(l, markov.first_cycle(bell, grid)[1])
+        assert np.array_equal(l, evolve.first_cycle(bell, grid)[1])
 
     def test_validation_rejects_bad_sums(self):
         with pytest.raises(ValueError, match="sum"):
-            markov._check_doubly_stochastic(np.array([[0.5, 0.4], [0.4, 0.5]]))
+            evolve._check_doubly_stochastic(np.array([[0.5, 0.4], [0.4, 0.5]]))
 
     @pytest.mark.parametrize(
         "mat",
@@ -89,7 +89,7 @@ class TestBuildTransitionMatrix:
     def test_validation_rejects_non_finite(self, mat):
         # NaN compares false against every tolerance, so only isfinite catches it
         with pytest.raises(ValueError, match="finite"):
-            markov._check_doubly_stochastic(mat)
+            evolve._check_doubly_stochastic(mat)
 
 
 def eigenvalues(m, tau):
@@ -168,7 +168,7 @@ class TestPropagate:
         assert np.max(np.abs(mag - signs)) < 1e-12
 
     def test_rejects_mismatched_shapes(self, single_qubit):
-        l = markov.first_cycle(single_qubit, [0.3, 0.7])[1]
+        l = evolve.first_cycle(single_qubit, [0.3, 0.7])[1]
         with pytest.raises(ValueError, match="does not match"):
             markov.propagate(l, start_rows([1.0, 0.0], 3))
         with pytest.raises(ValueError, match="does not match"):
@@ -385,7 +385,7 @@ def block_models(draw):
 @given(block_models(), taus)
 @settings(max_examples=200, deadline=None)
 def test_classes_conserve_mass_and_give_the_limit(m, tau):
-    p1, l = markov.first_cycle(m, [tau])
+    p1, l = evolve.first_cycle(m, [tau])
     # Near a resonance (tau = 1e-9, say) entries at most SUPPORT_TOL fall out of the
     # support while their amplitudes, up to sqrt(SUPPORT_TOL), still move mass in p1:
     # the classes hold to 1e-12 only where the support has a gap around the threshold.

@@ -62,7 +62,7 @@ SWEEP = ("--tau-count", 5, "--n-max", 6, "--shots", 16)
 ENGINES_UNUSED = {
     "exact": {"markov", "sample", "analytic", "noisefit", "render", "configparser", "dataclasses"},
     "markov": {"sample", "analytic", "noisefit", "render", "dataclasses"},
-    "sample": {"analytic", "noisefit", "render", "dataclasses"},
+    "sample": {"markov", "analytic", "noisefit", "render", "dataclasses"},
     "closed_form": {"markov", "sample", "noisefit", "render", "dataclasses"},
 }
 
@@ -88,6 +88,9 @@ def test_trace_readers_load_only_what_they_run(tmp_path):
     path = tmp_path / "single_qubit_markov.csv"
     heatmap = loaded_modules(tmp_path, run_cli(tmp_path, "render", path, "--kind", "heatmap"))
     assert heatmap == CLI_IMPORTS | {"qmonitor.render"}
+    rho_grid = loaded_modules(tmp_path, run_cli(tmp_path, "render", path, "--kind", "rho_grid",
+                                                "--model", "single_qubit", "--n", 2, "--tau", 0))
+    assert rho_grid == CLI_IMPORTS | {"qmonitor.render"}
     fit = loaded_modules(tmp_path, run_cli(tmp_path, "fit-noise", path, "--model", "single_qubit"))
     assert fit == CLI_IMPORTS | {"qmonitor.evolve", "qmonitor.noisefit"}
 

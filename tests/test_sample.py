@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmonitor import evolve, markov, sample
+from qmonitor import evolve, sample
 
 import oracles
 from conftest import all_models
@@ -36,7 +36,7 @@ def chain_moments(m, tau, n_max, gamma):
     row n + 1 is p[n] K with K = (1 - gamma) L + gamma J / dim.
     """
     dim = m.dim
-    p1, l = markov.first_cycle(m, [tau])
+    p1, l = evolve.first_cycle(m, [tau])
     kernel = (1.0 - gamma) * l[0] + gamma / dim
     rows = [oracles.born_probabilities(m.initial_state, m.basis)]
     if n_max > 0:
