@@ -8,11 +8,13 @@ decay rate from layer counts).
 
 Every engine is a function of (model, taus, n_max, gamma) that returns the
 finished, checked (T, n_max+1, dim) trace; simulate dispatches to one, writes
-the trace to the CSV as it is and summarises it. exact, markov and
-closed_form run inside the CSV write, one bounded range of the grid at a
-time, so the trace is never held whole (see _simulate). The CSV format
-belongs to qmonitor.traces. The commands call its reader through this
-module's own name read_trace_csv, the name that qmbench/tracing.py wraps.
+the trace to the CSV as it is and summarises it. exact and markov are one
+chain, evolve.run_exact, and differ only in the name of the file they
+write. exact, markov and closed_form run inside the CSV write, one bounded
+range of the grid at a time, so the trace is never held whole (see
+_simulate). The CSV format belongs to qmonitor.traces. The commands call
+its reader through this module's own name read_trace_csv, the name that
+qmbench/tracing.py wraps.
 
 This module imports only traces, model and linalg. Each command imports the
 modules it runs when it runs, and simulate imports only its engine's, so a
@@ -249,12 +251,8 @@ def _simulate(cfg: RunConfig, m: model_mod.Model) -> dict:
     else:
         from . import evolve
 
-        if cfg.engine == "exact":
+        if cfg.engine in ("exact", "markov"):
             engine = evolve.run_exact
-        elif cfg.engine == "markov":
-            from . import markov
-
-            engine = markov.run_chain
         else:
             from . import analytic
 

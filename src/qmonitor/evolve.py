@@ -9,9 +9,10 @@ starts from the coherent initial state and gives p1 = |V^dag U psi|^2.
 first_cycle computes (p1, L) for a whole tau grid from one batched
 W = exp(-i V^dag H V tau), built block by block from ``Model.measurement_eig``,
 so cross-block entries of W and L are exact zeros. Every engine advances
-these stacks: run_exact applies p L and the depolarizing channel each cycle,
-markov.run_chain folds the channel in afterwards (noisy_closed_form), and
-sample.run_shots draws outcome counts from them.
+these stacks: run_exact, which runs both the exact and the markov engine,
+fills p1, p1 L, ... with propagate and folds the depolarizing channel in
+afterwards (noisy_closed_form), and sample.run_shots draws outcome counts
+from them.
 """
 
 from __future__ import annotations
@@ -85,28 +86,46 @@ def first_cycle(m: Model, taus) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(u_meas @ psi_meas) ** 2, l
 
 
-def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> np.ndarray:
-    """Propagate the initial state over a tau grid for n_max cycles each.
+def propagate(l: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Fill rows[..., m, :] = rows[..., 0, :] L^m in place, m = 1..R-1, and return rows.
 
-    Returns the checked (T, n_max+1, dim) trace in grid order. Row 0 of a
-    block is ``m.initial_distribution``, the Born law of the bare initial state;
-    row n >= 1 is the distribution after n cycles: p1 for the coherent first
-    cycle, then p L, each followed by the depolarizing channel. Every grid
-    point advances together, one batched product per cycle.
+    rows is a caller-allocated (..., R, dim) float array whose row 0 holds the
+    start distributions p0; l is the matching (..., dim, dim) stack of kernels.
+    Each step is one batched product written straight into rows, so the
+    chain is held once.
+    """
+    l = np.asarray(l, dtype=float)
+    p = rows[..., 0, :]
+    if l.shape != p.shape + p.shape[-1:]:
+        raise ValueError(f"p0 of shape {p.shape} does not match kernels of shape {l.shape}")
+    if not (np.all(np.isfinite(l)) and np.all(np.isfinite(p))):
+        raise ValueError("kernels and p0 must be finite")
+    if np.min(p) < -STOCHASTIC_TOL or np.max(np.abs(p.sum(axis=-1) - 1.0)) > STOCHASTIC_TOL:
+        raise ValueError("p0 is not a probability vector")
+    p = p[..., None, :]
+    for m in range(1, rows.shape[-2]):
+        p = p @ l
+        rows[..., m, :] = p[..., 0, :]
+    return rows
+
+
+def run_exact(m: Model, taus, n_max: int, gamma: float = 0.0) -> np.ndarray:
+    """The checked (T, n_max+1, dim) trace p0, p1, p1 L, p1 L^2, ... of a tau grid.
+
+    Row 0 of a block is ``m.initial_distribution``, the Born law of the bare
+    initial state; row n >= 1 is the distribution after n cycles: p1 for the
+    coherent first cycle, then p L. Every grid point advances together, one
+    batched product per cycle. A nonzero gamma is folded in afterwards by
+    noisy_closed_form.
     """
     taus, gamma = check_run(taus, n_max, gamma)
     p1, l = first_cycle(m, taus)
-    rows = np.empty((len(taus), n_max + 1, m.dim))
-    rows[:, 0] = m.initial_distribution
-    p = p1[:, None, :]
-    for n in range(1, n_max + 1):
-        if n > 1:
-            p = p @ l
-        if gamma != 0.0:
-            p *= 1.0 - gamma
-            p += gamma / m.dim
-        rows[:, n] = p[:, 0]
-    return check_trace(rows)
+    values = np.empty((len(taus), n_max + 1, m.dim))
+    values[:, 0] = m.initial_distribution
+    if n_max > 0:
+        values[:, 1] = p1
+        propagate(l, values[:, 1:])
+    return noisy_closed_form(values, gamma)
 
 
 def noisy_closed_form(values: np.ndarray, gamma: float) -> np.ndarray:

@@ -4,9 +4,9 @@ Between consecutive measurements the outcome statistics follow a classical
 Markov chain with kernel L[k, k'] = |<phi_k'| U(tau) |phi_k>|^2 = P(k -> k').
 Distributions are row vectors and advance as p L. The kernel of a unitary is
 doubly stochastic. It is symmetric when V^dag H V is real and in general not
-when it is complex; everything here accepts both. run_chain, the markov
-engine, fills a trace p0, p1, p1 L, ... from one ``evolve.first_cycle`` call,
-which owns the measurement cycle, and folds the depolarizing channel in after.
+when it is complex; everything here accepts both. The chain itself, p1, p1 L,
+..., is ``evolve.propagate``, which ``evolve.run_exact`` runs for both the
+exact and the markov engine; this module keeps the long-time analysis.
 
 The analysis takes the (T, dim, dim) kernel stack of a whole tau grid and
 reads the long-time behaviour from each kernel's support, the entries above
@@ -26,7 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import evolve, linalg
-from .evolve import STOCHASTIC_TOL
+# propagate lives in evolve; this name stays so that qmbench/tracing.py, which wraps
+# every (module, name) of its ENTRY_POINTS, still finds markov.propagate.
+from .evolve import STOCHASTIC_TOL, propagate
 from .model import Model
 
 # Kernel entries of at most this size count as absent from the support. Near a
@@ -66,44 +68,6 @@ def spectrum(l: np.ndarray) -> np.ndarray:
     lam = np.linalg.eigvals(l)
     order = np.lexsort((-lam.imag, -lam.real), axis=-1)
     return np.take_along_axis(lam, order, axis=-1)
-
-
-def propagate(l: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Fill rows[..., m, :] = rows[..., 0, :] L^m in place, m = 1..R-1, and return rows.
-
-    rows is a caller-allocated (..., R, dim) float array whose row 0 holds the
-    start distributions p0; l is the matching (..., dim, dim) stack of kernels.
-    Each step is one batched product written straight into rows, so the
-    chain is held once.
-    """
-    l = np.asarray(l, dtype=float)
-    p = rows[..., 0, :]
-    if l.shape != p.shape + p.shape[-1:]:
-        raise ValueError(f"p0 of shape {p.shape} does not match kernels of shape {l.shape}")
-    if not (np.all(np.isfinite(l)) and np.all(np.isfinite(p))):
-        raise ValueError("kernels and p0 must be finite")
-    if np.min(p) < -STOCHASTIC_TOL or np.max(np.abs(p.sum(axis=-1) - 1.0)) > STOCHASTIC_TOL:
-        raise ValueError("p0 is not a probability vector")
-    p = p[..., None, :]
-    for m in range(1, rows.shape[-2]):
-        p = p @ l
-        rows[..., m, :] = p[..., 0, :]
-    return rows
-
-
-def run_chain(m: Model, taus, n_max: int, gamma: float = 0.0) -> np.ndarray:
-    """The checked (T, n_max+1, dim) trace p0, p1, p1 L, p1 L^2, ... of a tau grid.
-
-    A nonzero gamma is folded in by ``evolve.noisy_closed_form``.
-    """
-    taus, gamma = evolve.check_run(taus, n_max, gamma)
-    p1, l = evolve.first_cycle(m, taus)
-    values = np.empty((len(l), n_max + 1, m.dim))
-    values[:, 0] = m.initial_distribution
-    if n_max > 0:
-        values[:, 1] = p1
-        propagate(l, values[:, 1:])
-    return evolve.noisy_closed_form(values, gamma)
 
 
 def _report(classes: tuple[tuple[int, ...], ...], periods: tuple[int, ...]) -> RegimeReport:

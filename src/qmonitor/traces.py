@@ -244,20 +244,18 @@ def _read_body(fh, path, head: int, n_states: int, ncol: int) -> tuple[list[floa
     """(taus, (T, R, N) values) of the body lines of fh that follow head header lines.
 
     The (tau, n) keys and the values are allocated once at their final
-    size, in anonymous mmaps, and _convert fills them chunk by chunk, so no
-    other trace-sized array exists. R is the index of the second row with
-    n = 0. The first row out of its block's place, a short last block's
-    included, or of a tau that an earlier block had (0.0 is -0.0), is named.
+    size, and _convert fills them chunk by chunk, so no other trace-sized
+    array exists. R is the index of the second row with n = 0. The first
+    row out of its block's place, a short last block's included, or of a
+    tau that an earlier block had (0.0 is -0.0), is named.
     """
     n_lines = _count_lines(path) - head
     if n_lines < 1:
         raise DataError(f"{path}: no data rows")
-    import mmap
-
     dtype = np.dtype([("tau", "f8"), ("n", "i8"), ("p", "f8", n_states),
                       ("stderr", "U1", ncol - 2 - n_states)])
-    keys = np.frombuffer(mmap.mmap(-1, n_lines * 2 * 8)).reshape(n_lines, 2)
-    values = np.frombuffer(mmap.mmap(-1, n_lines * n_states * 8)).reshape(n_lines, n_states)
+    keys = np.empty((n_lines, 2))
+    values = np.empty((n_lines, n_states))
     _convert(fh, keys, values, dtype, path, head + 1, ncol)
     later_zero = keys[1:, 1] == 0
     block = int(later_zero.argmax()) + 1 if later_zero.any() else n_lines

@@ -87,8 +87,25 @@ def cycle(rho: np.ndarray, m: model.Model, tau: float, gamma: float = 0.0) -> np
     return dephased
 
 
+def cycle_trace(m: model.Model, tau: float, n_max: int, gamma: float = 0.0) -> np.ndarray:
+    """The (n_max+1, dim) outcome rows of one tau, cycle iterated one density matrix at a time.
+
+    Row 0 is the Born distribution of the initial state; row n is the diagonal
+    of the state after n cycles in the measurement basis, with the depolarizing
+    channel applied in every cycle: the independent reference for the trace
+    that evolve.run_exact folds the noise into afterwards.
+    """
+    psi = m.initial_state
+    rho = np.outer(psi, np.conj(psi))
+    rows = [np.abs(linalg.adjoint(m.basis.v) @ psi) ** 2]
+    for _ in range(n_max):
+        rho = cycle(rho, m, tau, gamma)
+        rows.append(np.real(np.diag(linalg.rotate_matrix(rho, m.basis.v))))
+    return np.array(rows)
+
+
 def start_rows(p0, n: int) -> np.ndarray:
-    """A (..., n + 1, dim) block for markov.propagate to fill: row 0 is p0."""
+    """A (..., n + 1, dim) block for evolve.propagate to fill: row 0 is p0."""
     p0 = np.asarray(p0, dtype=float)
     rows = np.empty((*p0.shape[:-1], n + 1, p0.shape[-1]))
     rows[..., 0, :] = p0

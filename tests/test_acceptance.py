@@ -13,7 +13,7 @@ import numpy as np
 from qmonitor import analytic, evolve, markov, model, noisefit, sample
 
 import oracles
-from conftest import cycle, kernel, start_rows
+from conftest import cycle, cycle_trace, kernel, start_rows
 
 TAU_GRID_33 = [k * math.pi / 32 for k in range(33)]
 N_GRID_33 = range(33)
@@ -38,7 +38,7 @@ def stationary(m, tau: float, p0):
 def _engines(m, tau: float, n_max: int):
     exact = evolve.run_exact(m, [tau], n_max)[0]
     p0 = oracles.born_probabilities(m.initial_state, m.basis)
-    chain = markov.propagate(kernel(m, tau), start_rows(p0, n_max))
+    chain = evolve.propagate(kernel(m, tau), start_rows(p0, n_max))
     return exact, chain
 
 
@@ -94,7 +94,7 @@ def test_criterion_2_singlet_triplet():
             f"exact singlet component above 1e-12 at tau={tau}",
         )
     # asymptotics at tau = pi/4, n = 50
-    far = markov.propagate(kernel(m, math.pi / 4), start_rows([1.0, 0.0, 0.0, 0.0], 50))[50]
+    far = evolve.propagate(kernel(m, math.pi / 4), start_rows([1.0, 0.0, 0.0, 0.0], 50))[50]
     _expect(
         failures,
         float(np.max(np.abs(far - [1 / 3, 1 / 3, 0.0, 1 / 3]))) < 1e-6,
@@ -194,7 +194,7 @@ def test_criterion_5_noise_model():
         m = model.build_model(name)
         for gamma in (0.033, 0.12):
             for tau in tau_grid:
-                iterated = evolve.run_exact(m, [tau], 32, gamma)
+                iterated = cycle_trace(m, tau, 32, gamma)
                 folded = evolve.noisy_closed_form(evolve.run_exact(m, [tau], 32, 0.0), gamma)
                 _expect(
                     failures,

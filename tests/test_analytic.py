@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmonitor import analytic, evolve, markov, model
+from qmonitor import analytic, evolve, model
 
 import oracles
 from conftest import kernel, start_rows, taus
@@ -137,13 +137,13 @@ class TestOracleEquivalence:
             closed = analytic.closed_form_trace(name, [tau], n_max)[0]
             exact = evolve.run_exact(m, [tau], n_max)[0]
             p0 = oracles.born_probabilities(m.initial_state, m.basis)
-            chain = markov.propagate(kernel(m, tau), start_rows(p0, n_max))
+            chain = evolve.propagate(kernel(m, tau), start_rows(p0, n_max))
             assert np.max(np.abs(closed - chain)) < 1e-10
             assert np.max(np.abs(closed - exact)) < 1e-10
 
     def test_magnetization_matches_markov(self, single_qubit):
         for tau in GRID_TAU:
-            chain = markov.propagate(kernel(single_qubit, tau), start_rows([1.0, 0.0], 32))
+            chain = evolve.propagate(kernel(single_qubit, tau), start_rows([1.0, 0.0], 32))
             mags = chain[:, 0] - chain[:, 1]
             expected = [analytic.magnetization_single_qubit(n, tau) for n in GRID_N]
             assert np.max(np.abs(mags - expected)) < 1e-12

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmonitor import analytic, evolve, markov, model, sample
+from qmonitor import analytic, evolve, model, sample
 
 import oracles
 from conftest import ALL_MODEL_NAMES
@@ -36,9 +36,10 @@ def test_initial_distribution_is_the_born_oracle(name):
 
 def engines(m, name):
     """Each engine's trace on GRID at gamma 0.05, by engine name."""
+    chain = evolve.run_exact(m, GRID, N_MAX, 0.05)  # the exact and the markov engine
     runs = {
-        "exact": evolve.run_exact(m, GRID, N_MAX, 0.05),
-        "markov": markov.run_chain(m, GRID, N_MAX, 0.05),
+        "exact": chain,
+        "markov": chain,
         "sample": sample.run_shots(m, GRID, N_MAX, 0.05, shots=64, seed=3),
     }
     if name in analytic.CLOSED_FORMS:
@@ -61,8 +62,8 @@ def test_every_engine_returns_the_finished_trace(name):
 @pytest.mark.parametrize("name", ALL_MODEL_NAMES)
 def test_noise_is_the_closed_form_fold_of_the_noiseless_trace(name, gamma):
     m = MODELS[name]
-    chain = markov.run_chain(m, GRID, N_MAX, gamma)
-    assert np.array_equal(chain, evolve.noisy_closed_form(markov.run_chain(m, GRID, N_MAX), gamma))
+    chain = evolve.run_exact(m, GRID, N_MAX, gamma)
+    assert np.array_equal(chain, evolve.noisy_closed_form(evolve.run_exact(m, GRID, N_MAX), gamma))
     closed = analytic.closed_form_trace(name, GRID, N_MAX, gamma)
     noiseless = analytic.closed_form_trace(name, GRID, N_MAX)
     assert np.array_equal(closed, evolve.noisy_closed_form(noiseless, gamma))
@@ -71,7 +72,7 @@ def test_noise_is_the_closed_form_fold_of_the_noiseless_trace(name, gamma):
 @pytest.mark.parametrize("gamma", [-0.1, 1.5])
 def test_chain_and_closed_forms_reject_gamma_outside_the_unit_interval(bell, gamma):
     with pytest.raises(ValueError, match="gamma"):
-        markov.run_chain(bell, GRID, N_MAX, gamma)
+        evolve.run_exact(bell, GRID, N_MAX, gamma)
     with pytest.raises(ValueError, match="gamma"):
         analytic.closed_form_trace("two_qubit_bell", GRID, N_MAX, gamma)
 
@@ -83,18 +84,18 @@ def test_chain_and_closed_forms_check_gamma_before_any_work(bell, monkeypatch):
     monkeypatch.setattr(evolve, "first_cycle", reached)
     monkeypatch.setitem(analytic.CLOSED_FORMS, "two_qubit_bell", reached)
     with pytest.raises(ValueError, match="gamma"):
-        markov.run_chain(bell, GRID, N_MAX, 1.5)
+        evolve.run_exact(bell, GRID, N_MAX, 1.5)
     with pytest.raises(ValueError, match="gamma"):
         analytic.closed_form_trace("two_qubit_bell", GRID, N_MAX, 1.5)
 
 
 def test_chain_rejects_negative_n_max(bell):
     with pytest.raises(ValueError, match="n_max"):
-        markov.run_chain(bell, GRID, -1)
+        evolve.run_exact(bell, GRID, -1)
 
 
 def test_noiseless_fold_leaves_the_trace_untouched(bell):
-    values = markov.run_chain(bell, GRID, N_MAX)
+    values = evolve.run_exact(bell, GRID, N_MAX)
     before = values.copy()
     assert evolve.noisy_closed_form(values, 0.0) is values
     assert np.array_equal(values, before)
@@ -104,7 +105,7 @@ def test_noiseless_fold_leaves_the_trace_untouched(bell):
 def test_every_engine_rejects_an_empty_grid(bell, engine):
     run = {
         "exact": lambda taus: evolve.run_exact(bell, taus, N_MAX),
-        "markov": lambda taus: markov.run_chain(bell, taus, N_MAX),
+        "markov": lambda taus: evolve.run_exact(bell, taus, N_MAX),
         "first_cycle": lambda taus: evolve.first_cycle(bell, taus),
         "sample": lambda taus: sample.run_shots(bell, taus, N_MAX, shots=64, seed=3),
         "closed_form": lambda taus: analytic.closed_form_trace("two_qubit_bell", taus, N_MAX),
@@ -120,10 +121,8 @@ POINTWISE = ("exact", "markov", "closed_form")
 
 def pointwise_engine(engine, name):
     """The engine as simulate calls it on a sub-grid: (m, taus, n_max, gamma) -> trace."""
-    if engine == "exact":
+    if engine in ("exact", "markov"):
         return evolve.run_exact
-    if engine == "markov":
-        return markov.run_chain
     return lambda m, taus, n_max, gamma: analytic.closed_form_trace(name, taus, n_max, gamma)
 
 
@@ -133,7 +132,7 @@ def pointwise_engine(engine, name):
     if engine != "closed_form" or name in analytic.CLOSED_FORMS
 ])
 def test_a_sub_grid_gives_the_whole_grids_blocks_bit_for_bit(engine, name, gamma):
-    # simulate's split CSV write computes each half of the grid in its own process
+    # simulate's CSV write computes the grid in consecutive chunks, one engine call each
     m, run = MODELS[name], pointwise_engine(engine, name)
     whole = run(m, SPLIT_GRID, N_MAX, gamma)
     count = len(SPLIT_GRID)

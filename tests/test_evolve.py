@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from qmonitor import evolve, linalg, markov, model
+from qmonitor import evolve, linalg, model
 
 import oracles
-from conftest import ALL_MODEL_NAMES, all_models, cycle, gammas, kernel, start_rows, taus
+from conftest import (
+    ALL_MODEL_NAMES, all_models, cycle, cycle_trace, gammas, kernel, start_rows, taus,
+)
 
 TAU_GRID = [k * np.pi / 8 for k in range(9)] + [0.7, 2.3]
 DATA = Path(__file__).parent / "data"
@@ -84,7 +86,7 @@ class TestRunExact:
         n_max = 24
         exact = evolve.run_exact(m, [tau], n_max)[0]
         p0 = oracles.born_probabilities(m.initial_state, m.basis)
-        chain = markov.propagate(kernel(m, tau), start_rows(p0, n_max))
+        chain = evolve.propagate(kernel(m, tau), start_rows(p0, n_max))
         assert np.max(np.abs(exact - chain)) < 1e-12
 
     def test_singlet_component_stays_tiny(self, singlet_triplet):
@@ -114,12 +116,7 @@ class TestRunExactMatchesCycle:
         m = model.build_model(str(path) if path.exists() else name)
         traces = evolve.run_exact(m, self.ORACLE_TAUS, self.N_MAX, gamma)
         for tau, trace in zip(self.ORACLE_TAUS, traces):
-            rho = oracles.initial_density(m)
-            rows = [oracles.born_probabilities(m.initial_state, m.basis)]
-            for _ in range(self.N_MAX):
-                rho = cycle(rho, m, tau, gamma)
-                rows.append(np.real(np.diag(linalg.rotate_matrix(rho, m.basis.v))))
-            assert np.max(np.abs(trace - np.array(rows))) <= 1e-12
+            assert np.max(np.abs(trace - cycle_trace(m, tau, self.N_MAX, gamma))) <= 1e-12
 
 
 class TestNoisyClosedForm:
@@ -149,7 +146,7 @@ class TestNoisyClosedForm:
     @pytest.mark.parametrize("gamma", [0.033, 0.12])
     def test_iterated_noise_matches_closed_form(self, m, tau, gamma):
         n_max = 24
-        iterated = evolve.run_exact(m, [tau], n_max, gamma)
+        iterated = cycle_trace(m, tau, n_max, gamma)
         folded = evolve.noisy_closed_form(evolve.run_exact(m, [tau], n_max, 0.0), gamma)
         assert np.max(np.abs(iterated - folded)) < 1e-12
 
@@ -157,7 +154,7 @@ class TestNoisyClosedForm:
     @settings(max_examples=30, deadline=None)
     def test_commuting_noise_property(self, tau, gamma):
         m = model.two_qubit_model("bell")
-        iterated = evolve.run_exact(m, [tau], 12, gamma)
+        iterated = cycle_trace(m, tau, 12, gamma)
         folded = evolve.noisy_closed_form(evolve.run_exact(m, [tau], 12, 0.0), gamma)
         assert np.max(np.abs(iterated - folded)) < 1e-12
 

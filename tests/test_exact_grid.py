@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmonitor import analytic, cli, evolve, linalg, markov, model
+from qmonitor import analytic, cli, evolve, linalg, model
 
 import oracles
-from conftest import ALL_MODEL_NAMES, cycle, kernel, taus, three_level_model
+from conftest import ALL_MODEL_NAMES, cycle_trace, kernel, taus, three_level_model
 from test_render_memory import traced_cli_peak
 
 DATA = Path(__file__).parent / "data"
@@ -53,10 +53,6 @@ class TestGridAgreement:
         for tau, trace in zip(grid, traces):
             expected = reference_density_trace(m, tau, N_MAX, gamma)
             assert np.max(np.abs(trace - expected)) < 1e-12
-
-    def test_matches_first_cycle_then_chain(self, m, grid, gamma):
-        traces = evolve.run_exact(m, grid, N_MAX, gamma)
-        assert np.max(np.abs(traces - markov.run_chain(m, grid, N_MAX, gamma))) < 1e-12
 
 
 @pytest.mark.parametrize("m", MODELS, ids=MODEL_IDS)
@@ -101,23 +97,23 @@ def test_random_models_exact_is_first_cycle_then_chain(m, grid, gamma):
     assert l.min() >= 0.0 and l.max() <= 1.0 + 1e-12
     traces = evolve.run_exact(m, grid, N_MAX, gamma)
     for tau, trace in zip(grid, traces):
-        rho = oracles.initial_density(m)
-        rows = [oracles.born_probabilities(m.initial_state, m.basis)]
-        for _ in range(N_MAX):
-            rho = cycle(rho, m, tau, gamma)
-            rows.append(np.real(np.diag(linalg.rotate_matrix(rho, m.basis.v))))
-        assert np.max(np.abs(trace - np.array(rows))) < 1e-12
+        assert np.max(np.abs(trace - cycle_trace(m, tau, N_MAX, gamma))) < 1e-12
 
 
 EVERY_MODEL = [*ALL_MODEL_NAMES, *sorted(str(path) for path in DATA.glob("*.json"))]
 
 
 @pytest.mark.parametrize("name", EVERY_MODEL, ids=lambda name: Path(name).stem)
-def test_exact_is_bitwise_the_chain_without_noise(name):
-    """Both engines advance one (p1, L) with one batched product per cycle."""
-    m = model.build_model(name)
-    grid = np.linspace(0.0, np.pi, 129)
-    assert np.array_equal(evolve.run_exact(m, grid, 64), markov.run_chain(m, grid, 64))
+@pytest.mark.parametrize("gamma", [0.0, 0.033])
+def test_exact_and_markov_simulates_write_the_same_bytes(tmp_path, name, gamma):
+    """Both engines are one chain; only the name of the CSV differs."""
+    written = []
+    for engine in ("exact", "markov"):
+        argv = ["simulate", "--model", name, "--engine", engine, "--tau-count", 129,
+                "--n-max", 64, "--gamma", gamma, "--out", tmp_path / engine]
+        assert cli.main([str(a) for a in argv]) == 0
+        written.append((tmp_path / engine / f"{Path(name).stem}_{engine}.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("name", ALL_MODEL_NAMES)

@@ -151,18 +151,18 @@ class TestPropagate:
     def test_singlet_component_exactly_zero(self, singlet_triplet):
         for tau in (0.3, 0.7, np.pi / 4, 2.5):
             l = kernel(singlet_triplet, tau)
-            trace = markov.propagate(l, start_rows([1, 0, 0, 0], 64))
+            trace = evolve.propagate(l, start_rows([1, 0, 0, 0], 64))
             assert np.array_equal(trace[:, 2], np.zeros(65))
 
     def test_bell_frozen_components(self, bell):
         p0 = [0.5, 0.0, 0.5, 0.0]
         for tau in (0.3, 0.7, 1.9):
-            trace = markov.propagate(kernel(bell, tau), start_rows(p0, 64))
+            trace = evolve.propagate(kernel(bell, tau), start_rows(p0, 64))
             assert np.all(trace[:, 2] == 0.5)
             assert np.array_equal(trace[:, 3], np.zeros(65))
 
     def test_single_qubit_resonance(self, single_qubit):
-        trace = markov.propagate(kernel(single_qubit, np.pi), start_rows([1, 0], 8))
+        trace = evolve.propagate(kernel(single_qubit, np.pi), start_rows([1, 0], 8))
         signs = (-1.0) ** np.arange(9)
         mag = trace[:, 0] - trace[:, 1]
         assert np.max(np.abs(mag - signs)) < 1e-12
@@ -170,16 +170,16 @@ class TestPropagate:
     def test_rejects_mismatched_shapes(self, single_qubit):
         l = evolve.first_cycle(single_qubit, [0.3, 0.7])[1]
         with pytest.raises(ValueError, match="does not match"):
-            markov.propagate(l, start_rows([1.0, 0.0], 3))
+            evolve.propagate(l, start_rows([1.0, 0.0], 3))
         with pytest.raises(ValueError, match="does not match"):
-            markov.propagate(l[0], start_rows([1.0, 0.0, 0.0], 3))
+            evolve.propagate(l[0], start_rows([1.0, 0.0, 0.0], 3))
 
     def test_rejects_bad_p0(self, single_qubit):
         l = kernel(single_qubit, 0.7)
         with pytest.raises(ValueError):
-            markov.propagate(l, start_rows([0.7, 0.7], 3))
+            evolve.propagate(l, start_rows([0.7, 0.7], 3))
         with pytest.raises(ValueError):
-            markov.propagate(l, start_rows([1.2, -0.2], 3))
+            evolve.propagate(l, start_rows([1.2, -0.2], 3))
 
     @pytest.mark.parametrize(
         "l, p0",
@@ -193,7 +193,7 @@ class TestPropagate:
     )
     def test_rejects_non_finite(self, l, p0):
         with pytest.raises(ValueError, match="finite"):
-            markov.propagate(l, start_rows(p0, 2))
+            evolve.propagate(l, start_rows(p0, 2))
 
 
 class TestClassify:
@@ -302,7 +302,7 @@ class TestChiralRing:
 
     def test_distribution_cycles(self):
         m = model.build_model(str(DATA / "ring3_chiral.json"))
-        trace = markov.propagate(kernel(m, TAU_CHIRAL), start_rows([1.0, 0.0, 0.0], 6))
+        trace = evolve.propagate(kernel(m, TAU_CHIRAL), start_rows([1.0, 0.0, 0.0], 6))
         assert np.max(np.abs(trace[3] - trace[0])) < 1e-12
         assert np.max(np.abs(trace[6] - trace[0])) < 1e-12
         assert np.max(np.abs(trace[1] - trace[0])) > 0.99
@@ -332,7 +332,7 @@ class TestStationaryLimit:
     def test_matches_long_propagation(self, m):
         tau = 0.7
         p0 = oracles.born_probabilities(m.initial_state, m.basis)
-        long_run = markov.propagate(kernel(m, tau), start_rows(p0, 400))[-1]
+        long_run = evolve.propagate(kernel(m, tau), start_rows(p0, 400))[-1]
         assert np.max(np.abs(limit(m, tau, p0) - long_run)) < 1e-10
 
 
@@ -340,7 +340,7 @@ class TestStationaryLimit:
 @settings(max_examples=60, deadline=None)
 def test_propagate_rows_are_distributions(tau, n):
     m = model.two_qubit_model("bell")
-    trace = markov.propagate(kernel(m, tau), start_rows([0.5, 0, 0.5, 0], n))
+    trace = evolve.propagate(kernel(m, tau), start_rows([0.5, 0, 0.5, 0], n))
     assert trace.shape == (n + 1, 4)
     assert trace.min() >= -1e-12
     assert np.max(np.abs(trace.sum(axis=1) - 1.0)) <= 1e-12

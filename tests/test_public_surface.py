@@ -61,7 +61,7 @@ def test_the_cli_module_loads_only_traces_model_and_linalg(tmp_path):
 SWEEP = ("--tau-count", 5, "--n-max", 6, "--shots", 16)
 ENGINES_UNUSED = {
     "exact": {"markov", "sample", "analytic", "noisefit", "render", "configparser", "dataclasses"},
-    "markov": {"sample", "analytic", "noisefit", "render", "dataclasses"},
+    "markov": {"markov", "sample", "analytic", "noisefit", "render", "configparser", "dataclasses"},
     "sample": {"markov", "analytic", "noisefit", "render", "dataclasses"},
     "closed_form": {"markov", "sample", "noisefit", "render", "dataclasses"},
 }

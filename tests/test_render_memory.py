@@ -4,17 +4,13 @@ simulate at most twice, and the render never holds the whole SVG.
 
 tracemalloc counts Python objects and numpy buffers alike, so the bounds do
 not depend on the machine. Each was fixed from the sizes involved before
-the first run. The trace reader keeps its keys and values in anonymous
-mmaps, which tracemalloc does not see, so the tests that read a trace add
-the mapped bytes to the traced peak.
+the first run.
 """
 
-import mmap
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from qmonitor import cli, render
 
@@ -42,20 +38,6 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-@pytest.fixture
-def mapped(monkeypatch):
-    """The sizes of the mmaps made while the test runs."""
-    sizes = []
-
-    class Mapping(mmap.mmap):
-        def __new__(cls, fileno, length, *args, **kwargs):
-            sizes.append(length)
-            return super().__new__(cls, fileno, length, *args, **kwargs)
-
-    monkeypatch.setattr(mmap, "mmap", Mapping)
-    return sizes
-
-
 def traced_cli_peak(argv):
     """(exit code, traced peak) of cli.main(argv), after an untraced run on a 2-point grid.
 
@@ -80,7 +62,7 @@ def test_markov_simulate_holds_the_trace_once(tmp_path):
     assert peak <= 1.3 * payload
 
 
-def test_reader_holds_the_values_and_keys_once(tmp_path, mapped):
+def test_reader_holds_the_values_and_keys_once(tmp_path):
     model = DATA / "chain_dim8_seed67.json"
     argv = ["simulate", "--model", model, "--engine", "markov", "--tau-count", 129,
             "--n-max", 256, "--out", tmp_path]
@@ -89,8 +71,7 @@ def test_reader_holds_the_values_and_keys_once(tmp_path, mapped):
     path = tmp_path / "chain_dim8_seed67_markov.csv"
     (_, _, values), peak = traced_peak(cli.read_trace_csv, path)
     assert values.shape == (129, 257, 8)
-    assert sum(mapped) == payload
-    assert peak + sum(mapped) <= 1.3 * payload
+    assert peak <= 1.3 * payload
 
 
 def test_sample_simulate_holds_at_most_two_traces(tmp_path):
@@ -116,7 +97,7 @@ def test_heatmap_streams_rows_without_holding_the_document():
     assert peak < 1_000_000
 
 
-def test_render_holds_a_small_multiple_of_the_float_payload(tmp_path, mapped):
+def test_render_holds_a_small_multiple_of_the_float_payload(tmp_path):
     model = DATA / "chain_dim8_seed67.json"
     sim = ["simulate", "--model", model, "--engine", "markov", "--tau-count", 65,
            "--n-max", 512, "--out", tmp_path]
@@ -127,5 +108,4 @@ def test_render_holds_a_small_multiple_of_the_float_payload(tmp_path, mapped):
     code, peak = traced_peak(cli.main, argv)
     assert code == 0
     assert (tmp_path / "chain_dim8_seed67_markov_heatmap_1.svg").stat().st_size > payload / 2
-    assert sum(mapped) == payload
-    assert peak + sum(mapped) < 3 * payload
+    assert peak < 3 * payload

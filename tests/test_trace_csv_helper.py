@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmonitor import analytic, cli, evolve, markov, model, sample, traces
+from qmonitor import analytic, cli, evolve, model, sample, traces
 
 import oracles
 import test_cli
@@ -55,10 +55,8 @@ def reference_bytes(path, labels, taus, values, stderrs=None):
 
 def run_engine(engine, taus):
     """One engine on the Bell model over taus, as simulate calls it."""
-    if engine == "exact":
+    if engine in ("exact", "markov"):
         return evolve.run_exact(BELL, taus, SWEEP_N, GAMMA)
-    if engine == "markov":
-        return markov.run_chain(BELL, taus, SWEEP_N, GAMMA)
     return analytic.closed_form_trace("two_qubit_bell", taus, SWEEP_N, GAMMA)
 
 
@@ -114,7 +112,7 @@ class TestWriter:
     def test_odd_and_tiny_grids(self, tmp_path, monkeypatch, blocks, points):
         set_chunk(monkeypatch, points, 10, 4)
         taus = np.linspace(0.1, 3.0, blocks)
-        values = markov.run_chain(BELL, taus, 9, GAMMA)
+        values = evolve.run_exact(BELL, taus, 9, GAMMA)
         labels = ("a", "b", "c", "d")
         traces.write_trace_csv(tmp_path / "t.csv", labels, taus, values)
         want = reference_bytes(tmp_path / "want.csv", labels, taus, values)
@@ -156,7 +154,7 @@ class TestWriter:
             ranges.append((start, stop))
             if start == 4:
                 raise error("the third chunk fails")
-            return markov.run_chain(BELL, taus[start:stop], 9, GAMMA)
+            return evolve.run_exact(BELL, taus[start:stop], 9, GAMMA)
 
         earlier = write_earlier(tmp_path / "t.csv")
         with pytest.raises(error, match="the third chunk fails"):
