@@ -7,14 +7,14 @@ render (static SVG plots from a trace CSV), and timing (cycle duration and
 decay rate from layer counts).
 
 Every engine is a function of (model, taus, n_max, gamma) that returns the
-finished, checked (T, n_max+1, dim) trace; simulate dispatches to one, writes
-the trace to the CSV as it is and summarises it. exact and markov are one
-chain, evolve.run_exact, and differ only in the name of the file they
-write. exact, markov and closed_form run inside the CSV write, one bounded
-range of the grid at a time, so the trace is never held whole (see
-_simulate). The CSV format belongs to qmonitor.traces. The commands call
-its reader through this module's own name read_trace_csv, the name that
-qmbench/tracing.py wraps.
+finished, checked (T, n_max+1, dim) trace. exact and markov are one chain,
+evolve.run_exact, and differ only in the name of the file they write.
+simulate writes every engine through one CSV write that asks for one
+bounded range of the grid at a time: exact, markov and closed_form compute
+the range, so their trace is never held whole, and sample slices the trace
+it drew (see _simulate). The CSV format belongs to qmonitor.traces. The
+commands call its reader through this module's own name read_trace_csv,
+the name that qmbench/tracing.py wraps.
 
 This module imports only traces, model and linalg. Each command imports the
 modules it runs when it runs, and simulate imports only its engine's, so a
@@ -232,25 +232,45 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 def _simulate(cfg: RunConfig, m: model_mod.Model) -> dict:
     """Run cfg.engine over the tau grid, write the trace CSV and the summary.
 
-    exact, markov and closed_form compute each grid point from its own tau
-    alone, so the engine runs inside the CSV write, on one range of the grid
-    at a time (traces.write_trace_csv). sample draws the whole grid from one
-    random stream, so it runs first and the write gets the finished trace.
+    Every engine is a source of blocks that traces.write_trace_csv asks for
+    one range of the grid at a time. exact, markov and closed_form compute
+    the range. sample draws the whole grid from one random stream first; its
+    source slices that trace, puts each cell's standard error beside it and
+    reduces the range's deviation from the exact trace of that range alone.
     """
+    from . import evolve
+
     taus = cfg.tau_grid()
-    stderrs = None
+    results: dict = {"rows": int(len(taus) * (cfg.n_max + 1)), "labels": list(m.basis.labels)}
     if cfg.engine == "sample":
-        from . import evolve, sample
+        from . import sample
 
         values = sample.run_shots(m, taus, cfg.n_max, cfg.gamma, shots=cfg.shots, seed=cfg.seed)
-        stderrs = 1.0 - values  # sqrt(values (1 - values) / shots) in this one buffer
-        stderrs *= values
-        stderrs /= cfg.shots
-        np.sqrt(stderrs, out=stderrs)
-        blocks = values
-    else:
-        from . import evolve
+        devs, zs = [], []  # the maxima of each range
 
+        def blocks(start, stop):
+            written = values[start:stop]
+            block = np.concatenate([written, 1.0 - written], axis=2)
+            err = block[..., m.dim:]  # sqrt(values (1 - values) / shots), in the block
+            err *= written
+            err /= cfg.shots
+            np.sqrt(err, out=err)
+            p = evolve.run_exact(m, taus[start:stop], cfg.n_max, cfg.gamma)
+            deviation = written  # the block holds a copy, so this range takes |values - p|
+            deviation -= p
+            np.abs(deviation, out=deviation)
+            devs.append(float(np.max(deviation)))
+            # each cell's binomial standard error, with the variance floored at 1/shots;
+            # p (1 - p) as 1/4 - (p - 1/2)^2, in place
+            p -= 0.5
+            np.square(p, out=p)
+            np.subtract(0.25, p, out=p)
+            np.maximum(p, 1.0 / cfg.shots, out=p)
+            p /= cfg.shots
+            deviation /= np.sqrt(p, out=p)
+            zs.append(float(np.max(deviation)))
+            return block
+    else:
         if cfg.engine in ("exact", "markov"):
             engine = evolve.run_exact
         else:
@@ -270,26 +290,11 @@ def _simulate(cfg: RunConfig, m: model_mod.Model) -> dict:
     os.makedirs(cfg.out, exist_ok=True)
     key = f"{_model_key(cfg.model)}_{cfg.engine}"
     csv_path = os.path.join(cfg.out, f"{key}.csv")
-    traces.write_trace_csv(csv_path, m.basis.labels, taus, blocks, stderrs, rows=cfg.n_max + 1)
-    del stderrs  # freed before the sample check below builds an exact trace
-
-    results: dict = {"rows": int(len(taus) * (cfg.n_max + 1)), "labels": list(m.basis.labels)}
+    traces.write_trace_csv(csv_path, m.basis.labels, taus, blocks, rows=cfg.n_max + 1,
+                           stderr=cfg.engine == "sample")
     if cfg.engine == "sample":
-        p = evolve.run_exact(m, taus, cfg.n_max, cfg.gamma)
-        deviation = values  # written, so its buffer takes |values - p|: no trace-sized temporary
-        deviation -= p
-        np.abs(deviation, out=deviation)
-        results["max_abs_dev_from_exact"] = float(np.max(deviation))
-        results["five_sigma_bound"] = 5.0 / math.sqrt(cfg.shots)
-        # each cell's binomial standard error, with the variance floored at 1/shots;
-        # p (1 - p) as 1/4 - (p - 1/2)^2, in place, so no third trace is held
-        p -= 0.5
-        np.square(p, out=p)
-        np.subtract(0.25, p, out=p)
-        np.maximum(p, 1.0 / cfg.shots, out=p)
-        p /= cfg.shots
-        deviation /= np.sqrt(p, out=p)
-        results["max_abs_z"] = float(np.max(deviation))
+        results.update(max_abs_dev_from_exact=max(devs), max_abs_z=max(zs),
+                       five_sigma_bound=5.0 / math.sqrt(cfg.shots))
 
     summary = _summary("simulate", cfg._asdict(), [csv_path], results)
     summary_path = os.path.join(cfg.out, f"{key}_summary.json")

@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Absolute gates for matrices with entries of order one.
+# HERMITICITY_TOL scales with max(1, max|a_ij|), as the rounding of V^dag H V does;
+# UNITARITY_TOL is absolute, for matrices whose entries are at most 1.
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-12
 
@@ -44,11 +45,11 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - adjoint(a)))) if a.size else 0.0
 
 
-def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate Hermiticity within ``tol`` (max-norm) and return the input."""
+def require_hermitian(a: np.ndarray) -> np.ndarray:
+    """Return a as a matrix if max|a - a^dag| <= HERMITICITY_TOL * max(1, max|a_ij|)."""
     a = as_matrix(a)
     defect = hermiticity_defect(a)
-    if defect > tol:
+    if defect > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(a)))):
         raise ValueError(f"matrix is not Hermitian: max |a - a^dag| = {defect:.3e}")
     return a
 

@@ -85,7 +85,7 @@ class Model(NamedTuple("Model", [("dim", int), ("hamiltonian", np.ndarray),
 
     def __new__(cls, dim: int, hamiltonian: np.ndarray, basis: MeasurementBasis,
                 initial_state: np.ndarray):
-        h = linalg.require_hermitian(hamiltonian)
+        h = linalg.require_hermitian(hamiltonian)  # within 1e-12 max(1, max|H_ij|)
         if h.shape[0] != dim or basis.dim != dim:
             raise ValueError("inconsistent dimensions")
         # By Gershgorin every eigenvalue of V^dag H V is at most dim * max|H_ij|, so

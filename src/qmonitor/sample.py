@@ -8,10 +8,11 @@ K = (1 - gamma) L + gamma J / dim is the one-cycle kernel with its
 depolarizing coin: with probability gamma per cycle the outcome is replaced
 by a uniformly random basis index, which reproduces the depolarizing channel
 at the level of outcome statistics (the depolarized branch is measured
-immediately in the same basis). run_shots draws the counts directly, as one
-(T, n_max+1, dim) int64 stack, and returns the trace counts / shots. This
-has the same joint law as walking every shot, at a cost independent of the
-number of shots; single shots are never materialised.
+immediately in the same basis). run_shots draws the counts directly into
+one (T, n_max+1, dim) float64 stack, exact below 2**53, and divides it by
+shots in place, so it holds one trace. This has the same joint law as
+walking every shot, at a cost independent of the number of shots; single
+shots are never materialised.
 
 Randomness comes from numpy's counter-based Philox generator: a run with
 seed s draws from the one stream Generator(Philox(key = s)), so different
@@ -74,10 +75,11 @@ def run_shots(
     kernels = _pvals((1.0 - gamma) * l + gamma / dim)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    counts = np.empty((len(taus), n_max + 1, dim), dtype=np.int64)
+    counts = np.empty((len(taus), n_max + 1, dim))
     counts[:, 0] = rng.multinomial(shots, _pvals(m.initial_distribution), size=len(taus))
-    if n_max > 0:
-        counts[:, 1] = rng.multinomial(shots, first)
+    if n_max > 0:  # each draw takes the int64 counts of the cycle before
+        counts[:, 1] = cycle = rng.multinomial(shots, first)
     for n in range(2, n_max + 1):
-        counts[:, n] = rng.multinomial(counts[:, n - 1], kernels).sum(axis=1)
-    return check_trace(counts / float(shots))
+        counts[:, n] = cycle = rng.multinomial(cycle, kernels).sum(axis=1)
+    counts /= float(shots)
+    return check_trace(counts)

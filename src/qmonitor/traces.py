@@ -14,11 +14,13 @@ so a failed or interrupted write leaves path's earlier bytes, or no file.
 
 Decimal text is most of their time. The writer formats each distinct 64-bit
 pattern of a tau block once, since converged rows repeat their values. It
-takes the grid in consecutive ranges of at most _CHUNK_CELLS value cells,
-so a source that computes its blocks (simulate's tau-pointwise engines)
-never holds more than one range of the trace. The reader converts the body
-in chunks of _CHUNK_ROWS lines straight into arrays of the trace's final
-size. Both run in the calling process.
+reads every trace from a source of blocks, which it asks for consecutive
+ranges of the grid of at most _CHUNK_CELLS written cells, so a source that
+computes its blocks holds one range of them at a time: simulate's
+tau-pointwise engines compute a range of the trace, and sample slices the
+trace it drew and adds the range's stderr columns. The reader converts the
+body in chunks of _CHUNK_ROWS lines straight into arrays of the trace's
+final size. Both run in the calling process.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .model import check_labels
 
 ROW_SUM_TOL = 1e-12
 _CHUNK_ROWS = 512
-# The writer asks a source of blocks for at most this many value cells (rows x
-# outcomes, 1 MiB of floats) at a time, and always for at least one grid point.
+# The writer asks a source of blocks for at most this many written cells (rows x
+# columns, 1 MiB of floats) at a time, and always for at least one grid point.
 # Each call pays the engine's set-up (a cycle loop in exact), so smaller chunks
 # cost time and larger ones memory. On a 2-vCPU x86-64 machine the exact_sweep
 # peak RSS read 31.95, 32.20, 32.72 and 33.82 MB at 32k, 64k, 128k and 256k
@@ -91,7 +93,7 @@ def replacing(path):
         raise
 
 
-def _write_blocks(fh, taus, values, stderrs) -> None:
+def _write_blocks(fh, taus, values) -> None:
     """Write the rows of every grid point of taus, with its block of values, to fh.
 
     A block fills a template of its rows: '\\0' where tau goes, the n digits,
@@ -108,13 +110,8 @@ def _write_blocks(fh, taus, values, stderrs) -> None:
     writes for it.
     """
     values = np.asarray(values, dtype=float)  # the cells are keyed on their 64 bits
-
-    def block_at(i):
-        return values[i] if stderrs is None else np.column_stack([values[i], stderrs[i]])
-
-    key, cols = None, [b""] * (values.shape[2] * (1 if stderrs is None else 2))
-    for i in range(len(taus)):
-        block = block_at(i)
+    key, cols = None, [b""] * values.shape[2]
+    for tau, block in zip(taus, values, strict=True):
         prev, cols = cols, [col.tobytes() for col in block.T]  # bits: 0.0 and -0.0 differ
         same = [col == old for col, old in zip(cols, prev)]
         if key != same:
@@ -127,42 +124,33 @@ def _write_blocks(fh, taus, values, stderrs) -> None:
         # itemgetter takes at least one index, and of one it returns that text,
         # which % puts in the template's one slot
         cells = itemgetter(*where.ravel().tolist())(digits) if where.size else ()
-        fh.write(template.replace("\0", "%.17g" % taus[i]) % cells)
+        fh.write(template.replace("\0", "%.17g" % tau) % cells)
 
 
-def write_trace_csv(path, labels, taus, values, stderrs=None, *, rows=None) -> None:
-    """Write one block of R rows per grid point of taus, through replacing(path).
+def write_trace_csv(path, labels, taus, blocks, *, rows: int, stderr: bool = False) -> None:
+    """Write the rows of every grid point of taus from blocks, through replacing(path).
 
-    values is a (T, R, N) stack, or a function blocks(start, stop) that
-    returns the (stop-start, R, N) stack of grid points start..stop-1, with
-    R given as rows; stderrs, only with a stack, is a matching stack. After
-    the header, the grid is taken in consecutive ranges of at most
-    _CHUNK_CELLS value cells (R x N per grid point), and at least one grid
-    point; each range goes through _write_blocks, whose bytes do not depend
-    on the ranges. A computed grid is therefore held one range at a time,
-    and an error of blocks in any range propagates, leaving path as it was.
+    blocks(start, stop) returns the (stop-start, rows, W) stack of grid
+    points start..stop-1 with every written column: the N outcome columns
+    of labels and, with stderr, their N standard errors after them (W = 2N),
+    which the header names stderr_0..stderr_{N-1}; a stack of another length
+    raises ValueError. After the header, the grid is taken in consecutive
+    ranges of at most _CHUNK_CELLS written cells (rows x W per grid point),
+    and at least one grid point; each range goes through _write_blocks,
+    whose bytes do not depend on the ranges. The grid is therefore held one
+    range at a time, and an error of blocks in any range propagates, leaving
+    path as it was.
     """
     header = ["tau", "n", *labels]
-    if stderrs is not None:
+    if stderr:
         header += [f"stderr_{k}" for k in range(len(labels))]
     count = len(taus)
-    if callable(values):
-        blocks = values
-    else:
-        if len(values) != count:
-            raise ValueError(f"{count} taus for {len(values)} blocks")
-        rows = values.shape[1]
-
-        def blocks(start, stop):
-            return values[start:stop]
-
-    step = max(1, _CHUNK_CELLS // (rows * len(labels)))
+    step = max(1, _CHUNK_CELLS // (rows * (len(header) - 2)))
     with replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for start in range(0, count, step):
             stop = min(start + step, count)
-            errs = None if stderrs is None else stderrs[start:stop]
-            _write_blocks(fh, taus[start:stop], blocks(start, stop), errs)
+            _write_blocks(fh, taus[start:stop], blocks(start, stop))
 
 
 def _count_lines(path) -> int:

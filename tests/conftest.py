@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qmonitor import linalg, markov, model
+from qmonitor import linalg, markov, model, traces
 
 
 @pytest.fixture(scope="session")
@@ -115,3 +115,15 @@ def start_rows(p0, n: int) -> np.ndarray:
 def kernel(m: model.Model, tau: float) -> np.ndarray:
     """The (dim, dim) jump kernel L(tau) of one tau."""
     return markov.build_transition_matrix(m, [tau])[0]
+
+
+def write_stack(path, labels, taus, values, stderrs=None) -> None:
+    """traces.write_trace_csv of a finished (T, R, N) stack, and optionally its stderr stack.
+
+    The block source slices the stack, with the stderrs as its last N columns.
+    """
+    blocks = np.asarray(values, dtype=float)
+    if stderrs is not None:
+        blocks = np.concatenate([blocks, stderrs], axis=2)
+    traces.write_trace_csv(path, labels, taus, lambda start, stop: blocks[start:stop],
+                           rows=blocks.shape[1], stderr=stderrs is not None)

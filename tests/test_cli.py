@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qmonitor import cli, render, traces
 
-from conftest import ALL_MODEL_NAMES
+from conftest import ALL_MODEL_NAMES, write_stack
 
 
 DATA = Path(__file__).parent / "data"
@@ -238,6 +238,29 @@ class TestSimulate:
             )
         )
         assert run([*argv, "--model", model_file, "--out", tmp_path]) == 2
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 3e3, 1e4])
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--engine", "exact"], ["simulate", "--engine", "sample"], ["analyze"]],
+        ids=["exact", "sample", "analyze"],
+    )
+    def test_an_exactly_hermitian_model_of_any_scale_runs(self, tmp_path, capsys, argv, scale):
+        # V^dag H V rounds by about eps max|H_ij|, which an absolute 1e-12 gate refused from 1e3
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        h = scale * (a + a.conj().T)
+        q = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
+        assert np.array_equal(h, h.conj().T)
+        model_file = tmp_path / "m.json"
+        model_file.write_text(json.dumps({
+            "hamiltonian": {"re": h.real.tolist(), "im": h.imag.tolist()},
+            "basis": {"re": q.real.tolist(), "im": q.imag.tolist()},
+            "initial_state": {"re": q[:, 0].real.tolist(), "im": q[:, 0].imag.tolist()},
+        }))
+        argv = [*argv, "--model", model_file, "--tau-count", 9, "--n-max", 8, "--out", tmp_path]
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_bad_tau_grid(self, tmp_path):
         assert run(["simulate", "--tau-stop", 9.0, "--out", tmp_path]) == 2
@@ -872,7 +895,7 @@ def test_non_utf8_bytes_are_a_data_error(tmp_path, capsys, command, where):
 
 
 class TestTraceCsvFormat:
-    """The writer fills one row template for the blocks of a stack, with the
+    """The writer fills one row template for the blocks of a source, with the
     grid point's tau joined in once; a csv.writer with one format(x, '.17g')
     per cell must produce the same bytes."""
 
@@ -900,7 +923,7 @@ class TestTraceCsvFormat:
         values = np.stack([rows, rows[::-1, ::-1]] * 2)
         stderrs = np.stack([rows[:, ::-1], rows] * 2) if with_stderr else None
         labels = ("g", "e,1")
-        traces.write_trace_csv(tmp_path / "got.csv", labels, self.TAUS, values, stderrs)
+        write_stack(tmp_path / "got.csv", labels, self.TAUS, values, stderrs)
         self.reference(tmp_path / "want.csv", labels, self.TAUS, values, stderrs)
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
@@ -945,7 +968,7 @@ class TestTraceCsvFormat:
         blocks = np.stack(blocks)
         stderrs = (np.stack(errs[0]) if errs else blocks[:, :, ::-1]) if with_stderr else None
         labels = ("g", "e,1", "f")[: blocks[0].shape[1]]
-        traces.write_trace_csv(tmp_path / "got.csv", labels, taus, blocks, stderrs)
+        write_stack(tmp_path / "got.csv", labels, taus, blocks, stderrs)
         self.reference(tmp_path / "want.csv", labels, taus, blocks, stderrs)
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
@@ -976,7 +999,9 @@ class TestTraceCsvFormat:
         stderrs = blocks[:, :, width:] if with_stderr else None
         labels = ("g", "e,1", "f")[:width]
         out = tmp_path_factory.mktemp("csv")
-        traces.write_trace_csv(out / "got.csv", labels, taus, values, stderrs)
+        traces.write_trace_csv(out / "got.csv", labels, taus,
+                               lambda start, stop: blocks[start:stop], rows=n_rows,
+                               stderr=with_stderr)
         self.reference(out / "want.csv", labels, taus, values, stderrs)
         assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 

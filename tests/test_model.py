@@ -164,6 +164,20 @@ class TestValidation:
                 initial_state=np.array([1.0, 0.0]),
             )
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_the_hermiticity_gate_scales_with_the_largest_entry(self, scale):
+        gate = 1e-12 * max(1.0, scale)
+        for defect, accepted in [(0.9 * gate, True), (1.1 * gate, False)]:
+            h = scale * model.pauli("x")
+            h[0, 1] += defect
+            if accepted:
+                model.Model(dim=2, hamiltonian=h, basis=model.computational_basis(2),
+                            initial_state=np.array([1.0, 0.0]))
+            else:
+                with pytest.raises(ValueError, match="Hermitian"):
+                    model.Model(dim=2, hamiltonian=h, basis=model.computational_basis(2),
+                                initial_state=np.array([1.0, 0.0]))
+
     def test_unnormalized_state(self):
         with pytest.raises(ValueError, match="normalized"):
             model.Model(

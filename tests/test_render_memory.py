@@ -1,6 +1,7 @@
 """Peak traced memory of the trace-sized paths: a markov simulate, the trace
 reader and the heatmap render each hold every trace value once, a sample
-simulate at most twice, and the render never holds the whole SVG.
+simulate its drawn trace once and one range of the write, and the render
+never holds the whole SVG.
 
 tracemalloc counts Python objects and numpy buffers alike, so the bounds do
 not depend on the machine. Each was fixed from the sizes involved before
@@ -83,6 +84,18 @@ def test_sample_simulate_holds_at_most_two_traces(tmp_path):
     code, peak = traced_cli_peak(argv)
     assert code == 0
     assert peak <= 2.3 * payload
+
+
+def test_sample_simulate_holds_its_trace_once(tmp_path):
+    # 257 x 1025 rows is 18 write ranges; the bound was fixed before the first run: the
+    # drawn trace (1.0), one range of outcome and stderr columns (traces._CHUNK_CELLS
+    # floats, 0.12) and its exact reference (0.06), with room for one grid point's text
+    argv = ["simulate", "--model", "two_qubit_bell", "--engine", "sample", "--tau-count", 257,
+            "--n-max", 1024, "--gamma", 0.033, "--seed", 7, "--out", tmp_path]
+    payload = 257 * 1025 * 4 * 8  # every outcome cell as a float64
+    code, peak = traced_cli_peak(argv)
+    assert code == 0
+    assert peak <= 1.3 * payload
 
 
 def test_heatmap_streams_rows_without_holding_the_document():

@@ -1,8 +1,9 @@
 """The trace CSV, written and read in one process with the grid in bounded chunks.
 
-write_trace_csv takes the grid in consecutive ranges of at most
-traces._CHUNK_CELLS value cells, and simulate's exact, markov and
-closed_form engines compute one range at a time inside the write. The
+write_trace_csv asks a source of blocks for consecutive ranges of the grid
+of at most traces._CHUNK_CELLS written cells: simulate's exact, markov and
+closed_form engines compute one range at a time inside the write, and
+sample slices the trace it drew and adds the range's stderr columns. The
 ranges must not show: every chunk size writes the bytes of the per-cell
 writer (test_cli.TestTraceCsvFormat.reference), an error in any range fails
 the write and the command as a one-call run would, and leaves the target's
@@ -21,6 +22,7 @@ from qmonitor import analytic, cli, evolve, model, sample, traces
 
 import oracles
 import test_cli
+from conftest import write_stack
 from test_render_memory import traced_cli_peak
 
 DATA = Path(__file__).parent / "data"
@@ -36,14 +38,14 @@ def assert_no_leftovers(directory):
     assert not list(Path(directory).rglob("*.tmp"))
 
 
-def set_chunk(monkeypatch, points, rows, dim):
-    """Make a chunk hold exactly this many grid points of rows x dim value cells."""
-    monkeypatch.setattr(traces, "_CHUNK_CELLS", points * rows * dim)
+def set_chunk(monkeypatch, points, rows, width):
+    """Make a chunk hold exactly this many grid points of rows x width written cells."""
+    monkeypatch.setattr(traces, "_CHUNK_CELLS", points * rows * width)
 
 
 def write_earlier(path):
     """Write a small trace to path and return its bytes."""
-    traces.write_trace_csv(path, ("a", "b"), [0.0], np.array([[[1.0, 0.0], [0.5, 0.5]]]))
+    write_stack(path, ("a", "b"), [0.0], np.array([[[1.0, 0.0], [0.5, 0.5]]]))
     return path.read_bytes()
 
 
@@ -86,22 +88,22 @@ class TestWriter:
     @pytest.mark.parametrize("engine", ["exact", "markov", "sample", "closed_form"])
     def test_sweep_shape_bytes_do_not_depend_on_the_split(self, tmp_path, monkeypatch,
                                                           sweep_references, engine, points):
-        set_chunk(monkeypatch, points, SWEEP_N + 1, 4)
         want, trace = sweep_references[engine]
+        # sample writes a stderr column beside each outcome column, so 8 columns
+        set_chunk(monkeypatch, points, SWEEP_N + 1, 4 if trace is None else 8)
         labels = BELL.basis.labels
         ranges = []
-        if trace is None:  # computed one range at a time, as simulate does
 
-            def blocks(start, stop):
-                ranges.append((start, stop))
+        def blocks(start, stop):  # one range at a time, as simulate does
+            ranges.append((start, stop))
+            if trace is None:
                 return run_engine(engine, SWEEP_TAUS[start:stop])
+            return np.concatenate([part[start:stop] for part in trace], axis=2)
 
-            traces.write_trace_csv(tmp_path / "t.csv", labels, SWEEP_TAUS, blocks,
-                                   rows=SWEEP_N + 1)
-            starts = range(0, 257, points)
-            assert ranges == [(start, min(start + points, 257)) for start in starts]
-        else:
-            traces.write_trace_csv(tmp_path / "t.csv", labels, SWEEP_TAUS, *trace)
+        traces.write_trace_csv(tmp_path / "t.csv", labels, SWEEP_TAUS, blocks,
+                               rows=SWEEP_N + 1, stderr=trace is not None)
+        starts = range(0, 257, points)
+        assert ranges == [(start, min(start + points, 257)) for start in starts]
         got = (tmp_path / "t.csv").read_bytes()
         assert got.count(b"\n") == 1 + 257 * 257
         assert (b"stderr_3" in got) == (trace is not None)
@@ -114,7 +116,7 @@ class TestWriter:
         taus = np.linspace(0.1, 3.0, blocks)
         values = evolve.run_exact(BELL, taus, 9, GAMMA)
         labels = ("a", "b", "c", "d")
-        traces.write_trace_csv(tmp_path / "t.csv", labels, taus, values)
+        write_stack(tmp_path / "t.csv", labels, taus, values)
         want = reference_bytes(tmp_path / "want.csv", labels, taus, values)
         assert (tmp_path / "t.csv").read_bytes() == want
 
@@ -139,9 +141,19 @@ class TestWriter:
             for c in copied:
                 values[i, :, c] = values[i - 1, :, c]
         taus = [0.5, 1.0, 1.5, 2.0]
-        traces.write_trace_csv(tmp_path / "t.csv", ("a", "b", "c"), taus, values)
+        write_stack(tmp_path / "t.csv", ("a", "b", "c"), taus, values)
         want = reference_bytes(tmp_path / "want.csv", ("a", "b", "c"), taus, values)
         assert (tmp_path / "t.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_range_of_the_wrong_length_raises(self, tmp_path, count):
+        earlier = write_earlier(tmp_path / "t.csv")
+        rows = np.array([[[1.0, 0.0]]] * count)
+        with pytest.raises(ValueError):
+            traces.write_trace_csv(tmp_path / "t.csv", ("a", "b"), [0.1, 0.2],
+                                   lambda start, stop: rows, rows=1)
+        assert (tmp_path / "t.csv").read_bytes() == earlier
+        assert_no_leftovers(tmp_path)
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_an_error_in_a_later_chunk_leaves_the_earlier_bytes(self, tmp_path, monkeypatch,
@@ -301,12 +313,14 @@ def test_no_command_starts_a_process(tmp_path, monkeypatch):
 
 
 class TestSimulateSplit:
-    """simulate's exact, markov and closed_form engines run inside the chunked write.
+    """Every simulate engine is a source of blocks for the chunked write.
 
-    The engine computes one chunk of the grid at a time; sample, whose one
-    random stream covers the whole grid, runs first. A failure in any chunk
-    looks like the one-chunk run's: its exit code, its stderr line, the
-    earlier outputs, and no temporary file.
+    exact, markov and closed_form compute one chunk of the grid at a time;
+    sample, whose one random stream covers the whole grid, draws it first
+    and writes it one chunk at a time. Any split writes the one-chunk run's
+    CSV and summary, and a failure in any chunk looks like the one-chunk
+    run's: its exit code, its stderr line, the earlier outputs, and no
+    temporary file.
     """
 
     TAUS, N_MAX = 9, 12  # with two grid points per chunk: 2, 2, 2, 2 and 1 of 13 rows each
@@ -320,11 +334,33 @@ class TestSimulateSplit:
         files = {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())}
         return code, capsys.readouterr().err, files
 
-    def chunked(self, monkeypatch, capsys, out, *args, points=2):
-        """simulate with this many grid points per chunk (the Bell model's dimension, 4)."""
+    def chunked(self, monkeypatch, capsys, out, model_name="two_qubit_bell", engine="exact",
+                points=2):
+        """simulate with this many grid points per chunk of the Bell model's 4 outcome
+        columns, and as many stderr columns with sample."""
         with monkeypatch.context() as mp:
-            set_chunk(mp, points, self.N_MAX + 1, 4)
-            return self.simulate(capsys, out, *args)
+            set_chunk(mp, points, self.N_MAX + 1, 8 if engine == "sample" else 4)
+            return self.simulate(capsys, out, model_name, engine)
+
+    @pytest.mark.parametrize("points", [1, 2, 4, 8, 9])
+    @pytest.mark.parametrize("engine", ["exact", "markov", "closed_form", "sample"])
+    def test_every_split_writes_the_one_chunk_csv_and_summary(self, tmp_path, monkeypatch,
+                                                               capsys, engine, points):
+        grids = []
+        write_blocks = traces._write_blocks
+
+        def counting(fh, taus, values):
+            grids.append(len(taus))
+            write_blocks(fh, taus, values)
+
+        monkeypatch.setattr(traces, "_write_blocks", counting)
+        whole = self.simulate(capsys, tmp_path, "two_qubit_bell", engine)
+        assert whole[0] == 0 and grids == [self.TAUS]
+        grids.clear()
+        # into the same directory, which the summary names
+        assert self.chunked(monkeypatch, capsys, tmp_path, "two_qubit_bell", engine,
+                            points=points) == whole
+        assert grids == [min(points, self.TAUS - start) for start in range(0, self.TAUS, points)]
 
     def test_a_trace_held_one_chunk_at_a_time(self, tmp_path):
         # Bell exact at 257 x 1025 is 18 chunks; the bound was fixed before the first run

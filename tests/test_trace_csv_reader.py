@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import write_stack
 from qmonitor import cli, traces
 
 DATA = Path(__file__).parent / "data"
@@ -78,7 +79,7 @@ def test_a_written_trace_reads_back_bit_for_bit(tmp_path, trace):
     taus, values, stderrs = trace
     labels = tuple(f"s{k}" for k in range(values.shape[2]))
     path = tmp_path / "trace.csv"
-    traces.write_trace_csv(path, labels, taus, values, stderrs)
+    write_stack(path, labels, taus, values, stderrs)
     got_labels, got_taus, got = cli.read_trace_csv(path)
     assert got_labels == list(labels)
     assert [tau.hex() for tau in got_taus] == [float(tau).hex() for tau in taus]
@@ -107,7 +108,7 @@ class TestSimulateCsvs:
     def test_quoted_label_in_header(self, tmp_path):
         rows = np.array([[1.0, 0.0], [0.25, 0.75], [0.5, 0.5]])
         path = tmp_path / "quoted.csv"
-        traces.write_trace_csv(path, ("g", "e,1"), [0.0, 1 / 3], np.stack([rows, rows[:, ::-1]]))
+        write_stack(path, ("g", "e,1"), [0.0, 1 / 3], np.stack([rows, rows[:, ::-1]]))
         assert path.read_text().startswith('tau,n,g,"e,1"\n')
         got = outcome(path)
         assert got[1] == ["g", "e,1"]
