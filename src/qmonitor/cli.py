@@ -96,8 +96,6 @@ class RunConfig(NamedTuple):
             raise ConfigError("seed must lie in [0, 2**64)")
 
     def tau_grid(self) -> np.ndarray:
-        if self.tau_count == 1:
-            return np.array([self.tau_start])
         return np.linspace(self.tau_start, self.tau_stop, self.tau_count)
 
 
@@ -160,10 +158,8 @@ def _model_key(name: str) -> str:
 def _parse_n_range(text: str, n_max: int) -> tuple[int, int]:
     if not text:
         return (min(1, n_max), n_max)
-    sep = ":" if ":" in text else ","
-    parts = text.split(sep)
     try:
-        lo, hi = (int(p) for p in parts)
+        lo, hi = (int(p) for p in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad n range {text!r}; expected LO:HI") from exc
     if not (0 <= lo <= hi <= n_max):
@@ -270,22 +266,19 @@ def _simulate(cfg: RunConfig, m: model_mod.Model) -> dict:
             deviation /= np.sqrt(p, out=p)
             zs.append(float(np.max(deviation)))
             return block
-    else:
-        if cfg.engine in ("exact", "markov"):
-            engine = evolve.run_exact
-        else:
-            from . import analytic
+    elif cfg.engine == "closed_form":
+        from . import analytic
 
-            if cfg.model not in analytic.CLOSED_FORMS:
-                raise ConfigError(
-                    f"engine closed_form supports {sorted(analytic.CLOSED_FORMS)}, not {cfg.model!r}"
-                )
-
-            def engine(m, taus, n_max, gamma):
-                return analytic.closed_form_trace(cfg.model, taus, n_max, gamma)
+        if cfg.model not in analytic.CLOSED_FORMS:
+            raise ConfigError(
+                f"engine closed_form supports {sorted(analytic.CLOSED_FORMS)}, not {cfg.model!r}"
+            )
 
         def blocks(start, stop):
-            return engine(m, taus[start:stop], cfg.n_max, cfg.gamma)
+            return analytic.closed_form_trace(cfg.model, taus[start:stop], cfg.n_max, cfg.gamma)
+    else:
+        def blocks(start, stop):
+            return evolve.run_exact(m, taus[start:stop], cfg.n_max, cfg.gamma)
 
     os.makedirs(cfg.out, exist_ok=True)
     key = f"{_model_key(cfg.model)}_{cfg.engine}"
@@ -436,7 +429,7 @@ def cmd_render(args: argparse.Namespace) -> dict:
         series = {n: grid[:, n] for n in picks}
         svg = render.lines_svg(taus, series, title=f"{column} vs tau", ylabel=column)
         name = f"{stem}_lines_{_model_key(column)}.svg"
-    elif args.kind == "rho_grid":
+    else:  # rho_grid
         if not args.model:
             raise ConfigError("rho_grid rendering requires --model")
         m = _build_model(args.model)
@@ -459,8 +452,6 @@ def cmd_render(args: argparse.Namespace) -> dict:
             title=f"|rho| at n={args.n}, tau={args.tau:.4f}",
         )
         name = f"{stem}_rho_grid_n{args.n}.svg"
-    else:
-        raise ConfigError(f"unknown render kind {args.kind!r}")
 
     path = os.path.join(out_dir, name)
     with traces.replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:

@@ -23,6 +23,8 @@ from . import linalg
 from .model import Model
 from .traces import check_trace
 
+# Absolute: it bounds kernel entries and probabilities, which lie in [0, 1]
+# whatever the units of H.
 STOCHASTIC_TOL = 1e-12
 
 

@@ -34,29 +34,18 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(a, dtype=complex)).T
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; output dimension is the product of the inputs'."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Max-norm of a - a^dagger."""
-    a = np.asarray(a, dtype=complex)
-    return float(np.max(np.abs(a - adjoint(a)))) if a.size else 0.0
-
-
 def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Return a as a matrix if max|a - a^dag| <= HERMITICITY_TOL * max(1, max|a_ij|)."""
     a = as_matrix(a)
-    defect = hermiticity_defect(a)
+    defect = float(np.max(np.abs(a - adjoint(a))))
     if defect > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(a)))):
         raise ValueError(f"matrix is not Hermitian: max |a - a^dag| = {defect:.3e}")
     return a
 
 
-def is_unitary(a: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
+def is_unitary(a: np.ndarray) -> bool:
     a = as_matrix(a)
-    return float(np.max(np.abs(adjoint(a) @ a - np.eye(a.shape[0])))) <= tol
+    return float(np.max(np.abs(adjoint(a) @ a - np.eye(a.shape[0])))) <= UNITARITY_TOL
 
 
 class HermitianEig(NamedTuple):

@@ -31,9 +31,10 @@ from . import evolve, linalg
 from .evolve import STOCHASTIC_TOL, propagate
 from .model import Model
 
-# Kernel entries of at most this size count as absent from the support. Near a
-# resonance tau* the vanishing entries grow as (tau - tau*)^2, so the resonant
-# classes hold over a window of about sqrt(SUPPORT_TOL) around tau*.
+# Kernel entries of at most this size count as absent from the support; they are
+# probabilities, so the value is absolute. Near a resonance tau* the vanishing
+# entries grow as (tau - tau*)^2, so the resonant classes hold over a window of
+# about sqrt(SUPPORT_TOL) around tau*.
 SUPPORT_TOL = 1e-9
 
 KIND_FROZEN = "frozen"

@@ -21,10 +21,17 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from . import linalg
+from .traces import check_labels
 
 BasisKind = Literal["singlet_triplet", "bell"]
 
 _SQ2 = np.sqrt(2.0)
+
+# An off-diagonal entry h_kk' of V^dag H V couples outcomes k and k' when
+# |h_kk'| > COUPLING_TOL * max(1, max|h_ij|): rounding in the rotation grows with
+# the size of H, as in linalg.require_hermitian, so the blocks do not depend on
+# the units of H.
+COUPLING_TOL = 1e-10
 
 
 def pauli(which: str) -> np.ndarray:
@@ -36,21 +43,6 @@ def pauli(which: str) -> np.ndarray:
     if which == "z":
         return np.array([[1, 0], [0, -1]], dtype=complex)
     raise ValueError(f"unknown Pauli axis {which!r}")
-
-
-def check_labels(labels: tuple[str, ...]) -> tuple[str, ...]:
-    """Validate outcome labels as trace CSV column names and return them.
-
-    A trace CSV has the columns tau, n, one per label and optionally
-    stderr_0..stderr_{N-1}, so a label must be unique, must not be tau or n,
-    and must not start with stderr_.
-    """
-    for label in labels:
-        if label in ("tau", "n") or label.startswith("stderr_"):
-            raise ValueError(f"outcome label {label!r} is reserved for a CSV column")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"outcome labels must be distinct, got {list(labels)}")
-    return labels
 
 
 class MeasurementBasis(NamedTuple("MeasurementBasis", [
@@ -110,11 +102,7 @@ class Model(NamedTuple("Model", [("dim", int), ("hamiltonian", np.ndarray),
 
     @cached_property
     def hamiltonian_blocks(self) -> tuple[tuple[int, ...], ...]:
-        """``detect_blocks`` of V^dag H V at its default threshold.
-
-        These are the outcome sets that the Hamiltonian and the measurement
-        share: couplings of at most 1e-10 are treated as zero.
-        """
+        """``detect_blocks`` of V^dag H V: the outcome sets that H and the measurement share."""
         return detect_blocks(self._measurement_hamiltonian)
 
     @cached_property
@@ -165,7 +153,7 @@ def single_qubit_model() -> Model:
 def _two_qubit_hamiltonian() -> np.ndarray:
     sx = pauli("x")
     eye = np.eye(2, dtype=complex)
-    return 0.5 * (linalg.kron(sx, eye) + linalg.kron(eye, sx))
+    return 0.5 * (np.kron(sx, eye) + np.kron(eye, sx))
 
 
 def singlet_triplet_basis() -> MeasurementBasis:
@@ -221,18 +209,15 @@ def hamiltonian_in_basis(m: Model) -> np.ndarray:
     return linalg.rotate_matrix(m.hamiltonian, m.basis.v)
 
 
-def detect_blocks(
-    h_in_basis: np.ndarray, threshold: float = 1e-10
-) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the coupling graph |h_kk'| > threshold (k != k').
+def detect_blocks(h_in_basis: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the coupling graph (k != k', see COUPLING_TOL).
 
     Each component is a sorted tuple of indices, and the components are
     ordered by their first index (``linalg.components``). Singleton
     components are allowed; the partition always covers all indices.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    return linalg.components(np.abs(linalg.as_matrix(h_in_basis)) > threshold)[0]
+    size = np.abs(linalg.as_matrix(h_in_basis))
+    return linalg.components(size > COUPLING_TOL * max(1.0, float(np.max(size))))[0]
 
 
 def _complex_array(obj, name: str) -> np.ndarray:

@@ -34,7 +34,7 @@ class NoiseFit(NamedTuple):
 
 class HardwareProfile(NamedTuple("HardwareProfile", [
         ("dur_1q_ns", float), ("dur_cnot_ns", float), ("dur_readout_ns", float)])):
-    """Gate and readout durations (ns), the inputs of cycle_duration."""
+    """Finite, positive gate and readout durations (ns), the inputs of cycle_duration."""
 
     __slots__ = ()
 
@@ -43,6 +43,8 @@ class HardwareProfile(NamedTuple("HardwareProfile", [
         for name, value in zip(self._fields, self):
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         return self
 
 
@@ -96,11 +98,6 @@ def tau_average(values: np.ndarray, taus) -> np.ndarray:
     return avg
 
 
-def _predict(model: np.ndarray, ns: np.ndarray, gamma: float, dim: int) -> np.ndarray:
-    survival = (1.0 - gamma) ** ns
-    return survival[:, None] * model + ((1.0 - survival) / dim)[:, None]
-
-
 def fit_gamma(
     measured: np.ndarray, model_noiseless: np.ndarray, n_range: tuple[int, int]
 ) -> NoiseFit:
@@ -134,7 +131,9 @@ def fit_gamma(
         )
 
     def objective(g: float) -> float:
-        return float(np.sum((data - _predict(model, ns, g, dim)) ** 2))
+        survival = (1.0 - g) ** ns
+        predicted = survival[:, None] * model + ((1.0 - survival) / dim)[:, None]
+        return float(np.sum((data - predicted) ** 2))
 
     a, b = 0.0, 1.0
     c = b - GOLDEN * (b - a)
@@ -219,10 +218,8 @@ def hardware_profile_from_file(path) -> HardwareProfile:
     if not isinstance(raw, dict):
         raise ValueError(f"hardware profile {path}: expected a JSON object")
     try:
-        return HardwareProfile(
-            dur_1q_ns=float(raw["dur_1q_ns"]),
-            dur_cnot_ns=float(raw["dur_cnot_ns"]),
-            dur_readout_ns=float(raw["dur_readout_ns"]),
-        )
+        return HardwareProfile(*(float(raw[name]) for name in HardwareProfile._fields))
     except KeyError as exc:
         raise ValueError(f"hardware profile {path}: missing key {exc}") from exc
+    except TypeError as exc:  # a duration such as null or a list
+        raise ValueError(f"hardware profile {path}: durations must be numbers ({exc})") from exc

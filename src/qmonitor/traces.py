@@ -4,8 +4,8 @@ A trace is a float array values[i, n, k]: the probability of outcome k after
 n measurement cycles at grid point tau_i, for n = 0..n_max, as one
 (T, n_max+1, dim) stack. Row 0 of a block is the Born distribution of the
 initial state in the measurement basis. check_trace validates a stack one
-tau block at a time; write_trace_csv and read_trace_csv are the only code
-that knows the CSV layout.
+tau block at a time; check_labels, write_trace_csv and read_trace_csv are
+the only code that knows the CSV layout.
 
 Every file qmonitor writes, the trace CSV, the JSON summaries and the SVGs,
 goes through replacing: it is written under the sibling name
@@ -34,8 +34,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .model import check_labels
-
+# Absolute: probabilities lie in [0, 1] whatever the units of H, and a row sum
+# stays within 2e-13 of 1 after 200,000 cycles of the chain.
 ROW_SUM_TOL = 1e-12
 _CHUNK_ROWS = 512
 # The writer asks a source of blocks for at most this many written cells (rows x
@@ -50,6 +50,21 @@ _CHUNK_CELLS = 131_072
 
 class DataError(Exception):
     """Malformed or unusable input data."""
+
+
+def check_labels(labels: tuple[str, ...]) -> tuple[str, ...]:
+    """Validate outcome labels as trace CSV column names and return them.
+
+    A trace CSV has the columns tau, n, one per label and optionally
+    stderr_0..stderr_{N-1}, so a label must be unique, must not be tau or n,
+    and must not start with stderr_.
+    """
+    for label in labels:
+        if label in ("tau", "n") or label.startswith("stderr_"):
+            raise ValueError(f"outcome label {label!r} is reserved for a CSV column")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"outcome labels must be distinct, got {list(labels)}")
+    return labels
 
 
 def check_trace(values, taus=None) -> np.ndarray:

@@ -779,6 +779,29 @@ class TestTiming:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cycle_duration_us"] == 0.62
 
+    @pytest.mark.parametrize("value, message", [
+        ("null", "durations must be numbers"),
+        ("[35]", "durations must be numbers"),
+        ("NaN", "dur_1q_ns must be finite"),
+        ("Infinity", "dur_1q_ns must be finite"),
+    ])
+    @pytest.mark.parametrize("command", ["timing", "fit-noise"])
+    def test_a_duration_that_is_not_a_finite_number_is_a_config_error(
+            self, tmp_path, capsys, command, value, message):
+        hw = tmp_path / "hw.json"
+        hw.write_text(f'{{"dur_1q_ns": {value}, "dur_cnot_ns": 327, "dur_readout_ns": 704}}')
+        argv = ["timing", "--gamma", 0.1]
+        if command == "fit-noise":
+            assert run(["simulate", "--tau-count", 5, "--n-max", 4, "--out", tmp_path]) == 0
+            argv = ["fit-noise", tmp_path / "single_qubit_exact.csv", "--model", "single_qubit",
+                    "--out", tmp_path]
+        capsys.readouterr()
+        assert run([*argv, "--layers", "10,2,1", "--hw-profile", hw]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: cannot load hardware profile: ")
+        assert message in captured.err and "Traceback" not in captured.err
+        assert "wrote" not in captured.out and "NaN" not in captured.out
+
 
 class TestOutDir:
     """simulate, analyze, fit-noise and render write under --out, else $QMONITOR_OUT, else ./out."""
@@ -862,6 +885,67 @@ class TestOutDir:
         assert run([*args, "--out", out]) == 2
         assert capsys.readouterr() == ("", f"config error: not enough memory to run {command}\n")
         assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier  # no *.tmp
+
+
+# inputs under tmp_path that the error-path cases name; bell.csv is a 4-state trace
+ERROR_INPUTS = {
+    "bogus.ini": "[run]\nengine = bogus\n",
+    "count.ini": "[run]\ntau_count = x\n",
+    "shapes.json": json.dumps({"hamiltonian": {"re": [[1.0]], "im": [[0.0, 0.0]]},
+                               "initial_state": {"re": [1.0]}}),
+    "list.json": "[]",
+    "hw.json": "{",
+    "empty.csv": "",
+    "header.csv": "tau,n,0,1\n",
+    "keys.csv": "tau,n\n",
+}
+
+
+@pytest.mark.parametrize("argv, code, start", [
+    (["simulate", "--config", "{tmp}/bogus.ini"], 2, "config error: unknown engine 'bogus'"),
+    (["simulate", "--config", "{tmp}/count.ini"], 2,
+     "config error: config file {tmp}/count.ini: bad value for 'tau_count': 'x'"),
+    (["fit-noise", "{tmp}/bell.csv", "--model", "two_qubit_bell", "--n-fit-range", "a:b"], 2,
+     "config error: bad n range 'a:b'; expected LO:HI"),
+    (["fit-noise", "{tmp}/bell.csv", "--model", "two_qubit_bell", "--n-fit-range", "5:999"], 2,
+     "config error: n range '5:999' outside 0..4"),
+    (["render", "{tmp}/bell.csv", "--kind", "lines", "--at-n", "x"], 2,
+     "config error: bad --at-n value 'x'"),
+    (["render", "{tmp}/bell.csv", "--kind", "lines", "--at-n", "999"], 3,
+     "data error: --at-n values [999] outside 0..4"),
+    (["render", "{tmp}/bell.csv", "--column", "9"], 3, "data error: column index 9 out of range"),
+    (["render", "{tmp}/bell.csv", "--column", "magnetization"], 3,
+     "data error: magnetization rendering needs a two-state trace"),
+    (["render", "{tmp}/bell.csv", "--kind", "rho_grid", "--model", "two_qubit_bell",
+      "--n", "1", "--tau", "0.1"], 3, "data error: tau=0.1 not present in the CSV grid"),
+    (["render", "{tmp}/bell.csv", "--kind", "rho_grid", "--model", "two_qubit_bell",
+      "--n", "999", "--tau", "0"], 3, "data error: n=999 outside 0..4"),
+    (["analyze", "--model", "{tmp}/shapes.json"], 2,
+     "config error: cannot build model '{tmp}/shapes.json': 'hamiltonian': re and im shapes differ"),
+    (["analyze", "--model", "{tmp}/list.json"], 2,
+     "config error: cannot build model '{tmp}/list.json': model file {tmp}/list.json: "
+     "expected a JSON object"),
+    (["timing", "--layers", "10,2,1", "--hw-profile", "{tmp}/hw.json"], 2,
+     "config error: cannot load hardware profile: hardware profile {tmp}/hw.json: invalid JSON"),
+    (["render", "{tmp}/empty.csv"], 3, "data error: {tmp}/empty.csv: empty CSV"),
+    (["render", "{tmp}/header.csv"], 3, "data error: {tmp}/header.csv: no data rows"),
+    (["render", "{tmp}/keys.csv"], 3, "data error: {tmp}/keys.csv: no outcome columns"),
+], ids=["engine", "tau_count", "n_range_text", "n_range_bounds", "at_n_text", "at_n_bounds",
+        "column_index", "magnetization", "rho_grid_tau", "rho_grid_n", "re_im_shapes",
+        "model_list", "hw_profile_json", "empty_csv", "header_only", "no_outcomes"])
+def test_each_error_path_exits_with_its_code_and_message(tmp_path, capsys, argv, code, start):
+    for name, text in ERROR_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    assert run(["simulate", "--model", "two_qubit_bell", "--tau-count", 5, "--n-max", 4,
+                "--out", tmp_path]) == 0
+    (tmp_path / "two_qubit_bell_exact.csv").rename(tmp_path / "bell.csv")
+    capsys.readouterr()
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if argv[0] != "timing":
+        argv += ["--out", str(tmp_path)]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(start.format(tmp=tmp_path)), err
 
 
 @pytest.mark.parametrize(

@@ -30,22 +30,13 @@ class TestAdjoint:
         assert np.array_equal(linalg.adjoint(linalg.adjoint(a)), a)
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(linalg.kron(I2, I2), np.eye(4))
-
+class TestEigHermitian:
     def test_two_qubit_hamiltonian_spectrum(self):
-        h = 0.5 * (linalg.kron(SX, I2) + linalg.kron(I2, SX))
+        h = 0.5 * (np.kron(SX, I2) + np.kron(I2, SX))
         # hand eigendecomposition: sums of two +-1/2 single-qubit levels
         lam = linalg.eig_hermitian(h).eigenvalues
         assert np.allclose(lam, [-1.0, 0.0, 0.0, 1.0], atol=1e-13)
 
-    def test_diagonal_case(self):
-        got = linalg.kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-        assert np.allclose(got, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-
-class TestEigHermitian:
     def test_diagonal(self):
         dec = linalg.eig_hermitian(SZ)
         assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
@@ -62,7 +53,7 @@ class TestEigHermitian:
             assert np.allclose(v, phase * np.array(expected), atol=1e-14)
 
     def test_degenerate_two_qubit(self):
-        h = 0.5 * (linalg.kron(SX, I2) + linalg.kron(I2, SX))
+        h = 0.5 * (np.kron(SX, I2) + np.kron(I2, SX))
         dec = linalg.eig_hermitian(h)
         assert np.allclose(dec.eigenvalues, [-1, 0, 0, 1], atol=1e-13)
         # orthonormality survives the degeneracy
@@ -83,7 +74,7 @@ class TestEigHermitian:
             linalg.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_deterministic(self):
-        h = 0.5 * (linalg.kron(SX, I2) + linalg.kron(I2, SX))
+        h = 0.5 * (np.kron(SX, I2) + np.kron(I2, SX))
         a = linalg.eig_hermitian(h)
         b = linalg.eig_hermitian(h)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
@@ -130,10 +121,10 @@ class TestUnitaryFromHamiltonian:
 
     def test_two_qubit_factorizes(self):
         tau = 1.3
-        h = 0.5 * (linalg.kron(SX, I2) + linalg.kron(I2, SX))
+        h = 0.5 * (np.kron(SX, I2) + np.kron(I2, SX))
         u1 = oracles.unitary_from_hamiltonian(0.5 * SX, tau)
         got = oracles.unitary_from_hamiltonian(h, tau)
-        assert np.max(np.abs(got - linalg.kron(u1, u1))) < 1e-13
+        assert np.max(np.abs(got - np.kron(u1, u1))) < 1e-13
 
     @given(hermitian_matrices(max_dim=4), taus, taus)
     @settings(max_examples=50, deadline=None)
@@ -147,20 +138,7 @@ class TestUnitaryFromHamiltonian:
     @settings(max_examples=50, deadline=None)
     def test_unitarity(self, h, tau):
         u = oracles.unitary_from_hamiltonian(h, tau)
-        assert linalg.is_unitary(u, tol=1e-12)
-
-
-@given(hermitian_matrices(max_dim=3), taus)
-@settings(max_examples=40, deadline=None)
-def test_kron_mixed_product(h, tau):
-    # (A (x) B)(C (x) D) = AC (x) BD
-    a = h
-    b = oracles.unitary_from_hamiltonian(h, tau)
-    c = h @ h - np.eye(h.shape[0])
-    d = 0.5 * h + 1j * np.eye(h.shape[0])
-    lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-    rhs = linalg.kron(a @ c, b @ d)
-    assert np.max(np.abs(lhs - rhs)) < 1e-11
+        assert linalg.is_unitary(u)
 
 
 def test_rotate_matrix_matches_matmul():

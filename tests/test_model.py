@@ -106,10 +106,6 @@ class TestDetectBlocks:
         blocks = model.detect_blocks(model.hamiltonian_in_basis(single_qubit))
         assert blocks == ((0, 1),)
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            model.detect_blocks(np.eye(2), threshold=0.0)
-
     @given(st.integers(min_value=1, max_value=7), st.data())
     @settings(max_examples=50, deadline=None)
     def test_permutation_equivariance(self, n, data):
@@ -119,13 +115,13 @@ class TestDetectBlocks:
             for j in range(i + 1, n):
                 if data.draw(st.booleans()):
                     adj[i, j] = adj[j, i] = 1.0
-        blocks = model.detect_blocks(adj, threshold=0.5)
+        blocks = model.detect_blocks(adj)
         flat = sorted(i for b in blocks for i in b)
         assert flat == list(range(n))
 
         perm = data.draw(st.permutations(range(n)))
         p = np.eye(n)[list(perm)]
-        permuted = model.detect_blocks(p @ adj @ p.T, threshold=0.5)
+        permuted = model.detect_blocks(p @ adj @ p.T)
         # map original blocks through the permutation: index i moves to perm.index positions
         inv = np.argsort(list(perm))
         mapped = sorted(tuple(sorted(int(inv[i]) for i in b)) for b in blocks)
